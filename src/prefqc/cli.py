@@ -291,53 +291,98 @@ def _eval_cells(cfg: dict) -> list[dict]:
     raise ConfigError("eval config needs 'cells' or preset in {'table3_grid','mu_effect'}")
 
 
-def _run_eval_task(task: dict) -> dict:
-    """One (cell, seed) unit. Returns plain data so it can cross processes."""
+_FIT_KEYS = ("family", "scenario", "mu_variant")
+
+
+def _eval_fits(cells: list[dict], seeds: list[int], strict: bool) -> list[dict]:
+    """Group the (cell, seed) runs by everything their fit depends on.
+
+    Cells that differ only in rule or quantile share one simulated dataset
+    and one EM fit; each member keeps its own scoring.
+    """
+    fits: dict[str, dict] = {}
+    for i, cell in enumerate(cells):
+        for seed in seeds:
+            spec = {key: _require(cell, key) for key in _FIT_KEYS}
+            spec.update(seed=seed, strict=strict)
+            fit = fits.setdefault(
+                json.dumps(spec, sort_keys=True), {**spec, "members": []}
+            )
+            fit["members"].append(
+                {
+                    "cell_index": i,
+                    "rule": cell.get("rule"),
+                    "quantile": cell.get("quantile", 0.5),
+                }
+            )
+    return list(fits.values())
+
+
+def _run_eval_fit(fit: dict) -> list[dict]:
+    """One distinct fit, scored for each member cell.
+
+    Returns one plain-data result per member so it can cross processes. A
+    failure before scoring fails every member; a scoring failure fails only
+    its own cell.
+    """
+    seed = fit["seed"]
     try:
-        scenario = fio.decode_scenario(task["scenario"])
-        scenario = dataclasses.replace(scenario, seed=task["seed"])
+        scenario = fio.decode_scenario(fit["scenario"])
+        scenario = dataclasses.replace(scenario, seed=seed)
         records, truth = simulate_dataset(scenario)
         histories = histories_from_records(records)
-        variant = task["mu_variant"]
+        variant = fit["mu_variant"]
         if variant == "known":
             em_config = EmConfig(
-                family=task["family"], mu=scenario.mu, mu_mode="fixed"
+                family=fit["family"], mu=scenario.mu, mu_mode="fixed"
             )
         elif variant == "beta_prior":
             em_config = EmConfig(
-                family=task["family"],
+                family=fit["family"],
                 mu_mode="free",
                 regularizer=LogPriorOnMu(a=8.0, b=2.0),
             )
         else:
             raise ConfigError(f"unknown mu_variant {variant!r}")
-        report = em_fit(histories, em_config, strict=task["strict"])
-        result: dict = {"cell_index": task["cell_index"], "seed": task["seed"]}
+        report = em_fit(histories, em_config, strict=fit["strict"])
         fitted = report.final_params
+        scores: dict = {}
         if isinstance(scenario.prior, (TwoPointPrior, BetaPrior)) and type(
             scenario.prior
         ) is type(fitted.prior):
             truth_params = ModelParams(
                 prior=scenario.prior, mu=scenario.mu, mu_mode=fitted.mu_mode
             )
-            result["delta"] = relative_error(fitted, truth_params)
-        if task.get("rule") is not None:
-            rule = fio.decode_rule(task["rule"])
-            grid = QuadratureGrid.uniform()
-            summaries = [
-                summarize_posterior(h, fitted, grid) for h in histories
-            ]
-            decisions = select_users(summaries, rule)
-            result["accuracy"] = recovery_accuracy(
-                decisions, dict(truth), quantile=task.get("quantile", 0.5)
-            )
-        return result
+            scores["delta"] = relative_error(fitted, truth_params)
     except Exception as exc:  # recorded per cell; the sweep keeps going
-        return {
-            "cell_index": task["cell_index"],
-            "seed": task["seed"],
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        error = f"{type(exc).__name__}: {exc}"
+        return [
+            {"cell_index": m["cell_index"], "seed": seed, "error": error}
+            for m in fit["members"]
+        ]
+
+    true_etas = dict(truth)
+    summaries = None  # the same for every rule: eval asks for no eta_stars
+    results = []
+    for member in fit["members"]:
+        result = {"cell_index": member["cell_index"], "seed": seed}
+        try:
+            if member["rule"] is not None:
+                rule = fio.decode_rule(member["rule"])
+                if summaries is None:
+                    grid = QuadratureGrid.uniform()
+                    summaries = [
+                        summarize_posterior(h, fitted, grid) for h in histories
+                    ]
+                decisions = select_users(summaries, rule)
+                result["accuracy"] = recovery_accuracy(
+                    decisions, true_etas, quantile=member["quantile"]
+                )
+            result.update(scores)
+        except Exception as exc:  # this cell only
+            result["error"] = f"{type(exc).__name__}: {exc}"
+        results.append(result)
+    return results
 
 
 def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
@@ -355,21 +400,18 @@ def _cmd_eval(cfg: dict, args) -> None:
         raise ConfigError("eval needs a non-empty 'seeds' list")
     seeds = [int(s) for s in seeds]
     cells = _eval_cells(cfg)
-    tasks = [
-        {**cell, "cell_index": i, "seed": seed, "strict": args.strict}
-        for i, cell in enumerate(cells)
-        for seed in seeds
-    ]
+    fits = _eval_fits(cells, seeds, args.strict)
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_eval_task, tasks))
+            fit_results = list(pool.map(_run_eval_fit, fits))
     else:
-        results = [_run_eval_task(t) for t in tasks]
+        fit_results = [_run_eval_fit(f) for f in fits]
 
     by_cell: dict[int, list[dict]] = {}
-    for res in results:
-        by_cell.setdefault(res["cell_index"], []).append(res)
+    for results in fit_results:
+        for res in results:
+            by_cell.setdefault(res["cell_index"], []).append(res)
 
     rows = []
     total_failures = 0

@@ -562,10 +562,17 @@ def em_fit(
     prev_objective = None
     prev_vec = None
 
+    # The (sum_z, n) x support log-likelihood matrix changes only when the
+    # support (two-point atoms) or mu moves; on the grid with mu fixed it is
+    # built once and each iteration adds the new prior log-masses.
+    rebuild_smat = two_point or mu_free
+    smat = None
+
     for iteration in range(config.max_iters + 1):
         support, log_mass = prior_log_masses(params.prior, grid)
-        g = bernoulli_response_prob(support, params.mu)
-        smat = np.outer(sz_u, np.log(g)) + np.outer(n_u - sz_u, np.log1p(-g))
+        if smat is None or rebuild_smat:
+            g = bernoulli_response_prob(support, params.mu)
+            smat = np.outer(sz_u, np.log(g)) + np.outer(n_u - sz_u, np.log1p(-g))
         joint = log_mass[None, :] + smat
         per_row = log_sum_exp(joint, axis=1)
         if np.any(~np.isfinite(per_row)):

@@ -12,6 +12,7 @@ import io as _stdio
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -51,11 +52,35 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+def _current_umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# mkstemp makes files only their owner may read or write; outputs get the
+# mode a plain open() would give them.
+_FILE_MODE = 0o666 & ~_current_umask()
+
+
 def atomic_write_text(path, text: str) -> None:
+    """Write via a uniquely named temp file in the target's directory.
+
+    Concurrent writers never share a temp file, and a failed write leaves
+    neither a partial target nor a stray temp file behind.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(
+        prefix=f"{path.name}.", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.chmod(tmp, _FILE_MODE)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _fmt(x: float) -> str:
@@ -87,15 +112,20 @@ def read_annotations(path) -> list[AnnotationRecord]:
             except json.JSONDecodeError as exc:
                 raise ParseError(path, line_no, f"invalid JSON ({exc.msg})") from None
             try:
-                records.append(
-                    AnnotationRecord(
-                        user_id=str(obj["user_id"]),
-                        item_id=str(obj["item_id"]),
-                        label=int(obj["label"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                user_id, item_id, label = obj["user_id"], obj["item_id"], obj["label"]
+            except (KeyError, TypeError) as exc:
                 raise ParseError(path, line_no, f"bad record: {exc}") from None
+            if user_id is None or item_id is None:
+                raise ParseError(path, line_no, "bad record: null user_id or item_id")
+            # Exact type check: a float would truncate, and bool is an int.
+            if type(label) is not int or label not in (0, 1):
+                raise ParseError(
+                    path,
+                    line_no,
+                    f"bad record: label must be the integer 0 or 1, "
+                    f"got {json.dumps(label)}",
+                )
+            records.append(AnnotationRecord(str(user_id), str(item_id), label))
     return records
 
 

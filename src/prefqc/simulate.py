@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy import optimize, special, stats
 
 from .model import AnnotationRecord, BetaPrior, TwoPointPrior
 
@@ -128,6 +127,8 @@ def prior_mean(spec: TruePriorSpec) -> float:
     if isinstance(spec, DiscreteMasses):
         return sum(w * e for w, e in spec.atoms)
     if isinstance(spec, LogisticNormal):
+        from scipy import special
+
         # No closed form; Gauss-Hermite handles the Gaussian expectation.
         nodes, weights = np.polynomial.hermite_e.hermegauss(201)
         vals = special.expit(spec.m + spec.s * nodes)
@@ -155,6 +156,10 @@ def prior_quantile(spec: TruePriorSpec, q: float) -> float:
         )
     if isinstance(spec, DiscreteMasses):
         return _discrete_quantile(spec.atoms, q)
+    # scipy is imported where it is used: at module level it would be most
+    # of the cost of `import prefqc`, and most commands never reach here.
+    from scipy import optimize, special, stats
+
     if isinstance(spec, BetaPrior):
         return float(stats.beta.ppf(q, spec.alpha, spec.beta))
     if isinstance(spec, LogisticNormal):
@@ -192,6 +197,8 @@ def sample_eta(spec: TruePriorSpec, size: int, rng: np.random.Generator) -> np.n
         shapes = np.array(spec.components)
         return rng.beta(shapes[idx, 0], shapes[idx, 1])
     if isinstance(spec, LogisticNormal):
+        from scipy import special
+
         return special.expit(spec.m + spec.s * rng.standard_normal(size))
     raise TypeError(f"unknown prior spec {spec!r}")
 

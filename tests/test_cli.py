@@ -6,9 +6,11 @@ import math
 
 import pytest
 
+from prefqc import cli
 from prefqc import io as fio
 from prefqc.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from prefqc.cli import _eval_cells
+from prefqc.em import LikelihoodDecreaseError
 from prefqc.numerics import SolverError
 
 
@@ -367,6 +369,28 @@ class TestEval:
         cell.update(overrides)
         return cell
 
+    def run_sweep(self, tmp_path, name, cells, seeds, *flags):
+        """Run eval in its own directory; returns the sweep rows by cell."""
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        config, out = self.eval_config(run_dir, seeds, cells=cells)
+        assert main(["eval", "--config", config, *flags]) == EXIT_OK
+        return {row["cell"]: row for row in fio.read_sweep(out / "sweep.csv")}
+
+    def count_fits(self, monkeypatch, fail_when_strict=False):
+        calls = []
+        real_em_fit = cli.em_fit
+
+        def counting_em_fit(histories, config, *, strict=False):
+            calls.append(strict)
+            report = real_em_fit(histories, config, strict=False)
+            if strict and fail_when_strict:
+                raise LikelihoodDecreaseError(report, 1.0)
+            return report
+
+        monkeypatch.setattr(cli, "em_fit", counting_em_fit)
+        return calls
+
     def test_custom_cells_produce_sweep_rows(self, tmp_path):
         config, out = self.eval_config(tmp_path, [0, 1], cells=[self.tiny_cell()])
         assert main(["eval", "--config", config]) == EXIT_OK
@@ -380,12 +404,18 @@ class TestEval:
         assert row["note"] == ""
 
     def test_failures_recorded_not_fatal(self, tmp_path):
+        # The two cells share one (failing) fit per seed: both fail.
         bad = self.tiny_cell(cell="broken", mu_variant="bogus")
-        config, out = self.eval_config(tmp_path, [0, 1], cells=[bad])
+        bad_threshold = self.tiny_cell(
+            cell="broken_threshold",
+            mu_variant="bogus",
+            rule={"type": "threshold", "value": 0.7},
+        )
+        config, out = self.eval_config(tmp_path, [0, 1], cells=[bad, bad_threshold])
         assert main(["eval", "--config", config]) == EXIT_OK
-        row = fio.read_sweep(out / "sweep.csv")[0]
-        assert row["seeds_ok"] == "0" and row["seeds_failed"] == "2"
-        assert "bogus" in row["note"]
+        for row in fio.read_sweep(out / "sweep.csv"):
+            assert row["seeds_ok"] == "0" and row["seeds_failed"] == "2"
+            assert "bogus" in row["note"]
 
     def test_seeds_must_be_non_empty_list(self, tmp_path):
         for seeds in ([], "0"):
@@ -397,13 +427,74 @@ class TestEval:
         assert main(["eval", "--config", config]) == EXIT_VALIDATION
 
     def test_parallel_workers_match_serial(self, tmp_path, monkeypatch):
-        cells = [self.tiny_cell(), self.tiny_cell(cell="second")]
-        config, out = self.eval_config(tmp_path, [0], cells=cells)
+        # Two fits (mu 0.8 and 0.9) per seed, each shared by two rule cells.
+        threshold = {"type": "threshold", "value": 0.7}
+        cells = [
+            self.tiny_cell(),
+            self.tiny_cell(cell="second"),
+            self.tiny_cell(cell="threshold", rule=threshold),
+            self.tiny_cell(cell="mu0.9", scenario=tiny_scenario(mu=0.9, m=30)),
+            self.tiny_cell(
+                cell="mu0.9_threshold",
+                scenario=tiny_scenario(mu=0.9, m=30),
+                rule=threshold,
+            ),
+        ]
+        config, out = self.eval_config(tmp_path, [0, 1], cells=cells)
         assert main(["eval", "--config", config]) == EXIT_OK
         serial = sha256(out / "sweep.csv")
         monkeypatch.setenv("PREFQC_WORKERS", "2")
         assert main(["eval", "--config", config]) == EXIT_OK
         assert sha256(out / "sweep.csv") == serial
+
+    def test_cells_sharing_a_fit_fit_once(self, tmp_path, monkeypatch):
+        cells = [
+            self.tiny_cell(cell="ranking"),
+            self.tiny_cell(
+                cell="threshold", rule={"type": "threshold", "value": 0.7}
+            ),
+        ]
+        calls = self.count_fits(monkeypatch)
+        rows = self.run_sweep(tmp_path, "shared", cells, [0, 1])
+        assert len(calls) == 2  # one fit per seed, not per (cell, seed)
+        for cell in cells:
+            alone = self.run_sweep(tmp_path, cell["cell"], [cell], [0, 1])
+            row, ref = rows[cell["cell"]], alone[cell["cell"]]
+            assert row["seeds_ok"] == "2"
+            for column in ("delta_mean", "delta_std", "accuracy_mean", "accuracy_std"):
+                assert row[column] == ref[column]
+        assert rows["ranking"]["delta_mean"] == rows["threshold"]["delta_mean"]
+
+    def test_member_quantile_honoured(self, tmp_path):
+        cells = [
+            self.tiny_cell(cell="median"),
+            self.tiny_cell(cell="upper", quantile=0.8),
+        ]
+        rows = self.run_sweep(tmp_path, "shared", cells, [0, 1])
+        for cell in cells:
+            alone = self.run_sweep(tmp_path, cell["cell"], [cell], [0, 1])
+            name = cell["cell"]
+            assert rows[name]["accuracy_mean"] == alone[name]["accuracy_mean"]
+        assert rows["median"]["accuracy_mean"] != rows["upper"]["accuracy_mean"]
+
+    def test_strict_fit_failure_fails_every_member(self, tmp_path, monkeypatch):
+        cells = [self.tiny_cell(cell="a"), self.tiny_cell(cell="b", rule=None)]
+        calls = self.count_fits(monkeypatch, fail_when_strict=True)
+        rows = self.run_sweep(tmp_path, "strict", cells, [0], "--strict")
+        assert calls == [True]
+        for row in rows.values():
+            assert row["seeds_ok"] == "0" and row["seeds_failed"] == "1"
+            assert row["note"].startswith("LikelihoodDecreaseError")
+
+    def test_rule_failure_fails_only_its_cell(self, tmp_path):
+        cells = [
+            self.tiny_cell(cell="good"),
+            self.tiny_cell(cell="bad", rule={"type": "nonsense"}),
+        ]
+        rows = self.run_sweep(tmp_path, "rules", cells, [0, 1])
+        assert rows["good"]["seeds_ok"] == "2" and rows["good"]["note"] == ""
+        assert rows["bad"]["seeds_ok"] == "0" and rows["bad"]["seeds_failed"] == "2"
+        assert "nonsense" in rows["bad"]["note"]
 
     def test_builtin_grids_have_expected_shapes(self):
         table3 = _eval_cells({"preset": "table3_grid"})

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,37 @@ class TestAtomicWrite:
         atomic_write_text(target, "new")
         assert target.read_text() == "new"
 
+    def test_mode_matches_a_plain_write(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        target = tmp_path / "out.txt"
+        atomic_write_text(target, "x")
+        assert target.stat().st_mode == plain.stat().st_mode
+
+    def test_each_write_gets_its_own_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        temps = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            temps.append(Path(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        atomic_write_text(target, "one")
+        atomic_write_text(target, "two")
+        assert temps[0] != temps[1]
+        assert all(t.parent == tmp_path for t in temps)
+        assert target.read_text() == "two"
+
+    def test_failed_write_removes_temp_and_keeps_target(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "\ud800")  # lone surrogate: not UTF-8
+        assert target.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
 
 class TestAnnotations:
     def test_round_trip(self, tmp_path):
@@ -138,6 +171,25 @@ class TestAnnotations:
         path = tmp_path / "data.jsonl"
         path.write_text('{"user_id": "u", "item_id": "i", "label": 2}\n')
         with pytest.raises(ParseError, match="bad record"):
+            read_annotations(path)
+
+    @pytest.mark.parametrize(
+        "label", ["0.9", "1.0", "true", "false", '"1"', "null", "[1]"]
+    )
+    def test_label_must_be_json_integer_0_or_1(self, tmp_path, label):
+        path = tmp_path / "data.jsonl"
+        good = '{"user_id": "u", "item_id": "i0", "label": 1}'
+        bad = '{"user_id": "u", "item_id": "i1", "label": %s}' % label
+        path.write_text(f"{good}\n{bad}\n")
+        with pytest.raises(ParseError, match=r"data\.jsonl:2: bad record: label"):
+            read_annotations(path)
+
+    @pytest.mark.parametrize("key", ["user_id", "item_id"])
+    def test_null_id_rejected(self, tmp_path, key):
+        path = tmp_path / "data.jsonl"
+        record = {"user_id": "u", "item_id": "i", "label": 1, key: None}
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=r"data\.jsonl:1: bad record: null"):
             read_annotations(path)
 
     def test_missing_key_reports_line(self, tmp_path):

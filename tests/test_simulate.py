@@ -2,6 +2,10 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
+import prefqc
 from prefqc import (
     BetaMixture,
     BetaPerItemP,
@@ -153,6 +158,28 @@ class TestPriorQuantile:
             prior_quantile(BetaPrior(3.0, 5.0), 0.0)
         with pytest.raises(ValueError):
             prior_quantile(BetaPrior(3.0, 5.0), 1.0)
+
+
+def test_import_leaves_scipy_out_until_a_quantile_needs_it():
+    # A fresh interpreter: this test process has imported scipy already.
+    script = (
+        "import sys\n"
+        "import prefqc.cli\n"
+        "assert 'scipy' not in sys.modules, 'import prefqc.cli pulled in scipy'\n"
+        "from prefqc import BetaPrior, prior_quantile\n"
+        "print(repr(prior_quantile(BetaPrior(3.0, 5.0), 0.5)))\n"
+    )
+    src = str(Path(prefqc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0.3641160864480825"
 
 
 class TestSampleEta:
