@@ -26,7 +26,6 @@ from .em import (
     DegenerateComponentError,
     EmConfig,
     LikelihoodDecreaseError,
-    LogPriorOnMu,
     em_fit,
 )
 from .filtering import (
@@ -114,8 +113,23 @@ def _cmd_simulate(cfg: dict, args) -> None:
     )
 
 
+def _em_config(cfg: dict) -> EmConfig:
+    """EmConfig from fit config keys; fit and eval both build theirs here."""
+    init = cfg.get("init")
+    return EmConfig(
+        family=cfg.get("family"),
+        mu=cfg.get("mu"),
+        mu_mode=cfg.get("mu_mode", "fixed"),
+        init=None if init is None else fio.decode_params(init),
+        max_iters=cfg.get("max_iters", 500),
+        tol_param=cfg.get("tol_param", 1e-6),
+        tol_loglik=cfg.get("tol_loglik", 1e-9),
+        regularizer=fio.decode_regularizer(cfg.get("regularizer")),
+    )
+
+
 def _fit_once(cfg: dict, strict: bool):
-    """Shared by fit and eval: load annotations, run EM, return extras."""
+    """fit's core: load annotations, run EM, return extras."""
     mu = cfg.get("mu")
     labels_flipped = False
     if mu is not None:
@@ -132,18 +146,7 @@ def _fit_once(cfg: dict, strict: bool):
     histories = histories_from_records(records)
     if not histories:
         raise ConfigError("annotations file holds no records")
-    init = cfg.get("init")
-    em_config = EmConfig(
-        family=cfg.get("family"),
-        mu=mu,
-        mu_mode=cfg.get("mu_mode", "fixed"),
-        init=None if init is None else fio.decode_params(init),
-        max_iters=cfg.get("max_iters", 500),
-        tol_param=cfg.get("tol_param", 1e-6),
-        tol_loglik=cfg.get("tol_loglik", 1e-9),
-        regularizer=fio.decode_regularizer(cfg.get("regularizer")),
-    )
-    report = em_fit(histories, em_config, strict=strict)
+    report = em_fit(histories, _em_config({**cfg, "mu": mu}), strict=strict)
     return report, labels_flipped, records, histories
 
 
@@ -169,6 +172,12 @@ def _cmd_fit(cfg: dict, args) -> None:
         out / "fit.json", report, labels_flipped=labels_flipped, delta=delta
     )
     fio.write_trajectory(out / "trajectory.csv", report)
+    if report.stop_reason == "max_iters":
+        print(
+            f"warning: EM stopped at the {report.iterations}-iteration cap "
+            "without converging",
+            file=sys.stderr,
+        )
     tail = "" if delta is None else f", delta {delta:.4f}"
     print(
         f"fit: {report.stop_reason} after {report.iterations} iterations, "
@@ -189,6 +198,12 @@ def _cmd_infer(cfg: dict, args) -> None:
     out = _out_dir(cfg)
     fit = fio.read_fit(_require(cfg, "fit"))
     params: ModelParams = fit["params"]
+    if fit.get("converged") is False:
+        print(
+            f"warning: {cfg['fit']} holds a fit that did not converge "
+            f"(stop_reason {fit.get('stop_reason')})",
+            file=sys.stderr,
+        )
     records = fio.read_annotations(_require(cfg, "annotations"))
     model_records = (
         _flip_records(records) if fit.get("labels_flipped") else records
@@ -293,6 +308,9 @@ def _eval_cells(cfg: dict) -> list[dict]:
 
 _FIT_KEYS = ("family", "scenario", "mu_variant")
 
+# eval's "beta_prior" mu_variant: a free mu under a Beta(8, 2) log-prior.
+_BETA_PRIOR_ON_MU = {"type": "log_prior_on_mu", "a": 8.0, "b": 2.0}
+
 
 def _eval_fits(cells: list[dict], seeds: list[int], strict: bool) -> list[dict]:
     """Group the (cell, seed) runs by everything their fit depends on.
@@ -333,17 +351,12 @@ def _run_eval_fit(fit: dict) -> list[dict]:
         histories = histories_from_records(records)
         variant = fit["mu_variant"]
         if variant == "known":
-            em_config = EmConfig(
-                family=fit["family"], mu=scenario.mu, mu_mode="fixed"
-            )
+            mu_keys = {"mu": scenario.mu}
         elif variant == "beta_prior":
-            em_config = EmConfig(
-                family=fit["family"],
-                mu_mode="free",
-                regularizer=LogPriorOnMu(a=8.0, b=2.0),
-            )
+            mu_keys = {"mu_mode": "free", "regularizer": _BETA_PRIOR_ON_MU}
         else:
             raise ConfigError(f"unknown mu_variant {variant!r}")
+        em_config = _em_config({"family": fit["family"], **mu_keys})
         report = em_fit(histories, em_config, strict=fit["strict"])
         fitted = report.final_params
         scores: dict = {}

@@ -29,9 +29,10 @@ from .model import (
     MuMode,
     TwoPointPrior,
     UserHistory,
-    bernoulli_response_prob,
-    prior_log_masses,
+    log_joint,
+    loglik_from_counts,
     suff_stats,
+    user_loglik,
 )
 from .numerics import QuadratureGrid, log_sum_exp, solve_beta_system
 
@@ -270,20 +271,11 @@ def posterior_two_point(
         raise ValueError("posterior_two_point requires a two-point prior")
     l_lo = math.log(prior.q1) if prior.q1 > 0.0 else -math.inf
     l_hi = math.log(prior.q2) if prior.q2 > 0.0 else -math.inf
-    l_lo += float(
-        _loglik_row(history.sum_z, history.n, params.mu, prior.eta_lo)
-    )
-    l_hi += float(
-        _loglik_row(history.sum_z, history.n, params.mu, prior.eta_hi)
-    )
+    l_lo += user_loglik(history, params.mu, prior.eta_lo)
+    l_hi += user_loglik(history, params.mu, prior.eta_hi)
     norm = np.logaddexp(l_lo, l_hi)
     gamma_lo = float(np.exp(l_lo - norm))
     return gamma_lo, 1.0 - gamma_lo
-
-
-def _loglik_row(sum_z, n, mu, eta):
-    g = bernoulli_response_prob(eta, mu)
-    return sum_z * np.log(g) + (n - sum_z) * np.log1p(-g)
 
 
 def posterior_grid(
@@ -292,11 +284,7 @@ def posterior_grid(
     """Grid posterior of eta for a continuous prior."""
     if isinstance(params.prior, TwoPointPrior):
         raise ValueError("posterior_grid requires a continuous prior")
-    support, log_mass = prior_log_masses(params.prior, grid)
-    logpost = log_mass + _loglik_row(history.sum_z, history.n, params.mu, support)
-    norm = log_sum_exp(logpost)
-    if not np.isfinite(norm):
-        raise FloatingPointError("posterior underflowed to zero everywhere")
+    logpost, norm = log_joint(history.sum_z, history.n, params, grid)
     masses = np.exp(logpost - norm)
     masses = masses / masses.sum()
     return GridPosterior(
@@ -402,7 +390,11 @@ def _mu_objective(support, win_counts, loss_counts, logprior):
 
 
 def _maximize_mu(support, win_counts, loss_counts, regularizer, xtol=1e-7):
-    """Golden-section argmax of the (concave) expected-likelihood term in mu."""
+    """Golden-section argmax of the (concave) expected-likelihood term in mu.
+
+    Returns (mu, at_boundary, objective), the objective being the function
+    of mu that was maximized.
+    """
     logprior, lo, hi = _regularizer_terms(regularizer)
     f = _mu_objective(support, win_counts, loss_counts, logprior)
     a, b = lo, hi
@@ -427,7 +419,7 @@ def _maximize_mu(support, win_counts, loss_counts, regularizer, xtol=1e-7):
         fb = f(bound)
         if fb >= fx:
             x, fx, at_boundary = bound, fb, True
-    return x, at_boundary
+    return x, at_boundary, f
 
 
 def _mu_update_arrays(posteriors, histories, current_prior):
@@ -464,7 +456,7 @@ def m_step_mu(
     posteriors. Boundary solutions are logged as a warning.
     """
     support, wins, losses = _mu_update_arrays(posteriors, histories, current_prior)
-    mu, at_boundary = _maximize_mu(support, wins, losses, regularizer)
+    mu, at_boundary, _ = _maximize_mu(support, wins, losses, regularizer)
     if at_boundary:
         logger.warning("mu update landed on the search boundary at %.6f", mu)
     return mu
@@ -565,18 +557,13 @@ def em_fit(
     # The (sum_z, n) x support log-likelihood matrix changes only when the
     # support (two-point atoms) or mu moves; on the grid with mu fixed it is
     # built once and each iteration adds the new prior log-masses.
-    rebuild_smat = two_point or mu_free
-    smat = None
+    sz_col, n_col = sz_u[:, None], n_u[:, None]
+    fixed_loglik = None
+    if not (two_point or mu_free):
+        fixed_loglik = loglik_from_counts(sz_col, n_col, params.mu, grid.nodes)
 
     for iteration in range(config.max_iters + 1):
-        support, log_mass = prior_log_masses(params.prior, grid)
-        if smat is None or rebuild_smat:
-            g = bernoulli_response_prob(support, params.mu)
-            smat = np.outer(sz_u, np.log(g)) + np.outer(n_u - sz_u, np.log1p(-g))
-        joint = log_mass[None, :] + smat
-        per_row = log_sum_exp(joint, axis=1)
-        if np.any(~np.isfinite(per_row)):
-            raise FloatingPointError("marginal likelihood underflowed")
+        joint, per_row = log_joint(sz_col, n_col, params, grid, fixed_loglik)
         loglik = float(np.dot(cnt, per_row))
         trajectory.append(TrajectoryPoint(iteration, params, loglik))
         objective = loglik if mu_logprior is None else loglik + mu_logprior(params.mu)
@@ -595,7 +582,9 @@ def em_fit(
             break
         prev_objective, prev_vec = objective, vec
 
-        masses = np.exp(joint - per_row[:, None])  # E-step responsibilities
+        # E-step responsibilities, computed in place: the next iteration's
+        # E-step then runs beside one matrix from this one, not two.
+        masses = np.exp(joint - per_row[:, None], out=joint)
         if two_point:
             gam1, gam2 = masses[:, 0], masses[:, 1]
             q1, eta_lo, eta_hi, flags = _two_point_update(
@@ -627,15 +616,13 @@ def em_fit(
             if mu_free:
                 wins = (cnt * sz_u) @ masses
                 losses = (cnt * (n_u - sz_u)) @ masses
-                mu_support = support
+                mu_support = grid.nodes
 
         new_mu = params.mu
         if mu_free:
-            cand, at_boundary = _maximize_mu(
+            cand, at_boundary, obj = _maximize_mu(
                 mu_support, wins, losses, config.regularizer
             )
-            logprior, _, _ = _regularizer_terms(config.regularizer)
-            obj = _mu_objective(mu_support, wins, losses, logprior)
             # Generalized-EM safeguard: never accept a mu that scores below
             # the current one (golden-section quantization can lose ~xtol^2).
             if obj(cand) >= obj(params.mu):

@@ -117,6 +117,16 @@ def read_annotations(path) -> list[AnnotationRecord]:
                 raise ParseError(path, line_no, f"bad record: {exc}") from None
             if user_id is None or item_id is None:
                 raise ParseError(path, line_no, "bad record: null user_id or item_id")
+            # Ids are JSON strings only: str() would merge 5 with "5" and turn
+            # [1] into the id "[1]".
+            if type(user_id) is not str or type(item_id) is not str:
+                key = "user_id" if type(user_id) is not str else "item_id"
+                raise ParseError(
+                    path,
+                    line_no,
+                    f"bad record: {key} must be a JSON string, "
+                    f"got {json.dumps(obj[key])}",
+                )
             # Exact type check: a float would truncate, and bool is an int.
             if type(label) is not int or label not in (0, 1):
                 raise ParseError(
@@ -125,7 +135,7 @@ def read_annotations(path) -> list[AnnotationRecord]:
                     f"bad record: label must be the integer 0 or 1, "
                     f"got {json.dumps(label)}",
                 )
-            records.append(AnnotationRecord(str(user_id), str(item_id), label))
+            records.append(AnnotationRecord(user_id, item_id, label))
     return records
 
 

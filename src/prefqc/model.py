@@ -201,8 +201,11 @@ def obs_loglik(z: int, mu: float, eta: float) -> float:
 def loglik_from_counts(sum_z, n, mu, eta):
     """User log-likelihood from the sufficient statistic (sum_z, n).
 
-    Vectorizes over eta; with mu in (0, 1) both outcome probabilities are
-    positive, so the result is finite.
+    The likelihood kernel: the E-step, observed_loglik and both posteriors
+    evaluate the model through it. Broadcasts, so (R, 1) count columns
+    against a (K,) support give the (R, K) matrix over rows x support; with
+    mu in (0, 1) both outcome probabilities are positive, so the result is
+    finite.
     """
     if np.any(np.asarray(sum_z) < 0) or np.any(np.asarray(sum_z) > np.asarray(n)):
         raise ValueError("need 0 <= sum_z <= n")
@@ -246,11 +249,25 @@ def suff_stats(histories):
     return uniq[:, 0], uniq[:, 1], counts.astype(float), inverse
 
 
-def _loglik_matrix(sum_z_u, n_u, mu, support):
-    g = bernoulli_response_prob(support, mu)
-    log_g = np.log(g)
-    log_1mg = np.log1p(-g)
-    return np.outer(sum_z_u, log_g) + np.outer(n_u - sum_z_u, log_1mg)
+def log_joint(sum_z, n, params: ModelParams, grid: QuadratureGrid, loglik=None):
+    """E-step core: log prior mass plus log-likelihood, and each row's marginal.
+
+    `sum_z` and `n` are scalars (one row) or (R, 1) columns. `loglik` is the
+    kernel matrix for these rows at `params.mu` on the prior's support, when
+    the caller already holds it. Returns (joint, per_row): the log joint over
+    rows x support and each row's log marginal likelihood.
+    """
+    support, log_mass = prior_log_masses(params.prior, grid)
+    if loglik is None:
+        loglik = loglik_from_counts(sum_z, n, params.mu, support)
+    joint = log_mass + loglik
+    # A single row reduces through log_sum_exp's scalar path (math.log, which
+    # can differ from np.log in the last bit); posterior_grid's outputs are
+    # pinned to those bits.
+    per_row = log_sum_exp(joint, axis=1 if joint.ndim == 2 else None)
+    if np.any(~np.isfinite(per_row)):
+        raise FloatingPointError("marginal likelihood underflowed to zero")
+    return joint, per_row
 
 
 def observed_loglik(histories, params: ModelParams, grid: QuadratureGrid) -> float:
@@ -262,10 +279,6 @@ def observed_loglik(histories, params: ModelParams, grid: QuadratureGrid) -> flo
     """
     if not histories:
         return 0.0
-    support, log_mass = prior_log_masses(params.prior, grid)
     sum_z_u, n_u, counts, _ = suff_stats(histories)
-    smat = _loglik_matrix(sum_z_u, n_u, params.mu, support)
-    per_row = log_sum_exp(log_mass[None, :] + smat, axis=1)
-    if np.any(~np.isfinite(per_row)):
-        raise FloatingPointError("marginal likelihood underflowed to zero")
+    _, per_row = log_joint(sum_z_u[:, None], n_u[:, None], params, grid)
     return float(np.dot(counts, per_row))

@@ -89,10 +89,13 @@ def log_sum_exp(values, axis: int | None = None):
         return m + math.log(float(np.sum(np.exp(arr - m))))
     m = np.max(arr, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)
+    # One temporary, exponentiated in place: on an EM-sized matrix a second
+    # one raises peak memory and, once the allocator hands it back to the
+    # system, costs fresh page faults on every call.
+    terms = arr - shift
+    np.exp(terms, out=terms)
     with np.errstate(divide="ignore"):
-        out = np.squeeze(shift, axis=axis) + np.log(
-            np.sum(np.exp(arr - shift), axis=axis)
-        )
+        out = np.squeeze(shift, axis=axis) + np.log(np.sum(terms, axis=axis))
     return out
 
 

@@ -180,6 +180,17 @@ class TestFit:
         assert main(["fit", "--config", config]) == EXIT_VALIDATION
         assert "annotations" in capsys.readouterr().err
 
+    def test_iteration_cap_warns(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path)
+        config, out = fit_config(tmp_path, sim, max_iters=1)
+        assert main(["fit", "--config", config]) == EXIT_OK
+        assert "warning: EM stopped at the 1-iteration cap" in capsys.readouterr().err
+        fit = fio.read_fit(out / "fit.json")
+        assert fit["converged"] is False and fit["stop_reason"] == "max_iters"
+        config, _ = fit_config(tmp_path, sim, name="full")
+        assert main(["fit", "--config", config]) == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
+
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         sim = simulate_into(tmp_path)
         config, _ = fit_config(tmp_path, sim)
@@ -223,6 +234,22 @@ class TestInferAndFilter:
         for rec, (item_id, chosen) in zip(records, pairs):
             assert item_id == rec.item_id
             assert chosen == ("A" if rec.label == 1 else "B")
+
+    def test_unconverged_fit_warns(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path)
+        rule = {"type": "top_fraction", "fraction": 0.5}
+        for max_iters, warned in ((1, True), (500, False)):
+            name = f"cap{max_iters}"
+            fit_cfg, fit_out = fit_config(
+                tmp_path, sim, name=f"fit_{name}", max_iters=max_iters
+            )
+            assert main(["fit", "--config", fit_cfg]) == EXIT_OK
+            capsys.readouterr()
+            config, out = infer_config(tmp_path, sim, fit_out, rule, name=name)
+            assert main(["infer", "--config", config]) == EXIT_OK
+            err = capsys.readouterr().err
+            assert ("did not converge (stop_reason max_iters)" in err) is warned
+            assert len(fio.read_decisions(out / "decisions.csv")) == 40
 
     def test_top_fraction_keeps_ceiling_of_users(self, tmp_path):
         sim, fit_out = self.fitted(tmp_path)

@@ -30,6 +30,7 @@ from prefqc import (
     m_step_beta,
     m_step_mu,
     m_step_two_point,
+    observed_loglik,
     posterior_grid,
     posterior_two_point,
     simulate_dataset,
@@ -509,6 +510,22 @@ class TestEmFit:
         mix = LogisticNormalMixturePrior((1.0,), (0.0,), (1.0,))
         with pytest.raises(ValueError):
             em_fit(hists, EmConfig(init=ModelParams(prior=mix, mu=0.8)))
+
+    @pytest.mark.parametrize("mu_mode", ["fixed", "free"])
+    @pytest.mark.parametrize(
+        "truth",
+        [TwoPointPrior(0.6, 0.4, 0.98), BetaPrior(3.0, 5.0)],
+        ids=["two_point", "beta"],
+    )
+    def test_trajectory_loglik_is_observed_loglik(self, grid, truth, mu_mode):
+        hists, _ = sim_histories(truth, 0.8, 80, (20, 40), seed=5)
+        family = "two_point" if isinstance(truth, TwoPointPrior) else "beta"
+        mu = 0.8 if mu_mode == "fixed" else None
+        cfg = EmConfig(family=family, mu=mu, mu_mode=mu_mode, max_iters=60)
+        report = em_fit(hists, cfg)
+        assert len(report.trajectory) > 2
+        for point in report.trajectory:
+            assert observed_loglik(hists, point.params, grid) == point.loglik
 
     def test_trajectory_records_every_iteration(self):
         hists, _ = sim_histories(BetaPrior(3.0, 5.0), 0.8, 60, (20, 40), seed=6)

@@ -192,6 +192,22 @@ class TestAnnotations:
         with pytest.raises(ParseError, match=r"data\.jsonl:1: bad record: null"):
             read_annotations(path)
 
+    @pytest.mark.parametrize("key", ["user_id", "item_id"])
+    @pytest.mark.parametrize("value", ["5", "5.0", "true", "false", "[1]", '{"x": 1}'])
+    def test_id_must_be_json_string(self, tmp_path, key, value):
+        path = tmp_path / "data.jsonl"
+        good = '{"user_id": "u", "item_id": "i0", "label": 1}'
+        bad = {"user_id": '"u"', "item_id": '"i1"', key: value}
+        path.write_text(
+            f'{good}\n{{"user_id": {bad["user_id"]}, '
+            f'"item_id": {bad["item_id"]}, "label": 0}}\n'
+        )
+        with pytest.raises(
+            ParseError,
+            match=rf"data\.jsonl:2: bad record: {key} must be a JSON string",
+        ):
+            read_annotations(path)
+
     def test_missing_key_reports_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"user_id": "u", "label": 1}\n')

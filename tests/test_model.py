@@ -118,6 +118,16 @@ class TestPerLabelLoglik:
         assert out[2] == pytest.approx(L_AT_098, abs=1e-12)
         assert np.all(np.isfinite(out))
 
+    def test_counts_form_broadcasts_to_rows_by_support_bitwise(self, grid, rng):
+        n = rng.integers(0, 300, size=60).astype(float)
+        sum_z = np.floor(rng.uniform(0.0, 1.0, size=60) * (n + 1.0))
+        for support in (grid.nodes, np.array([0.25, 0.9])):
+            g = bernoulli_response_prob(support, 0.8)
+            outer = np.outer(sum_z, np.log(g)) + np.outer(n - sum_z, np.log1p(-g))
+            got = loglik_from_counts(sum_z[:, None], n[:, None], 0.8, support)
+            assert got.shape == outer.shape
+            assert np.array_equal(got, outer)
+
     def test_counts_form_rejects_inconsistent_counts(self):
         with pytest.raises(ValueError):
             loglik_from_counts(11, 10, 0.8, 0.5)
