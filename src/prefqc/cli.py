@@ -45,6 +45,7 @@ from .model import (
 )
 from .numerics import QuadratureGrid, SolverError
 from .simulate import (
+    ERROR_SWEEP_CELLS,
     SimulationScenario,
     estimate_mu,
     prior_quantile,
@@ -129,7 +130,7 @@ def _em_config(cfg: dict) -> EmConfig:
 
 
 def _fit_once(cfg: dict, strict: bool):
-    """fit's core: load annotations, run EM, return extras."""
+    """fit's core: load annotations, run EM, return (report, labels_flipped)."""
     mu = cfg.get("mu")
     labels_flipped = False
     if mu is not None:
@@ -147,7 +148,7 @@ def _fit_once(cfg: dict, strict: bool):
     if not histories:
         raise ConfigError("annotations file holds no records")
     report = em_fit(histories, _em_config({**cfg, "mu": mu}), strict=strict)
-    return report, labels_flipped, records, histories
+    return report, labels_flipped
 
 
 def _truth_params_from_scenario(path, mu_mode: str) -> ModelParams:
@@ -161,7 +162,7 @@ def _truth_params_from_scenario(path, mu_mode: str) -> ModelParams:
 
 def _cmd_fit(cfg: dict, args) -> None:
     out = _out_dir(cfg)
-    report, labels_flipped, _, _ = _fit_once(cfg, args.strict)
+    report, labels_flipped = _fit_once(cfg, args.strict)
     delta = None
     if cfg.get("truth_scenario"):
         truth = _truth_params_from_scenario(
@@ -262,9 +263,7 @@ def _eval_cells(cfg: dict) -> list[dict]:
     preset = cfg.get("preset")
     if preset == "table3_grid":
         cells = []
-        for family, (m, n) in product(
-            ("two_point", "beta"), ((200, 50), (400, 50), (200, 100), (400, 100), (800, 100), (800, 200))
-        ):
+        for family, (m, n) in product(("two_point", "beta"), ERROR_SWEEP_CELLS):
             tag = "twopoint" if family == "two_point" else "beta"
             scenario = scenario_preset(f"table3_{tag}_{m}_{n}")
             cells.append(

@@ -157,7 +157,8 @@ class EmConfig:
             raise ValueError("supply init params or family in {'two_point','beta'}")
         if self.init is not None and self.family is not None:
             fam = "two_point" if isinstance(self.init.prior, TwoPointPrior) else "beta"
-            if isinstance(self.init.prior, (TwoPointPrior, BetaPrior)) and fam != self.family:
+            known = isinstance(self.init.prior, (TwoPointPrior, BetaPrior))
+            if known and fam != self.family:
                 raise ValueError(f"init prior is {fam!r} but family={self.family!r}")
 
 
@@ -422,26 +423,29 @@ def _maximize_mu(support, win_counts, loss_counts, regularizer, xtol=1e-7):
     return x, at_boundary, f
 
 
-def _mu_update_arrays(posteriors, histories, current_prior):
-    """(support, win_counts, loss_counts) for the mu objective."""
+def _mu_counts(masses, sz, n, cnt):
+    """Expected (win, loss) label counts at each support point.
+
+    masses is rows x support; each row holds cnt users with sum_z of n.
+    """
+    return (cnt * sz) @ masses, (cnt * (n - sz)) @ masses
+
+
+def _mu_update_arrays(posteriors, current_prior):
+    """(support, users x support masses) for the mu objective."""
     if not posteriors:
-        return np.array([0.0]), np.array([0.0]), np.array([0.0])
-    sz = np.array([h.sum_z for h in histories], dtype=float)
-    n = np.array([h.n for h in histories], dtype=float)
+        return np.array([0.0]), np.zeros((0, 1))
     first = posteriors[0]
     if isinstance(first, GridPosterior):
-        support = first.nodes
-        masses = np.array([p.masses for p in posteriors])
-        return support, sz @ masses, (n - sz) @ masses
+        return first.nodes, np.array([p.masses for p in posteriors])
     if isinstance(first, TwoPointPosterior):
         gam = np.array([[p.gamma_lo, p.gamma_hi] for p in posteriors])
-        support = np.array([first.eta_lo, first.eta_hi])
-    else:  # plain (gamma_lo, gamma_hi) pairs; atoms come from the prior
-        if not isinstance(current_prior, TwoPointPrior):
-            raise ValueError("tuple posteriors need a two-point current_prior")
-        gam = np.asarray(posteriors, dtype=float)
-        support = np.array([current_prior.eta_lo, current_prior.eta_hi])
-    return support, gam.T @ sz, gam.T @ (n - sz)
+        return np.array([first.eta_lo, first.eta_hi]), gam
+    # plain (gamma_lo, gamma_hi) pairs; atoms come from the prior
+    if not isinstance(current_prior, TwoPointPrior):
+        raise ValueError("tuple posteriors need a two-point current_prior")
+    gam = np.asarray(posteriors, dtype=float)
+    return np.array([current_prior.eta_lo, current_prior.eta_hi]), gam
 
 
 def m_step_mu(
@@ -455,7 +459,10 @@ def m_step_mu(
     Accepts two-point responsibilities (pairs or TwoPointPosterior) or grid
     posteriors. Boundary solutions are logged as a warning.
     """
-    support, wins, losses = _mu_update_arrays(posteriors, histories, current_prior)
+    support, masses = _mu_update_arrays(posteriors, current_prior)
+    sz = np.array([h.sum_z for h in histories], dtype=float)
+    n = np.array([h.n for h in histories], dtype=float)
+    wins, losses = _mu_counts(masses, sz, n, 1)
     mu, at_boundary, _ = _maximize_mu(support, wins, losses, regularizer)
     if at_boundary:
         logger.warning("mu update landed on the search boundary at %.6f", mu)
@@ -573,7 +580,10 @@ def em_fit(
             objective_drop = prev_objective - objective
             break
         vec = _param_vector(params)
-        if prev_vec is not None and float(np.max(np.abs(vec - prev_vec))) < config.tol_param:
+        if (
+            prev_vec is not None
+            and float(np.max(np.abs(vec - prev_vec))) < config.tol_param
+        ):
             converged = True
             stop_reason = "param_tol"
             break
@@ -597,10 +607,9 @@ def em_fit(
                 clamp_events.append(ClampEvent(iteration + 1, "eta_hi", eta_hi))
             new_prior: AttentivenessPrior = TwoPointPrior(q1, eta_lo, eta_hi)
             if mu_free:
-                order = (gam2, gam1) if swapped else (gam1, gam2)
-                gam_stack = np.stack(order, axis=1)
-                wins = gam_stack.T @ (cnt * sz_u)
-                losses = gam_stack.T @ (cnt * (n_u - sz_u))
+                wins, losses = _mu_counts(masses, sz_u, n_u, cnt)
+                if swapped:  # the atoms traded places; so do their counts
+                    wins, losses = wins[::-1], losses[::-1]
                 mu_support = np.array([eta_lo, eta_hi])
         else:
             r1 = float(np.dot(cnt, masses @ log_nodes) / m)
@@ -611,11 +620,12 @@ def em_fit(
                 r1, r2, start=(params.prior.alpha, params.prior.beta)
             )
             if sol.clamped:
-                clamp_events.append(ClampEvent(iteration + 1, "alpha_beta_floor", sol.alpha))
+                clamp_events.append(
+                    ClampEvent(iteration + 1, "alpha_beta_floor", sol.alpha)
+                )
             new_prior = BetaPrior(alpha=sol.alpha, beta=sol.beta)
             if mu_free:
-                wins = (cnt * sz_u) @ masses
-                losses = (cnt * (n_u - sz_u)) @ masses
+                wins, losses = _mu_counts(masses, sz_u, n_u, cnt)
                 mu_support = grid.nodes
 
         new_mu = params.mu

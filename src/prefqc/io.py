@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .em import ClampEvent, FitReport, LogPriorOnMu, BoxOnMu, RegularizerSpec
 from .filtering import (
@@ -87,21 +87,40 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# ---------------------------------------------------------------- datasets
+# ------------------------------------------------------ the two file formats
 
-def write_annotations(path, records: Iterable[AnnotationRecord]) -> None:
-    lines = [
-        json.dumps(
-            {"user_id": r.user_id, "item_id": r.item_id, "label": r.label},
-            separators=(", ", ": "),
-        )
-        for r in records
-    ]
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    buf = _stdio.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
+
+
+def _read_csv(path, convert, header: list[str] | None = None) -> list:
+    """convert(row) for each row dict; a row it rejects is located by line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if header is not None and reader.fieldnames != header:
+            raise ParseError(path, 1, f"expected header {','.join(header)}")
+        out = []
+        for row in reader:
+            try:
+                out.append(convert(row))
+            except (KeyError, TypeError, ValueError) as exc:
+                # line_num counts the physical lines read, blank ones included.
+                raise ParseError(path, reader.line_num, f"bad row: {exc}") from None
+    return out
+
+
+def _write_jsonl(path, objects: Iterable[dict[str, Any]]) -> None:
+    # json.dumps' default separators, ", " and ": ", are part of the format.
+    lines = [json.dumps(obj) for obj in objects]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_annotations(path) -> list[AnnotationRecord]:
-    records = []
+def _jsonl_objects(path) -> Iterator[tuple[int, Any]]:
+    """(1-based line number, parsed value) for each non-blank line."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -111,114 +130,101 @@ def read_annotations(path) -> list[AnnotationRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(path, line_no, f"invalid JSON ({exc.msg})") from None
-            try:
-                user_id, item_id, label = obj["user_id"], obj["item_id"], obj["label"]
-            except (KeyError, TypeError) as exc:
-                raise ParseError(path, line_no, f"bad record: {exc}") from None
-            if user_id is None or item_id is None:
-                raise ParseError(path, line_no, "bad record: null user_id or item_id")
-            # Ids are JSON strings only: str() would merge 5 with "5" and turn
-            # [1] into the id "[1]".
-            if type(user_id) is not str or type(item_id) is not str:
-                key = "user_id" if type(user_id) is not str else "item_id"
-                raise ParseError(
-                    path,
-                    line_no,
-                    f"bad record: {key} must be a JSON string, "
-                    f"got {json.dumps(obj[key])}",
-                )
-            # Exact type check: a float would truncate, and bool is an int.
-            if type(label) is not int or label not in (0, 1):
-                raise ParseError(
-                    path,
-                    line_no,
-                    f"bad record: label must be the integer 0 or 1, "
-                    f"got {json.dumps(label)}",
-                )
-            records.append(AnnotationRecord(user_id, item_id, label))
+            yield line_no, obj
+
+
+def _id_error(path, line_no: int, what: str, obj: dict, keys: tuple[str, ...]):
+    """ParseError for ids that are not JSON strings (str() would merge 5 and "5")."""
+    if any(obj[key] is None for key in keys):
+        return ParseError(path, line_no, f"bad {what}: null {' or '.join(keys)}")
+    key = next(key for key in keys if type(obj[key]) is not str)
+    got = json.dumps(obj[key])
+    return ParseError(path, line_no, f"bad {what}: {key} must be a JSON string, got {got}")
+
+
+# ---------------------------------------------------------------- datasets
+
+def write_annotations(path, records: Iterable[AnnotationRecord]) -> None:
+    _write_jsonl(
+        path,
+        ({"user_id": r.user_id, "item_id": r.item_id, "label": r.label} for r in records),
+    )
+
+
+def read_annotations(path) -> list[AnnotationRecord]:
+    records = []
+    for line_no, obj in _jsonl_objects(path):
+        try:
+            user_id, item_id, label = obj["user_id"], obj["item_id"], obj["label"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(path, line_no, f"bad record: {exc}") from None
+        if type(user_id) is not str or type(item_id) is not str:
+            raise _id_error(path, line_no, "record", obj, ("user_id", "item_id"))
+        # Exact type check: a float would truncate, and bool is an int.
+        if type(label) is not int or label not in (0, 1):
+            raise ParseError(
+                path,
+                line_no,
+                f"bad record: label must be the integer 0 or 1, got {json.dumps(label)}",
+            )
+        records.append(AnnotationRecord(user_id, item_id, label))
     return records
 
 
 def write_truth(path, truth: Iterable[tuple[str, float]]) -> None:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["user_id", "eta"])
-    for user_id, eta in truth:
-        writer.writerow([user_id, _fmt(eta)])
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(path, ["user_id", "eta"], ([user_id, _fmt(eta)] for user_id, eta in truth))
 
 
 def read_truth(path) -> list[tuple[str, float]]:
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["user_id", "eta"]:
-            raise ParseError(path, 1, "expected header user_id,eta")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                out.append((row["user_id"], float(row["eta"])))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(path, line_no, f"bad row: {exc}") from None
-    return out
+    return _read_csv(
+        path, lambda row: (row["user_id"], float(row["eta"])), ["user_id", "eta"]
+    )
 
 
 def write_pairs(path, records: Iterable[AnnotationRecord]) -> None:
     """DPO-style export: chosen side per item, 'A' when the label is 1."""
-    lines = [
-        json.dumps(
-            {"item_id": r.item_id, "chosen": "A" if r.label == 1 else "B"},
-            separators=(", ", ": "),
-        )
-        for r in records
-    ]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    _write_jsonl(
+        path,
+        ({"item_id": r.item_id, "chosen": "A" if r.label == 1 else "B"} for r in records),
+    )
 
 
 def read_pairs(path) -> list[tuple[str, str]]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                item_id, chosen = str(obj["item_id"]), str(obj["chosen"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(path, line_no, f"bad pair: {exc}") from None
-            if chosen not in ("A", "B"):
-                raise ParseError(path, line_no, f"chosen must be A or B, got {chosen!r}")
-            out.append((item_id, chosen))
+    for line_no, obj in _jsonl_objects(path):
+        try:
+            item_id, chosen = obj["item_id"], obj["chosen"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(path, line_no, f"bad pair: {exc}") from None
+        if type(item_id) is not str:
+            raise _id_error(path, line_no, "pair", obj, ("item_id",))
+        if chosen not in ("A", "B"):
+            raise ParseError(path, line_no, f"chosen must be A or B, got {chosen!r}")
+        out.append((item_id, chosen))
     return out
+
+
+_SCORED_PAIR_HEADER = ["item_id", "score_a", "score_b"]
 
 
 def read_scored_pairs(path) -> list[ScoredPair]:
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["item_id", "score_a", "score_b"]:
-            raise ParseError(path, 1, "expected header item_id,score_a,score_b")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                out.append(
-                    ScoredPair(
-                        item_id=row["item_id"],
-                        score_a=float(row["score_a"]),
-                        score_b=float(row["score_b"]),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise ParseError(path, line_no, f"bad row: {exc}") from None
-    return out
+    return _read_csv(
+        path,
+        lambda row: ScoredPair(
+            item_id=row["item_id"],
+            score_a=float(row["score_a"]),
+            score_b=float(row["score_b"]),
+        ),
+        _SCORED_PAIR_HEADER,
+    )
 
 
 def write_scored_pairs(path, pairs: Iterable[ScoredPair]) -> None:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["item_id", "score_a", "score_b"])
-    for p in pairs:
-        writer.writerow([p.item_id, _fmt(p.score_a), _fmt(p.score_b)])
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(
+        path,
+        _SCORED_PAIR_HEADER,
+        ([p.item_id, _fmt(p.score_a), _fmt(p.score_b)] for p in pairs),
+    )
 
 
 # --------------------------------------------------- priors, params, rules
@@ -427,31 +433,19 @@ def _param_columns(params: ModelParams) -> list[tuple[str, float]]:
 
 
 def write_trajectory(path, report: FitReport) -> None:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     names = [name for name, _ in _param_columns(report.final_params)]
-    writer.writerow(["iteration", *names, "loglik"])
-    for point in report.trajectory:
-        values = [_fmt(v) for _, v in _param_columns(point.params)]
-        writer.writerow([point.iteration, *values, _fmt(point.loglik)])
-    atomic_write_text(path, buf.getvalue())
+    rows = (
+        [p.iteration, *(_fmt(v) for _, v in _param_columns(p.params)), _fmt(p.loglik)]
+        for p in report.trajectory
+    )
+    _write_csv(path, ["iteration", *names, "loglik"], rows)
 
 
 def read_trajectory(path) -> list[dict[str, float]]:
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                out.append(
-                    {
-                        k: (int(v) if k == "iteration" else float(v))
-                        for k, v in row.items()
-                    }
-                )
-            except (TypeError, ValueError) as exc:
-                raise ParseError(path, line_no, f"bad row: {exc}") from None
-    return out
+    return _read_csv(
+        path,
+        lambda row: {k: int(v) if k == "iteration" else float(v) for k, v in row.items()},
+    )
 
 
 # ------------------------------------------------- posteriors & decisions
@@ -468,79 +462,62 @@ def write_posteriors(path, summaries: Sequence[PosteriorSummary]) -> None:
     if not summaries:
         raise ValueError("no summaries to write")
     stars = _tail_columns(summaries)
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["user_id", "n_labels", "map_eta", "mean_eta"]
-        + [f"tail_{_fmt(s)}" for s in stars]
+    header = ["user_id", "n_labels", "map_eta", "mean_eta"]
+    header += [f"tail_{_fmt(s)}" for s in stars]
+    rows = (
+        [s.user_id, s.n_labels, _fmt(s.map_eta), _fmt(s.mean_eta)]
+        + [_fmt(p) for _, p in s.tail_probs]
+        for s in summaries
     )
-    for s in summaries:
-        writer.writerow(
-            [s.user_id, s.n_labels, _fmt(s.map_eta), _fmt(s.mean_eta)]
-            + [_fmt(p) for _, p in s.tail_probs]
-        )
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(path, header, rows)
+
+
+def _posterior_row(row: dict[str, str]) -> dict[str, Any]:
+    return {
+        "user_id": row["user_id"],
+        "n_labels": int(row["n_labels"]),
+        "map_eta": float(row["map_eta"]),
+        "mean_eta": float(row["mean_eta"]),
+        "tail_probs": tuple(
+            (float(k[len("tail_"):]), float(v))
+            for k, v in row.items()
+            if k.startswith("tail_")
+        ),
+    }
 
 
 def read_posteriors(path) -> list[dict[str, Any]]:
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                rec: dict[str, Any] = {
-                    "user_id": row["user_id"],
-                    "n_labels": int(row["n_labels"]),
-                    "map_eta": float(row["map_eta"]),
-                    "mean_eta": float(row["mean_eta"]),
-                    "tail_probs": tuple(
-                        (float(k[len("tail_"):]), float(v))
-                        for k, v in row.items()
-                        if k.startswith("tail_")
-                    ),
-                }
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(path, line_no, f"bad row: {exc}") from None
-            out.append(rec)
-    return out
+    return _read_csv(path, _posterior_row)
+
+
+_DECISION_HEADER = ["user_id", "attentive", "rule", "score"]
+_ATTENTIVE = {"true": True, "false": False}
 
 
 def write_decisions(path, decisions: Sequence[FilterDecision]) -> None:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["user_id", "attentive", "rule", "score"])
-    for d in decisions:
-        writer.writerow(
-            [
-                d.user_id,
-                "true" if d.attentive else "false",
-                json.dumps(encode_rule(d.rule), sort_keys=True),
-                _fmt(d.score),
-            ]
-        )
-    atomic_write_text(path, buf.getvalue())
+    rows = (
+        [
+            d.user_id,
+            "true" if d.attentive else "false",
+            json.dumps(encode_rule(d.rule), sort_keys=True),
+            _fmt(d.score),
+        ]
+        for d in decisions
+    )
+    _write_csv(path, _DECISION_HEADER, rows)
 
 
 def read_decisions(path) -> list[FilterDecision]:
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["user_id", "attentive", "rule", "score"]:
-            raise ParseError(path, 1, "expected header user_id,attentive,rule,score")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                flag = {"true": True, "false": False}[row["attentive"]]
-                out.append(
-                    FilterDecision(
-                        user_id=row["user_id"],
-                        attentive=flag,
-                        rule=decode_rule(json.loads(row["rule"])),
-                        score=float(row["score"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(path, line_no, f"bad row: {exc}") from None
-    return out
+    return _read_csv(
+        path,
+        lambda row: FilterDecision(
+            user_id=row["user_id"],
+            attentive=_ATTENTIVE[row["attentive"]],
+            rule=decode_rule(json.loads(row["rule"])),
+            score=float(row["score"]),
+        ),
+        _DECISION_HEADER,
+    )
 
 
 # ------------------------------------------------------------ sweep report
@@ -565,21 +542,17 @@ SWEEP_COLUMNS = [
 
 
 def write_sweep(path, rows: Sequence[dict[str, Any]]) -> None:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                _fmt(row[c])
-                if isinstance(row.get(c), float) and math.isfinite(row[c])
-                else ("" if row.get(c) is None else row.get(c))
-                for c in SWEEP_COLUMNS
-            ]
-        )
-    atomic_write_text(path, buf.getvalue())
+    cells = (
+        [
+            _fmt(row[c])
+            if isinstance(row.get(c), float) and math.isfinite(row[c])
+            else ("" if row.get(c) is None else row.get(c))
+            for c in SWEEP_COLUMNS
+        ]
+        for row in rows
+    )
+    _write_csv(path, SWEEP_COLUMNS, cells)
 
 
 def read_sweep(path) -> list[dict[str, Any]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+    return _read_csv(path, dict)

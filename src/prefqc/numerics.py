@@ -162,7 +162,9 @@ def _trigamma_fd(x):
     # Finite-difference trigamma, total step 1e-6; adequate for Newton here.
     # Array-aware: one digamma call per side regardless of input size.
     h = 5e-7
-    return (digamma(np.asarray(x, dtype=float) + h) - digamma(np.asarray(x, dtype=float) - h)) / (2.0 * h)
+    return (
+        digamma(np.asarray(x, dtype=float) + h) - digamma(np.asarray(x, dtype=float) - h)
+    ) / (2.0 * h)
 
 
 def _inv_digamma(y):

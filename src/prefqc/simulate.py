@@ -69,7 +69,9 @@ class DiscreteMasses:
             raise ValueError("weights must be >= 0 and etas in [0,1]")
 
 
-TruePriorSpec = Union[TwoPointPrior, BetaPrior, BetaMixture, LogisticNormal, DiscreteMasses]
+TruePriorSpec = Union[
+    TwoPointPrior, BetaPrior, BetaMixture, LogisticNormal, DiscreteMasses
+]
 
 
 @dataclass(frozen=True)
@@ -339,12 +341,13 @@ def misspecification_suite(scenario_name: str) -> SimulationScenario:
         raise ValueError(f"unknown scenario {scenario_name!r}; known: {known}") from None
 
 
-_ERROR_SWEEP_CELLS = ((200, 50), (400, 50), (200, 100), (400, 100), (800, 100), (800, 200))
+# (num_users, labels per user) of the estimation-error grid (table3 presets).
+ERROR_SWEEP_CELLS = ((200, 50), (400, 50), (200, 100), (400, 100), (800, 100), (800, 200))
 
 
 def _build_presets():
     presets = {}
-    for m, n in _ERROR_SWEEP_CELLS:
+    for m, n in ERROR_SWEEP_CELLS:
         presets[f"table3_twopoint_{m}_{n}"] = SimulationScenario(
             prior=TwoPointPrior(q1=0.6, eta_lo=0.4, eta_hi=0.98),
             mu=0.8,

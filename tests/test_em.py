@@ -453,6 +453,18 @@ class TestEmFit:
         for point in report.trajectory:
             assert point.params.prior.eta_lo <= point.params.prior.eta_hi
 
+    def test_free_mu_counts_follow_crossed_atoms(self):
+        # The first update crosses the atoms, so the mu step must count each
+        # user's wins and losses against the atom its mass moved to.
+        hists = [hist_counts("a", 16, 29), hist_counts("b", 1, 3)]
+        init = ModelParams(TwoPointPrior(0.54, 0.84, 0.93), mu=0.94, mu_mode="free")
+        report = em_fit(hists, EmConfig(init=init, max_iters=1))
+        gammas = [posterior_two_point(h, init) for h in hists]
+        new_prior = report.trajectory[1].params.prior
+        assert new_prior.q1 == pytest.approx(1.0 - np.mean([g[0] for g in gammas]))
+        expected = m_step_mu([(hi, lo) for lo, hi in gammas], hists, new_prior)
+        assert report.trajectory[1].params.mu == pytest.approx(expected, abs=1e-6)
+
     def test_user_order_is_irrelevant(self):
         hists, _ = sim_histories(TwoPointPrior(0.6, 0.4, 0.98), 0.8, 120, (30, 60), 2)
         cfg = EmConfig(family="two_point", mu=0.8)

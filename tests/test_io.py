@@ -502,3 +502,188 @@ def test_fit_report_json_is_plain_data(tmp_path):
     assert isinstance(raw["final_loglik"], float)
     assert isinstance(raw["params"]["prior"]["alpha"], float)
     assert math.isfinite(raw["final_loglik"])
+
+
+class TestPairIds:
+    @pytest.mark.parametrize("value", ["5", "5.0", "true", "[1]", '{"x": 1}', "null"])
+    def test_item_id_must_be_json_string(self, tmp_path, value):
+        path = tmp_path / "pairs.jsonl"
+        good = '{"item_id": "i0", "chosen": "A"}'
+        path.write_text(f'{good}\n{{"item_id": {value}, "chosen": "B"}}\n')
+        with pytest.raises(ParseError, match=r"pairs\.jsonl:2: bad pair: "):
+            read_pairs(path)
+
+    def test_null_and_number_messages_match_annotations(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"item_id": null, "chosen": "A"}\n')
+        with pytest.raises(ParseError, match=r"pairs\.jsonl:1: bad pair: null item_id"):
+            read_pairs(path)
+        path.write_text('{"item_id": 5, "chosen": "A"}\n')
+        with pytest.raises(
+            ParseError,
+            match=r"pairs\.jsonl:1: bad pair: item_id must be a JSON string, got 5$",
+        ):
+            read_pairs(path)
+
+    def test_invalid_json_reports_line(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"item_id": "i0", "chosen": "A"}\n\n{"item_id": \n')
+        with pytest.raises(ParseError, match=r"pairs\.jsonl:3: invalid JSON \("):
+            read_pairs(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('\n{"item_id": "i0", "chosen": "B"}\n\n')
+        assert read_pairs(path) == [("i0", "B")]
+
+
+class TestWriterBytes:
+    """Exact file text of every writer, pinned on tiny inputs."""
+
+    def test_annotations(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_annotations(
+            path, [AnnotationRecord("u0", "i0", 1), AnnotationRecord("ué", "i,1", 0)]
+        )
+        assert path.read_text(encoding="utf-8") == (
+            '{"user_id": "u0", "item_id": "i0", "label": 1}\n'
+            '{"user_id": "u\\u00e9", "item_id": "i,1", "label": 0}\n'
+        )
+
+    def test_pairs(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(
+            path, [AnnotationRecord("u0", "i0", 1), AnnotationRecord("u0", "i\"1", 0)]
+        )
+        assert path.read_text(encoding="utf-8") == (
+            '{"item_id": "i0", "chosen": "A"}\n'
+            '{"item_id": "i\\"1", "chosen": "B"}\n'
+        )
+
+    def test_truth(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        write_truth(path, [("u0", 0.1), ("u,1", 1), ("u2", 1e-20)])
+        assert path.read_text(encoding="utf-8") == (
+            'user_id,eta\nu0,0.1\n"u,1",1.0\nu2,1e-20\n'
+        )
+
+    def test_scored_pairs(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_scored_pairs(path, [ScoredPair("i0", 1.25, -0.5), ScoredPair("i1", 3, 0.0)])
+        assert path.read_text(encoding="utf-8") == (
+            "item_id,score_a,score_b\ni0,1.25,-0.5\ni1,3.0,0.0\n"
+        )
+
+    def test_trajectory(self, tmp_path):
+        from prefqc import FitReport, TrajectoryPoint
+
+        points = (
+            TrajectoryPoint(0, ModelParams(BetaPrior(2.0, 2.0), 0.8), -12.5),
+            TrajectoryPoint(1, ModelParams(BetaPrior(2.5, 3.25), 0.8), -10.125),
+        )
+        path = tmp_path / "trajectory.csv"
+        write_trajectory(path, FitReport(points, True, "param_tol"))
+        assert path.read_text(encoding="utf-8") == (
+            "iteration,alpha,beta,mu,loglik\n"
+            "0,2.0,2.0,0.8,-12.5\n"
+            "1,2.5,3.25,0.8,-10.125\n"
+        )
+
+    def test_posteriors(self, tmp_path):
+        from prefqc import PosteriorSummary
+
+        summaries = [
+            PosteriorSummary("u0", 4, 0.75, 0.7, ((0.5, 0.875), (0.9, 0.0)), None),
+            PosteriorSummary("u,1", 2, 0.5, 0.5, ((0.5, 0.5), (0.9, 1e-05)), None),
+        ]
+        path = tmp_path / "posteriors.csv"
+        write_posteriors(path, summaries)
+        assert path.read_text(encoding="utf-8") == (
+            "user_id,n_labels,map_eta,mean_eta,tail_0.5,tail_0.9\n"
+            "u0,4,0.75,0.7,0.875,0.0\n"
+            '"u,1",2,0.5,0.5,0.5,1e-05\n'
+        )
+
+    def test_decisions(self, tmp_path):
+        path = tmp_path / "decisions.csv"
+        write_decisions(
+            path,
+            [
+                FilterDecision("u0", True, TopFraction(0.5), 0.91),
+                FilterDecision("u1", False, TailProbability(0.5, 0.9), 0.125),
+            ],
+        )
+        assert path.read_text(encoding="utf-8") == (
+            "user_id,attentive,rule,score\n"
+            'u0,true,"{""fraction"": 0.5, ""type"": ""top_fraction""}",0.91\n'
+            'u1,false,"{""eta_star"": 0.5, ""level"": 0.9, '
+            '""type"": ""tail_probability""}",0.125\n'
+        )
+
+    def test_sweep(self, tmp_path):
+        row = {
+            "cell": "c,1",
+            "family": "beta",
+            "m": 400,
+            "n_min": 50,
+            "n_max": 100,
+            "mu": 0.8,
+            "mu_variant": "known",
+            "rule": "top_fraction",
+            "seeds_ok": 2,
+            "seeds_failed": 0,
+            "delta_mean": 0.1,
+            "delta_std": float("nan"),
+            "accuracy_mean": None,
+            "note": "",
+        }
+        path = tmp_path / "sweep.csv"
+        write_sweep(path, [row])
+        assert path.read_text(encoding="utf-8") == (
+            "cell,family,m,n_min,n_max,mu,mu_variant,rule,seeds_ok,seeds_failed,"
+            "delta_mean,delta_std,accuracy_mean,accuracy_std,note\n"
+            '"c,1",beta,400,50,100,0.8,known,top_fraction,2,0,0.1,nan,,,\n'
+        )
+
+
+class TestCsvBadRows:
+    """A bad row after a good one names its own line (3)."""
+
+    def test_scored_pairs(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("item_id,score_a,score_b\ni0,1,2\ni1,one,2\n")
+        with pytest.raises(ParseError, match=r"scores\.csv:3: bad row"):
+            read_scored_pairs(path)
+
+    def test_trajectory(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        path.write_text(
+            "iteration,alpha,beta,mu,loglik\n0,2.0,2.0,0.8,-1.5\n1.5,2.0,2.0,0.8,-1.0\n"
+        )
+        with pytest.raises(ParseError, match=r"trajectory\.csv:3: bad row"):
+            read_trajectory(path)
+
+    def test_posteriors(self, tmp_path):
+        path = tmp_path / "posteriors.csv"
+        path.write_text(
+            "user_id,n_labels,map_eta,mean_eta,tail_0.5\n"
+            "u0,4,0.75,0.7,0.875\nu1,four,0.5,0.5,0.5\n"
+        )
+        with pytest.raises(ParseError, match=r"posteriors\.csv:3: bad row"):
+            read_posteriors(path)
+
+    def test_blank_line_counts_toward_the_line_number(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("user_id,eta\nu0,0.5\n\nu1,zebra\n")
+        with pytest.raises(ParseError, match=r"truth\.csv:4: bad row"):
+            read_truth(path)
+
+    def test_decisions(self, tmp_path):
+        path = tmp_path / "decisions.csv"
+        rule = '"{""fraction"": 0.5, ""type"": ""top_fraction""}"'
+        path.write_text(
+            "user_id,attentive,rule,score\n"
+            f"u0,true,{rule},0.91\nu1,maybe,{rule},0.12\n"
+        )
+        with pytest.raises(ParseError, match=r"decisions\.csv:3: bad row"):
+            read_decisions(path)
