@@ -30,17 +30,17 @@ from .em import (
 )
 from .filtering import (
     TailProbability,
-    filter_dataset,
+    filter_mask,
     recovery_accuracy,
     relative_error,
     select_users,
     summarize_posterior,
 )
 from .model import (
-    AnnotationRecord,
     BetaPrior,
     ModelParams,
     TwoPointPrior,
+    histories_from_columns,
     histories_from_records,
 )
 from .numerics import QuadratureGrid, SolverError
@@ -95,12 +95,6 @@ def _resolve_scenario(cfg: dict, seed_override: int | None):
     return scenario
 
 
-def _flip_records(records):
-    return [
-        AnnotationRecord(r.user_id, r.item_id, 1 - r.label) for r in records
-    ]
-
-
 def _cmd_simulate(cfg: dict, args) -> None:
     scenario = _resolve_scenario(cfg, args.seed)
     out = _out_dir(cfg)
@@ -141,10 +135,10 @@ def _fit_once(cfg: dict, strict: bool):
         if mu < 0.5:
             labels_flipped = True
             mu = 1.0 - mu
-    records = fio.read_annotations(_require(cfg, "annotations"))
+    columns = fio.read_annotation_columns(_require(cfg, "annotations"))
     if labels_flipped:
-        records = _flip_records(records)
-    histories = histories_from_records(records)
+        columns = columns.flipped()
+    histories = histories_from_columns(columns)
     if not histories:
         raise ConfigError("annotations file holds no records")
     report = em_fit(histories, _em_config({**cfg, "mu": mu}), strict=strict)
@@ -205,11 +199,10 @@ def _cmd_infer(cfg: dict, args) -> None:
             f"(stop_reason {fit.get('stop_reason')})",
             file=sys.stderr,
         )
-    records = fio.read_annotations(_require(cfg, "annotations"))
-    model_records = (
-        _flip_records(records) if fit.get("labels_flipped") else records
+    columns = fio.read_annotation_columns(_require(cfg, "annotations"))
+    histories = histories_from_columns(
+        columns.flipped() if fit.get("labels_flipped") else columns
     )
-    histories = histories_from_records(model_records)
     rule = fio.decode_rule(_require(cfg, "rule"))
     eta_stars = _default_eta_stars(cfg, rule)
     grid = QuadratureGrid.uniform()
@@ -217,27 +210,27 @@ def _cmd_infer(cfg: dict, args) -> None:
         summarize_posterior(h, params, grid, eta_stars) for h in histories
     ]
     decisions = select_users(summaries, rule)
-    filtered = filter_dataset(records, decisions)
+    kept = columns.take(filter_mask(columns, decisions))
     fio.write_posteriors(out / "posteriors.csv", summaries)
     fio.write_decisions(out / "decisions.csv", decisions)
-    fio.write_annotations(out / "filtered.jsonl", filtered.records)
-    fio.write_pairs(out / "pairs.jsonl", filtered.records)
+    fio.write_annotation_columns(out / "filtered.jsonl", kept)
+    fio.write_pair_columns(out / "pairs.jsonl", kept)
     print(
-        f"infer: kept {filtered.users_kept}/{len(histories)} users, "
-        f"{filtered.records_kept}/{len(records)} records -> {out}"
+        f"infer: kept {len(kept.user_order())}/{len(histories)} users, "
+        f"{len(kept)}/{len(columns)} records -> {out}"
     )
 
 
 def _cmd_filter(cfg: dict, args) -> None:
     out = _out_dir(cfg)
-    records = fio.read_annotations(_require(cfg, "annotations"))
+    columns = fio.read_annotation_columns(_require(cfg, "annotations"))
     decisions = fio.read_decisions(_require(cfg, "decisions"))
-    filtered = filter_dataset(records, decisions)
-    fio.write_annotations(out / "filtered.jsonl", filtered.records)
-    fio.write_pairs(out / "pairs.jsonl", filtered.records)
+    kept = columns.take(filter_mask(columns, decisions))
+    fio.write_annotation_columns(out / "filtered.jsonl", kept)
+    fio.write_pair_columns(out / "pairs.jsonl", kept)
     print(
-        f"filter: kept {filtered.users_kept} users, "
-        f"{filtered.records_kept}/{len(records)} records -> {out}"
+        f"filter: kept {len(kept.user_order())} users, "
+        f"{len(kept)}/{len(columns)} records -> {out}"
     )
 
 

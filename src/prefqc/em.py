@@ -459,6 +459,8 @@ def m_step_mu(
     Accepts two-point responsibilities (pairs or TwoPointPosterior) or grid
     posteriors. Boundary solutions are logged as a warning.
     """
+    if len(posteriors) != len(histories):
+        raise ValueError("posteriors and histories must align")
     support, masses = _mu_update_arrays(posteriors, current_prior)
     sz = np.array([h.sum_z for h in histories], dtype=float)
     n = np.array([h.n for h in histories], dtype=float)

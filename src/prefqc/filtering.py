@@ -9,6 +9,7 @@ dataset can be reproduced byte for byte.
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -20,7 +21,14 @@ from .em import (
     posterior_grid,
     posterior_two_point,
 )
-from .model import AnnotationRecord, ModelParams, TwoPointPrior, UserHistory
+from .model import (
+    AnnotationColumns,
+    AnnotationRecord,
+    ModelParams,
+    TwoPointPrior,
+    UserHistory,
+    first_seen,
+)
 from .numerics import QuadratureGrid
 
 
@@ -177,31 +185,38 @@ def select_users(
     raise TypeError(f"unknown selection rule {rule!r}")
 
 
+def filter_mask(
+    columns: AnnotationColumns, decisions: Sequence[FilterDecision]
+) -> np.ndarray:
+    """Boolean mask over records: true for the records of attentive users.
+
+    Raises MissingDecisionError naming, in order of first appearance, every
+    user with records but no decision.
+    """
+    attentive = {d.user_id for d in decisions if d.attentive}
+    decided = {d.user_id for d in decisions}
+    codes = columns.users
+    undecided = np.array([uid not in decided for uid in columns.user_ids], dtype=bool)
+    orphans = undecided[codes]
+    if orphans.any():
+        raise MissingDecisionError(
+            [columns.user_ids[c] for c in first_seen(codes[orphans])]
+        )
+    keep = np.array([uid in attentive for uid in columns.user_ids], dtype=bool)
+    return keep[codes]
+
+
 def filter_dataset(
     records: Sequence[AnnotationRecord], decisions: Sequence[FilterDecision]
 ) -> FilteredDataset:
     """Keep records of attentive users, preserving input order."""
-    attentive = {d.user_id for d in decisions if d.attentive}
-    decided = {d.user_id for d in decisions}
-    orphans = []
-    seen_orphans = set()
-    kept = []
-    kept_users: list[str] = []
-    seen_kept = set()
-    for rec in records:
-        if rec.user_id not in decided:
-            if rec.user_id not in seen_orphans:
-                seen_orphans.add(rec.user_id)
-                orphans.append(rec.user_id)
-            continue
-        if rec.user_id in attentive:
-            kept.append(rec)
-            if rec.user_id not in seen_kept:
-                seen_kept.add(rec.user_id)
-                kept_users.append(rec.user_id)
-    if orphans:
-        raise MissingDecisionError(orphans)
-    return FilteredDataset(records=tuple(kept), kept_user_ids=tuple(kept_users))
+    records = list(records)
+    columns = AnnotationColumns.from_records(records)
+    mask = filter_mask(columns, decisions)
+    return FilteredDataset(
+        records=tuple(compress(records, mask.tolist())),
+        kept_user_ids=tuple(columns.take(mask).user_order()),
+    )
 
 
 def recovery_accuracy(

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -26,6 +27,7 @@ from .filtering import (
     TopFraction,
 )
 from .model import (
+    AnnotationColumns,
     AnnotationRecord,
     BetaPrior,
     LogisticNormalMixturePrior,
@@ -113,12 +115,6 @@ def _read_csv(path, convert, header: list[str] | None = None) -> list:
     return out
 
 
-def _write_jsonl(path, objects: Iterable[dict[str, Any]]) -> None:
-    # json.dumps' default separators, ", " and ": ", are part of the format.
-    lines = [json.dumps(obj) for obj in objects]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
 def _jsonl_objects(path) -> Iterator[tuple[int, Any]]:
     """(1-based line number, parsed value) for each non-blank line."""
     with open(path, encoding="utf-8") as fh:
@@ -144,31 +140,98 @@ def _id_error(path, line_no: int, what: str, obj: dict, keys: tuple[str, ...]):
 
 # ---------------------------------------------------------------- datasets
 
-def write_annotations(path, records: Iterable[AnnotationRecord]) -> None:
-    _write_jsonl(
-        path,
-        ({"user_id": r.user_id, "item_id": r.item_id, "label": r.label} for r in records),
-    )
+def _annotation_fields(path, line_no: int, line: str) -> tuple[str, str, int]:
+    """(user_id, item_id, label) of one stripped line, or its ParseError.
+
+    The definition of a valid record line; read_annotation_columns' fast
+    path accepts exactly the lines this accepts, with the same values.
+    """
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, line_no, f"invalid JSON ({exc.msg})") from None
+    try:
+        user_id, item_id, label = obj["user_id"], obj["item_id"], obj["label"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(path, line_no, f"bad record: {exc}") from None
+    if type(user_id) is not str or type(item_id) is not str:
+        raise _id_error(path, line_no, "record", obj, ("user_id", "item_id"))
+    # Exact type check: a float would truncate, and bool is an int.
+    if type(label) is not int or label not in (0, 1):
+        raise ParseError(
+            path,
+            line_no,
+            f"bad record: label must be the integer 0 or 1, got {json.dumps(label)}",
+        )
+    return user_id, item_id, label
+
+
+def read_annotation_columns(path) -> AnnotationColumns:
+    """Read an annotations file into columns, ids numbered by first appearance.
+
+    Each stripped non-blank line is decoded by json's C scanner, the decoder
+    json.loads itself uses: on a stripped line, json.loads succeeds exactly
+    when one value spans the whole line. Any line that fails a check goes
+    back through _annotation_fields, which raises the error for it.
+    """
+    scan = make_scanner(json.JSONDecoder())
+    user_code: dict[str, int] = {}
+    item_code: dict[str, int] = {}
+    users: list[int] = []
+    items: list[int] = []
+    labels: list[int] = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj, end = scan(line, 0)
+                user_id, item_id, label = obj["user_id"], obj["item_id"], obj["label"]
+                exact = (
+                    end == len(line)
+                    and type(user_id) is str
+                    and type(item_id) is str
+                    and type(label) is int
+                    and (label == 0 or label == 1)
+                )
+            except (StopIteration, ValueError, KeyError, TypeError):
+                exact = False
+            if not exact:
+                user_id, item_id, label = _annotation_fields(path, line_no, line)
+            users.append(user_code.setdefault(user_id, len(user_code)))
+            items.append(item_code.setdefault(item_id, len(item_code)))
+            labels.append(label)
+    return AnnotationColumns.from_codes(user_code, item_code, users, items, labels)
 
 
 def read_annotations(path) -> list[AnnotationRecord]:
-    records = []
-    for line_no, obj in _jsonl_objects(path):
-        try:
-            user_id, item_id, label = obj["user_id"], obj["item_id"], obj["label"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(path, line_no, f"bad record: {exc}") from None
-        if type(user_id) is not str or type(item_id) is not str:
-            raise _id_error(path, line_no, "record", obj, ("user_id", "item_id"))
-        # Exact type check: a float would truncate, and bool is an int.
-        if type(label) is not int or label not in (0, 1):
-            raise ParseError(
-                path,
-                line_no,
-                f"bad record: label must be the integer 0 or 1, got {json.dumps(label)}",
+    return read_annotation_columns(path).to_records()
+
+
+def _json_ids(ids: Sequence) -> list[str]:
+    return [json.dumps(x) for x in ids]
+
+
+# The JSONL writers format each line with json.dumps' default separators
+# (", " and ": ") and the keys in this order: the bytes json.dumps of the
+# record dict gives.
+
+def write_annotation_columns(path, columns: AnnotationColumns) -> None:
+    users, items = _json_ids(columns.user_ids), _json_ids(columns.item_ids)
+    atomic_write_text(
+        path,
+        "".join(
+            f'{{"user_id": {users[u]}, "item_id": {items[i]}, "label": {z}}}\n'
+            for u, i, z in zip(
+                columns.users.tolist(), columns.items.tolist(), columns.labels.tolist()
             )
-        records.append(AnnotationRecord(user_id, item_id, label))
-    return records
+        ),
+    )
+
+
+def write_annotations(path, records: Iterable[AnnotationRecord]) -> None:
+    write_annotation_columns(path, AnnotationColumns.from_records(records))
 
 
 def write_truth(path, truth: Iterable[tuple[str, float]]) -> None:
@@ -181,12 +244,21 @@ def read_truth(path) -> list[tuple[str, float]]:
     )
 
 
+def write_pair_columns(path, columns: AnnotationColumns) -> None:
+    """DPO-style export: chosen side per item, 'A' when the label is 1."""
+    items = _json_ids(columns.item_ids)
+    atomic_write_text(
+        path,
+        "".join(
+            f'{{"item_id": {items[i]}, "chosen": "{"BA"[z]}"}}\n'
+            for i, z in zip(columns.items.tolist(), columns.labels.tolist())
+        ),
+    )
+
+
 def write_pairs(path, records: Iterable[AnnotationRecord]) -> None:
     """DPO-style export: chosen side per item, 'A' when the label is 1."""
-    _write_jsonl(
-        path,
-        ({"item_id": r.item_id, "chosen": "A" if r.label == 1 else "B"} for r in records),
-    )
+    write_pair_columns(path, AnnotationColumns.from_records(records))
 
 
 def read_pairs(path) -> list[tuple[str, str]]:

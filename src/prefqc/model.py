@@ -63,20 +63,119 @@ class UserHistory:
         return len(self.labels)
 
 
+@dataclass(frozen=True, eq=False)
+class AnnotationColumns:
+    """A dataset as columns: one user code, item code and label per record.
+
+    `user_ids[c]` is the id that user code `c` names, and likewise for
+    `item_ids`; equal ids share one code. Readers number ids in order of
+    first appearance. Records keep their input order.
+    """
+
+    user_ids: list
+    item_ids: list
+    users: np.ndarray  # intp code per record
+    items: np.ndarray  # intp code per record
+    labels: np.ndarray  # int8, 0 or 1
+
+    @classmethod
+    def from_codes(cls, user_code: dict, item_code: dict, users, items, labels):
+        """Columns from id -> code dicts plus per-record code and label lists."""
+        return cls(
+            list(user_code),
+            list(item_code),
+            np.array(users, dtype=np.intp),
+            np.array(items, dtype=np.intp),
+            np.array(labels, dtype=np.int8),
+        )
+
+    @classmethod
+    def from_records(cls, records) -> "AnnotationColumns":
+        user_code: dict = {}
+        item_code: dict = {}
+        users, items, labels = [], [], []
+        for rec in records:
+            users.append(user_code.setdefault(rec.user_id, len(user_code)))
+            items.append(item_code.setdefault(rec.item_id, len(item_code)))
+            labels.append(rec.label)
+        return cls.from_codes(user_code, item_code, users, items, labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def to_records(self) -> list[AnnotationRecord]:
+        user_ids, item_ids = self.user_ids, self.item_ids
+        return [
+            AnnotationRecord(user_ids[u], item_ids[i], z)
+            for u, i, z in zip(
+                self.users.tolist(), self.items.tolist(), self.labels.tolist()
+            )
+        ]
+
+    def take(self, mask: np.ndarray) -> "AnnotationColumns":
+        """The records where `mask` is true; the id tables are shared."""
+        return AnnotationColumns(
+            self.user_ids,
+            self.item_ids,
+            self.users[mask],
+            self.items[mask],
+            self.labels[mask],
+        )
+
+    def flipped(self) -> "AnnotationColumns":
+        """The same records with every label replaced by 1 - label."""
+        return AnnotationColumns(
+            self.user_ids, self.item_ids, self.users, self.items, 1 - self.labels
+        )
+
+    def user_order(self) -> list:
+        """Ids of the users that have records, in order of first appearance."""
+        return [self.user_ids[c] for c in first_seen(self.users)]
+
+
+def first_seen(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of `codes` in order of first appearance."""
+    uniq, first = np.unique(codes, return_index=True)
+    return uniq[np.argsort(first)]
+
+
+def histories_from_columns(columns: AnnotationColumns) -> list["UserHistory"]:
+    """Group records into per-user histories, first-seen user order.
+
+    Rejects duplicate (user_id, item_id) pairs, naming the first record that
+    repeats an earlier pair; labels keep record order.
+    """
+    users = columns.users
+    keys = users.astype(np.int64) * len(columns.item_ids) + columns.items
+    by_key = np.argsort(keys, kind="stable")
+    repeats = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
+    if repeats.size:
+        first = int(repeats.min())
+        key = (columns.user_ids[users[first]], columns.item_ids[columns.items[first]])
+        raise ValueError(f"duplicate (user_id, item_id): {key!r}")
+    # A stable sort keeps each user's labels in record order.
+    by_user = np.argsort(users, kind="stable")
+    counts = np.bincount(users)
+    present = np.flatnonzero(counts)
+    ends = np.cumsum(counts[present])
+    starts = ends - counts[present]
+    order = np.argsort(by_user[starts])  # first-seen user order
+    labels = columns.labels[by_user].tolist()
+    histories = []
+    for code, start, end in zip(
+        present[order].tolist(), starts[order].tolist(), ends[order].tolist()
+    ):
+        zs = tuple(labels[start:end])
+        histories.append(UserHistory(columns.user_ids[code], zs, sum(zs)))
+    return histories
+
+
 def histories_from_records(records) -> list["UserHistory"]:
     """Group records into per-user histories, first-seen user order.
 
     Rejects duplicate (user_id, item_id) pairs; labels keep record order.
     """
-    seen: set[tuple[str, str]] = set()
-    labels: dict[str, list[int]] = {}
-    for rec in records:
-        key = (rec.user_id, rec.item_id)
-        if key in seen:
-            raise ValueError(f"duplicate (user_id, item_id): {key!r}")
-        seen.add(key)
-        labels.setdefault(rec.user_id, []).append(rec.label)
-    return [UserHistory.from_labels(uid, zs) for uid, zs in labels.items()]
+    return histories_from_columns(AnnotationColumns.from_records(records))
 
 
 @dataclass(frozen=True)
@@ -210,7 +309,12 @@ def loglik_from_counts(sum_z, n, mu, eta):
     if np.any(np.asarray(sum_z) < 0) or np.any(np.asarray(sum_z) > np.asarray(n)):
         raise ValueError("need 0 <= sum_z <= n")
     g = bernoulli_response_prob(eta, mu)
-    return sum_z * np.log(g) + (np.asarray(n) - sum_z) * np.log1p(-g)
+    out = sum_z * np.log(g)
+    rest = (np.asarray(n) - sum_z) * np.log1p(-g)
+    if isinstance(out, np.ndarray) and out.shape == rest.shape:
+        out += rest  # in place: one rows x support temporary fewer per call
+        return out
+    return out + rest
 
 
 def user_loglik(history: UserHistory, mu: float, eta: float) -> float:

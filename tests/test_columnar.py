@@ -1,0 +1,429 @@
+"""The columnar annotation path against the per-record reference loops.
+
+`reference` holds plain per-record implementations of reading, grouping,
+filtering and writing annotations. The library's column code and its
+record wrappers must give the same records, histories, bytes and errors
+(type, message and line) on every input, well-formed or not.
+"""
+
+import json
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from prefqc import (
+    AnnotationRecord,
+    EmConfig,
+    FilterDecision,
+    MissingDecisionError,
+    ParseError,
+    QuadratureGrid,
+    Threshold,
+    TopFraction,
+    em_fit,
+    filter_dataset,
+    histories_from_records,
+    select_users,
+    summarize_posterior,
+)
+from prefqc import io as fio
+from prefqc.cli import EXIT_OK, EXIT_VALIDATION, main
+from prefqc.filtering import filter_mask
+from prefqc.model import AnnotationColumns, histories_from_columns
+
+USER_IDS = ["u0", "u1", "é", 'a"b', "x\\y/z", "雪", "\u2028", "😀", "\x85", ""]
+ITEM_IDS = ["i0", "i1", "i2", "ü", "\t", "q/\u0001", "𝔸"]
+PADDING = ["", " ", "\t", " \t ", "\xa0", "\u2028", "\x0c"]
+
+
+def _escape_all(text: str) -> str:
+    """A JSON string literal with every character written as \\uXXXX."""
+    units = text.encode("utf-16-be")
+    return '"' + "".join(
+        f"\\u{int.from_bytes(units[k:k + 2], 'big'):04x}" for k in range(0, len(units), 2)
+    ) + '"'
+
+
+@st.composite
+def good_lines(draw) -> str:
+    """One valid record line, written in any of the ways JSON allows."""
+    user_id = draw(st.sampled_from(USER_IDS))
+    item_id = draw(st.sampled_from(ITEM_IDS))
+    label = draw(st.sampled_from([0, 1]))
+    style = draw(
+        st.sampled_from(["canonical", "raw", "compact", "escaped", "reordered", "extra"])
+    )
+    obj = {"user_id": user_id, "item_id": item_id, "label": label}
+    if style == "canonical":
+        line = json.dumps(obj)
+    elif style == "raw":
+        line = json.dumps(obj, ensure_ascii=False)
+    elif style == "compact":
+        line = json.dumps(obj, separators=(",", ":"))
+    elif style == "escaped":
+        line = (
+            f'{{"user_id":{_escape_all(user_id)}, "item_id" : {_escape_all(item_id)},'
+            f'"label":{label}}}'
+        )
+    elif style == "reordered":
+        keys = draw(st.permutations(list(obj)))
+        line = json.dumps({k: obj[k] for k in keys})
+    else:
+        # Extra keys, and a repeated key whose last value wins.
+        line = '{"user_id": "shadowed", "note": [1, {"a": null}], ' + json.dumps(obj)[1:]
+    return draw(st.sampled_from(PADDING)) + line + draw(st.sampled_from(PADDING))
+
+
+BAD_LABELS = [2, -1, 1.0, 0.0, True, False, "1", None, 0.5, [1], 1e0]
+BAD_IDS = [5, None, True, [1], {"x": 1}, 1.5]
+
+
+@st.composite
+def bad_lines(draw) -> str:
+    """A line (or lines) that the reader must reject."""
+    obj = {
+        "user_id": draw(st.sampled_from(USER_IDS)),
+        "item_id": draw(st.sampled_from(ITEM_IDS)),
+        "label": draw(st.sampled_from([0, 1])),
+    }
+    kinds = ["label", "id", "missing", "multiline", "two", "scalar", "garbage", "bom", "nan"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "label":
+        obj["label"] = draw(st.sampled_from(BAD_LABELS))
+    elif kind == "id":
+        obj[draw(st.sampled_from(["user_id", "item_id"]))] = draw(st.sampled_from(BAD_IDS))
+    elif kind == "missing":
+        del obj[draw(st.sampled_from(list(obj)))]
+    elif kind == "multiline":
+        return json.dumps(obj, indent=draw(st.sampled_from([1, 2, "\t"])))
+    elif kind == "two":
+        return json.dumps(obj) + draw(st.sampled_from(["", " ", "\t"])) + json.dumps(obj)
+    elif kind == "scalar":
+        return draw(st.sampled_from(["[1, 2]", '"s"', "5", "null", "true", "[]", "{}"]))
+    elif kind == "garbage":
+        return draw(st.sampled_from(["{", "nope", '{"user_id": "u"', "{'a': 1}", '"\\x"']))
+    elif kind == "bom":
+        return "\ufeff" + json.dumps(obj)
+    else:
+        return json.dumps(obj).replace(f'"label": {obj["label"]}', '"label": NaN')
+    return json.dumps(obj)
+
+
+@st.composite
+def annotation_files(draw) -> bytes:
+    """Files of valid lines, blank lines and at most one bad line."""
+    lines = draw(
+        st.lists(
+            st.one_of(good_lines(), st.sampled_from(["", "   ", " \t"])), max_size=12
+        )
+    )
+    bad = draw(st.none() | bad_lines())
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    newlines = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + nl for line, nl in zip(lines, newlines))
+    if lines and draw(st.booleans()):
+        text = text[: -len(newlines[-1])]  # no final newline
+    if draw(st.sampled_from([False] * 9 + [True])):
+        text = "\ufeff" + text
+    return text.encode("utf-8")
+
+
+def _outcome(func, *args):
+    """What a call returned, or the error it raised, in comparable form."""
+    try:
+        return "ok", func(*args)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.line_no
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _column_histories(path):
+    return histories_from_columns(fio.read_annotation_columns(path))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("columnar")
+
+
+class TestReader:
+    @settings(max_examples=300)
+    @given(data=annotation_files())
+    def test_reader_matches_reference(self, workdir, data):
+        path = workdir / "annotations.jsonl"
+        path.write_bytes(data)
+        expected = _outcome(reference.read_annotations, path)
+        assert _outcome(fio.read_annotations, path) == expected
+        if expected[0] == "ok":
+            assert all(type(r.label) is int for r in fio.read_annotations(path))
+            columns = fio.read_annotation_columns(path)
+            assert columns.labels.dtype == np.int8
+            assert columns.to_records() == expected[1]
+
+    @given(data=annotation_files())
+    def test_grouping_matches_reference(self, workdir, data):
+        path = workdir / "annotations.jsonl"
+        path.write_bytes(data)
+        try:
+            records = reference.read_annotations(path)
+        except ParseError:
+            return
+        expected = _outcome(reference.histories_from_records, records)
+        assert _outcome(histories_from_records, records) == expected
+        assert _outcome(_column_histories, path) == expected
+
+    @pytest.mark.parametrize(
+        "bad",
+        [json.dumps({"user_id": "u", "item_id": "j", "label": z}) for z in BAD_LABELS]
+        + [json.dumps({"user_id": x, "item_id": "j", "label": 1}) for x in BAD_IDS]
+        + [json.dumps({"user_id": "u", "item_id": x, "label": 0}) for x in BAD_IDS]
+        + ['{"user_id": "u", "item_id": "j", "label": NaN}', '{"item_id": "j", "label": 1}']
+        + ["[1, 2]", '"s"', "5", "null", "true", "[]", "{}", "{", "nope", "{'a': 1}"]
+        + ['{"user_id": "u", "item_id": "j", "label": 1} {"label": 0}', '"\\x"']
+        + ['\ufeff{"user_id": "u", "item_id": "j", "label": 1}', '{"user_id": "u",'],
+    )
+    def test_each_bad_line_matches_reference(self, tmp_path, bad):
+        path = tmp_path / "a.jsonl"
+        good = json.dumps({"user_id": "u", "item_id": "i", "label": 1})
+        path.write_text(f"{good}\n\n{bad}\n{good}\n", encoding="utf-8")
+        expected = _outcome(reference.read_annotations, path)
+        assert expected[0] == "ParseError" and expected[2] == 3
+        assert _outcome(fio.read_annotations, path) == expected
+
+    def test_reader_keeps_first_error_line(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        good = json.dumps({"user_id": "u", "item_id": "i", "label": 1})
+        path.write_text(f"{good}\n\n{good[:-1]}\n{good} {good}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            fio.read_annotation_columns(path)
+        assert info.value.line_no == 3
+        assert str(info.value).endswith("invalid JSON (Expecting ',' delimiter)")
+
+    def test_ids_share_codes_in_first_seen_order(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        rows = [("b", "x", 1), ("a", "y", 0), ("b", "y", 0), ("c", "x", 1)]
+        reference.write_annotations(path, [AnnotationRecord(*r) for r in rows])
+        columns = fio.read_annotation_columns(path)
+        assert columns.user_ids == ["b", "a", "c"]
+        assert columns.item_ids == ["x", "y"]
+        assert columns.users.tolist() == [0, 1, 0, 2]
+        assert columns.items.tolist() == [0, 1, 1, 0]
+        assert columns.labels.tolist() == [1, 0, 0, 1]
+
+
+class TestDuplicates:
+    # Line 5 is the first record that repeats an earlier pair, though the
+    # pair on lines 1 and 6 was seen first and repeats more often.
+    ROWS = [
+        ("a", "x", 1),
+        ("b", "y", 0),
+        ("a", "y", 1),
+        ("b", "x", 0),
+        ("b", "y", 1),
+        ("a", "x", 0),
+        ("a", "x", 1),
+        ("a", "y", 0),
+    ]
+    MESSAGE = "duplicate (user_id, item_id): ('b', 'y')"
+
+    def test_first_repeat_is_named(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        records = [AnnotationRecord(*r) for r in self.ROWS]
+        reference.write_annotations(path, records)
+        for group in (
+            reference.histories_from_records,
+            histories_from_records,
+            lambda recs: _column_histories(path),
+        ):
+            with pytest.raises(ValueError) as info:
+                group(records)
+            assert str(info.value) == self.MESSAGE
+
+    def test_cli_fit_reports_it(self, tmp_path, capsys):
+        path = tmp_path / "a.jsonl"
+        reference.write_annotations(path, [AnnotationRecord(*r) for r in self.ROWS])
+        config = _config(tmp_path / "fit.json", annotations=path, out_dir=tmp_path / "o",
+                         family="two_point", mu=0.8)
+        assert main(["fit", "--config", config]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+
+
+records_strategy = st.lists(
+    st.builds(
+        AnnotationRecord,
+        st.sampled_from(USER_IDS),
+        st.sampled_from(ITEM_IDS),
+        st.sampled_from([0, 1]),
+    ),
+    max_size=30,
+)
+
+
+class TestFilterAndWriters:
+    @given(records=records_strategy, data=st.data())
+    def test_filter_matches_reference(self, records, data):
+        decided = data.draw(st.lists(st.sampled_from(USER_IDS), max_size=12))
+        decisions = [
+            FilterDecision(uid, data.draw(st.booleans()), TopFraction(0.5), 0.0)
+            for uid in decided
+        ]
+        expected = _outcome(reference.filter_dataset, records, decisions)
+        assert _outcome(filter_dataset, records, decisions) == expected
+        columns = AnnotationColumns.from_records(records)
+        got = _outcome(filter_mask, columns, decisions)
+        if expected[0] == "ok":
+            kept = columns.take(got[1])
+            assert kept.to_records() == list(expected[1].records)
+            assert kept.user_order() == list(expected[1].kept_user_ids)
+        else:
+            assert got == expected
+            with pytest.raises(MissingDecisionError) as info:
+                filter_dataset(records, decisions)
+            assert info.value.user_ids == tuple(
+                dict.fromkeys(r.user_id for r in records if r.user_id not in decided)
+            )
+
+    @given(records=records_strategy)
+    def test_writers_match_reference(self, workdir, records):
+        columns = AnnotationColumns.from_records(records)
+        for ours, cols, theirs in (
+            (
+                fio.write_annotations,
+                fio.write_annotation_columns,
+                reference.write_annotations,
+            ),
+            (fio.write_pairs, fio.write_pair_columns, reference.write_pairs),
+        ):
+            theirs(workdir / "expected", records)
+            ours(workdir / "records", records)
+            cols(workdir / "columns", columns)
+            expected = (workdir / "expected").read_bytes()
+            assert (workdir / "records").read_bytes() == expected
+            assert (workdir / "columns").read_bytes() == expected
+
+
+# ------------------------------------------------------------ the CLI path
+
+def _config(path, **cfg):
+    path.write_text(json.dumps(cfg, default=str), encoding="utf-8")
+    return str(path)
+
+
+def _log(path, users=60, item_pool=90, mu=0.3, seed=3):
+    """A log in random order: users label shared items, mu below one half."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for j, eta in enumerate(rng.beta(3.0, 5.0, users)):
+        for item in rng.choice(item_pool, size=int(rng.integers(10, 40)), replace=False):
+            label = int(rng.random() < 0.5 + eta * (mu - 0.5))
+            records.append(AnnotationRecord(f"user-{j:02d}", f"item-{item}", label))
+    random.Random(seed).shuffle(records)
+    reference.write_annotations(path, records)
+
+
+RECORD_APIS = {
+    "public": (fio.read_annotations, histories_from_records, filter_dataset,
+               fio.write_annotations, fio.write_pairs),
+    "reference": (reference.read_annotations, reference.histories_from_records,
+                  reference.filter_dataset, reference.write_annotations,
+                  reference.write_pairs),
+}
+
+
+@pytest.mark.parametrize("api", sorted(RECORD_APIS))
+@pytest.mark.parametrize("family", ["two_point", "beta"])
+def test_cli_equals_record_api(tmp_path, capsys, api, family):
+    """fit, infer and filter write what the record-based API writes, byte for byte."""
+    read, group, filter_, write_annotations, write_pairs = RECORD_APIS[api]
+    data = tmp_path / "annotations.jsonl"
+    _log(data)
+    cli_out, api_out = tmp_path / "cli", tmp_path / "api"
+    api_out.mkdir()
+
+    # fit: mu below one half flips every label before grouping.
+    fit_cfg = _config(tmp_path / "fit.json", annotations=data, out_dir=cli_out,
+                      family=family, mu=0.3)
+    assert main(["fit", "--config", fit_cfg]) == EXIT_OK
+    capsys.readouterr()
+    records = read(data)
+    flipped = [AnnotationRecord(r.user_id, r.item_id, 1 - r.label) for r in records]
+    report = em_fit(group(flipped), EmConfig(family=family, mu=1.0 - 0.3))
+    fio.write_fit(api_out / "fit.json", report, labels_flipped=True)
+    fio.write_trajectory(api_out / "trajectory.csv", report)
+
+    # infer: grouped on flipped labels, filtered and written on the originals.
+    infer_cfg = _config(tmp_path / "infer.json", annotations=data, out_dir=cli_out,
+                        fit=cli_out / "fit.json", eta_stars=[0.3, 0.6],
+                        rule={"type": "top_fraction", "fraction": 0.5})
+    assert main(["infer", "--config", infer_cfg]) == EXIT_OK
+    histories = group(flipped)
+    params = fio.read_fit(api_out / "fit.json")["params"]
+    grid = QuadratureGrid.uniform()
+    summaries = [summarize_posterior(h, params, grid, [0.3, 0.6]) for h in histories]
+    decisions = select_users(summaries, TopFraction(0.5))
+    filtered = filter_(records, decisions)
+    fio.write_posteriors(api_out / "posteriors.csv", summaries)
+    fio.write_decisions(api_out / "decisions.csv", decisions)
+    write_annotations(api_out / "filtered.jsonl", filtered.records)
+    write_pairs(api_out / "pairs.jsonl", filtered.records)
+    assert capsys.readouterr().out == (
+        f"infer: kept {len(filtered.kept_user_ids)}/{len(histories)} users, "
+        f"{len(filtered.records)}/{len(records)} records -> {cli_out}\n"
+    )
+    for name in ("fit.json", "trajectory.csv", "posteriors.csv", "decisions.csv",
+                 "filtered.jsonl", "pairs.jsonl"):
+        assert (cli_out / name).read_bytes() == (api_out / name).read_bytes(), name
+    assert 0 < len(filtered.records) < len(records)
+
+    # filter, with every decision: a different rule from the same summaries.
+    threshold = select_users(summaries, Threshold(0.45))
+    fio.write_decisions(tmp_path / "threshold.csv", threshold)
+    filter_out = tmp_path / "filter"
+    filter_cfg = _config(tmp_path / "filter.json", annotations=data, out_dir=filter_out,
+                         decisions=tmp_path / "threshold.csv")
+    assert main(["filter", "--config", filter_cfg]) == EXIT_OK
+    filtered = filter_(records, threshold)
+    write_annotations(api_out / "filtered.jsonl", filtered.records)
+    write_pairs(api_out / "pairs.jsonl", filtered.records)
+    assert capsys.readouterr().out == (
+        f"filter: kept {len(filtered.kept_user_ids)} users, "
+        f"{len(filtered.records)}/{len(records)} records -> {filter_out}\n"
+    )
+    for name in ("filtered.jsonl", "pairs.jsonl"):
+        assert (filter_out / name).read_bytes() == (api_out / name).read_bytes(), name
+
+    # filter, with seven users' decisions missing: the error lists them in
+    # order of first appearance in the log, not in decisions-file order.
+    missing = {f"user-{j:02d}" for j in (3, 11, 17, 29, 40, 52, 58)}
+    partial = [d for d in threshold if d.user_id not in missing]
+    fio.write_decisions(tmp_path / "partial.csv", partial)
+    partial_cfg = _config(tmp_path / "partial.json", annotations=data,
+                          out_dir=tmp_path / "partial", decisions=tmp_path / "partial.csv")
+    assert main(["filter", "--config", partial_cfg]) == EXIT_VALIDATION
+    with pytest.raises(MissingDecisionError) as info:
+        filter_(records, partial)
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert str(info.value).endswith("(+2 more)")
+    assert list(info.value.user_ids) != sorted(info.value.user_ids)
+
+
+def test_cli_parse_error_equals_reference(tmp_path, capsys):
+    data = tmp_path / "annotations.jsonl"
+    _log(data, users=5)
+    lines = data.read_text(encoding="utf-8").splitlines()
+    lines[7] = lines[7].replace('"label": ', '"label": 7, "x": ')
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        reference.read_annotations(data)
+    assert info.value.line_no == 8
+    cfg = _config(tmp_path / "fit.json", annotations=data, out_dir=tmp_path / "o",
+                  family="two_point", mu=0.8)
+    assert main(["fit", "--config", cfg]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert str(info.value).endswith("label must be the integer 0 or 1, got 7")

@@ -342,6 +342,13 @@ class TestMStepMu:
         mu = m_step_mu([], [], prior, LogPriorOnMu(a=8.0, b=2.0))
         assert mu == pytest.approx(7.0 / 8.0, abs=1e-6)
 
+    @pytest.mark.parametrize("n_posteriors", [0, 1, 3])
+    def test_length_mismatch_rejected(self, n_posteriors):
+        hists = [hist_counts(f"u{i}", 16, 20) for i in range(2)]
+        prior = TwoPointPrior(0.5, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^posteriors and histories must align$"):
+            m_step_mu([(0.0, 1.0)] * n_posteriors, hists, prior, LogPriorOnMu(8, 2))
+
     def test_beats_random_probes(self, rng):
         hists = [hist_counts(f"u{i}", int(rng.integers(0, 26)), 25) for i in range(8)]
         g1 = rng.uniform(0.1, 0.9, size=8)
