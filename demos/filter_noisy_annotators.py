@@ -10,7 +10,6 @@ import argparse
 
 from prefqc import (
     EmConfig,
-    QuadratureGrid,
     SimulationScenario,
     TopFraction,
     TwoPointPrior,
@@ -20,7 +19,7 @@ from prefqc import (
     recovery_accuracy,
     select_users,
     simulate_dataset,
-    summarize_posterior,
+    summarize_histories,
 )
 
 
@@ -50,10 +49,7 @@ def main():
         f"weight on low atom {fitted.q1:.3f}"
     )
 
-    grid = QuadratureGrid.uniform()
-    summaries = [
-        summarize_posterior(h, report.final_params, grid) for h in histories
-    ]
+    summaries = summarize_histories(histories, report.final_params)
     decisions = select_users(summaries, TopFraction(0.4))
     filtered = filter_dataset(records, decisions)
     print(

@@ -26,7 +26,7 @@ from prefqc import (
     recovery_accuracy,
     select_users,
     simulate_dataset,
-    summarize_posterior,
+    summarize_histories,
 )
 
 MUS = (0.6, 0.7, 0.8, 0.9)
@@ -36,7 +36,7 @@ TRUE_PRIOR = BetaPrior(3.0, 5.0)
 
 def accuracy_for(histories, truth, config, grid, threshold):
     report = em_fit(histories, config)
-    summaries = [summarize_posterior(h, report.final_params, grid) for h in histories]
+    summaries = summarize_histories(histories, report.final_params, grid)
     decisions = select_users(summaries, TopFraction(0.5))
     return recovery_accuracy(decisions, truth, threshold=threshold)
 

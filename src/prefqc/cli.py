@@ -34,7 +34,7 @@ from .filtering import (
     recovery_accuracy,
     relative_error,
     select_users,
-    summarize_posterior,
+    summarize_histories,
 )
 from .model import (
     BetaPrior,
@@ -43,7 +43,7 @@ from .model import (
     histories_from_columns,
     histories_from_records,
 )
-from .numerics import QuadratureGrid, SolverError
+from .numerics import SolverError
 from .simulate import (
     ERROR_SWEEP_CELLS,
     SimulationScenario,
@@ -204,11 +204,9 @@ def _cmd_infer(cfg: dict, args) -> None:
         columns.flipped() if fit.get("labels_flipped") else columns
     )
     rule = fio.decode_rule(_require(cfg, "rule"))
-    eta_stars = _default_eta_stars(cfg, rule)
-    grid = QuadratureGrid.uniform()
-    summaries = [
-        summarize_posterior(h, params, grid, eta_stars) for h in histories
-    ]
+    summaries = summarize_histories(
+        histories, params, eta_stars=_default_eta_stars(cfg, rule)
+    )
     decisions = select_users(summaries, rule)
     kept = columns.take(filter_mask(columns, decisions))
     fio.write_posteriors(out / "posteriors.csv", summaries)
@@ -375,10 +373,7 @@ def _run_eval_fit(fit: dict) -> list[dict]:
             if member["rule"] is not None:
                 rule = fio.decode_rule(member["rule"])
                 if summaries is None:
-                    grid = QuadratureGrid.uniform()
-                    summaries = [
-                        summarize_posterior(h, fitted, grid) for h in histories
-                    ]
+                    summaries = summarize_histories(histories, fitted)
                 decisions = select_users(summaries, rule)
                 result["accuracy"] = recovery_accuracy(
                     decisions, true_etas, quantile=member["quantile"]

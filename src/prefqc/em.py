@@ -32,7 +32,6 @@ from .model import (
     log_joint,
     loglik_from_counts,
     suff_stats,
-    user_loglik,
 )
 from .numerics import QuadratureGrid, log_sum_exp, solve_beta_system
 
@@ -166,7 +165,6 @@ class EmConfig:
 class TwoPointPosterior:
     """Posterior over eta when the prior has two atoms."""
 
-    user_id: str
     eta_lo: float
     eta_hi: float
     gamma_lo: float
@@ -207,7 +205,6 @@ class TwoPointPosterior:
 class GridPosterior:
     """Posterior over eta on a quadrature grid (continuous prior)."""
 
-    user_id: str
     nodes: np.ndarray
     masses: np.ndarray  # node probabilities (weights folded in), sum to 1
     density: np.ndarray  # masses / weights: density w.r.t. Lebesgue measure
@@ -259,24 +256,52 @@ class GridPosterior:
 PosteriorDensity = Union[TwoPointPosterior, GridPosterior]
 
 
+def posterior_rows(
+    sum_z_u, n_u, params: ModelParams, grid: QuadratureGrid | None
+) -> list[PosteriorDensity]:
+    """One posterior over eta per (sum_z, n) row, as `suff_stats` returns them.
+
+    Two-point priors give the exact two-mass posterior (`grid` is unused).
+    Continuous priors give grid posteriors whose arrays are read-only rows of
+    one masses matrix and one density matrix.
+    """
+    prior = params.prior
+    if isinstance(prior, TwoPointPrior):
+        # np.logaddexp of the two log joints, so long histories cannot
+        # underflow. log_joint's max-shifted reduction would move the last
+        # bit of some responsibilities.
+        l_lo = math.log(prior.q1) if prior.q1 > 0.0 else -math.inf
+        l_hi = math.log(prior.q2) if prior.q2 > 0.0 else -math.inf
+        l_lo += loglik_from_counts(sum_z_u, n_u, params.mu, prior.eta_lo)
+        l_hi += loglik_from_counts(sum_z_u, n_u, params.mu, prior.eta_hi)
+        gamma_lo = np.exp(l_lo - np.logaddexp(l_lo, l_hi)).tolist()
+        return [
+            TwoPointPosterior(prior.eta_lo, prior.eta_hi, g, 1.0 - g) for g in gamma_lo
+        ]
+    joint, _ = log_joint(sum_z_u[:, None], n_u[:, None], params, grid)
+    # Each row's normaliser goes through math.log, as log_sum_exp's scalar
+    # path does; np.log differs from it in the last bit on rare rows.
+    peak = joint.max(axis=1)
+    sums = np.exp(joint - peak[:, None]).sum(axis=1)
+    norm = peak + np.array([math.log(t) for t in sums.tolist()])
+    masses = np.exp(joint - norm[:, None], out=joint)
+    masses /= masses.sum(axis=1, keepdims=True)
+    density = masses / grid.weights
+    return [GridPosterior(grid.nodes, m, f) for m, f in zip(masses, density)]
+
+
 def posterior_two_point(
     history: UserHistory, params: ModelParams
 ) -> tuple[float, float]:
     """Responsibilities (gamma_lo, gamma_hi) of the two prior atoms.
 
-    Computed with a log-sum-exp so long histories cannot underflow; the two
-    values sum to 1 exactly.
+    The two values sum to 1 exactly.
     """
-    prior = params.prior
-    if not isinstance(prior, TwoPointPrior):
+    if not isinstance(params.prior, TwoPointPrior):
         raise ValueError("posterior_two_point requires a two-point prior")
-    l_lo = math.log(prior.q1) if prior.q1 > 0.0 else -math.inf
-    l_hi = math.log(prior.q2) if prior.q2 > 0.0 else -math.inf
-    l_lo += user_loglik(history, params.mu, prior.eta_lo)
-    l_hi += user_loglik(history, params.mu, prior.eta_hi)
-    norm = np.logaddexp(l_lo, l_hi)
-    gamma_lo = float(np.exp(l_lo - norm))
-    return gamma_lo, 1.0 - gamma_lo
+    sum_z_u, n_u, _, _ = suff_stats([history])
+    (post,) = posterior_rows(sum_z_u, n_u, params, None)
+    return post.gamma_lo, post.gamma_hi
 
 
 def posterior_grid(
@@ -285,15 +310,9 @@ def posterior_grid(
     """Grid posterior of eta for a continuous prior."""
     if isinstance(params.prior, TwoPointPrior):
         raise ValueError("posterior_grid requires a continuous prior")
-    logpost, norm = log_joint(history.sum_z, history.n, params, grid)
-    masses = np.exp(logpost - norm)
-    masses = masses / masses.sum()
-    return GridPosterior(
-        user_id=history.user_id,
-        nodes=grid.nodes,
-        masses=masses,
-        density=masses / grid.weights,
-    )
+    sum_z_u, n_u, _, _ = suff_stats([history])
+    (post,) = posterior_rows(sum_z_u, n_u, params, grid)
+    return post
 
 
 def m_step_two_point(

@@ -1,8 +1,10 @@
 """Posterior summaries and dataset filtering.
 
-Given a fitted model, each user gets a posterior over eta; a selection rule
-turns those posteriors into keep/drop decisions; filtering a dataset keeps
-the records of attentive users in their original order. Everything here is
+Given a fitted model, each user gets a posterior over eta, computed once per
+distinct sufficient statistic (sum_z, n) and shared by the users that have
+it; a selection rule turns those posteriors into keep/drop decisions;
+filtering a dataset keeps the records of attentive users in their original
+order. Everything here is
 a pure transformation, deterministic down to tie-breaking, so a filtered
 dataset can be reproduced byte for byte.
 """
@@ -14,13 +16,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .em import (
-    GridPosterior,
-    PosteriorDensity,
-    TwoPointPosterior,
-    posterior_grid,
-    posterior_two_point,
-)
+from .em import PosteriorDensity, posterior_rows
 from .model import (
     AnnotationColumns,
     AnnotationRecord,
@@ -28,6 +24,7 @@ from .model import (
     TwoPointPrior,
     UserHistory,
     first_seen,
+    suff_stats,
 )
 from .numerics import QuadratureGrid
 
@@ -41,7 +38,7 @@ class PosteriorSummary:
     map_eta: float
     mean_eta: float
     tail_probs: tuple[tuple[float, float], ...]  # (eta_star, P(eta >= eta_star))
-    density: PosteriorDensity
+    density: PosteriorDensity  # shared by every user with the same (sum_z, n)
 
     def tail_prob(self, eta_star: float) -> float:
         return self.density.tail_prob(eta_star)
@@ -112,38 +109,39 @@ class MissingDecisionError(ValueError):
         super().__init__(f"no decision for user(s): {preview}{more}")
 
 
+def summarize_histories(
+    histories: Sequence[UserHistory],
+    params: ModelParams,
+    grid: QuadratureGrid | None = None,
+    eta_stars: Iterable[float] = (),
+) -> list[PosteriorSummary]:
+    """Posterior digests of many users under fitted parameters, input order.
+
+    Two-point priors get the exact two-mass posterior; continuous priors a
+    grid posterior (default 1025-node trapezoid grid). The posterior, MAP,
+    mean and tails are computed once per distinct (sum_z, n) row.
+    """
+    grid = grid if grid is not None else QuadratureGrid.uniform()
+    stars = [float(s) for s in eta_stars]
+    sum_z_u, n_u, _, inverse = suff_stats(histories)
+    rows = [
+        (p.map_eta, p.mean_eta, tuple((s, p.tail_prob(s)) for s in stars), p)
+        for p in posterior_rows(sum_z_u, n_u, params, grid)
+    ]
+    return [
+        PosteriorSummary(h.user_id, h.n, *rows[r])
+        for h, r in zip(histories, inverse.tolist())
+    ]
+
+
 def summarize_posterior(
     history: UserHistory,
     params: ModelParams,
     grid: QuadratureGrid | None = None,
     eta_stars: Iterable[float] = (),
 ) -> PosteriorSummary:
-    """Posterior digest of one user under fitted parameters.
-
-    Two-point priors get the exact two-mass posterior; continuous priors a
-    grid posterior (default 1025-node trapezoid grid).
-    """
-    if isinstance(params.prior, TwoPointPrior):
-        gamma_lo, gamma_hi = posterior_two_point(history, params)
-        density: PosteriorDensity = TwoPointPosterior(
-            user_id=history.user_id,
-            eta_lo=params.prior.eta_lo,
-            eta_hi=params.prior.eta_hi,
-            gamma_lo=gamma_lo,
-            gamma_hi=gamma_hi,
-        )
-    else:
-        density = posterior_grid(
-            history, params, grid if grid is not None else QuadratureGrid.uniform()
-        )
-    return PosteriorSummary(
-        user_id=history.user_id,
-        n_labels=history.n,
-        map_eta=density.map_eta,
-        mean_eta=density.mean_eta,
-        tail_probs=tuple((float(s), density.tail_prob(float(s))) for s in eta_stars),
-        density=density,
-    )
+    """Posterior digest of one user; see `summarize_histories`."""
+    return summarize_histories([history], params, grid, eta_stars)[0]
 
 
 def classify_attentive(

@@ -41,26 +41,26 @@ class AnnotationRecord:
 
 @dataclass(frozen=True)
 class UserHistory:
-    """A user's full label sequence plus the cached label sum."""
+    """A user's label counts: sum_z labels of 1 among n labels.
+
+    The label model sees a user only through this sufficient statistic, so
+    the label sequence itself is not kept.
+    """
 
     user_id: str
-    labels: tuple[int, ...]
     sum_z: int
+    n: int
 
     def __post_init__(self):
-        if any(z not in (0, 1) for z in self.labels):
-            raise ValueError("labels must be 0/1")
-        if self.sum_z != sum(self.labels):
-            raise ValueError("sum_z cache disagrees with labels")
+        if not 0 <= self.sum_z <= self.n:
+            raise ValueError("need 0 <= sum_z <= n")
 
     @classmethod
     def from_labels(cls, user_id: str, labels) -> "UserHistory":
-        labels = tuple(int(z) for z in labels)
-        return cls(user_id=user_id, labels=labels, sum_z=sum(labels))
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
+        labels = [int(z) for z in labels]
+        if any(z not in (0, 1) for z in labels):
+            raise ValueError("labels must be 0/1")
+        return cls(user_id, sum(labels), len(labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +140,10 @@ def first_seen(codes: np.ndarray) -> np.ndarray:
 
 
 def histories_from_columns(columns: AnnotationColumns) -> list["UserHistory"]:
-    """Group records into per-user histories, first-seen user order.
+    """Count each user's labels, first-seen user order.
 
     Rejects duplicate (user_id, item_id) pairs, naming the first record that
-    repeats an earlier pair; labels keep record order.
+    repeats an earlier pair.
     """
     users = columns.users
     keys = users.astype(np.int64) * len(columns.item_ids) + columns.items
@@ -153,27 +153,19 @@ def histories_from_columns(columns: AnnotationColumns) -> list["UserHistory"]:
         first = int(repeats.min())
         key = (columns.user_ids[users[first]], columns.item_ids[columns.items[first]])
         raise ValueError(f"duplicate (user_id, item_id): {key!r}")
-    # A stable sort keeps each user's labels in record order.
-    by_user = np.argsort(users, kind="stable")
-    counts = np.bincount(users)
-    present = np.flatnonzero(counts)
-    ends = np.cumsum(counts[present])
-    starts = ends - counts[present]
-    order = np.argsort(by_user[starts])  # first-seen user order
-    labels = columns.labels[by_user].tolist()
-    histories = []
-    for code, start, end in zip(
-        present[order].tolist(), starts[order].tolist(), ends[order].tolist()
-    ):
-        zs = tuple(labels[start:end])
-        histories.append(UserHistory(columns.user_ids[code], zs, sum(zs)))
-    return histories
+    n = np.bincount(users)
+    sum_z = np.bincount(users, weights=columns.labels).astype(np.intp)
+    order = first_seen(users)
+    return [
+        UserHistory(columns.user_ids[code], s, k)
+        for code, s, k in zip(order.tolist(), sum_z[order].tolist(), n[order].tolist())
+    ]
 
 
 def histories_from_records(records) -> list["UserHistory"]:
-    """Group records into per-user histories, first-seen user order.
+    """Count each user's labels, first-seen user order.
 
-    Rejects duplicate (user_id, item_id) pairs; labels keep record order.
+    Rejects duplicate (user_id, item_id) pairs.
     """
     return histories_from_columns(AnnotationColumns.from_records(records))
 
@@ -346,7 +338,8 @@ def suff_stats(histories):
     history to its row. Likelihoods and posteriors depend on a history only
     through this pair, so EM-scale work is O(unique rows), not O(users).
     """
-    stats = np.array([[h.sum_z, h.n] for h in histories], dtype=float)
+    # The reshape keeps no histories two columns wide: (0, 2), not (0,).
+    stats = np.array([[h.sum_z, h.n] for h in histories], dtype=float).reshape(-1, 2)
     uniq, inverse, counts = np.unique(
         stats, axis=0, return_inverse=True, return_counts=True
     )
@@ -356,19 +349,16 @@ def suff_stats(histories):
 def log_joint(sum_z, n, params: ModelParams, grid: QuadratureGrid, loglik=None):
     """E-step core: log prior mass plus log-likelihood, and each row's marginal.
 
-    `sum_z` and `n` are scalars (one row) or (R, 1) columns. `loglik` is the
-    kernel matrix for these rows at `params.mu` on the prior's support, when
-    the caller already holds it. Returns (joint, per_row): the log joint over
-    rows x support and each row's log marginal likelihood.
+    `sum_z` and `n` are (R, 1) columns. `loglik` is the kernel matrix for
+    these rows at `params.mu` on the prior's support, when the caller already
+    holds it. Returns (joint, per_row): the log joint over rows x support and
+    each row's log marginal likelihood.
     """
     support, log_mass = prior_log_masses(params.prior, grid)
     if loglik is None:
         loglik = loglik_from_counts(sum_z, n, params.mu, support)
     joint = log_mass + loglik
-    # A single row reduces through log_sum_exp's scalar path (math.log, which
-    # can differ from np.log in the last bit); posterior_grid's outputs are
-    # pinned to those bits.
-    per_row = log_sum_exp(joint, axis=1 if joint.ndim == 2 else None)
+    per_row = log_sum_exp(joint, axis=1)
     if np.any(~np.isfinite(per_row)):
         raise FloatingPointError("marginal likelihood underflowed to zero")
     return joint, per_row

@@ -76,12 +76,13 @@ def log_sum_exp(values, axis: int | None = None):
 
     Max-shifted so large negative magnitudes cannot underflow the result;
     returns -inf exactly when every input is -inf. With `axis` the reduction
-    is applied along that axis of an array.
+    is applied along that axis of an array; an array with no rows gives an
+    empty result.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("log_sum_exp of an empty sequence")
     if axis is None:
+        if arr.size == 0:
+            raise ValueError("log_sum_exp of an empty sequence")
         m = float(np.max(arr))
         if not np.isfinite(m):
             # All -inf, or a stray +inf dominates either way.

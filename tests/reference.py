@@ -7,14 +7,26 @@ the two on generated inputs; the library never imports this module.
 """
 
 import json
+import math
 from pathlib import Path
+
+import numpy as np
 
 from prefqc import (
     AnnotationRecord,
     FilteredDataset,
+    GridPosterior,
     MissingDecisionError,
     ParseError,
+    PosteriorSummary,
+    QuadratureGrid,
+    TwoPointPosterior,
+    TwoPointPrior,
     UserHistory,
+    log_sum_exp,
+    loglik_from_counts,
+    prior_log_masses,
+    user_loglik,
 )
 
 
@@ -104,4 +116,49 @@ def write_pairs(path, records) -> None:
     _write_jsonl(
         path,
         ({"item_id": r.item_id, "chosen": "A" if r.label == 1 else "B"} for r in records),
+    )
+
+
+def posterior_two_point(history, params) -> tuple[float, float]:
+    """One user's atom responsibilities, one scalar log-sum-exp."""
+    prior = params.prior
+    l_lo = math.log(prior.q1) if prior.q1 > 0.0 else -math.inf
+    l_hi = math.log(prior.q2) if prior.q2 > 0.0 else -math.inf
+    l_lo += user_loglik(history, params.mu, prior.eta_lo)
+    l_hi += user_loglik(history, params.mu, prior.eta_hi)
+    norm = np.logaddexp(l_lo, l_hi)
+    gamma_lo = float(np.exp(l_lo - norm))
+    return gamma_lo, 1.0 - gamma_lo
+
+
+def posterior_grid(history, params, grid) -> GridPosterior:
+    """One user's grid posterior, normalised by a scalar log-sum-exp."""
+    support, log_mass = prior_log_masses(params.prior, grid)
+    logpost = log_mass + loglik_from_counts(history.sum_z, history.n, params.mu, support)
+    norm = log_sum_exp(logpost)
+    if not math.isfinite(norm):
+        raise FloatingPointError("marginal likelihood underflowed to zero")
+    masses = np.exp(logpost - norm)
+    masses = masses / masses.sum()
+    return GridPosterior(nodes=grid.nodes, masses=masses, density=masses / grid.weights)
+
+
+def summarize_posterior(history, params, grid=None, eta_stars=()) -> PosteriorSummary:
+    """One user's posterior digest, from that user's own posterior."""
+    if isinstance(params.prior, TwoPointPrior):
+        gamma_lo, gamma_hi = posterior_two_point(history, params)
+        density = TwoPointPosterior(
+            params.prior.eta_lo, params.prior.eta_hi, gamma_lo, gamma_hi
+        )
+    else:
+        density = posterior_grid(
+            history, params, grid if grid is not None else QuadratureGrid.uniform()
+        )
+    return PosteriorSummary(
+        user_id=history.user_id,
+        n_labels=history.n,
+        map_eta=density.map_eta,
+        mean_eta=density.mean_eta,
+        tail_probs=tuple((float(s), density.tail_prob(float(s))) for s in eta_stars),
+        density=density,
     )

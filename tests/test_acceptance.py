@@ -39,7 +39,7 @@ from prefqc import (
     select_users,
     simulate_dataset,
     solve_beta_system,
-    summarize_posterior,
+    summarize_histories,
 )
 from prefqc import io as fio
 from prefqc.cli import main as cli_main
@@ -444,10 +444,7 @@ def test_criterion_7_accuracy_rises_with_preference_strength(capsys):
                         regularizer=LogPriorOnMu(8.0, 2.0),
                     )
                 report = em_fit(hists, config)
-                summaries = [
-                    summarize_posterior(h, report.final_params, grid)
-                    for h in hists
-                ]
+                summaries = summarize_histories(hists, report.final_params, grid)
                 decisions = select_users(summaries, TopFraction(0.5))
                 accs[variant].append(
                     recovery_accuracy(decisions, truth, threshold=threshold)

@@ -332,6 +332,21 @@ class TestInferAndFilter:
             infer_out / "pairs.jsonl"
         )
 
+    def test_empty_annotations_exit_2_with_one_line_error(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "annotations.jsonl").write_text("")
+        rule = {"type": "top_fraction", "fraction": 0.5}
+        for family in ("two_point", "beta"):
+            fit_cfg, fit_out = fit_config(tmp_path, sim, name=family, family=family)
+            assert main(["fit", "--config", fit_cfg]) == EXIT_OK
+            capsys.readouterr()
+            config, _ = infer_config(tmp_path, empty, fit_out, rule, name=f"i_{family}")
+            assert main(["infer", "--config", config]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err == "error: select_users needs at least one summary\n"
+
     def test_filter_with_missing_decision_fails(self, tmp_path):
         sim, fit_out = self.fitted(tmp_path)
         config, infer_out = infer_config(

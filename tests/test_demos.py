@@ -1,0 +1,35 @@
+"""The fast demos run to completion.
+
+Each demo runs in its own interpreter, as a reader would start it. The
+preference-strength sweep runs 24 EM fits, about 44 s on two cores, so it is
+left out here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "demo", ["bimodal_population_two_atoms.py", "filter_noisy_annotators.py"]
+)
+def test_demo_exits_cleanly(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

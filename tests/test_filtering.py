@@ -46,9 +46,7 @@ def fake_summary(user_id, map_eta, mean_eta=None, tail=None):
     from prefqc.em import TwoPointPosterior
 
     g_hi = tail if tail is not None else map_eta
-    density = TwoPointPosterior(
-        user_id=user_id, eta_lo=0.0, eta_hi=0.9, gamma_lo=1.0 - g_hi, gamma_hi=g_hi
-    )
+    density = TwoPointPosterior(eta_lo=0.0, eta_hi=0.9, gamma_lo=1.0 - g_hi, gamma_hi=g_hi)
     from prefqc.filtering import PosteriorSummary
 
     return PosteriorSummary(

@@ -35,9 +35,7 @@ L_AT_04 = -5.75945446006741
 L_AT_098 = -5.005132762265122
 OBSERVED_MIX = -5.387568514470521
 
-history_strategy = st.lists(st.integers(min_value=0, max_value=1), max_size=60).map(
-    lambda labels: UserHistory.from_labels("u", labels)
-)
+labels_strategy = st.lists(st.integers(min_value=0, max_value=1), max_size=60)
 
 
 class TestResponseProb:
@@ -96,12 +94,13 @@ class TestPerLabelLoglik:
             obs_loglik(2, 0.8, 0.5)
 
     @given(
-        history_strategy,
+        labels_strategy,
         st.floats(min_value=0.501, max_value=0.999),
         st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_sufficient_statistic_equals_naive_sum(self, hist, mu, eta):
-        naive = sum(obs_loglik(z, mu, eta) for z in hist.labels)
+    def test_sufficient_statistic_equals_naive_sum(self, labels, mu, eta):
+        naive = sum(obs_loglik(z, mu, eta) for z in labels)
+        hist = UserHistory.from_labels("u", labels)
         assert user_loglik(hist, mu, eta) == pytest.approx(naive, abs=1e-12)
 
     def test_counts_form_worked_values(self):
@@ -140,9 +139,11 @@ class TestHistories:
         h = UserHistory.from_labels("a", [1, 0, 1, 1])
         assert h.sum_z == 3 and h.n == 4
 
-    def test_rejects_cache_mismatch_and_bad_labels(self):
-        with pytest.raises(ValueError):
-            UserHistory("a", (1, 0), 2)
+    def test_rejects_counts_outside_zero_to_n_and_bad_labels(self):
+        for sum_z, n in ((-1, 4), (5, 4), (1, 0)):
+            with pytest.raises(ValueError, match="0 <= sum_z <= n"):
+                UserHistory("a", sum_z, n)
+        assert UserHistory("a", 4, 4).sum_z == 4
         with pytest.raises(ValueError):
             UserHistory.from_labels("a", [1, 2])
 
@@ -153,8 +154,7 @@ class TestHistories:
             AnnotationRecord("b", "i2", 0),
         ]
         hists = histories_from_records(records)
-        assert [h.user_id for h in hists] == ["b", "a"]
-        assert hists[0].labels == (1, 0)
+        assert hists == [UserHistory("b", 1, 2), UserHistory("a", 0, 1)]
 
     def test_duplicate_pair_rejected(self):
         records = [AnnotationRecord("a", "i1", 1), AnnotationRecord("a", "i1", 0)]
@@ -183,6 +183,11 @@ class TestHistories:
             assert sz_u[row] == h.sum_z and n_u[row] == h.n
         # unique rows really are unique
         assert len({(s, n) for s, n in zip(sz_u, n_u)}) == len(sz_u)
+
+    def test_suff_stats_of_no_histories_is_empty(self):
+        out = suff_stats([])
+        assert len(out) == 4
+        assert all(isinstance(a, np.ndarray) and a.shape == (0,) for a in out)
 
 
 class TestPriors:

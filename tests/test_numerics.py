@@ -90,6 +90,7 @@ class TestLogSumExp:
         np.testing.assert_allclose(log_sum_exp(arr, axis=1), np.log([4.0, 4.0]))
         row = log_sum_exp(np.array([[-np.inf, -np.inf], [0.0, 0.0]]), axis=1)
         assert row[0] == -np.inf and row[1] == pytest.approx(math.log(2.0))
+        assert log_sum_exp(np.empty((0, 3)), axis=1).shape == (0,)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
