@@ -357,6 +357,7 @@ def _run_eval_fit(fit: dict) -> list[dict]:
                 prior=scenario.prior, mu=scenario.mu, mu_mode=fitted.mu_mode
             )
             scores["delta"] = relative_error(fitted, truth_params)
+        scores.update(converged=report.converged, iterations=report.iterations)
     except Exception as exc:  # recorded per cell; the sweep keeps going
         error = f"{type(exc).__name__}: {exc}"
         return [
@@ -424,6 +425,7 @@ def _cmd_eval(cfg: dict, args) -> None:
         accs = [r["accuracy"] for r in ok if "accuracy" in r]
         d_mean, d_std = _mean_std(deltas)
         a_mean, a_std = _mean_std(accs)
+        iters_mean, _ = _mean_std([r["iterations"] for r in ok])
         scenario = fio.decode_scenario(cell["scenario"])
         rows.append(
             {
@@ -441,6 +443,8 @@ def _cmd_eval(cfg: dict, args) -> None:
                 ),
                 "seeds_ok": len(ok),
                 "seeds_failed": len(failures),
+                "converged": sum(r["converged"] for r in ok),
+                "iterations_mean": iters_mean,
                 "delta_mean": d_mean,
                 "delta_std": d_std,
                 "accuracy_mean": a_mean,

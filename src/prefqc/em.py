@@ -27,9 +27,11 @@ from .model import (
     LogisticNormalMixturePrior,
     ModelParams,
     MuMode,
+    ScaledKernel,
     TwoPointPrior,
     UserHistory,
     log_joint,
+    log_joint_matrix,
     loglik_from_counts,
     suff_stats,
 )
@@ -98,6 +100,10 @@ class FitReport:
     converged: bool
     stop_reason: StopReason
     clamp_events: tuple[ClampEvent, ...] = ()
+    # Grid fits: E-step rows, summed over iterations, that underflowed the
+    # probability domain and took log_joint. None for two-point fits, whose
+    # E-step is always log_joint.
+    fallback_rows: int | None = None
 
     @property
     def final_params(self) -> ModelParams:
@@ -278,7 +284,7 @@ def posterior_rows(
         return [
             TwoPointPosterior(prior.eta_lo, prior.eta_hi, g, 1.0 - g) for g in gamma_lo
         ]
-    joint, _ = log_joint(sum_z_u[:, None], n_u[:, None], params, grid)
+    joint = log_joint_matrix(sum_z_u[:, None], n_u[:, None], params, grid)
     # Each row's normaliser goes through math.log, as log_sum_exp's scalar
     # path does; np.log differs from it in the last bit on rare rows.
     peak = joint.max(axis=1)
@@ -582,16 +588,23 @@ def em_fit(
     prev_objective = None
     prev_vec = None
 
-    # The (sum_z, n) x support log-likelihood matrix changes only when the
-    # support (two-point atoms) or mu moves; on the grid with mu fixed it is
-    # built once and each iteration adds the new prior log-masses.
+    # Two-point fits run the E-step in the log domain: the kernel has two
+    # columns and moves with the atoms. Grid fits hold the kernel in the
+    # probability domain, built once when mu is fixed and rebuilt in place
+    # when it moves; the weights give the M-step its node totals.
     sz_col, n_col = sz_u[:, None], n_u[:, None]
-    fixed_loglik = None
-    if not (two_point or mu_free):
-        fixed_loglik = loglik_from_counts(sz_col, n_col, params.mu, grid.nodes)
+    fallback_rows = None
+    if not two_point:
+        kernel = ScaledKernel(sz_u, n_u, grid)
+        weights = np.stack([cnt, cnt * sz_u, cnt * (n_u - sz_u)])[: 3 if mu_free else 1]
+        fallback_rows = 0
 
     for iteration in range(config.max_iters + 1):
-        joint, per_row = log_joint(sz_col, n_col, params, grid, fixed_loglik)
+        if two_point:
+            joint, per_row = log_joint(sz_col, n_col, params, grid)
+        else:
+            per_row, totals, fallbacks = kernel.e_step(params, weights)
+            fallback_rows += fallbacks
         loglik = float(np.dot(cnt, per_row))
         trajectory.append(TrajectoryPoint(iteration, params, loglik))
         objective = loglik if mu_logprior is None else loglik + mu_logprior(params.mu)
@@ -613,10 +626,10 @@ def em_fit(
             break
         prev_objective, prev_vec = objective, vec
 
-        # E-step responsibilities, computed in place: the next iteration's
-        # E-step then runs beside one matrix from this one, not two.
-        masses = np.exp(joint - per_row[:, None], out=joint)
         if two_point:
+            # Responsibilities in place: the next E-step then runs beside one
+            # matrix from this one, not two.
+            masses = np.exp(joint - per_row[:, None], out=joint)
             gam1, gam2 = masses[:, 0], masses[:, 1]
             q1, eta_lo, eta_hi, flags = _two_point_update(
                 gam1, gam2, sz_u, n_u, cnt, params.mu
@@ -633,8 +646,8 @@ def em_fit(
                     wins, losses = wins[::-1], losses[::-1]
                 mu_support = np.array([eta_lo, eta_hi])
         else:
-            r1 = float(np.dot(cnt, masses @ log_nodes) / m)
-            r2 = float(np.dot(cnt, masses @ log_1m_nodes) / m)
+            r1 = float(totals[0] @ log_nodes / m)
+            r2 = float(totals[0] @ log_1m_nodes / m)
             # Consecutive EM iterations solve nearly identical systems;
             # starting Newton at the previous solution skips the warm-up.
             sol = solve_beta_system(
@@ -646,7 +659,7 @@ def em_fit(
                 )
             new_prior = BetaPrior(alpha=sol.alpha, beta=sol.beta)
             if mu_free:
-                wins, losses = _mu_counts(masses, sz_u, n_u, cnt)
+                wins, losses = totals[1], totals[2]
                 mu_support = grid.nodes
 
         new_mu = params.mu
@@ -667,6 +680,7 @@ def em_fit(
         converged=converged,
         stop_reason=stop_reason,
         clamp_events=tuple(clamp_events),
+        fallback_rows=fallback_rows,
     )
     if strict and stop_reason == "likelihood_decrease":
         raise LikelihoodDecreaseError(report, objective_drop)

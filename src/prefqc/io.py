@@ -473,6 +473,8 @@ def fit_to_dict(
         ],
         "labels_flipped": labels_flipped,
     }
+    if report.fallback_rows is not None:
+        out["fallback_rows"] = report.fallback_rows
     if delta is not None:
         out["delta"] = delta
     return out
@@ -605,6 +607,8 @@ SWEEP_COLUMNS = [
     "rule",
     "seeds_ok",
     "seeds_failed",
+    "converged",
+    "iterations_mean",
     "delta_mean",
     "delta_std",
     "accuracy_mean",

@@ -9,7 +9,8 @@ built on the likelihood functions here.
 
 All likelihood code works from the sufficient statistic ``(sum_z, n)`` of a
 user's history and stays in log space: label counts reach the thousands and
-raw products would underflow.
+raw products would underflow. The grid E-step (`ScaledKernel`) leaves it
+only after scaling each row by its largest term.
 """
 
 from dataclasses import dataclass
@@ -300,13 +301,19 @@ def loglik_from_counts(sum_z, n, mu, eta):
     """
     if np.any(np.asarray(sum_z) < 0) or np.any(np.asarray(sum_z) > np.asarray(n)):
         raise ValueError("need 0 <= sum_z <= n")
+    return _kernel(sum_z, n, mu, eta)
+
+
+def _kernel(sum_z, n, mu, eta, out=None):
+    """sum_z * log(g) + (n - sum_z) * log(1 - g), g the response probability.
+
+    One two-term einsum: each product is rounded, then their sum, as in the
+    plain numpy expression, and the only rows x support array is the result.
+    """
     g = bernoulli_response_prob(eta, mu)
-    out = sum_z * np.log(g)
-    rest = (np.asarray(n) - sum_z) * np.log1p(-g)
-    if isinstance(out, np.ndarray) and out.shape == rest.shape:
-        out += rest  # in place: one rows x support temporary fewer per call
-        return out
-    return out + rest
+    counts = np.stack(np.broadcast_arrays(sum_z, np.subtract(n, sum_z)))
+    logs = np.stack([np.log(g), np.log1p(-g)])
+    return np.einsum("i...,i...->...", counts, logs, out=out)
 
 
 def user_loglik(history: UserHistory, mu: float, eta: float) -> float:
@@ -337,42 +344,120 @@ def suff_stats(histories):
     Returns (sum_z_u, n_u, count_u, inverse) with `inverse` mapping each
     history to its row. Likelihoods and posteriors depend on a history only
     through this pair, so EM-scale work is O(unique rows), not O(users).
+    Rows come in (sum_z, n) lexicographic order.
     """
-    # The reshape keeps no histories two columns wide: (0, 2), not (0,).
-    stats = np.array([[h.sum_z, h.n] for h in histories], dtype=float).reshape(-1, 2)
-    uniq, inverse, counts = np.unique(
-        stats, axis=0, return_inverse=True, return_counts=True
+    sum_z = np.array([h.sum_z for h in histories], dtype=np.int64)
+    n = np.array([h.n for h in histories], dtype=np.int64)
+    # One integer key per row, ordered as the (sum_z, n) pairs: n <= max n.
+    base = int(n.max()) + 1 if n.size else 1
+    keys, inverse, counts = np.unique(
+        sum_z * base + n, return_inverse=True, return_counts=True
     )
-    return uniq[:, 0], uniq[:, 1], counts.astype(float), inverse
+    sum_z_u, n_u = np.divmod(keys, base)
+    return sum_z_u.astype(float), n_u.astype(float), counts.astype(float), inverse
 
 
-def log_joint(sum_z, n, params: ModelParams, grid: QuadratureGrid, loglik=None):
-    """E-step core: log prior mass plus log-likelihood, and each row's marginal.
+def log_joint_matrix(sum_z, n, params: ModelParams, grid: QuadratureGrid):
+    """Log prior mass plus log-likelihood over rows x the prior's support.
 
-    `sum_z` and `n` are (R, 1) columns. `loglik` is the kernel matrix for
-    these rows at `params.mu` on the prior's support, when the caller already
-    holds it. Returns (joint, per_row): the log joint over rows x support and
-    each row's log marginal likelihood.
+    `sum_z` and `n` are (R, 1) columns.
     """
     support, log_mass = prior_log_masses(params.prior, grid)
-    if loglik is None:
-        loglik = loglik_from_counts(sum_z, n, params.mu, support)
-    joint = log_mass + loglik
+    joint = loglik_from_counts(sum_z, n, params.mu, support)
+    joint += log_mass
+    return joint
+
+
+def log_joint(sum_z, n, params: ModelParams, grid: QuadratureGrid):
+    """E-step core in the log domain: the joint and each row's marginal.
+
+    `sum_z` and `n` are (R, 1) columns. Returns (joint, per_row): the log
+    joint over rows x support and each row's log marginal likelihood.
+    """
+    joint = log_joint_matrix(sum_z, n, params, grid)
     per_row = log_sum_exp(joint, axis=1)
     if np.any(~np.isfinite(per_row)):
         raise FloatingPointError("marginal likelihood underflowed to zero")
     return joint, per_row
 
 
+class ScaledKernel:
+    """The E-step of a continuous prior, in the probability domain.
+
+    Holds P = exp(L - rowmax(L)) for (sum_z, n) rows on a grid's nodes, L
+    being the log-likelihood kernel at one mu, in one rows x nodes buffer
+    that is allocated once and rebuilt in place whenever mu moves. With the
+    prior's grid masses scaled to w = exp(log_mass - max), a row's marginal
+    is rowmax + max + log(P @ w) and its posterior is P * w / (P @ w), so an
+    E-step costs matrix-vector products and no exp over the matrix.
+
+    A row whose s = P @ w falls below nodes * 2**53 * tiny takes the
+    log-domain path (`log_joint`) instead. Above that limit every term
+    P[r, k] * w[k] that moves s by a rounding unit is a normal float, so
+    underflow and subnormals cost less than one ulp of s.
+    """
+
+    def __init__(self, sum_z, n, grid: QuadratureGrid):
+        self.sum_z = np.asarray(sum_z, dtype=float)
+        self.n = np.asarray(n, dtype=float)
+        if np.any(self.sum_z < 0) or np.any(self.sum_z > self.n):
+            raise ValueError("need 0 <= sum_z <= n")
+        self.grid = grid
+        self.fallback_below = grid.size * 2.0**53 * np.finfo(float).tiny
+        self.p = np.empty((self.sum_z.size, grid.size))
+        self.rowmax = np.empty(self.sum_z.size)
+        self.mu = None
+
+    def _build(self, mu: float) -> None:
+        p = self.p
+        _kernel(self.sum_z[:, None], self.n[:, None], mu, self.grid.nodes, out=p)
+        np.max(p, axis=1, out=self.rowmax)
+        p -= self.rowmax[:, None]
+        np.exp(p, out=p)
+        self.mu = mu
+
+    def e_step(self, params: ModelParams, weights):
+        """Each row's log marginal and posterior-weighted node totals.
+
+        `weights` is (J, R). Returns (per_row, totals, fallbacks): totals[j]
+        is sum over rows r of weights[j, r] times row r's posterior masses on
+        the nodes, and fallbacks the number of rows that took `log_joint`.
+        """
+        if params.mu != self.mu:
+            self._build(params.mu)
+        _, log_mass = prior_log_masses(params.prior, self.grid)
+        top = float(log_mass.max())
+        w = np.exp(log_mass - top)
+        s = self.p @ w
+        low = s < self.fallback_below
+        with np.errstate(divide="ignore"):
+            per_row = self.rowmax + top + np.log(s)
+        # Fallback rows get zero weight here: 1 / inf.
+        totals = (weights / np.where(low, np.inf, s)) @ self.p
+        totals *= w
+        fallbacks = int(np.count_nonzero(low))
+        if fallbacks:
+            joint, per_row[low] = log_joint(
+                self.sum_z[low, None], self.n[low, None], params, self.grid
+            )
+            masses = np.exp(joint - per_row[low, None], out=joint)
+            totals += weights[:, low] @ masses
+        return per_row, totals, fallbacks
+
+
 def observed_loglik(histories, params: ModelParams, grid: QuadratureGrid) -> float:
     """Observed-data log-likelihood: sum over users of the log marginal.
 
     The per-user marginal integrates the likelihood against the prior,
-    exactly for the two-point family and by trapezoid quadrature for
-    continuous ones; the inner reduction is a log-sum-exp.
+    exactly for the two-point family (a log-sum-exp over the atoms) and by
+    trapezoid quadrature for continuous ones, through `ScaledKernel`.
     """
     if not histories:
         return 0.0
     sum_z_u, n_u, counts, _ = suff_stats(histories)
-    _, per_row = log_joint(sum_z_u[:, None], n_u[:, None], params, grid)
+    if isinstance(params.prior, TwoPointPrior):
+        _, per_row = log_joint(sum_z_u[:, None], n_u[:, None], params, grid)
+    else:
+        kernel = ScaledKernel(sum_z_u, n_u, grid)
+        per_row, _, _ = kernel.e_step(params, counts[None, :])
     return float(np.dot(counts, per_row))

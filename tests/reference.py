@@ -4,6 +4,21 @@ Each function here is a plain per-record loop with the behaviour the
 library's optimised code must reproduce exactly: the same values, the same
 output bytes, the same error type, message and line number. Tests compare
 the two on generated inputs; the library never imports this module.
+
+The grid E-step references (`row_log_marginal`, `beta_em_moments`) are the
+exception: they loop per row and per node in Python floats and sum with
+`math.fsum`, and the library's E-step must agree with them within this
+tolerance contract, which every change that moves output bits is judged by:
+
+- a row's observed log marginal: relative 1e-12;
+- the Beta M-step moments r1 = E[log eta] and r2 = E[log(1 - eta)],
+  averaged over users: absolute 1e-12;
+- the expected wins and losses per node that the mu step maximizes over:
+  absolute 1e-12 times the total number of labels;
+- converged fixed-mu parameters: within the fit's `tol_param` of those
+  the code gave before the change;
+- decisions: identical, except for users whose score lies within 1e-12 of
+  the selection cut.
 """
 
 import json
@@ -14,6 +29,7 @@ import numpy as np
 
 from prefqc import (
     AnnotationRecord,
+    BetaPrior,
     FilteredDataset,
     GridPosterior,
     MissingDecisionError,
@@ -23,11 +39,13 @@ from prefqc import (
     TwoPointPosterior,
     TwoPointPrior,
     UserHistory,
+    log_beta,
     log_sum_exp,
     loglik_from_counts,
     prior_log_masses,
     user_loglik,
 )
+from prefqc.model import ETA_DENSITY_CLIP
 
 
 def _id_error(path, line_no, obj):
@@ -161,4 +179,57 @@ def summarize_posterior(history, params, grid=None, eta_stars=()) -> PosteriorSu
         mean_eta=density.mean_eta,
         tail_probs=tuple((float(s), density.tail_prob(float(s))) for s in eta_stars),
         density=density,
+    )
+
+
+def _beta_node_terms(sum_z, n, params, grid) -> list[float]:
+    """log(weight * density) + log-likelihood of one row at each grid node."""
+    prior: BetaPrior = params.prior
+    a, b, mu = prior.alpha, prior.beta, params.mu
+    lb = log_beta(a, b)
+    clip = ETA_DENSITY_CLIP
+    terms = []
+    for eta, weight in zip(grid.nodes.tolist(), grid.weights.tolist()):
+        e = min(max(eta, clip), 1.0 - clip)
+        log_density = (a - 1.0) * math.log(e) + (b - 1.0) * math.log1p(-e) - lb
+        g = 0.5 + eta * (mu - 0.5)
+        loglik = sum_z * math.log(g) + (n - sum_z) * math.log1p(-g)
+        terms.append(math.log(weight) + log_density + loglik)
+    return terms
+
+
+def row_log_marginal(sum_z, n, params, grid) -> float:
+    """log of the trapezoid sum of prior times likelihood for one Beta row."""
+    terms = _beta_node_terms(sum_z, n, params, grid)
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
+def beta_em_moments(rows, params, grid):
+    """The inputs one Beta EM step takes from the posteriors of `rows`.
+
+    `rows` is a list of (sum_z, n, count). Returns (r1, r2, wins, losses):
+    the user-averaged posterior E[log eta] and E[log(1 - eta)], and per grid
+    node the expected count of labels of 1 and of 0.
+    """
+    clip = ETA_DENSITY_CLIP
+    nodes = [min(max(e, clip), 1.0 - clip) for e in grid.nodes.tolist()]
+    users = math.fsum(count for _, _, count in rows)
+    r1_terms, r2_terms = [], []
+    wins = [[] for _ in nodes]
+    losses = [[] for _ in nodes]
+    for sum_z, n, count in rows:
+        terms = _beta_node_terms(sum_z, n, params, grid)
+        norm = row_log_marginal(sum_z, n, params, grid)
+        for k, (t, e) in enumerate(zip(terms, nodes)):
+            q = count * math.exp(t - norm)
+            r1_terms.append(q * math.log(e))
+            r2_terms.append(q * math.log1p(-e))
+            wins[k].append(q * sum_z)
+            losses[k].append(q * (n - sum_z))
+    return (
+        math.fsum(r1_terms) / users,
+        math.fsum(r2_terms) / users,
+        [math.fsum(v) for v in wins],
+        [math.fsum(v) for v in losses],
     )

@@ -441,6 +441,8 @@ class TestEval:
         row = rows[0]
         assert row["cell"] == "smoke"
         assert row["seeds_ok"] == "2" and row["seeds_failed"] == "0"
+        assert 0 <= int(row["converged"]) <= 2
+        assert float(row["iterations_mean"]) >= 1.0
         assert 0.0 <= float(row["delta_mean"]) < 1.5
         assert 0.0 <= float(row["accuracy_mean"]) <= 1.0
         assert row["note"] == ""
@@ -457,6 +459,7 @@ class TestEval:
         assert main(["eval", "--config", config]) == EXIT_OK
         for row in fio.read_sweep(out / "sweep.csv"):
             assert row["seeds_ok"] == "0" and row["seeds_failed"] == "2"
+            assert row["converged"] == "0" and row["iterations_mean"] == ""
             assert "bogus" in row["note"]
 
     def test_seeds_must_be_non_empty_list(self, tmp_path):

@@ -369,8 +369,11 @@ class TestFitReports:
             "final_loglik",
             "clamp_events",
             "labels_flipped",
+            "fallback_rows",
         }
         assert obj["labels_flipped"] is False
+        # Two-point fits have no probability-domain E-step to fall back from.
+        assert "fallback_rows" not in fit_to_dict(small_fit("two_point"))
         with_delta = fit_to_dict(report, labels_flipped=True, delta=0.12)
         assert with_delta["delta"] == 0.12 and with_delta["labels_flipped"] is True
 
@@ -477,6 +480,8 @@ class TestSweepCsv:
                 "rule": "top_fraction_0.5",
                 "seeds_ok": 10,
                 "seeds_failed": 0,
+                "converged": 7,
+                "iterations_mean": 212.5,
                 "delta_mean": 0.031,
                 "delta_std": 0.004,
                 "accuracy_mean": 0.9,
@@ -490,6 +495,8 @@ class TestSweepCsv:
         assert len(loaded) == 1
         assert loaded[0]["cell"] == "m400_n100"
         assert float(loaded[0]["delta_mean"]) == 0.031
+        assert int(loaded[0]["converged"]) == 7
+        assert float(loaded[0]["iterations_mean"]) == 212.5
         assert loaded[0]["note"] == ""
 
 
@@ -632,6 +639,8 @@ class TestWriterBytes:
             "rule": "top_fraction",
             "seeds_ok": 2,
             "seeds_failed": 0,
+            "converged": 1,
+            "iterations_mean": 250.5,
             "delta_mean": 0.1,
             "delta_std": float("nan"),
             "accuracy_mean": None,
@@ -641,8 +650,9 @@ class TestWriterBytes:
         write_sweep(path, [row])
         assert path.read_text(encoding="utf-8") == (
             "cell,family,m,n_min,n_max,mu,mu_variant,rule,seeds_ok,seeds_failed,"
-            "delta_mean,delta_std,accuracy_mean,accuracy_std,note\n"
-            '"c,1",beta,400,50,100,0.8,known,top_fraction,2,0,0.1,nan,,,\n'
+            "converged,iterations_mean,delta_mean,delta_std,accuracy_mean,"
+            "accuracy_std,note\n"
+            '"c,1",beta,400,50,100,0.8,known,top_fraction,2,0,1,250.5,0.1,nan,,,\n'
         )
 
 

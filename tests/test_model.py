@@ -184,6 +184,30 @@ class TestHistories:
         # unique rows really are unique
         assert len({(s, n) for s, n in zip(sz_u, n_u)}) == len(sz_u)
 
+    @given(
+        st.lists(
+            st.integers(0, 80).flatmap(
+                lambda n: st.tuples(st.integers(0, n), st.just(n))
+            ),
+            max_size=60,
+        )
+    )
+    def test_suff_stats_equals_two_column_unique(self, pairs):
+        hists = [UserHistory(f"u{i}", s, n) for i, (s, n) in enumerate(pairs)]
+        stats = np.array(pairs, dtype=float).reshape(-1, 2)
+        uniq, inverse, counts = np.unique(
+            stats, axis=0, return_inverse=True, return_counts=True
+        )
+        sz_u, n_u, count_u, inv = suff_stats(hists)
+        for got, want in [
+            (sz_u, uniq[:, 0]),
+            (n_u, uniq[:, 1]),
+            (count_u, counts.astype(float)),
+            (inv, inverse.reshape(-1)),
+        ]:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
     def test_suff_stats_of_no_histories_is_empty(self):
         out = suff_stats([])
         assert len(out) == 4
