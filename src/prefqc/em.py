@@ -1,11 +1,14 @@
 """EM fitting of the attentiveness model.
 
-The E-step computes each user's posterior over eta given the current
-parameters: exactly for the two-point family (two responsibilities), on a
-trapezoid grid for continuous priors. The M-step maximizes the expected
-complete-data log-likelihood plus an optional regularizer on mu: closed form
-for the two-point family, a digamma moment system for the Beta family, and a
-golden-section search for mu when it is estimated rather than known.
+The E-step computes each (sum_z, n) row's posterior over eta given the
+current parameters, over the prior's support: exactly for the two-point
+family (two atoms), on a trapezoid grid for continuous priors. Both go
+through one probability-domain kernel (`model.ScaledKernel`), which hands
+the M-step the expected users, labels of 1 and labels of 0 at each support
+point. The M-step maximizes the expected complete-data log-likelihood plus
+an optional regularizer on mu: closed form for the two-point family, a
+digamma moment system for the Beta family, and a golden-section search for
+mu when it is estimated rather than known.
 
 Every M-step here is an exact maximizer of its block of the surrogate
 objective (clipping included: the objectives are concave per coordinate), so
@@ -30,7 +33,6 @@ from .model import (
     ScaledKernel,
     TwoPointPrior,
     UserHistory,
-    log_joint,
     log_joint_matrix,
     loglik_from_counts,
     suff_stats,
@@ -100,10 +102,9 @@ class FitReport:
     converged: bool
     stop_reason: StopReason
     clamp_events: tuple[ClampEvent, ...] = ()
-    # Grid fits: E-step rows, summed over iterations, that underflowed the
-    # probability domain and took log_joint. None for two-point fits, whose
-    # E-step is always log_joint.
-    fallback_rows: int | None = None
+    # E-step rows, summed over iterations, that underflowed the probability
+    # domain and took log_joint.
+    fallback_rows: int = 0
 
     @property
     def final_params(self) -> ModelParams:
@@ -334,27 +335,46 @@ def m_step_two_point(
     """
     if len(posteriors) != len(histories):
         raise ValueError("posteriors and histories must align")
-    gam = np.asarray(posteriors, dtype=float)
-    sz = np.array([h.sum_z for h in histories], dtype=float)
-    n = np.array([h.n for h in histories], dtype=float)
-    counts = np.ones_like(sz)
-    q1, eta_lo, eta_hi, _ = _two_point_update(gam[:, 0], gam[:, 1], sz, n, counts, mu)
+    totals = _em_weights(*_user_rows(histories)) @ np.asarray(posteriors, dtype=float)
+    q1, eta_lo, eta_hi, _ = _two_point_update(totals, len(histories), mu)
     return TwoPointPrior(q1=q1, eta_lo=eta_lo, eta_hi=eta_hi)
 
 
-def _two_point_update(gam1, gam2, sz, n, counts, mu):
-    """Weighted two-point M-step; returns (q1, eta_lo, eta_hi, clip_flags)."""
-    total = float(counts.sum())
-    q1 = float(np.dot(counts, gam1) / total)
+def _em_weights(sz, n, cnt):
+    """E-step weights of rows holding cnt users each with sum_z of n labels.
+
+    The three rows of the (3, R) result weigh each row's posterior by its
+    users, its labels of 1 (wins) and its labels of 0 (losses).
+    """
+    return np.stack([cnt, cnt * sz, cnt * (n - sz)])
+
+
+def _user_rows(histories):
+    """(sum_z, n, count) columns with one row per history."""
+    sz = np.array([h.sum_z for h in histories], dtype=float)
+    n = np.array([h.n for h in histories], dtype=float)
+    return sz, n, np.ones_like(sz)
+
+
+def _two_point_update(totals, users, mu):
+    """Two-point M-step from the (3, 2) atom totals of `_em_weights`.
+
+    Returns (q1, eta_lo, eta_hi, clip_flags): q1 is the low atom's share of
+    the users, and each atom's eta the Bernoulli MLE of its expected wins W
+    and losses L inverted through the response curve,
+    (W - L) / ((2 mu - 1)(W + L)), clipped to [0, 1].
+    """
+    q1 = float(totals[0, 0] / users)
     etas = []
     clipped = []
-    for idx, gam in enumerate((gam1, gam2)):
-        den = (2.0 * mu - 1.0) * float(np.dot(counts, n * gam))
+    for idx in range(2):
+        wins, losses = float(totals[1, idx]), float(totals[2, idx])
+        den = (2.0 * mu - 1.0) * (wins + losses)
         if den == 0.0:
             raise DegenerateComponentError(
                 f"two-point component {idx + 1} has no posterior mass"
             )
-        raw = float(np.dot(counts, (2.0 * sz - n) * gam)) / den
+        raw = (wins - losses) / den
         etas.append(min(max(raw, 0.0), 1.0))
         clipped.append(raw < 0.0 or raw > 1.0)
     eta_lo, eta_hi = etas
@@ -448,14 +468,6 @@ def _maximize_mu(support, win_counts, loss_counts, regularizer, xtol=1e-7):
     return x, at_boundary, f
 
 
-def _mu_counts(masses, sz, n, cnt):
-    """Expected (win, loss) label counts at each support point.
-
-    masses is rows x support; each row holds cnt users with sum_z of n.
-    """
-    return (cnt * sz) @ masses, (cnt * (n - sz)) @ masses
-
-
 def _mu_update_arrays(posteriors, current_prior):
     """(support, users x support masses) for the mu objective."""
     if not posteriors:
@@ -487,9 +499,7 @@ def m_step_mu(
     if len(posteriors) != len(histories):
         raise ValueError("posteriors and histories must align")
     support, masses = _mu_update_arrays(posteriors, current_prior)
-    sz = np.array([h.sum_z for h in histories], dtype=float)
-    n = np.array([h.n for h in histories], dtype=float)
-    wins, losses = _mu_counts(masses, sz, n, 1)
+    _, wins, losses = _em_weights(*_user_rows(histories)) @ masses
     mu, at_boundary, _ = _maximize_mu(support, wins, losses, regularizer)
     if at_boundary:
         logger.warning("mu update landed on the search boundary at %.6f", mu)
@@ -588,23 +598,16 @@ def em_fit(
     prev_objective = None
     prev_vec = None
 
-    # Two-point fits run the E-step in the log domain: the kernel has two
-    # columns and moves with the atoms. Grid fits hold the kernel in the
-    # probability domain, built once when mu is fixed and rebuilt in place
-    # when it moves; the weights give the M-step its node totals.
-    sz_col, n_col = sz_u[:, None], n_u[:, None]
-    fallback_rows = None
-    if not two_point:
-        kernel = ScaledKernel(sz_u, n_u, grid)
-        weights = np.stack([cnt, cnt * sz_u, cnt * (n_u - sz_u)])[: 3 if mu_free else 1]
-        fallback_rows = 0
+    # One E-step for both families: the kernel is rebuilt in place when mu
+    # or the support moves, and the weights give the M-step its totals over
+    # the support. A fixed-mu Beta step needs only the users.
+    kernel = ScaledKernel(sz_u, n_u, grid)
+    weights = _em_weights(sz_u, n_u, cnt)[: 3 if two_point or mu_free else 1]
+    fallback_rows = 0
 
     for iteration in range(config.max_iters + 1):
-        if two_point:
-            joint, per_row = log_joint(sz_col, n_col, params, grid)
-        else:
-            per_row, totals, fallbacks = kernel.e_step(params, weights)
-            fallback_rows += fallbacks
+        per_row, totals, fallbacks = kernel.e_step(params, weights)
+        fallback_rows += fallbacks
         loglik = float(np.dot(cnt, per_row))
         trajectory.append(TrajectoryPoint(iteration, params, loglik))
         objective = loglik if mu_logprior is None else loglik + mu_logprior(params.mu)
@@ -627,24 +630,16 @@ def em_fit(
         prev_objective, prev_vec = objective, vec
 
         if two_point:
-            # Responsibilities in place: the next E-step then runs beside one
-            # matrix from this one, not two.
-            masses = np.exp(joint - per_row[:, None], out=joint)
-            gam1, gam2 = masses[:, 0], masses[:, 1]
-            q1, eta_lo, eta_hi, flags = _two_point_update(
-                gam1, gam2, sz_u, n_u, cnt, params.mu
-            )
+            q1, eta_lo, eta_hi, flags = _two_point_update(totals, m, params.mu)
             clip_lo_flag, clip_hi_flag, swapped = flags
             if clip_lo_flag:
                 clamp_events.append(ClampEvent(iteration + 1, "eta_lo", eta_lo))
             if clip_hi_flag:
                 clamp_events.append(ClampEvent(iteration + 1, "eta_hi", eta_hi))
             new_prior: AttentivenessPrior = TwoPointPrior(q1, eta_lo, eta_hi)
-            if mu_free:
-                wins, losses = _mu_counts(masses, sz_u, n_u, cnt)
-                if swapped:  # the atoms traded places; so do their counts
-                    wins, losses = wins[::-1], losses[::-1]
-                mu_support = np.array([eta_lo, eta_hi])
+            if swapped:  # the atoms traded places; so do their totals
+                totals = totals[:, ::-1]
+            mu_support = np.array([eta_lo, eta_hi])
         else:
             r1 = float(totals[0] @ log_nodes / m)
             r2 = float(totals[0] @ log_1m_nodes / m)
@@ -658,14 +653,12 @@ def em_fit(
                     ClampEvent(iteration + 1, "alpha_beta_floor", sol.alpha)
                 )
             new_prior = BetaPrior(alpha=sol.alpha, beta=sol.beta)
-            if mu_free:
-                wins, losses = totals[1], totals[2]
-                mu_support = grid.nodes
+            mu_support = grid.nodes
 
         new_mu = params.mu
         if mu_free:
             cand, at_boundary, obj = _maximize_mu(
-                mu_support, wins, losses, config.regularizer
+                mu_support, totals[1], totals[2], config.regularizer
             )
             # Generalized-EM safeguard: never accept a mu that scores below
             # the current one (golden-section quantization can lose ~xtol^2).

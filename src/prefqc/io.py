@@ -472,9 +472,8 @@ def fit_to_dict(
             for e in report.clamp_events
         ],
         "labels_flipped": labels_flipped,
+        "fallback_rows": report.fallback_rows,
     }
-    if report.fallback_rows is not None:
-        out["fallback_rows"] = report.fallback_rows
     if delta is not None:
         out["delta"] = delta
     return out

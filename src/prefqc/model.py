@@ -9,8 +9,8 @@ built on the likelihood functions here.
 
 All likelihood code works from the sufficient statistic ``(sum_z, n)`` of a
 user's history and stays in log space: label counts reach the thousands and
-raw products would underflow. The grid E-step (`ScaledKernel`) leaves it
-only after scaling each row by its largest term.
+raw products would underflow. The E-step of both prior families
+(`ScaledKernel`) leaves it only after scaling each row by its largest term.
 """
 
 from dataclasses import dataclass
@@ -382,16 +382,19 @@ def log_joint(sum_z, n, params: ModelParams, grid: QuadratureGrid):
 
 
 class ScaledKernel:
-    """The E-step of a continuous prior, in the probability domain.
+    """The E-step in the probability domain, over either prior family's support.
 
-    Holds P = exp(L - rowmax(L)) for (sum_z, n) rows on a grid's nodes, L
-    being the log-likelihood kernel at one mu, in one rows x nodes buffer
-    that is allocated once and rebuilt in place whenever mu moves. With the
-    prior's grid masses scaled to w = exp(log_mass - max), a row's marginal
-    is rowmax + max + log(P @ w) and its posterior is P * w / (P @ w), so an
-    E-step costs matrix-vector products and no exp over the matrix.
+    Holds P = exp(L - rowmax(L)) for (sum_z, n) rows on the support that
+    `prior_log_masses` gives (two atoms, or a grid's nodes), L being the
+    log-likelihood kernel at one mu, in one rows x support buffer. The
+    buffer is allocated once and rebuilt in place whenever mu or the
+    support moves: every iteration of a two-point fit, only when mu moves
+    for a continuous prior. With the prior's masses scaled to
+    w = exp(log_mass - max), a row's marginal is rowmax + max + log(P @ w)
+    and its posterior is P * w / (P @ w), so an E-step costs
+    matrix-vector products and no exp over the matrix.
 
-    A row whose s = P @ w falls below nodes * 2**53 * tiny takes the
+    A row whose s = P @ w falls below support * 2**53 * tiny takes the
     log-domain path (`log_joint`) instead. Above that limit every term
     P[r, k] * w[k] that moves s by a rounding unit is a normal float, so
     underflow and subnormals cost less than one ulp of s.
@@ -403,29 +406,31 @@ class ScaledKernel:
         if np.any(self.sum_z < 0) or np.any(self.sum_z > self.n):
             raise ValueError("need 0 <= sum_z <= n")
         self.grid = grid
-        self.fallback_below = grid.size * 2.0**53 * np.finfo(float).tiny
-        self.p = np.empty((self.sum_z.size, grid.size))
+        self.p = None
         self.rowmax = np.empty(self.sum_z.size)
-        self.mu = None
+        self.mu = self.support = None
 
-    def _build(self, mu: float) -> None:
+    def _build(self, mu: float, support: np.ndarray) -> None:
+        if self.p is None:
+            self.p = np.empty((self.sum_z.size, support.size))
+            self.fallback_below = support.size * 2.0**53 * np.finfo(float).tiny
         p = self.p
-        _kernel(self.sum_z[:, None], self.n[:, None], mu, self.grid.nodes, out=p)
+        _kernel(self.sum_z[:, None], self.n[:, None], mu, support, out=p)
         np.max(p, axis=1, out=self.rowmax)
         p -= self.rowmax[:, None]
         np.exp(p, out=p)
-        self.mu = mu
+        self.mu, self.support = mu, support
 
     def e_step(self, params: ModelParams, weights):
-        """Each row's log marginal and posterior-weighted node totals.
+        """Each row's log marginal and posterior-weighted support totals.
 
         `weights` is (J, R). Returns (per_row, totals, fallbacks): totals[j]
         is sum over rows r of weights[j, r] times row r's posterior masses on
-        the nodes, and fallbacks the number of rows that took `log_joint`.
+        the support, and fallbacks the number of rows that took `log_joint`.
         """
-        if params.mu != self.mu:
-            self._build(params.mu)
-        _, log_mass = prior_log_masses(params.prior, self.grid)
+        support, log_mass = prior_log_masses(params.prior, self.grid)
+        if params.mu != self.mu or not np.array_equal(support, self.support):
+            self._build(params.mu, support)
         top = float(log_mass.max())
         w = np.exp(log_mass - top)
         s = self.p @ w
@@ -449,15 +454,11 @@ def observed_loglik(histories, params: ModelParams, grid: QuadratureGrid) -> flo
     """Observed-data log-likelihood: sum over users of the log marginal.
 
     The per-user marginal integrates the likelihood against the prior,
-    exactly for the two-point family (a log-sum-exp over the atoms) and by
-    trapezoid quadrature for continuous ones, through `ScaledKernel`.
+    exactly for the two-point family (a sum over the atoms) and by trapezoid
+    quadrature for continuous ones, through the E-step's `ScaledKernel`.
     """
     if not histories:
         return 0.0
     sum_z_u, n_u, counts, _ = suff_stats(histories)
-    if isinstance(params.prior, TwoPointPrior):
-        _, per_row = log_joint(sum_z_u[:, None], n_u[:, None], params, grid)
-    else:
-        kernel = ScaledKernel(sum_z_u, n_u, grid)
-        per_row, _, _ = kernel.e_step(params, counts[None, :])
+    per_row, _, _ = ScaledKernel(sum_z_u, n_u, grid).e_step(params, counts[None, :])
     return float(np.dot(counts, per_row))

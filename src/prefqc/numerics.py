@@ -19,6 +19,11 @@ _DIGAMMA_SHIFT = 6.0
 # Admissible floor for Beta shape parameters (strictly > 1 family).
 BETA_SHAPE_FLOOR = 1.0 + 1e-6
 
+# Newton's shape box: above the finite-difference trigamma's step, and below
+# where that difference, about 1e-6 / x, sinks under digamma's rounding.
+_LOG_SHAPE_MIN = math.log(1e-6)
+_LOG_SHAPE_MAX = math.log(1e8)
+
 
 def digamma(x):
     """Digamma psi(x) for x > 0, absolute error <= 1e-10.
@@ -207,40 +212,14 @@ def _solve_coordinate(fixed: float, rhs: float, start: float) -> float:
     return b
 
 
-def solve_beta_system(
-    rhs_log_eta: float,
-    rhs_log_1meta: float,
-    *,
-    tol: float = 1e-9,
-    max_iters: int = 200,
-    start: tuple[float, float] | None = None,
-) -> BetaSolution:
-    """Solve psi(a) - psi(a+b) = rhs1, psi(b) - psi(a+b) = rhs2 for (a, b).
+def _newton(a: float, b: float, rhs1: float, rhs2: float, tol: float, max_iters: int):
+    """Damped Newton in (log a, log b) from (a, b); SolverError if it fails.
 
-    The right-hand sides are averages of log eta and log(1-eta) over (0,1),
-    hence strictly negative. Newton runs in (log a, log b) with step halving;
-    a fixed-point sweep through the inverse digamma supplies the start unless
-    `start` gives one (callers iterating nearby systems pass the previous
-    solution). The result is clamped to a, b > 1 + 1e-6 (the admissible
-    family); when the clamp binds, the free coordinate is re-solved and
-    `clamped` is set.
+    A trial point is accepted only inside the shape box, where digamma and
+    its finite-difference derivative resolve, and only if it lowers the
+    residual.
     """
-    if not (rhs_log_eta < 0.0 and rhs_log_1meta < 0.0):
-        raise ValueError("both right-hand sides must be strictly negative")
-
-    if start is not None and start[0] > 0.0 and start[1] > 0.0:
-        a, b = float(start[0]), float(start[1])
-    else:
-        # Fixed-point warm start: a <- invpsi(psi(a+b) + rhs).
-        a, b = 2.0, 2.0
-        for _ in range(12):
-            psi_ab = digamma(a + b)
-            pair = _inv_digamma(
-                np.array([psi_ab + rhs_log_eta, psi_ab + rhs_log_1meta])
-            )
-            a, b = float(pair[0]), float(pair[1])
-
-    r1, r2 = _residuals(a, b, rhs_log_eta, rhs_log_1meta)
+    r1, r2 = _residuals(a, b, rhs1, rhs2)
     norm = max(abs(r1), abs(r2))
     it = 0
     while norm > tol:
@@ -261,16 +240,64 @@ def solve_beta_system(
         dv = -(-j21 * r1 + j11 * r2) / det
         lam = 1.0
         for _ in range(50):
-            na = a * math.exp(lam * du)
-            nb = b * math.exp(lam * dv)
-            n1, n2 = _residuals(na, nb, rhs_log_eta, rhs_log_1meta)
-            if max(abs(n1), abs(n2)) < norm:
-                break
+            if _in_shape_box(math.log(a) + lam * du, math.log(b) + lam * dv):
+                na = a * math.exp(lam * du)
+                nb = b * math.exp(lam * dv)
+                n1, n2 = _residuals(na, nb, rhs1, rhs2)
+                if max(abs(n1), abs(n2)) < norm:
+                    break
             lam *= 0.5
         else:
             raise SolverError("damping stalled", a, b, (r1, r2))
         a, b, r1, r2 = na, nb, n1, n2
         norm = max(abs(r1), abs(r2))
+    return a, b
+
+
+def _in_shape_box(*log_shapes: float) -> bool:
+    return all(_LOG_SHAPE_MIN < u < _LOG_SHAPE_MAX for u in log_shapes)
+
+
+def solve_beta_system(
+    rhs_log_eta: float,
+    rhs_log_1meta: float,
+    *,
+    tol: float = 1e-9,
+    max_iters: int = 200,
+    start: tuple[float, float] | None = None,
+) -> BetaSolution:
+    """Solve psi(a) - psi(a+b) = rhs1, psi(b) - psi(a+b) = rhs2 for (a, b).
+
+    The right-hand sides are averages of log eta and log(1-eta) over (0,1),
+    hence strictly negative. Newton runs in (log a, log b) with step halving;
+    a fixed-point sweep through the inverse digamma supplies the start unless
+    `start` gives one (callers iterating nearby systems pass the previous
+    solution). A given start that Newton cannot take to the root, one far
+    from it, falls back to the fixed-point start. The result is clamped to
+    a, b > 1 + 1e-6 (the admissible family); when the clamp binds, the free
+    coordinate is re-solved and `clamped` is set.
+    """
+    if not (rhs_log_eta < 0.0 and rhs_log_1meta < 0.0):
+        raise ValueError("both right-hand sides must be strictly negative")
+
+    solved = None
+    if start is not None and min(start) > 0.0 and _in_shape_box(*np.log(start)):
+        a, b = float(start[0]), float(start[1])
+        try:
+            solved = _newton(a, b, rhs_log_eta, rhs_log_1meta, tol, max_iters)
+        except SolverError:
+            pass  # too far from the root: restart from the fixed point
+    if solved is None:
+        # Fixed-point warm start: a <- invpsi(psi(a+b) + rhs).
+        a, b = 2.0, 2.0
+        for _ in range(12):
+            psi_ab = digamma(a + b)
+            pair = _inv_digamma(
+                np.array([psi_ab + rhs_log_eta, psi_ab + rhs_log_1meta])
+            )
+            a, b = float(pair[0]), float(pair[1])
+        solved = _newton(a, b, rhs_log_eta, rhs_log_1meta, tol, max_iters)
+    a, b = solved
 
     clamped = False
     if a < BETA_SHAPE_FLOOR and b < BETA_SHAPE_FLOOR:

@@ -5,16 +5,22 @@ library's optimised code must reproduce exactly: the same values, the same
 output bytes, the same error type, message and line number. Tests compare
 the two on generated inputs; the library never imports this module.
 
-The grid E-step references (`row_log_marginal`, `beta_em_moments`) are the
-exception: they loop per row and per node in Python floats and sum with
-`math.fsum`, and the library's E-step must agree with them within this
-tolerance contract, which every change that moves output bits is judged by:
+The E-step references (`row_log_marginal` and `beta_em_moments` for the
+grid, `two_point_em_step` for two atoms) are the exception: they loop per
+row and per support point in Python floats and sum with `math.fsum`, and
+the library's E-step must agree with them within this tolerance contract,
+which every change that moves output bits is judged by:
 
-- a row's observed log marginal: relative 1e-12;
+- a row's observed log marginal, on the grid or over two atoms:
+  relative 1e-12;
 - the Beta M-step moments r1 = E[log eta] and r2 = E[log(1 - eta)],
   averaged over users: absolute 1e-12;
 - the expected wins and losses per node that the mu step maximizes over:
   absolute 1e-12 times the total number of labels;
+- the expected users, wins and losses per two-point atom: absolute 1e-12
+  times the total number of labels;
+- the two-point parameters one EM step gives (q1, eta_lo, eta_hi):
+  absolute 1e-12;
 - converged fixed-mu parameters: within the fit's `tol_param` of those
   the code gave before the change;
 - decisions: identical, except for users whose score lies within 1e-12 of
@@ -233,3 +239,48 @@ def beta_em_moments(rows, params, grid):
         [math.fsum(v) for v in wins],
         [math.fsum(v) for v in losses],
     )
+
+
+def _two_point_atom_terms(sum_z, n, params) -> list[float]:
+    """log(mass) + log-likelihood of one row at each atom with positive mass."""
+    prior: TwoPointPrior = params.prior
+    terms = []
+    for mass, eta in ((prior.q1, prior.eta_lo), (prior.q2, prior.eta_hi)):
+        g = 0.5 + eta * (params.mu - 0.5)
+        loglik = sum_z * math.log(g) + (n - sum_z) * math.log1p(-g)
+        terms.append(math.log(mass) + loglik if mass > 0.0 else -math.inf)
+    return terms
+
+
+def two_point_em_step(rows, params):
+    """One two-point EM step at fixed mu over `rows` of (sum_z, n, count).
+
+    Returns (per_row, users, wins, losses, prior): each row's log marginal
+    over the two atoms; per atom the expected count of users, of labels of 1
+    and of labels of 0; and the closed-form update as a TwoPointPrior, each
+    eta = (wins - losses) / ((2 mu - 1)(wins + losses)) clipped to [0, 1],
+    the atoms put in order with q1 following the low one.
+    """
+    per_row = []
+    users, wins, losses = ([], []), ([], []), ([], [])
+    for sum_z, n, count in rows:
+        terms = _two_point_atom_terms(sum_z, n, params)
+        top = max(terms)
+        norm = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        per_row.append(norm)
+        for k, t in enumerate(terms):
+            q = count * math.exp(t - norm)
+            users[k].append(q)
+            wins[k].append(q * sum_z)
+            losses[k].append(q * (n - sum_z))
+    users, wins, losses = (
+        [math.fsum(v) for v in totals] for totals in (users, wins, losses)
+    )
+    etas = [
+        min(max((w - l) / ((2.0 * params.mu - 1.0) * (w + l)), 0.0), 1.0)
+        for w, l in zip(wins, losses)
+    ]
+    q1 = users[0] / math.fsum(count for _, _, count in rows)
+    if etas[0] > etas[1]:
+        etas, q1 = etas[::-1], 1.0 - q1
+    return per_row, users, wins, losses, TwoPointPrior(q1, *etas)

@@ -1,9 +1,11 @@
-"""The probability-domain grid E-step against the math.fsum reference.
+"""The probability-domain E-step against the math.fsum references.
 
 `ScaledKernel.e_step` must meet the tolerance contract written in
-`tests/reference.py`: each row's log marginal, the Beta M-step moments and
-the per-node expected wins and losses. Rows whose probability-domain sum
-underflows take the log-domain fallback, which is tested on its own.
+`tests/reference.py`: on the grid, each row's log marginal, the Beta M-step
+moments and the per-node expected wins and losses; over two atoms, each
+row's log marginal, the per-atom expected users, wins and losses, and the
+parameters of one EM step. Rows whose probability-domain sum underflows
+take the log-domain fallback, which is tested on its own.
 """
 
 import json
@@ -16,6 +18,7 @@ from prefqc import (
     EmConfig,
     ModelParams,
     QuadratureGrid,
+    TwoPointPrior,
     UserHistory,
     em_fit,
     observed_loglik,
@@ -40,12 +43,23 @@ PARAMS = [
 ]
 
 
-def random_rows(seed, users=40, max_n=60):
+def random_histories(seed, users=40, max_n=60):
     rng = np.random.default_rng(seed)
     n = rng.integers(0, max_n + 1, size=users)
     sum_z = rng.integers(0, n + 1)
-    hists = [UserHistory(f"u{i}", s, k) for i, (s, k) in enumerate(zip(sum_z, n))]
-    return suff_stats(hists)
+    return [UserHistory(f"u{i}", s, k) for i, (s, k) in enumerate(zip(sum_z, n))]
+
+
+def random_rows(seed, users=40, max_n=60):
+    return suff_stats(random_histories(seed, users, max_n))
+
+
+def long_histories(seed, users=200):
+    """Label counts shaped like the two-point benchmark's: 500 to 1500 each."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(500, 1501, size=users)
+    sum_z = rng.binomial(n, rng.uniform(0.45, 0.8, size=users))
+    return [UserHistory(f"u{i}", s, k) for i, (s, k) in enumerate(zip(sum_z, n))]
 
 
 def em_weights(sz, n, cnt):
@@ -130,7 +144,79 @@ def test_ordinary_fits_take_no_fallback():
     report = em_fit(hists, EmConfig(family="beta", mu=0.8))
     assert report.fallback_rows == 0
     two_point = em_fit(hists, EmConfig(family="two_point", mu=0.8))
-    assert two_point.fallback_rows is None
+    assert two_point.fallback_rows == 0
+
+
+# (prior, mu) at the first E-step, then after the atoms (and mu) move.
+TWO_POINT = [
+    (TwoPointPrior(0.6, 0.4, 0.98), 0.8, TwoPointPrior(0.55, 0.35, 0.9), 0.85),
+    (TwoPointPrior(0.5, 0.25, 0.75), 0.6, TwoPointPrior(0.3, 0.0, 1.0), 0.6),
+    (TwoPointPrior(0.9, 0.05, 0.5), 0.95, TwoPointPrior(0.2, 0.1, 0.6), 0.7),
+]
+
+
+def assert_two_point_meets_contract(kernel, params, hists, grid):
+    sz, n, cnt, _ = suff_stats(hists)
+    per_row, totals, _ = kernel.e_step(params, em_weights(sz, n, cnt))
+    rows = list(zip(sz.tolist(), n.tolist(), cnt.tolist()))
+    want_rows, users, wins, losses, prior = ref.two_point_em_step(rows, params)
+    np.testing.assert_allclose(per_row, want_rows, rtol=1e-12, atol=0)
+    labels = float(np.dot(cnt, n))
+    for got, want in zip(totals, (users, wins, losses)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * labels)
+    # The parameters em_fit's first M-step forms from the same totals.
+    step = em_fit(hists, EmConfig(init=params, grid=grid, max_iters=1))
+    got = step.trajectory[1].params.prior
+    np.testing.assert_allclose(
+        [got.q1, got.eta_lo, got.eta_hi],
+        [prior.q1, prior.eta_lo, prior.eta_hi],
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+@pytest.mark.parametrize(
+    "hists",
+    [random_histories(1), random_histories(2), long_histories(3), long_histories(4)],
+    ids=["short-1", "short-2", "long-3", "long-4"],
+)
+@pytest.mark.parametrize("prior, mu, moved_prior, moved_mu", TWO_POINT)
+def test_two_point_e_step_meets_contract_as_the_atoms_move(
+    grid, hists, prior, mu, moved_prior, moved_mu
+):
+    sz, n, _, _ = suff_stats(hists)
+    kernel = ScaledKernel(sz, n, grid)
+    assert_two_point_meets_contract(kernel, ModelParams(prior, mu), hists, grid)
+    # The rows x 2 buffer is rebuilt in place at the moved atoms and mu.
+    buffer = kernel.p
+    moved = ModelParams(moved_prior, moved_mu)
+    assert_two_point_meets_contract(kernel, moved, hists, grid)
+    assert kernel.p is buffer and buffer.shape == (sz.size, 2)
+
+
+def test_two_point_underflowing_row_falls_back_to_log_joint(grid):
+    # The low atom's mass, 1e-300, leaves P @ w at 1e-300 for this row.
+    params = ModelParams(TwoPointPrior(1e-300, 0.1, 0.95), 0.8)
+    sz, n, cnt = np.array([0.0]), np.array([1500.0]), np.ones(1)
+    kernel = ScaledKernel(sz, n, grid)
+    per_row, totals, fallbacks = kernel.e_step(params, em_weights(sz, n, cnt))
+    assert fallbacks == 1
+    _, want = log_joint(sz[:, None], n[:, None], params, grid)
+    assert np.array_equal(per_row, want)
+    want_rows, *want_totals, _ = ref.two_point_em_step([(0.0, 1500.0, 1.0)], params)
+    np.testing.assert_allclose(per_row, want_rows, rtol=1e-12, atol=0)
+    for got, want_total in zip(totals, want_totals):
+        np.testing.assert_allclose(got, want_total, rtol=0, atol=1e-12 * 1500)
+
+
+def test_fit_from_a_far_beta_start_completes(grid):
+    # The first M-step starts Newton at Beta(1000, 2), far from its root;
+    # the solver must still converge or restart, not fail.
+    params, _, _ = fallback_case(grid)
+    hists = [UserHistory("far", 0, 2000), UserHistory("near", 30, 40)]
+    report = em_fit(hists, EmConfig(init=params, grid=grid))
+    assert report.stop_reason == "param_tol"
+    assert report.fallback_rows >= 1
 
 
 def test_observed_loglik_meets_contract(grid):

@@ -372,8 +372,8 @@ class TestFitReports:
             "fallback_rows",
         }
         assert obj["labels_flipped"] is False
-        # Two-point fits have no probability-domain E-step to fall back from.
-        assert "fallback_rows" not in fit_to_dict(small_fit("two_point"))
+        # Two-point fits count their fallback rows too.
+        assert fit_to_dict(small_fit("two_point"))["fallback_rows"] == 0
         with_delta = fit_to_dict(report, labels_flipped=True, delta=0.12)
         assert with_delta["delta"] == 0.12 and with_delta["labels_flipped"] is True
 

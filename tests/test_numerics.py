@@ -184,6 +184,22 @@ class TestSolveBetaSystem:
         assert warm.alpha == pytest.approx(cold.alpha, abs=1e-7)
         assert warm.beta == pytest.approx(cold.beta, abs=1e-7)
 
+    @pytest.mark.parametrize("start", [(1000.0, 2.0), (1e4, 1.5), (1e-3, 1e6)])
+    @pytest.mark.parametrize(
+        "rhs", [(-1.0, -0.6), (PSI_3_MINUS_PSI_8, PSI_5_MINUS_PSI_8)]
+    )
+    def test_far_start_reaches_the_cold_solution(self, rhs, start):
+        # Newton from these starts leaves the shape box or stalls; the
+        # solver must then restart from its own fixed-point start.
+        cold = solve_beta_system(*rhs)
+        far = solve_beta_system(*rhs, start=start)
+        psi = digamma(np.array([far.alpha, far.beta, far.alpha + far.beta]))
+        assert abs(psi[0] - psi[2] - rhs[0]) <= 1e-9
+        assert abs(psi[1] - psi[2] - rhs[1]) <= 1e-9
+        assert far.alpha == pytest.approx(cold.alpha, rel=1e-7)
+        assert far.beta == pytest.approx(cold.beta, rel=1e-7)
+        assert not far.clamped
+
     def test_clamp_resolves_free_coordinate(self):
         # Moments of Beta(0.5, 6): the unconstrained root sits below the
         # alpha > 1 floor, so alpha clamps and beta is re-solved.
