@@ -41,7 +41,6 @@ from .model import (
     ModelParams,
     TwoPointPrior,
     histories_from_columns,
-    histories_from_records,
 )
 from .numerics import SolverError
 from .simulate import (
@@ -50,7 +49,7 @@ from .simulate import (
     estimate_mu,
     prior_quantile,
     scenario_preset,
-    simulate_dataset,
+    simulate_columns,
 )
 
 EXIT_OK = 0
@@ -98,12 +97,12 @@ def _resolve_scenario(cfg: dict, seed_override: int | None):
 def _cmd_simulate(cfg: dict, args) -> None:
     scenario = _resolve_scenario(cfg, args.seed)
     out = _out_dir(cfg)
-    records, truth = simulate_dataset(scenario)
-    fio.write_annotations(out / "annotations.jsonl", records)
+    columns, truth = simulate_columns(scenario)
+    fio.write_annotation_columns(out / "annotations.jsonl", columns)
     fio.write_truth(out / "truth.csv", truth)
     fio.write_json(out / "scenario.json", fio.encode_scenario(scenario))
     print(
-        f"simulate: {len(records)} annotations from {scenario.num_users} users "
+        f"simulate: {len(columns)} annotations from {scenario.num_users} users "
         f"(seed {scenario.seed}) -> {out}"
     )
 
@@ -337,8 +336,8 @@ def _run_eval_fit(fit: dict) -> list[dict]:
     try:
         scenario = fio.decode_scenario(fit["scenario"])
         scenario = dataclasses.replace(scenario, seed=seed)
-        records, truth = simulate_dataset(scenario)
-        histories = histories_from_records(records)
+        columns, truth = simulate_columns(scenario)
+        histories = histories_from_columns(columns)
         variant = fit["mu_variant"]
         if variant == "known":
             mu_keys = {"mu": scenario.mu}

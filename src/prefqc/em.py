@@ -7,8 +7,8 @@ through one probability-domain kernel (`model.ScaledKernel`), which hands
 the M-step the expected users, labels of 1 and labels of 0 at each support
 point. The M-step maximizes the expected complete-data log-likelihood plus
 an optional regularizer on mu: closed form for the two-point family, a
-digamma moment system for the Beta family, and a golden-section search for
-mu when it is estimated rather than known.
+digamma moment system for the Beta family, and a bracketed Newton method on
+the derivative in mu when mu is estimated rather than known.
 
 Every M-step here is an exact maximizer of its block of the surrogate
 objective (clipping included: the objectives are concave per coordinate), so
@@ -45,7 +45,6 @@ logger = logging.getLogger(__name__)
 # degenerate at 1, so both ends are padded.
 MU_SEARCH_LO = 0.5 + 1e-4
 MU_SEARCH_HI = 1.0 - 1e-4
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -404,68 +403,96 @@ def m_step_beta(
 
 
 def _regularizer_terms(regularizer: RegularizerSpec):
-    """(log-prior callable, search interval) for the mu update."""
+    """(pa, pb, lo, hi) for the mu update.
+
+    The log-prior on mu is pa*log(mu) + pb*log(1 - mu), zero unless the
+    regularizer is a LogPriorOnMu; [lo, hi] is the search interval.
+    """
     lo, hi = MU_SEARCH_LO, MU_SEARCH_HI
     if isinstance(regularizer, BoxOnMu):
         lo = max(lo, regularizer.lo)
         hi = min(hi, regularizer.hi)
         if lo >= hi:
             raise ValueError("BoxOnMu interval is empty after padding")
-        return None, lo, hi
+        return 0.0, 0.0, lo, hi
     if isinstance(regularizer, LogPriorOnMu):
-        a, b = regularizer.a, regularizer.b
-
-        def logprior(mu: float) -> float:
-            return (a - 1.0) * math.log(mu) + (b - 1.0) * math.log1p(-mu)
-
-        return logprior, lo, hi
+        return regularizer.a - 1.0, regularizer.b - 1.0, lo, hi
     if regularizer is None:
-        return None, lo, hi
+        return 0.0, 0.0, lo, hi
     raise TypeError(f"unknown regularizer {regularizer!r}")
 
 
-def _mu_objective(support, win_counts, loss_counts, logprior):
+def _mu_log_prior(pa: float, pb: float, mu: float) -> float:
+    return pa * math.log(mu) + pb * math.log1p(-mu)
+
+
+def _mu_objective(support, win_counts, loss_counts, pa, pb):
     def objective(mu: float) -> float:
         g = 0.5 + support * (mu - 0.5)
         val = float(np.dot(win_counts, np.log(g)) + np.dot(loss_counts, np.log1p(-g)))
-        if logprior is not None:
-            val += logprior(mu)
+        if pa or pb:
+            val += _mu_log_prior(pa, pb, mu)
         return val
 
     return objective
 
 
-def _maximize_mu(support, win_counts, loss_counts, regularizer, xtol=1e-7):
-    """Golden-section argmax of the (concave) expected-likelihood term in mu.
+def _maximize_mu(support, win_counts, loss_counts, regularizer, start=None):
+    """Argmax over mu of the expected-likelihood term plus the log-prior.
+
+    A bracketed Newton method on the derivative, started from `start` (the
+    middle of the search interval by default): a step that leaves the
+    bracket becomes a bisection, and the search stops once a step moves mu
+    by at most 1e-12 relative. When the derivative at the start points
+    towards an end of the interval where it keeps its sign, the maximum is
+    that end, returned exactly. The objective is concave unless a
+    LogPriorOnMu has a < 1 or b < 1; then this finds a local maximum.
 
     Returns (mu, at_boundary, objective), the objective being the function
     of mu that was maximized.
     """
-    logprior, lo, hi = _regularizer_terms(regularizer)
-    f = _mu_objective(support, win_counts, loss_counts, logprior)
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
+    pa, pb, lo, hi = _regularizer_terms(regularizer)
+    f = _mu_objective(support, win_counts, loss_counts, pa, pb)
+
+    def deriv(mu: float) -> tuple[float, float]:
+        # First and second derivative of sum W log g + L log(1 - g) plus the
+        # log-prior, with g = 1/2 + s (mu - 1/2) at each support point s.
+        g = support * (mu - 0.5) + 0.5
+        t = support / g
+        u = support / (1.0 - g)
+        q = 1.0 - mu
+        d1 = float(win_counts @ t - loss_counts @ u) + pa / mu - pb / q
+        d2 = float(win_counts @ (t * t) + loss_counts @ (u * u))
+        return d1, -d2 - pa / (mu * mu) - pb / (q * q)
+
+    x = 0.5 * (lo + hi) if start is None else min(max(start, lo), hi)
+    d1, d2 = deriv(x)
+    if d1 > 0.0:
+        if deriv(hi)[0] >= 0.0:
+            return hi, True, f
+        a, b = x, hi
+    elif d1 < 0.0:
+        if deriv(lo)[0] <= 0.0:
+            return lo, True, f
+        a, b = lo, x
+    else:
+        return x, False, f
+    for _ in range(200):
+        nx = x - d1 / d2 if d2 < 0.0 else math.nan
+        if not a < nx < b:  # also catches nan
+            nx = 0.5 * (a + b)
+        done = abs(nx - x) <= 1e-12 * nx
+        x = nx
+        if done:
+            break
+        d1, d2 = deriv(x)
+        if d1 > 0.0:
+            a = x
+        elif d1 < 0.0:
+            b = x
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    fx = f(x)
-    at_boundary = False
-    # Snap to an endpoint when it is at least as good: constrained optima
-    # land exactly on the box edge instead of xtol shy of it.
-    for bound in (lo, hi):
-        fb = f(bound)
-        if fb >= fx:
-            x, fx, at_boundary = bound, fb, True
-    return x, at_boundary, f
+            break
+    return x, False, f
 
 
 def _mu_update_arrays(posteriors, current_prior):
@@ -586,9 +613,8 @@ def em_fit(
 
     # With a log-prior on free mu the M-step maximizes the penalized
     # objective, so that is the quantity the monotonicity guard watches.
-    mu_logprior, _, _ = _regularizer_terms(config.regularizer)
-    if not mu_free:
-        mu_logprior = None
+    pa, pb, _, _ = _regularizer_terms(config.regularizer)
+    penalized = mu_free and isinstance(config.regularizer, LogPriorOnMu)
 
     trajectory: list[TrajectoryPoint] = []
     clamp_events: list[ClampEvent] = []
@@ -610,7 +636,7 @@ def em_fit(
         fallback_rows += fallbacks
         loglik = float(np.dot(cnt, per_row))
         trajectory.append(TrajectoryPoint(iteration, params, loglik))
-        objective = loglik if mu_logprior is None else loglik + mu_logprior(params.mu)
+        objective = loglik + _mu_log_prior(pa, pb, params.mu) if penalized else loglik
 
         if prev_objective is not None and objective < prev_objective - config.tol_loglik:
             stop_reason = "likelihood_decrease"
@@ -658,10 +684,10 @@ def em_fit(
         new_mu = params.mu
         if mu_free:
             cand, at_boundary, obj = _maximize_mu(
-                mu_support, totals[1], totals[2], config.regularizer
+                mu_support, totals[1], totals[2], config.regularizer, params.mu
             )
             # Generalized-EM safeguard: never accept a mu that scores below
-            # the current one (golden-section quantization can lose ~xtol^2).
+            # the current one (near the optimum the two differ by rounding).
             if obj(cand) >= obj(params.mu):
                 new_mu = cand
                 if at_boundary:

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .model import AnnotationRecord, BetaPrior, TwoPointPrior
+from .model import AnnotationColumns, AnnotationRecord, BetaPrior, TwoPointPrior
 
 logger = logging.getLogger(__name__)
 
@@ -209,14 +209,15 @@ def _id_width(count: int) -> int:
     return max(4, len(str(count - 1)))
 
 
-def simulate_dataset(
+def simulate_columns(
     scenario: SimulationScenario,
-) -> tuple[list[AnnotationRecord], list[tuple[str, float]]]:
-    """Draw a full dataset; returns (records, [(user_id, true_eta)]).
+) -> tuple[AnnotationColumns, list[tuple[str, float]]]:
+    """Draw a full dataset as columns; returns (columns, [(user_id, true_eta)]).
 
     Stream layout: one master stream draws every user's eta and label count,
     then each user gets an independent spawned stream for their item-level
-    draws. Output is byte-identical for equal scenarios.
+    draws. Records come user by user, each user's items in order, and every
+    item id is distinct. Output is byte-identical for equal scenarios.
     """
     m = scenario.num_users
     n_min, n_max = scenario.n_range
@@ -227,10 +228,10 @@ def simulate_dataset(
 
     user_width = _id_width(m)
     item_width = _id_width(n_max)
-    records: list[AnnotationRecord] = []
-    truth: list[tuple[str, float]] = []
-    for j in range(m):
-        user_id = f"u{j:0{user_width}d}"
+    user_ids = [f"u{j:0{user_width}d}" for j in range(m)]
+    item_ids: list[str] = []
+    labels = []
+    for j, user_id in enumerate(user_ids):
         n_j = int(label_counts[j])
         rng = np.random.default_rng(children[j + 1])
         if scenario.per_item_p_model is None:
@@ -243,17 +244,27 @@ def simulate_dataset(
             )
         attentive = rng.random(n_j) < etas[j]
         u = rng.random(n_j)
-        labels = np.where(attentive, u < p, u < 0.5)
-        records.extend(
-            AnnotationRecord(
-                user_id=user_id,
-                item_id=f"{user_id}-{i:0{item_width}d}",
-                label=int(labels[i]),
-            )
-            for i in range(n_j)
-        )
-        truth.append((user_id, float(etas[j])))
-    return records, truth
+        labels.append(np.where(attentive, u < p, u < 0.5))
+        item_ids.extend(f"{user_id}-{i:0{item_width}d}" for i in range(n_j))
+    columns = AnnotationColumns(
+        user_ids,
+        item_ids,
+        np.repeat(np.arange(m, dtype=np.intp), label_counts),
+        np.arange(len(item_ids), dtype=np.intp),
+        np.concatenate(labels).astype(np.int8),
+    )
+    return columns, list(zip(user_ids, etas.astype(float).tolist()))
+
+
+def simulate_dataset(
+    scenario: SimulationScenario,
+) -> tuple[list[AnnotationRecord], list[tuple[str, float]]]:
+    """Draw a full dataset; returns (records, [(user_id, true_eta)]).
+
+    The records of `simulate_columns`, one per label.
+    """
+    columns, truth = simulate_columns(scenario)
+    return columns.to_records(), truth
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ which every change that moves output bits is judged by:
   absolute 1e-12;
 - converged fixed-mu parameters: within the fit's `tol_param` of those
   the code gave before the change;
+- a row's posterior summary (`row_summary`): the mean and each tail
+  probability absolute 1e-12; the MAP the same node, unless the row's two
+  largest log densities lie within 1e-12 of each other;
+- the mu step (`mu_argmax`): within 1e-10 of the argmax, and exactly on
+  the end of the search interval when the maximum lies there;
 - decisions: identical, except for users whose score lies within 1e-12 of
   the selection cut.
 """
@@ -35,6 +40,8 @@ import numpy as np
 
 from prefqc import (
     AnnotationRecord,
+    BoxOnMu,
+    LogPriorOnMu,
     BetaPrior,
     FilteredDataset,
     GridPosterior,
@@ -51,7 +58,9 @@ from prefqc import (
     prior_log_masses,
     user_loglik,
 )
+from prefqc.em import MU_SEARCH_HI, MU_SEARCH_LO
 from prefqc.model import ETA_DENSITY_CLIP
+from prefqc.simulate import _id_width, sample_eta
 
 
 def _id_error(path, line_no, obj):
@@ -284,3 +293,191 @@ def two_point_em_step(rows, params):
     if etas[0] > etas[1]:
         etas, q1 = etas[::-1], 1.0 - q1
     return per_row, users, wins, losses, TwoPointPrior(q1, *etas)
+
+
+def simulate_dataset(scenario):
+    """One AnnotationRecord per label, built user by user; and the truth."""
+    m = scenario.num_users
+    n_min, n_max = scenario.n_range
+    children = np.random.SeedSequence(scenario.seed).spawn(m + 1)
+    master = np.random.default_rng(children[0])
+    etas = sample_eta(scenario.prior, m, master)
+    label_counts = master.integers(n_min, n_max + 1, size=m)
+
+    user_width = _id_width(m)
+    item_width = _id_width(n_max)
+    records = []
+    truth = []
+    for j in range(m):
+        user_id = f"u{j:0{user_width}d}"
+        n_j = int(label_counts[j])
+        rng = np.random.default_rng(children[j + 1])
+        if scenario.per_item_p_model is None:
+            p = np.full(n_j, scenario.mu)
+        else:
+            p = rng.beta(
+                scenario.per_item_p_model.alpha,
+                scenario.per_item_p_model.beta,
+                n_j,
+            )
+        attentive = rng.random(n_j) < etas[j]
+        u = rng.random(n_j)
+        labels = np.where(attentive, u < p, u < 0.5)
+        records.extend(
+            AnnotationRecord(
+                user_id=user_id,
+                item_id=f"{user_id}-{i:0{item_width}d}",
+                label=int(labels[i]),
+            )
+            for i in range(n_j)
+        )
+        truth.append((user_id, float(etas[j])))
+    return records, truth
+
+
+def _mu_problem(regularizer):
+    """(pa, pb, lo, hi): log-prior pa log mu + pb log(1 - mu) on [lo, hi]."""
+    lo, hi = MU_SEARCH_LO, MU_SEARCH_HI
+    if isinstance(regularizer, BoxOnMu):
+        return 0.0, 0.0, max(lo, regularizer.lo), min(hi, regularizer.hi)
+    if isinstance(regularizer, LogPriorOnMu):
+        return regularizer.a - 1.0, regularizer.b - 1.0, lo, hi
+    return 0.0, 0.0, lo, hi
+
+
+def mu_objective(mu, support, wins, losses, regularizer) -> float:
+    """Expected log-likelihood in mu plus the log-prior, summed with fsum."""
+    pa, pb, _, _ = _mu_problem(regularizer)
+    terms = [pa * math.log(mu), pb * math.log1p(-mu)]
+    for s, w, l in zip(support, wins, losses):
+        g = 0.5 + s * (mu - 0.5)
+        terms += [w * math.log(g), l * math.log1p(-g)]
+    return math.fsum(terms)
+
+
+def mu_derivative(mu, support, wins, losses, regularizer) -> float:
+    """d/dmu of `mu_objective`, summed with fsum."""
+    pa, pb, _, _ = _mu_problem(regularizer)
+    terms = [pa / mu, -pb / (1.0 - mu)]
+    for s, w, l in zip(support, wins, losses):
+        g = 0.5 + s * (mu - 0.5)
+        terms += [s * w / g, -s * l / (1.0 - g)]
+    return math.fsum(terms)
+
+
+def mu_argmax(support, wins, losses, regularizer):
+    """(mu, at_boundary): bisection on the fsum derivative to 1e-14.
+
+    The objective is concave for the regularizers tested, so the derivative's
+    sign at the ends decides when the maximum is an end of the interval.
+    """
+    _, _, lo, hi = _mu_problem(regularizer)
+    args = ([float(v) for v in support], [float(v) for v in wins],
+            [float(v) for v in losses], regularizer)
+    if mu_derivative(lo, *args) <= 0.0:
+        return lo, True
+    if mu_derivative(hi, *args) >= 0.0:
+        return hi, True
+    a, b = lo, hi
+    while b - a > 1e-14:
+        mid = 0.5 * (a + b)
+        if mu_derivative(mid, *args) > 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b), False
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_mu(support, wins, losses, regularizer, xtol=1e-7):
+    """The golden-section mu step the library used before its Newton method.
+
+    Returns (mu, at_boundary): the search to xtol, then a snap to an end of
+    the interval that scores at least as well.
+    """
+    pa, pb, lo, hi = _mu_problem(regularizer)
+
+    def f(mu):
+        g = 0.5 + support * (mu - 0.5)
+        val = float(np.dot(wins, np.log(g)) + np.dot(losses, np.log1p(-g)))
+        if pa or pb:
+            val += pa * math.log(mu) + pb * math.log1p(-mu)
+        return val
+
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    fx = f(x)
+    at_boundary = False
+    for bound in (lo, hi):
+        fb = f(bound)
+        if fb >= fx:
+            x, fx, at_boundary = bound, fb, True
+    return x, at_boundary
+
+
+def row_summary(sum_z, n, params, grid, eta_stars):
+    """(map_eta, mean_eta, tails, map_gap) of one row's posterior.
+
+    Masses are normalised by an fsum over the support; the mean and each
+    tail are fsums too. Grid rows take the MAP over the density (masses over
+    trapezoid weights) and their tails from its piecewise-linear
+    interpolant; two-point rows put ties on the high atom and their tails
+    are step functions. `map_gap` is the distance between the two largest
+    log densities, so a caller can tell a near-tie.
+    """
+    if isinstance(params.prior, TwoPointPrior):
+        support = [params.prior.eta_lo, params.prior.eta_hi]
+        terms = log_density = _two_point_atom_terms(sum_z, n, params)
+    else:
+        support = grid.nodes.tolist()
+        terms = _beta_node_terms(sum_z, n, params, grid)
+        log_density = [t - math.log(w) for t, w in zip(terms, grid.weights.tolist())]
+    top = max(terms)
+    norm = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+    masses = [math.exp(t - norm) for t in terms]
+    total = math.fsum(masses)
+    masses = [q / total for q in masses]
+    mean = math.fsum(q * e for q, e in zip(masses, support))
+    ranked = sorted(log_density)
+    map_gap = ranked[-1] - ranked[-2]
+    if isinstance(params.prior, TwoPointPrior):
+        best = 1 if log_density[1] >= log_density[0] else 0
+        tails = tuple(
+            (s, math.fsum(q for q, e in zip(masses, support) if s <= e))
+            for s in eta_stars
+        )
+        return support[best], mean, tails, map_gap
+    best = max(range(len(support)), key=log_density.__getitem__)
+    density = [q / w for q, w in zip(masses, grid.weights.tolist())]
+    tails = tuple((s, _grid_tail(support, density, s)) for s in eta_stars)
+    return support[best], mean, tails, map_gap
+
+
+def _grid_tail(nodes, density, eta_star) -> float:
+    """P(eta >= eta_star) of the piecewise-linear density, as an fsum."""
+    if eta_star >= 1.0:
+        return 0.0
+    parts = []
+    for k in range(len(nodes) - 1):
+        x0, x1, f0, f1 = nodes[k], nodes[k + 1], density[k], density[k + 1]
+        if x1 <= eta_star:
+            continue
+        if x0 < eta_star:
+            f_star = f0 + (eta_star - x0) / (x1 - x0) * (f1 - f0)
+            x0, f0 = eta_star, f_star
+        parts.append(0.5 * (x1 - x0) * (f0 + f1))
+    return math.fsum(parts)

@@ -35,6 +35,9 @@ from prefqc import (
     posterior_two_point,
     simulate_dataset,
 )
+from prefqc.em import _maximize_mu
+
+import reference as ref
 
 # Worked single-user instance (same as in test_model): TwoPoint{0.6, 0.4,
 # 0.98}, mu=0.8, sum_z=8, n=10. gamma_lo follows from the atom likelihoods.
@@ -373,6 +376,77 @@ class TestMStepMu:
         probes = rng.uniform(0.5 + 1e-4, 1.0 - 1e-4, size=10_000)
         vals = np.array([objective(p) for p in probes])
         assert np.all(vals <= ours + 1e-8)
+
+
+MU_REGULARIZERS = [None, LogPriorOnMu(8.0, 2.0), BoxOnMu(0.6, 0.85)]
+
+
+def grid_mu_inputs(grid, rng):
+    """Per-node wins and losses shaped like a Beta fit's E-step totals."""
+    shapes = rng.uniform(1.5, 12.0, size=4)
+    nodes = np.clip(grid.nodes, 1e-12, 1.0 - 1e-12)
+    win_mass = scipy.stats.beta.pdf(nodes, shapes[0], shapes[1]) * grid.weights
+    loss_mass = scipy.stats.beta.pdf(nodes, shapes[2], shapes[3]) * grid.weights
+    labels = rng.uniform(1e3, 5e4)
+    share = rng.uniform(0.55, 0.9)
+    wins = labels * share * win_mass / win_mass.sum()
+    losses = labels * (1.0 - share) * loss_mass / loss_mass.sum()
+    return grid.nodes, wins, losses
+
+
+def two_point_mu_inputs(rng):
+    support = np.sort(rng.uniform(0.0, 1.0, size=2))
+    return support, rng.uniform(1.0, 500.0, size=2), rng.uniform(1.0, 200.0, size=2)
+
+
+def mu_cases(grid, seed, count=6):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield grid_mu_inputs(grid, rng)
+        yield two_point_mu_inputs(rng)
+
+
+class TestMaximizeMu:
+    """The Newton mu step against the fsum bisection reference."""
+
+    @pytest.mark.parametrize("regularizer", MU_REGULARIZERS)
+    def test_matches_bisection_reference(self, grid, regularizer):
+        for k, (support, wins, losses) in enumerate(mu_cases(grid, 11)):
+            want_mu, want_edge = ref.mu_argmax(support, wins, losses, regularizer)
+            for start in (None, 0.5 + 1e-4, 0.75, 1.0 - 1e-4):
+                mu, at_boundary, _ = _maximize_mu(
+                    support, wins, losses, regularizer, start
+                )
+                assert at_boundary == want_edge, (k, start)
+                if want_edge:
+                    assert mu == want_mu, (k, start)
+                else:
+                    assert abs(mu - want_mu) <= 1e-10, (k, start)
+
+    @pytest.mark.parametrize("regularizer", MU_REGULARIZERS)
+    def test_scores_at_least_golden_section(self, grid, regularizer):
+        for support, wins, losses in mu_cases(grid, 12):
+            mu, _, _ = _maximize_mu(support, wins, losses, regularizer, 0.7)
+            gold, _ = ref.golden_section_mu(support, wins, losses, regularizer)
+            ours = ref.mu_objective(mu, support, wins, losses, regularizer)
+            theirs = ref.mu_objective(gold, support, wins, losses, regularizer)
+            # Slack of a few rounding units of the objective's value.
+            assert ours >= theirs - 4e-16 * abs(theirs)
+
+    @pytest.mark.parametrize(
+        "box,edge", [(BoxOnMu(0.5, 0.7), 0.7), (BoxOnMu(0.85, 0.95), 0.85)]
+    )
+    def test_box_edges_are_exact(self, box, edge):
+        # Fully attentive users winning 80% of labels: the unconstrained
+        # optimum is 0.8, outside both boxes.
+        support = np.array([0.0, 1.0])
+        wins, losses = np.array([0.0, 80.0]), np.array([0.0, 20.0])
+        for start in (None, box.lo, 0.8, box.hi):
+            mu, at_boundary, objective = _maximize_mu(support, wins, losses, box, start)
+            assert (mu, at_boundary) == (edge, True)
+            assert objective(mu) == pytest.approx(
+                ref.mu_objective(mu, support, wins, losses, box), rel=1e-12
+            )
 
 
 def param_vec(params):

@@ -13,6 +13,7 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
+from prefqc import numerics
 from prefqc import (
     QuadratureGrid,
     SolverError,
@@ -57,6 +58,21 @@ class TestDigamma:
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
             digamma(bad)
+
+
+class TestScalarDigamma:
+    XS = np.logspace(-6, 8, 10_000)
+
+    def test_matches_array_digamma(self):
+        psi = np.array([numerics._psi(x) for x in self.XS.tolist()])
+        assert np.max(np.abs(psi - digamma(self.XS))) <= 1e-14
+
+    def test_matches_scipy(self):
+        # Absolute 1e-10 where |psi| <= 1 and relative beyond: near x = 1e-6,
+        # psi is about -1e6, whose rounding unit alone is 1.2e-10.
+        psi = np.array([numerics._psi(x) for x in self.XS.tolist()])
+        want = scipy.special.digamma(self.XS)
+        assert np.max(np.abs(psi - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
 
 
 class TestLogBeta:
@@ -199,6 +215,29 @@ class TestSolveBetaSystem:
         assert far.alpha == pytest.approx(cold.alpha, rel=1e-7)
         assert far.beta == pytest.approx(cold.beta, rel=1e-7)
         assert not far.clamped
+
+    @pytest.mark.parametrize("start", [(1000.0, 2.0), (1e4, 1.5), (1e-3, 1e6)])
+    def test_far_start_gives_up_early(self, monkeypatch, start):
+        # From (1e4, 1.5) Newton can creep inside the shape box for its whole
+        # iteration budget, halving each step up to 50 times: thousands of
+        # residual evaluations before the restart. The warm attempt must
+        # give up within a few steps instead.
+        rhs = (-1.0, -0.6)
+        calls = []
+        residuals = numerics._residuals
+
+        def counted(*args):
+            calls.append(args)
+            return residuals(*args)
+
+        monkeypatch.setattr(numerics, "_residuals", counted)
+        cold = solve_beta_system(*rhs)
+        cold_calls = len(calls)
+        calls.clear()
+        far = solve_beta_system(*rhs, start=start)
+        assert len(calls) <= cold_calls + 60
+        assert far.alpha == pytest.approx(cold.alpha, rel=1e-7)
+        assert far.beta == pytest.approx(cold.beta, rel=1e-7)
 
     def test_clamp_resolves_free_coordinate(self):
         # Moments of Beta(0.5, 6): the unconstrained root sits below the

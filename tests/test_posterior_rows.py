@@ -4,7 +4,11 @@
 shares it among the users that have that row. Every MAP, mean and tail it
 reports must equal, bit for bit, what `tests/reference.py` computes for
 each user on its own: `posteriors.csv` and the filter decisions are pinned
-to those bits.
+to those bits. The same summaries are also held to `reference.row_summary`,
+which normalises each row's masses with `math.fsum`, within the tolerance
+contract of `tests/reference.py`: the mean and each tail probability to
+1e-12 absolute, and the MAP to the same node unless the row's two largest
+log densities lie within 1e-12 of each other.
 """
 
 import numpy as np
@@ -155,3 +159,37 @@ def test_empty_input_gives_no_rows(grid):
     assert summarize_histories([], ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)) == []
     two_point = ModelParams(prior=TwoPointPrior(0.5, 0.2, 0.9), mu=0.8)
     assert summarize_histories([], two_point, grid) == []
+
+
+def assert_summaries_match_fsum_reference(got, histories, params, grid):
+    near_ties = 0
+    for g, h in zip(got, histories):
+        map_eta, mean_eta, tails, map_gap = ref.row_summary(
+            h.sum_z, h.n, params, grid, ETA_STARS
+        )
+        if map_gap > 1e-12:
+            assert g.map_eta == map_eta, h
+        else:
+            near_ties += 1
+        assert abs(g.mean_eta - mean_eta) <= 1e-12, h
+        for (s_got, p_got), (s_want, p_want) in zip(g.tail_probs, tails):
+            assert s_got == s_want
+            assert abs(p_got - p_want) <= 1e-12, (h, s_got)
+    return near_ties
+
+
+@pytest.mark.parametrize("alpha,beta,mu", BETA_PARAMS)
+def test_beta_rows_match_fsum_reference(alpha, beta, mu, grid, rng):
+    params = ModelParams(prior=BetaPrior(alpha, beta), mu=mu)
+    histories = random_histories(rng, 40, 300)
+    histories += [UserHistory("empty", 0, 0), UserHistory("all", 300, 300)]
+    got = summarize_histories(histories, params, grid, ETA_STARS)
+    assert assert_summaries_match_fsum_reference(got, histories, params, grid) == 0
+
+
+@pytest.mark.parametrize("q1,eta_lo,eta_hi,mu", TWO_POINT_PARAMS)
+def test_two_point_rows_match_fsum_reference(q1, eta_lo, eta_hi, mu, grid, rng):
+    params = ModelParams(prior=TwoPointPrior(q1, eta_lo, eta_hi), mu=mu)
+    histories = random_histories(rng, 200, 40)
+    got = summarize_histories(histories, params, grid, ETA_STARS)
+    assert_summaries_match_fsum_reference(got, histories, params, grid)

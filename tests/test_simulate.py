@@ -1,5 +1,6 @@
 """Synthetic data generation: scenario specs, sampling laws, and presets."""
 
+import json
 import logging
 import math
 import os
@@ -32,6 +33,12 @@ from prefqc import (
     scenario_preset,
     simulate_dataset,
 )
+from prefqc import io as fio
+from prefqc.cli import EXIT_OK, main
+from prefqc.model import histories_from_columns
+from prefqc.simulate import simulate_columns
+
+import reference as ref
 
 BETA_3_5_MEDIAN = 0.3641160864480826
 # Wilson 95% interval for 80 successes out of 100, z = 1.959963984540054.
@@ -332,6 +339,58 @@ class TestSimulateDataset:
         expected = 40_000 * scipy.stats.binom.pmf(np.arange(6), 5, 0.8)
         stat = scipy.stats.chisquare(observed, expected)
         assert stat.pvalue > 0.01
+
+
+COLUMN_SCENARIOS = {
+    "beta_default": scenario_preset("beta_default"),
+    "per_item_p": SimulationScenario(
+        prior=BetaPrior(3.0, 5.0),
+        mu=0.8,
+        num_users=120,
+        n_range=(5, 40),
+        seed=3,
+        per_item_p_model=BetaPerItemP(8.0, 2.0),
+    ),
+    "two_point": SimulationScenario(
+        prior=TwoPointPrior(0.6, 0.4, 0.98),
+        mu=0.9,
+        num_users=1001,
+        n_range=(1, 12),
+        seed=7,
+    ),
+}
+
+
+class TestSimulateColumns:
+    """The columnar simulation against the per-record loop it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_SCENARIOS))
+    def test_same_records_truth_and_histories(self, name):
+        scenario = COLUMN_SCENARIOS[name]
+        want_records, want_truth = ref.simulate_dataset(scenario)
+        columns, truth = simulate_columns(scenario)
+        assert truth == want_truth
+        assert columns.to_records() == want_records
+        assert simulate_dataset(scenario) == (want_records, want_truth)
+        assert histories_from_columns(columns) == ref.histories_from_records(
+            want_records
+        )
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_SCENARIOS))
+    def test_cli_files_are_byte_identical(self, name, tmp_path):
+        scenario = COLUMN_SCENARIOS[name]
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {"scenario": fio.encode_scenario(scenario), "out_dir": str(tmp_path / "out")}
+            )
+        )
+        assert main(["simulate", "--config", str(config)]) == EXIT_OK
+        records, truth = ref.simulate_dataset(scenario)
+        ref.write_annotations(tmp_path / "annotations.jsonl", records)
+        fio.write_truth(tmp_path / "truth.csv", truth)
+        for file in ("annotations.jsonl", "truth.csv"):
+            assert (tmp_path / "out" / file).read_bytes() == (tmp_path / file).read_bytes()
 
 
 class TestEstimateMu:
