@@ -167,8 +167,90 @@ class EmConfig:
                 raise ValueError(f"init prior is {fam!r} but family={self.family!r}")
 
 
+class PosteriorRows:
+    """Posteriors over eta of many (sum_z, n) rows on one support.
+
+    `support` holds the two atoms of a two-point prior or the grid nodes;
+    `masses` holds one row of support probabilities per posterior, and
+    `density` the masses over the trapezoid weights for grid rows (None for
+    two atoms). `map_eta`, `mean_eta` and `tail` give one value per row;
+    they are the library's only MAP, mean and tail formulas.
+    """
+
+    def __init__(self, support, masses, density=None):
+        self.support, self.masses, self.density = support, masses, density
+
+    def map_eta(self) -> np.ndarray:
+        m, s = self.masses, self.support
+        if self.density is None:
+            # Ties go to the attentive atom; keeps ranking deterministic.
+            return np.where(m[:, 1] >= m[:, 0], s[1], s[0])
+        return s[np.argmax(self.density, axis=1)]
+
+    def mean_eta(self) -> np.ndarray:
+        m, s = self.masses, self.support
+        if self.density is None:
+            return m[:, 0] * s[0] + m[:, 1] * s[1]
+        # One dot per row: a matrix-vector product sums in another order.
+        return np.array([np.dot(row, s) for row in m])
+
+    def tail(self, eta_star: float) -> np.ndarray:
+        """P(eta >= eta_star) per row.
+
+        A step function over two atoms. For grid rows, the integral from
+        eta_star up of the density's piecewise-linear interpolant: its
+        trapezoid segments, the one that eta_star cuts starting at eta_star,
+        summed from the top node down.
+        """
+        x, f = self.support, self.density
+        if f is None:
+            return np.where(eta_star <= x, self.masses, 0.0).sum(axis=1)
+        if eta_star >= 1.0:
+            return np.zeros(len(f))
+        i = max(int(np.searchsorted(x, eta_star, side="right")) - 1, 0)
+        tails = np.empty(len(f))
+        # Blocks of 64 rows keep the segment matrix near half a megabyte; a
+        # whole-table one per star stays in the heap and raises peak RSS.
+        for r in range(0, len(f), 64):
+            b = f[r : r + 64]
+            seg = b[:, i:-1] + b[:, i + 1 :]
+            seg *= 0.5 * np.diff(x[i:])
+            if eta_star > 0.0:
+                t = (eta_star - x[i]) / (x[i + 1] - x[i])
+                f_star = b[:, i] + t * (b[:, i + 1] - b[:, i])
+                seg[:, 0] = 0.5 * (x[i + 1] - eta_star) * (f_star + b[:, i + 1])
+            top_down = seg[:, ::-1]
+            np.cumsum(top_down, axis=1, out=top_down)
+            tails[r : r + 64] = seg[:, 0]
+        return tails
+
+    def rows(self) -> list["PosteriorDensity"]:
+        """One posterior object per row, holding that row of this table."""
+        if self.density is None:
+            lo, hi = self.support.tolist()
+            return [TwoPointPosterior(lo, hi, g, h) for g, h in self.masses.tolist()]
+        rows = zip(self.masses, self.density)
+        return [GridPosterior(self.support, m, f) for m, f in rows]
+
+
+class _OnePosterior:
+    """MAP, mean and tail of one posterior, from a one-row PosteriorRows."""
+
+    @property
+    def map_eta(self) -> float:
+        return float(self._one_row().map_eta()[0])
+
+    @property
+    def mean_eta(self) -> float:
+        return float(self._one_row().mean_eta()[0])
+
+    def tail_prob(self, eta_star: float) -> float:
+        """P(eta >= eta_star); see `PosteriorRows.tail`."""
+        return float(self._one_row().tail(eta_star)[0])
+
+
 @dataclass(frozen=True)
-class TwoPointPosterior:
+class TwoPointPosterior(_OnePosterior):
     """Posterior over eta when the prior has two atoms."""
 
     eta_lo: float
@@ -176,14 +258,9 @@ class TwoPointPosterior:
     gamma_lo: float
     gamma_hi: float
 
-    @property
-    def map_eta(self) -> float:
-        # Ties go to the attentive atom; keeps ranking deterministic.
-        return self.eta_hi if self.gamma_hi >= self.gamma_lo else self.eta_lo
-
-    @property
-    def mean_eta(self) -> float:
-        return self.gamma_lo * self.eta_lo + self.gamma_hi * self.eta_hi
+    def _one_row(self) -> PosteriorRows:
+        support = np.array([self.eta_lo, self.eta_hi])
+        return PosteriorRows(support, np.array([[self.gamma_lo, self.gamma_hi]]))
 
     @property
     def e_log_eta(self) -> float:
@@ -197,18 +274,9 @@ class TwoPointPosterior:
         hi = min(self.eta_hi, 1.0 - ETA_DENSITY_CLIP)
         return self.gamma_lo * math.log1p(-lo) + self.gamma_hi * math.log1p(-hi)
 
-    def tail_prob(self, eta_star: float) -> float:
-        """P(eta >= eta_star): a step function over the two atoms."""
-        p = 0.0
-        if eta_star <= self.eta_lo:
-            p += self.gamma_lo
-        if eta_star <= self.eta_hi:
-            p += self.gamma_hi
-        return p
-
 
 @dataclass(frozen=True)
-class GridPosterior:
+class GridPosterior(_OnePosterior):
     """Posterior over eta on a quadrature grid (continuous prior)."""
 
     nodes: np.ndarray
@@ -221,13 +289,8 @@ class GridPosterior:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def map_eta(self) -> float:
-        return float(self.nodes[int(np.argmax(self.density))])
-
-    @property
-    def mean_eta(self) -> float:
-        return float(np.dot(self.masses, self.nodes))
+    def _one_row(self) -> PosteriorRows:
+        return PosteriorRows(self.nodes, self.masses[None], self.density[None])
 
     @property
     def e_log_eta(self) -> float:
@@ -239,37 +302,19 @@ class GridPosterior:
         e = np.clip(self.nodes, ETA_DENSITY_CLIP, 1.0 - ETA_DENSITY_CLIP)
         return float(np.dot(self.masses, np.log1p(-e)))
 
-    def _tail_at_nodes(self) -> np.ndarray:
-        f = self.density
-        seg = 0.5 * np.diff(self.nodes) * (f[:-1] + f[1:])
-        return np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-
-    def tail_prob(self, eta_star: float) -> float:
-        """P(eta >= eta_star) of the piecewise-linear posterior density."""
-        if eta_star <= 0.0:
-            return float(self._tail_at_nodes()[0])
-        if eta_star >= 1.0:
-            return 0.0
-        nodes, f = self.nodes, self.density
-        cum = self._tail_at_nodes()
-        i = int(np.searchsorted(nodes, eta_star, side="right")) - 1
-        t = (eta_star - nodes[i]) / (nodes[i + 1] - nodes[i])
-        f_star = f[i] + t * (f[i + 1] - f[i])
-        partial = 0.5 * (nodes[i + 1] - eta_star) * (f_star + f[i + 1])
-        return float(cum[i + 1] + partial)
-
 
 PosteriorDensity = Union[TwoPointPosterior, GridPosterior]
 
 
 def posterior_rows(
     sum_z_u, n_u, params: ModelParams, grid: QuadratureGrid | None
-) -> list[PosteriorDensity]:
-    """One posterior over eta per (sum_z, n) row, as `suff_stats` returns them.
+) -> PosteriorRows:
+    """The posteriors over eta of (sum_z, n) rows, as `suff_stats` returns them.
 
-    Two-point priors give the exact two-mass posterior (`grid` is unused).
-    Continuous priors give grid posteriors whose arrays are read-only rows of
-    one masses matrix and one density matrix.
+    Two-point priors give the exact two-atom posteriors (`grid` is unused);
+    continuous priors give grid posteriors. The table's matrices stay
+    writable, since `np.argmax` copies a read-only array whole; the objects
+    of `PosteriorRows.rows` hold read-only views of their rows.
     """
     prior = params.prior
     if isinstance(prior, TwoPointPrior):
@@ -280,10 +325,9 @@ def posterior_rows(
         l_hi = math.log(prior.q2) if prior.q2 > 0.0 else -math.inf
         l_lo += loglik_from_counts(sum_z_u, n_u, params.mu, prior.eta_lo)
         l_hi += loglik_from_counts(sum_z_u, n_u, params.mu, prior.eta_hi)
-        gamma_lo = np.exp(l_lo - np.logaddexp(l_lo, l_hi)).tolist()
-        return [
-            TwoPointPosterior(prior.eta_lo, prior.eta_hi, g, 1.0 - g) for g in gamma_lo
-        ]
+        gamma_lo = np.exp(l_lo - np.logaddexp(l_lo, l_hi))
+        masses = np.stack([gamma_lo, 1.0 - gamma_lo], axis=1)
+        return PosteriorRows(np.array([prior.eta_lo, prior.eta_hi]), masses)
     joint = log_joint_matrix(sum_z_u[:, None], n_u[:, None], params, grid)
     # Each row's normaliser goes through math.log, as log_sum_exp's scalar
     # path does; np.log differs from it in the last bit on rare rows.
@@ -292,8 +336,7 @@ def posterior_rows(
     norm = peak + np.array([math.log(t) for t in sums.tolist()])
     masses = np.exp(joint - norm[:, None], out=joint)
     masses /= masses.sum(axis=1, keepdims=True)
-    density = masses / grid.weights
-    return [GridPosterior(grid.nodes, m, f) for m, f in zip(masses, density)]
+    return PosteriorRows(grid.nodes, masses, masses / grid.weights)
 
 
 def posterior_two_point(
@@ -305,9 +348,8 @@ def posterior_two_point(
     """
     if not isinstance(params.prior, TwoPointPrior):
         raise ValueError("posterior_two_point requires a two-point prior")
-    sum_z_u, n_u, _, _ = suff_stats([history])
-    (post,) = posterior_rows(sum_z_u, n_u, params, None)
-    return post.gamma_lo, post.gamma_hi
+    table = posterior_rows(*suff_stats([history])[:2], params, None)
+    return tuple(table.masses[0].tolist())
 
 
 def posterior_grid(
@@ -316,9 +358,7 @@ def posterior_grid(
     """Grid posterior of eta for a continuous prior."""
     if isinstance(params.prior, TwoPointPrior):
         raise ValueError("posterior_grid requires a continuous prior")
-    sum_z_u, n_u, _, _ = suff_stats([history])
-    (post,) = posterior_rows(sum_z_u, n_u, params, grid)
-    return post
+    return posterior_rows(*suff_stats([history])[:2], params, grid).rows()[0]
 
 
 def m_step_two_point(
@@ -376,15 +416,10 @@ def _two_point_update(totals, users, mu):
         raw = (wins - losses) / den
         etas.append(min(max(raw, 0.0), 1.0))
         clipped.append(raw < 0.0 or raw > 1.0)
-    eta_lo, eta_hi = etas
-    if eta_lo > eta_hi:
-        eta_lo, eta_hi = eta_hi, eta_lo
-        clipped = [clipped[1], clipped[0]]
-        q1 = 1.0 - q1
-        swapped = True
-    else:
-        swapped = False
-    return q1, eta_lo, eta_hi, (clipped[0], clipped[1], swapped)
+    swapped = etas[0] > etas[1]
+    if swapped:
+        etas, clipped, q1 = etas[::-1], clipped[::-1], 1.0 - q1
+    return q1, etas[0], etas[1], (clipped[0], clipped[1], swapped)
 
 
 def m_step_beta(
@@ -499,12 +534,9 @@ def _mu_update_arrays(posteriors, current_prior):
     """(support, users x support masses) for the mu objective."""
     if not posteriors:
         return np.array([0.0]), np.zeros((0, 1))
-    first = posteriors[0]
-    if isinstance(first, GridPosterior):
-        return first.nodes, np.array([p.masses for p in posteriors])
-    if isinstance(first, TwoPointPosterior):
-        gam = np.array([[p.gamma_lo, p.gamma_hi] for p in posteriors])
-        return np.array([first.eta_lo, first.eta_hi]), gam
+    if isinstance(posteriors[0], _OnePosterior):
+        tables = [p._one_row() for p in posteriors]
+        return tables[0].support, np.concatenate([t.masses for t in tables])
     # plain (gamma_lo, gamma_hi) pairs; atoms come from the prior
     if not isinstance(current_prior, TwoPointPrior):
         raise ValueError("tuple posteriors need a two-point current_prior")
@@ -540,13 +572,10 @@ def default_init(
     mu_mode: MuMode,
 ) -> ModelParams:
     """Stock starting point when the caller does not supply one."""
-    if mu_mode == "fixed":
-        if mu is None:
-            raise ValueError("fixed-mu fits require mu")
-        mu0 = mu
-    elif mu is not None:
-        mu0 = mu
-    else:
+    if mu_mode == "fixed" and mu is None:
+        raise ValueError("fixed-mu fits require mu")
+    mu0 = mu
+    if mu is None:
         total_n = sum(h.n for h in histories)
         freq = sum(h.sum_z for h in histories) / total_n if total_n else 0.75
         mu0 = min(max(freq, 0.55), 0.95)
@@ -657,13 +686,11 @@ def em_fit(
 
         if two_point:
             q1, eta_lo, eta_hi, flags = _two_point_update(totals, m, params.mu)
-            clip_lo_flag, clip_hi_flag, swapped = flags
-            if clip_lo_flag:
-                clamp_events.append(ClampEvent(iteration + 1, "eta_lo", eta_lo))
-            if clip_hi_flag:
-                clamp_events.append(ClampEvent(iteration + 1, "eta_hi", eta_hi))
+            for name, eta, hit in zip(("eta_lo", "eta_hi"), (eta_lo, eta_hi), flags):
+                if hit:
+                    clamp_events.append(ClampEvent(iteration + 1, name, eta))
             new_prior: AttentivenessPrior = TwoPointPrior(q1, eta_lo, eta_hi)
-            if swapped:  # the atoms traded places; so do their totals
+            if flags[2]:  # the atoms traded places; so do their totals
                 totals = totals[:, ::-1]
             mu_support = np.array([eta_lo, eta_hi])
         else:

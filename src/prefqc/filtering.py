@@ -1,15 +1,17 @@
 """Posterior summaries and dataset filtering.
 
-Given a fitted model, each user gets a posterior over eta, computed once per
-distinct sufficient statistic (sum_z, n) and shared by the users that have
-it; a selection rule turns those posteriors into keep/drop decisions;
-filtering a dataset keeps the records of attentive users in their original
-order. Everything here is
-a pure transformation, deterministic down to tie-breaking, so a filtered
-dataset can be reproduced byte for byte.
+Given a fitted model, the users' posteriors over eta form one row table
+(`em.PosteriorRows`) with a row per distinct sufficient statistic
+(sum_z, n). Its MAP, mean and tails are evaluated once per row, as arrays,
+and spread to the users that share the row; a selection rule turns them
+into keep/drop decisions; filtering a dataset keeps the records of
+attentive users in their original order. Everything here is a pure
+transformation, deterministic down to tie-breaking, so a filtered dataset
+can be reproduced byte for byte.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence, Union
@@ -55,11 +57,20 @@ class TopFraction:
             raise ValueError("fraction must lie in (0, 1]")
 
 
+def _finite(name: str, value) -> float:
+    if isinstance(value, numbers.Real) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Threshold:
     """Keep users whose MAP eta is at least `value`."""
 
     value: float
+
+    def __post_init__(self):
+        _finite("threshold value", self.value)
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,7 @@ class TailProbability:
     level: float = 0.95
 
     def __post_init__(self):
+        _finite("eta_star", self.eta_star)
         if not 0.0 <= self.level <= 1.0:
             raise ValueError("level must lie in [0, 1]")
 
@@ -118,16 +130,21 @@ def summarize_histories(
     """Posterior digests of many users under fitted parameters, input order.
 
     Two-point priors get the exact two-mass posterior; continuous priors a
-    grid posterior (default 1025-node trapezoid grid). The posterior, MAP,
-    mean and tails are computed once per distinct (sum_z, n) row.
+    grid posterior (default 1025-node trapezoid grid). `posterior_rows`
+    gives one table of the distinct (sum_z, n) rows; its MAP, mean and each
+    tail are evaluated once over the table and spread to the users of each
+    row, who share that row's posterior object. Every `eta_stars` entry
+    must be a finite real number.
     """
     grid = grid if grid is not None else QuadratureGrid.uniform()
-    stars = [float(s) for s in eta_stars]
+    stars = [_finite("eta_stars entry", s) for s in eta_stars]
     sum_z_u, n_u, _, inverse = suff_stats(histories)
-    rows = [
-        (p.map_eta, p.mean_eta, tuple((s, p.tail_prob(s)) for s in stars), p)
-        for p in posterior_rows(sum_z_u, n_u, params, grid)
-    ]
+    table = posterior_rows(sum_z_u, n_u, params, grid)
+    maps, means = table.map_eta().tolist(), table.mean_eta().tolist()
+    # One tuple of (eta_star, tail) pairs per row.
+    tails = zip(*[[(s, p) for p in table.tail(s).tolist()] for s in stars])
+    tails = tails if stars else [()] * len(maps)
+    rows = list(zip(maps, means, tails, table.rows()))
     return [
         PosteriorSummary(h.user_id, h.n, *rows[r])
         for h, r in zip(histories, inverse.tolist())
@@ -154,33 +171,34 @@ def classify_attentive(
 def select_users(
     summaries: Sequence[PosteriorSummary], rule: SelectionRule
 ) -> list[FilterDecision]:
-    """Apply a selection rule; one decision per summary, input order kept."""
+    """Apply a selection rule; one decision per summary, input order kept.
+
+    A tail rule evaluates each distinct posterior object once: the users
+    of one (sum_z, n) row in a `summarize_histories` result share one.
+    """
     if not summaries:
         raise ValueError("select_users needs at least one summary")
+    scores = [s.map_eta for s in summaries]
     if isinstance(rule, TopFraction):
         keep_count = math.ceil(rule.fraction * len(summaries))
         ranked = sorted(
             summaries, key=lambda s: (-s.map_eta, -s.mean_eta, s.user_id)
         )
         kept = {s.user_id for s in ranked[:keep_count]}
-        return [
-            FilterDecision(s.user_id, s.user_id in kept, rule, s.map_eta)
-            for s in summaries
-        ]
-    if isinstance(rule, Threshold):
-        return [
-            FilterDecision(s.user_id, s.map_eta >= rule.value, rule, s.map_eta)
-            for s in summaries
-        ]
-    if isinstance(rule, TailProbability):
-        decisions = []
-        for s in summaries:
-            tail = s.tail_prob(rule.eta_star)
-            decisions.append(
-                FilterDecision(s.user_id, tail >= rule.level, rule, tail)
-            )
-        return decisions
-    raise TypeError(f"unknown selection rule {rule!r}")
+        keep = [s.user_id in kept for s in summaries]
+    elif isinstance(rule, Threshold):
+        keep = [score >= rule.value for score in scores]
+    elif isinstance(rule, TailProbability):
+        distinct = {id(s.density): s.density for s in summaries}
+        tails = {key: p.tail_prob(rule.eta_star) for key, p in distinct.items()}
+        scores = [tails[id(s.density)] for s in summaries]
+        keep = [score >= rule.level for score in scores]
+    else:
+        raise TypeError(f"unknown selection rule {rule!r}")
+    return [
+        FilterDecision(s.user_id, k, rule, score)
+        for s, k, score in zip(summaries, keep, scores)
+    ]
 
 
 def filter_mask(
@@ -252,26 +270,19 @@ def relative_error(theta_hat: ModelParams, theta_star: ModelParams) -> float:
     true value is 0 contribute absolute error instead. mu enters only when
     it was estimated (mu_mode "free").
     """
-    if type(theta_hat.prior) is not type(theta_star.prior):
+    hat, star = theta_hat.prior, theta_star.prior
+    if type(hat) is not type(star):
         raise ValueError("priors must come from the same family")
     if theta_hat.mu_mode != theta_star.mu_mode:
         raise ValueError("mu_mode must match")
-    if isinstance(theta_star.prior, TwoPointPrior):
-        pairs = [
-            (theta_hat.prior.q1, theta_star.prior.q1),
-            (theta_hat.prior.eta_lo, theta_star.prior.eta_lo),
-            (theta_hat.prior.eta_hi, theta_star.prior.eta_hi),
-        ]
-    else:
-        try:
-            pairs = [
-                (theta_hat.prior.alpha, theta_star.prior.alpha),
-                (theta_hat.prior.beta, theta_star.prior.beta),
-            ]
-        except AttributeError:
-            raise ValueError(
-                "relative_error supports two-point and Beta parameterizations"
-            ) from None
+    two_point = isinstance(star, TwoPointPrior)
+    names = ("q1", "eta_lo", "eta_hi") if two_point else ("alpha", "beta")
+    try:
+        pairs = [(getattr(hat, k), getattr(star, k)) for k in names]
+    except AttributeError:
+        raise ValueError(
+            "relative_error supports two-point and Beta parameterizations"
+        ) from None
     if theta_star.mu_mode == "free":
         pairs.append((theta_hat.mu, theta_star.mu))
     return max(

@@ -190,11 +190,57 @@ def summarize_posterior(history, params, grid=None, eta_stars=()) -> PosteriorSu
     return PosteriorSummary(
         user_id=history.user_id,
         n_labels=history.n,
-        map_eta=density.map_eta,
-        mean_eta=density.mean_eta,
-        tail_probs=tuple((float(s), density.tail_prob(float(s))) for s in eta_stars),
+        map_eta=map_eta(density),
+        mean_eta=mean_eta(density),
+        tail_probs=tuple((float(s), tail_prob(density, float(s))) for s in eta_stars),
         density=density,
     )
+
+
+# The per-object MAP, mean and tail formulas the library had before its row
+# table; `posteriors.csv` and the decisions are pinned to their bits.
+
+
+def map_eta(post) -> float:
+    if isinstance(post, TwoPointPosterior):
+        # Ties go to the attentive atom; keeps ranking deterministic.
+        return post.eta_hi if post.gamma_hi >= post.gamma_lo else post.eta_lo
+    return float(post.nodes[int(np.argmax(post.density))])
+
+
+def mean_eta(post) -> float:
+    if isinstance(post, TwoPointPosterior):
+        return post.gamma_lo * post.eta_lo + post.gamma_hi * post.eta_hi
+    return float(np.dot(post.masses, post.nodes))
+
+
+def _tail_at_nodes(post) -> np.ndarray:
+    f = post.density
+    seg = 0.5 * np.diff(post.nodes) * (f[:-1] + f[1:])
+    return np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+
+
+def tail_prob(post, eta_star: float) -> float:
+    """P(eta >= eta_star): a step function over two atoms, else the
+    integral of the piecewise-linear posterior density."""
+    if isinstance(post, TwoPointPosterior):
+        p = 0.0
+        if eta_star <= post.eta_lo:
+            p += post.gamma_lo
+        if eta_star <= post.eta_hi:
+            p += post.gamma_hi
+        return p
+    if eta_star <= 0.0:
+        return float(_tail_at_nodes(post)[0])
+    if eta_star >= 1.0:
+        return 0.0
+    nodes, f = post.nodes, post.density
+    cum = _tail_at_nodes(post)
+    i = int(np.searchsorted(nodes, eta_star, side="right")) - 1
+    t = (eta_star - nodes[i]) / (nodes[i + 1] - nodes[i])
+    f_star = f[i] + t * (f[i + 1] - f[i])
+    partial = 0.5 * (nodes[i + 1] - eta_star) * (f_star + f[i + 1])
+    return float(cum[i + 1] + partial)
 
 
 def _beta_node_terms(sum_z, n, params, grid) -> list[float]:

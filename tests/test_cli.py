@@ -347,6 +347,41 @@ class TestInferAndFilter:
             err = capsys.readouterr().err
             assert err == "error: select_users needs at least one summary\n"
 
+    @pytest.mark.parametrize(
+        "rule,extra,message",
+        [
+            (
+                {"type": "tail_probability", "eta_star": math.nan},
+                {},
+                "eta_star must be a finite real number, got nan",
+            ),
+            (
+                {"type": "threshold", "value": math.nan},
+                {},
+                "threshold value must be a finite real number, got nan",
+            ),
+            (
+                {"type": "tail_probability", "eta_star": 0.5},
+                {"eta_stars": [0.3, math.nan]},
+                "eta_stars entry must be a finite real number, got nan",
+            ),
+            (
+                {"type": "top_fraction", "fraction": 0.5},
+                {"eta_stars": [-math.inf]},
+                "eta_stars entry must be a finite real number, got -inf",
+            ),
+        ],
+        ids=["eta_star", "threshold", "eta_stars_nan", "eta_stars_inf"],
+    )
+    def test_non_finite_rule_value_exits_2(self, tmp_path, capsys, rule, extra, message):
+        # json reads NaN and -Infinity; they must not reach the tail code.
+        sim, fit_out = self.fitted(tmp_path)
+        config, out = infer_config(tmp_path, sim, fit_out, rule, **extra)
+        capsys.readouterr()
+        assert main(["infer", "--config", config]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "decisions.csv").exists()
+
     def test_filter_with_missing_decision_fails(self, tmp_path):
         sim, fit_out = self.fitted(tmp_path)
         config, infer_out = infer_config(

@@ -175,6 +175,15 @@ class TestSelectUsers:
         with pytest.raises(ValueError):
             TailProbability(eta_star=0.5, level=1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5", None])
+    def test_rule_values_must_be_finite_reals(self, bad):
+        with pytest.raises(ValueError, match="finite real number"):
+            TailProbability(eta_star=bad)
+        with pytest.raises(ValueError, match="finite real number"):
+            Threshold(bad)
+        with pytest.raises(ValueError, match="eta_stars entry"):
+            summarize_posterior(hist_counts("u", 3, 5), BETA_PARAMS, eta_stars=(0.5, bad))
+
     @given(st.integers(1, 40), st.floats(0.01, 1.0))
     def test_top_fraction_count_always_ceiling(self, m, fraction):
         summaries = [fake_summary(f"u{i:02d}", map_eta=(i % 7) / 7) for i in range(m)]

@@ -8,8 +8,12 @@ to those bits. The same summaries are also held to `reference.row_summary`,
 which normalises each row's masses with `math.fsum`, within the tolerance
 contract of `tests/reference.py`: the mean and each tail probability to
 1e-12 absolute, and the MAP to the same node unless the row's two largest
-log densities lie within 1e-12 of each other.
+log densities lie within 1e-12 of each other. `select_users` over the row
+summaries must decide as it does over the per-user ones, and evaluate each
+tail once per star and row table, and once per distinct posterior.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,14 +21,18 @@ import pytest
 from prefqc import (
     BetaPrior,
     ModelParams,
+    TailProbability,
+    Threshold,
+    TopFraction,
     TwoPointPrior,
     UserHistory,
     posterior_grid,
     posterior_two_point,
+    select_users,
     summarize_histories,
     summarize_posterior,
 )
-from prefqc.em import posterior_rows
+from prefqc.em import PosteriorRows, posterior_rows
 from prefqc.model import suff_stats
 
 import reference as ref
@@ -143,16 +151,107 @@ def test_one_posterior_per_row_shared_by_its_users(grid):
     assert len({id(s.density) for s in summaries}) == 3
 
 
-def test_grid_rows_are_read_only_views_of_one_matrix(grid):
+def test_posterior_rows_is_one_table_with_read_only_row_views(grid):
     params = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
     sum_z_u, n_u, _, _ = suff_stats([UserHistory(f"u{k}", k, 20) for k in range(21)])
-    posts = posterior_rows(sum_z_u, n_u, params, grid)
+    table = posterior_rows(sum_z_u, n_u, params, grid)
+    assert table.support is grid.nodes
+    assert table.masses.shape == table.density.shape == (21, grid.size)
+    assert np.allclose(table.masses.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    posts = table.rows()
     assert len(posts) == 21
-    for attr in ("masses", "density"):
-        bases = {id(getattr(p, attr).base) for p in posts}
-        assert len(bases) == 1
-        assert not any(getattr(p, attr).flags.writeable for p in posts)
-    assert all(p.masses.sum() == pytest.approx(1.0, abs=1e-12) for p in posts)
+    for p, masses, density in zip(posts, table.masses, table.density):
+        assert p.nodes is grid.nodes
+        assert p.masses.base is table.masses and np.array_equal(p.masses, masses)
+        assert p.density.base is table.density and np.array_equal(p.density, density)
+        assert not p.masses.flags.writeable and not p.density.flags.writeable
+    two_point = ModelParams(prior=TwoPointPrior(0.6, 0.4, 0.98), mu=0.8)
+    table = posterior_rows(sum_z_u, n_u, two_point, None)
+    assert table.support.tolist() == [0.4, 0.98] and table.density is None
+    assert [[p.gamma_lo, p.gamma_hi] for p in table.rows()] == table.masses.tolist()
+
+
+RULES = [
+    TopFraction(0.3),
+    TopFraction(0.5),
+    Threshold(0.3641160864480826),
+    TailProbability(0.5, level=0.5),
+    TailProbability(0.42, level=0.6),  # a star that is not among ETA_STARS
+]
+
+
+def decision_rows(decisions):
+    return [(d.user_id, d.attentive, d.score) for d in decisions]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=repr)
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8),
+        ModelParams(prior=TwoPointPrior(0.6, 0.4, 0.98), mu=0.8),
+    ],
+    ids=["beta", "two_point"],
+)
+def test_selection_over_rows_equals_per_user_reference(params, rule, grid, rng):
+    # Short histories share rows, so many users tie on MAP and mean; the
+    # three "t" users share one row and sort against the input order.
+    histories = random_histories(rng, 400, 12)
+    histories += [UserHistory(f"t{k}", 6, 8) for k in (3, 1, 2)]
+    summaries = summarize_histories(histories, params, grid, ETA_STARS)
+    per_user = [ref.summarize_posterior(h, params, grid, ETA_STARS) for h in histories]
+    got = select_users(summaries, rule)
+    assert decision_rows(got) == decision_rows(select_users(per_user, rule))
+    if isinstance(rule, TailProbability):
+        assert [d.score for d in got] == [
+            ref.tail_prob(w.density, rule.eta_star) for w in per_user
+        ]
+    if isinstance(rule, TopFraction):
+        # The cut falls inside a group of users with equal MAP and mean, so
+        # the user_id tie-break decides who is kept.
+        key = {s.user_id: (s.map_eta, s.mean_eta) for s in summaries}
+        kept = {d.user_id for d in got if d.attentive}
+        cut = max(kept, key=lambda u: (-key[u][0], -key[u][1], u))
+        ties = [u for u in key if key[u] == key[cut]]
+        assert any(u in kept for u in ties) and not all(u in kept for u in ties)
+
+
+def test_tails_are_evaluated_once_per_row_table_and_posterior(grid, rng, monkeypatch):
+    calls = []
+    tail = PosteriorRows.tail
+
+    def counted(table, eta_star):
+        calls.append((table, eta_star))
+        return tail(table, eta_star)
+
+    monkeypatch.setattr(PosteriorRows, "tail", counted)
+    params = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
+    histories = random_histories(rng, 500, 30)
+    rows = len(suff_stats(histories)[0])
+    assert rows < len(histories)
+    # As `infer` runs: three stars over the row table, then a tail rule.
+    stars = (0.3, 0.5, 0.7)
+    summaries = summarize_histories(histories, params, grid, stars)
+    table = calls[0][0]
+    assert table.masses.shape[0] == rows
+    assert calls == [(table, s) for s in stars]
+    calls.clear()
+    select_users(summaries, TailProbability(0.5, level=0.5))
+    # One single-row evaluation per distinct posterior: each row of the
+    # table once.
+    assert len(calls) == rows
+    assert all(t.density.shape[0] == 1 and s == 0.5 for t, s in calls)
+    evaluated = {t.density.__array_interface__["data"][0] for t, _ in calls}
+    assert evaluated == {
+        f.__array_interface__["data"][0] for f in table.density
+    }
+    # Per-user summaries: one evaluation per posterior object, also when two
+    # summaries hold the same one.
+    per_user = [ref.summarize_posterior(h, params, grid) for h in histories[:20]]
+    per_user.append(dataclasses.replace(per_user[0], user_id="again"))
+    calls.clear()
+    select_users(per_user, TailProbability(0.5, level=0.5))
+    assert len(calls) == 20
 
 
 def test_empty_input_gives_no_rows(grid):
