@@ -14,6 +14,11 @@ Every M-step here is an exact maximizer of its block of the surrogate
 objective (clipping included: the objectives are concave per coordinate), so
 the observed log-likelihood is non-decreasing along the trajectory up to
 floating-point noise. The fit loop asserts that invariant every iteration.
+
+A Beta fit with a free mu crawls along the eta (mu - 1/2) ridge under plain
+EM, so it first tries a Newton step on the penalized observed likelihood
+(gradient by Fisher's identity, Hessian by Louis' identity) and keeps it only
+when it raises the objective; otherwise it takes the EM step.
 """
 
 import logging
@@ -37,7 +42,14 @@ from .model import (
     loglik_from_counts,
     suff_stats,
 )
-from .numerics import QuadratureGrid, log_sum_exp, solve_beta_system
+from .numerics import (
+    BETA_SHAPE_FLOOR,
+    QuadratureGrid,
+    beta_moment_jacobian,
+    digamma,
+    log_sum_exp,
+    solve_beta_system,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +57,12 @@ logger = logging.getLogger(__name__)
 # degenerate at 1, so both ends are padded.
 MU_SEARCH_LO = 0.5 + 1e-4
 MU_SEARCH_HI = 1.0 - 1e-4
+
+# Trust region of a Newton step in a free-mu Beta fit: each shape moves by at
+# most half its value, mu by at most this much. Unbounded Newton steps jumped
+# to priors narrower than the grid spacing, where the trapezoid objective
+# rises by hundreds of nats that the integral does not have.
+NEWTON_MU_RADIUS = 0.05
 
 
 @dataclass(frozen=True)
@@ -104,6 +122,8 @@ class FitReport:
     # E-step rows, summed over iterations, that underflowed the probability
     # domain and took log_joint.
     fallback_rows: int = 0
+    # Iterations that took a Newton step rather than an EM step.
+    newton_steps: int = 0
 
     @property
     def final_params(self) -> ModelParams:
@@ -200,8 +220,10 @@ class PosteriorRows:
         A step function over two atoms. For grid rows, the integral from
         eta_star up of the density's piecewise-linear interpolant: its
         trapezoid segments, the one that eta_star cuts starting at eta_star,
-        summed from the top node down.
+        summed from the top node down. A non-finite eta_star is rejected.
         """
+        if not math.isfinite(eta_star):
+            raise ValueError(f"eta_star must be finite, got {eta_star!r}")
         x, f = self.support, self.density
         if f is None:
             return np.where(eta_star <= x, self.masses, 0.0).sum(axis=1)
@@ -601,6 +623,88 @@ def _param_vector(params: ModelParams) -> np.ndarray:
     return np.array(vec)
 
 
+def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
+    """Gradient and Hessian in (alpha, beta, mu) of a free-mu Beta objective.
+
+    The objective is the penalized observed log-likelihood at `params`,
+    whose E-step `kernel` ran last and gave `totals`; `cnt` holds the users
+    of each kernel row and `mu_terms` comes from `_regularizer_terms`. The
+    gradient is the posterior mean of the complete-data score (Fisher's
+    identity), read off the totals: m(r1 - psi(a) + psi(a+b)),
+    m(r2 - psi(b) + psi(a+b)) and the mu derivative of `_maximize_mu`. The
+    Hessian is the complete-data Hessian plus the summed posterior
+    covariance of that score (Louis' identity); the per-row moments come
+    from one `ScaledKernel.posterior_means` product over seven node columns.
+    """
+    a, b, mu = params.prior.alpha, params.prior.beta, params.mu
+    pa, pb, _, _ = mu_terms
+    users, wins, losses = totals
+    m = float(cnt.sum())
+    nodes = kernel.grid.nodes
+    clipped = np.clip(nodes, ETA_DENSITY_CLIP, 1.0 - ETA_DENSITY_CLIP)
+    x, y = np.log(clipped), np.log1p(-clipped)
+    g = 0.5 + nodes * (mu - 0.5)
+    t, u = nodes / g, nodes / (1.0 - g)  # d log g / d mu, -d log(1-g) / d mu
+    ex, ey, et, eu, ett, etu, euu = kernel.posterior_means(
+        np.stack([x, y, t, u, t * t, t * u, u * u], axis=1)
+    ).T
+    # Each row's posterior mean and variance of the mu score sz t - (n - sz) u.
+    sz, ls = kernel.sum_z, kernel.n - kernel.sum_z
+    e_s = sz * et - ls * eu
+    var_s = sz * sz * ett - 2.0 * sz * ls * etu + ls * ls * euu - e_s * e_s
+
+    psi_a, psi_b, psi_ab = digamma(np.array([a, b, a + b]))
+    grad = np.array([
+        users @ x - m * (psi_a - psi_ab),
+        users @ y - m * (psi_b - psi_ab),
+        wins @ t - losses @ u + pa / mu - pb / (1.0 - mu),
+    ])
+    hess = np.empty((3, 3))
+    hess[:2, :2] = np.multiply(-m, beta_moment_jacobian(a, b))
+    hess[0, 0] += users @ (x * x) - cnt @ (ex * ex)
+    hess[0, 1] += users @ (x * y) - cnt @ (ex * ey)
+    hess[1, 1] += users @ (y * y) - cnt @ (ey * ey)
+    hess[1, 0] = hess[0, 1]
+    hess[0, 2] = hess[2, 0] = wins @ (x * t) - losses @ (x * u) - cnt @ (ex * e_s)
+    hess[1, 2] = hess[2, 1] = wins @ (y * t) - losses @ (y * u) - cnt @ (ey * e_s)
+    hess[2, 2] = (
+        cnt @ var_s - wins @ (t * t) - losses @ (u * u)
+        - pa / (mu * mu) - pb / ((1.0 - mu) * (1.0 - mu))
+    )
+    return grad, hess
+
+
+def _newton_step(params, grad, hess, mu_terms, reach):
+    """Trust-region Newton candidate for a free-mu Beta fit, or None.
+
+    A coordinate on the shape floor or a mu bound whose gradient points out
+    is held. The step is scaled so that each shape moves by at most `reach`
+    times half its value and mu by at most `reach` times NEWTON_MU_RADIUS.
+    None when nothing is free, when the Hessian over the free coordinates
+    is not negative definite, or when the step leaves the bounds: a bound
+    is reached only by EM steps, since Newton steps that cut to a bound
+    ended on worse local maxima on the alpha floor than plain EM finds.
+    """
+    a, b, mu = params.prior.alpha, params.prior.beta, params.mu
+    _, _, lo, hi = mu_terms
+    free = ~np.array([
+        a <= BETA_SHAPE_FLOOR and grad[0] < 0.0,
+        b <= BETA_SHAPE_FLOOR and grad[1] < 0.0,
+        (mu <= lo and grad[2] < 0.0) or (mu >= hi and grad[2] > 0.0),
+    ])
+    neg = -hess[np.ix_(free, free)]
+    if not free.any() or np.any(np.linalg.eigvalsh(neg) <= 0.0):
+        return None
+    step = np.zeros(3)
+    step[free] = np.linalg.solve(neg, grad[free])
+    radius = (0.5 * reach * a, 0.5 * reach * b, reach * NEWTON_MU_RADIUS)
+    step *= min([1.0] + [r / abs(d) for r, d in zip(radius, step) if d])
+    a, b, mu = ((a, b, mu) + step).tolist()
+    if min(a, b) < BETA_SHAPE_FLOOR or not lo <= mu <= hi:
+        return None
+    return ModelParams(BetaPrior(a, b), mu, "free")
+
+
 def em_fit(
     histories: Sequence[UserHistory],
     config: EmConfig,
@@ -608,6 +712,10 @@ def em_fit(
     strict: bool = False,
 ) -> FitReport:
     """Run EM to convergence and return the full trajectory.
+
+    A Beta fit with a free mu takes a Newton step instead of the EM step
+    whenever that raises the objective (see `_newton_step`); the report
+    counts them in `newton_steps`.
 
     Stops when the parameter sup-norm change falls below tol_param
     ("param_tol"), the iteration budget runs out ("max_iters"), or the EM
@@ -642,8 +750,12 @@ def em_fit(
 
     # With a log-prior on free mu the M-step maximizes the penalized
     # objective, so that is the quantity the monotonicity guard watches.
-    pa, pb, _, _ = _regularizer_terms(config.regularizer)
+    mu_terms = _regularizer_terms(config.regularizer)
+    pa, pb, _, _ = mu_terms
     penalized = mu_free and isinstance(config.regularizer, LogPriorOnMu)
+
+    def objective_of(params, loglik):
+        return loglik + _mu_log_prior(pa, pb, params.mu) if penalized else loglik
 
     trajectory: list[TrajectoryPoint] = []
     clamp_events: list[ClampEvent] = []
@@ -660,12 +772,26 @@ def em_fit(
     weights = _em_weights(sz_u, n_u, cnt)[: 3 if two_point or mu_free else 1]
     fallback_rows = 0
 
+    # A free-mu Beta fit tries a Newton step first and takes the EM step
+    # when Newton's is not taken: not defined, or not raising the objective.
+    # A taken step's E-step serves the next iteration. After a step not
+    # taken, Newton sits out 1, 2, 4, ... iterations, so a fit that Newton
+    # does not help costs about what plain EM costs. A step that does not
+    # raise the objective also halves the trust region of the next try; a
+    # taken one doubles it, up to its full size.
+    newton = mu_free and not two_point
+    newton_steps = skip = 0
+    backoff, reach = 1, 1.0
+    ahead = None
+
     for iteration in range(config.max_iters + 1):
-        per_row, totals, fallbacks = kernel.e_step(params, weights)
+        if ahead is None:
+            ahead = kernel.e_step(params, weights)
+        (per_row, totals, fallbacks), ahead = ahead, None
         fallback_rows += fallbacks
         loglik = float(np.dot(cnt, per_row))
         trajectory.append(TrajectoryPoint(iteration, params, loglik))
-        objective = loglik + _mu_log_prior(pa, pb, params.mu) if penalized else loglik
+        objective = objective_of(params, loglik)
 
         if prev_objective is not None and objective < prev_objective - config.tol_loglik:
             stop_reason = "likelihood_decrease"
@@ -683,6 +809,21 @@ def em_fit(
             stop_reason = "max_iters"
             break
         prev_objective, prev_vec = objective, vec
+
+        if newton and skip:
+            skip -= 1
+        elif newton:
+            grad, hess = _score_and_hessian(params, kernel, totals, cnt, mu_terms)
+            cand = _newton_step(params, grad, hess, mu_terms, reach)
+            if cand is not None:
+                ahead = kernel.e_step(cand, weights)
+                if objective_of(cand, float(np.dot(cnt, ahead[0]))) > objective:
+                    params, backoff, reach = cand, 1, min(1.0, 2.0 * reach)
+                    newton_steps += 1
+                    continue
+                fallback_rows += ahead[2]
+                ahead, reach = None, 0.5 * reach
+            skip, backoff = backoff, 2 * backoff
 
         if two_point:
             q1, eta_lo, eta_hi, flags = _two_point_update(totals, m, params.mu)
@@ -727,6 +868,7 @@ def em_fit(
         stop_reason=stop_reason,
         clamp_events=tuple(clamp_events),
         fallback_rows=fallback_rows,
+        newton_steps=newton_steps,
     )
     if strict and stop_reason == "likelihood_decrease":
         raise LikelihoodDecreaseError(report, objective_drop)

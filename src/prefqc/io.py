@@ -473,6 +473,7 @@ def fit_to_dict(
         ],
         "labels_flipped": labels_flipped,
         "fallback_rows": report.fallback_rows,
+        "newton_steps": report.newton_steps,
     }
     if delta is not None:
         out["delta"] = delta

@@ -408,7 +408,7 @@ class ScaledKernel:
         self.grid = grid
         self.p = None
         self.rowmax = np.empty(self.sum_z.size)
-        self.mu = self.support = None
+        self.mu = self.support = self._last = None
 
     def _build(self, mu: float, support: np.ndarray) -> None:
         if self.p is None:
@@ -442,12 +442,28 @@ class ScaledKernel:
         totals *= w
         fallbacks = int(np.count_nonzero(low))
         if fallbacks:
-            joint, per_row[low] = log_joint(
-                self.sum_z[low, None], self.n[low, None], params, self.grid
-            )
-            masses = np.exp(joint - per_row[low, None], out=joint)
+            masses, per_row[low] = self._fallback(params, low)
             totals += weights[:, low] @ masses
+        self._last = params, w, s, low
         return per_row, totals, fallbacks
+
+    def _fallback(self, params: ModelParams, low):
+        """Posterior masses and log marginals of the rows `low`, by `log_joint`."""
+        joint, norm = log_joint(self.sum_z[low, None], self.n[low, None], params, self.grid)
+        return np.exp(joint - norm[:, None], out=joint), norm
+
+    def posterior_means(self, columns):
+        """Each row's posterior expectation of `columns` (support x C).
+
+        The posteriors are those of the last `e_step`, whose underflowed rows
+        take `log_joint` again: one rows x C product over the kernel.
+        """
+        params, w, s, low = self._last
+        means = self.p @ (w[:, None] * columns)
+        means /= np.where(low, np.inf, s)[:, None]
+        if low.any():
+            means[low] = self._fallback(params, low)[0] @ columns
+        return means
 
 
 def observed_loglik(histories, params: ModelParams, grid: QuadratureGrid) -> float:

@@ -212,6 +212,12 @@ def _residuals(alpha: float, beta: float, rhs1: float, rhs2: float):
     return _psi(alpha) - psi_ab - rhs1, _psi(beta) - psi_ab - rhs2
 
 
+def beta_moment_jacobian(alpha: float, beta: float):
+    """Jacobian in (alpha, beta) of psi(a) - psi(a+b) and psi(b) - psi(a+b), as rows."""
+    ta, tb, tab = _trigamma_fd(alpha), _trigamma_fd(beta), _trigamma_fd(alpha + beta)
+    return (ta - tab, -tab), (-tab, tb - tab)
+
+
 def _solve_coordinate(fixed: float, rhs: float, start: float) -> float:
     """Root of psi(b) - psi(fixed + b) = rhs in b, fixed held constant.
 
@@ -247,12 +253,9 @@ def _newton(a, b, rhs1, rhs2, tol, max_iters, gain=1.0):
         if it >= max_iters:
             raise SolverError("beta system did not converge", a, b, (r1, r2))
         it += 1
-        ta, tb, tab = _trigamma_fd(a), _trigamma_fd(b), _trigamma_fd(a + b)
+        (j11, j12), (j21, j22) = beta_moment_jacobian(a, b)
         # Jacobian wrt (log a, log b): column scaling by a and b.
-        j11 = a * (ta - tab)
-        j12 = -b * tab
-        j21 = -a * tab
-        j22 = b * (tb - tab)
+        j11, j12, j21, j22 = a * j11, b * j12, a * j21, b * j22
         det = j11 * j22 - j12 * j21
         if det == 0.0:
             raise SolverError("singular Jacobian", a, b, (r1, r2))

@@ -266,6 +266,17 @@ def row_log_marginal(sum_z, n, params, grid) -> float:
     return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
 
+def penalized_loglik(rows, params, grid, regularizer) -> float:
+    """Observed log-likelihood of Beta `rows` plus the mu log-prior, by fsum.
+
+    `rows` is a list of (sum_z, n, count): the objective a free-mu fit under
+    `regularizer` climbs.
+    """
+    pa, pb, _, _ = _mu_problem(regularizer)
+    terms = [count * row_log_marginal(s, n, params, grid) for s, n, count in rows]
+    return math.fsum(terms + [pa * math.log(params.mu), pb * math.log1p(-params.mu)])
+
+
 def beta_em_moments(rows, params, grid):
     """The inputs one Beta EM step takes from the posteriors of `rows`.
 

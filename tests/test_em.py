@@ -35,7 +35,10 @@ from prefqc import (
     posterior_two_point,
     simulate_dataset,
 )
+from prefqc import em
 from prefqc.em import _maximize_mu
+from prefqc.model import ScaledKernel, suff_stats
+from prefqc.numerics import BETA_SHAPE_FLOOR
 
 import reference as ref
 
@@ -512,7 +515,9 @@ class TestEmFit:
             max_iters=200,
         )
         report = em_fit(hists, cfg)
-        assert_monotone(report)
+        # Under a log-prior on mu the penalized objective is the monotone one;
+        # a step may trade raw log-likelihood for prior mass.
+        assert np.all(np.diff(penalized(report, cfg.regularizer)) >= -1e-9)
         params = report.final_params
         assert params.mu_mode == "free"
         assert 0.5 < params.mu < 1.0
@@ -626,6 +631,152 @@ class TestEmFit:
         iters = [pt.iteration for pt in report.trajectory]
         assert iters == list(range(len(iters)))
         assert report.final_loglik == report.trajectory[-1].loglik
+
+
+def free_mu_derivatives(rows, params, regularizer, grid):
+    """`em`'s gradient and Hessian of the penalized objective at `params`.
+
+    `rows` is a list of (sum_z, n, count), as `reference.penalized_loglik`
+    takes them.
+    """
+    sz, n, cnt = (np.array(col, dtype=float) for col in zip(*rows))
+    kernel = ScaledKernel(sz, n, grid)
+    _, totals, _ = kernel.e_step(params, em._em_weights(sz, n, cnt))
+    terms = em._regularizer_terms(regularizer)
+    return em._score_and_hessian(params, kernel, totals, cnt, terms)
+
+
+def stat_rows(histories):
+    sz, n, cnt, _ = suff_stats(histories)
+    return list(zip(sz.tolist(), n.tolist(), cnt.tolist()))
+
+
+def free_beta(vec) -> ModelParams:
+    return ModelParams(BetaPrior(vec[0], vec[1]), vec[2], "free")
+
+
+def penalized(report, regularizer):
+    """The penalized objective at every point of a free-mu trajectory."""
+    pa, pb, _, _ = em._regularizer_terms(regularizer)
+    return np.array(
+        [pt.loglik + em._mu_log_prior(pa, pb, pt.params.mu) for pt in report.trajectory]
+    )
+
+
+# The eval scenario's fit at mu = 0.8, seed 1 (Beta(3, 5), 250 users, 50-100
+# labels, LogPriorOnMu(8, 2)), run by plain EM to param_tol: 3010 iterations.
+LONG_EM_OPTIMUM = (3.064514330563569, 8.136448265613422, 0.866162391796955)
+
+# Penalized objectives of the robustness fits (Beta(3, 5) truth, 250 users,
+# 50-100 labels, LogPriorOnMu(8, 2)), each run by plain EM to param_tol in
+# 1842-8299 iterations. The (0.6, 5) optimum lies on the alpha floor.
+LONG_EM_OBJECTIVES = {
+    (0.6, 1): -12988.959143251128,
+    (0.6, 2): -13007.826174490507,
+    (0.6, 3): -13073.548714235676,
+    (0.6, 4): -12702.958305653094,
+    (0.6, 5): -13207.137296185767,
+    (0.7, 1): -12854.986114950136,
+    (0.7, 2): -12853.34646381045,
+    (0.7, 3): -12907.367253758859,
+    (0.7, 4): -12530.103236743687,
+    (0.7, 5): -13035.483065070752,
+}
+
+
+class TestNewtonStep:
+    CASES = [
+        (0.6, (2.5, 4.0, 0.62), LogPriorOnMu(8.0, 2.0)),
+        (0.6, (2.5, 4.0, 0.62), None),
+        (0.9, (3.0, 5.0, 0.88), LogPriorOnMu(8.0, 2.0)),
+        (0.9, (3.0, 5.0, 0.88), None),
+    ]
+
+    @pytest.mark.parametrize("true_mu, at, regularizer", CASES)
+    def test_gradient_is_the_derivative_of_the_objective(
+        self, grid, true_mu, at, regularizer
+    ):
+        hists, _ = sim_histories(BetaPrior(3.0, 5.0), true_mu, 40, (10, 30), seed=3)
+        rows = stat_rows(hists)
+        grad, _ = free_mu_derivatives(rows, free_beta(at), regularizer, grid)
+        h = 1e-5
+        central = []
+        for j in range(3):
+            step = np.eye(3)[j] * h
+            up = ref.penalized_loglik(rows, free_beta(at + step), grid, regularizer)
+            down = ref.penalized_loglik(rows, free_beta(at - step), grid, regularizer)
+            central.append((up - down) / (2.0 * h))
+        assert np.max(np.abs(grad - central)) <= 1e-6 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize("true_mu, at, regularizer", CASES)
+    def test_louis_hessian_is_the_derivative_of_the_gradient(
+        self, grid, true_mu, at, regularizer
+    ):
+        hists, _ = sim_histories(BetaPrior(3.0, 5.0), true_mu, 40, (10, 30), seed=3)
+        rows = stat_rows(hists)
+        _, hess = free_mu_derivatives(rows, free_beta(at), regularizer, grid)
+        h = 1e-5
+        columns = []
+        for j in range(3):
+            step = np.eye(3)[j] * h
+            up, _ = free_mu_derivatives(rows, free_beta(at + step), regularizer, grid)
+            down, _ = free_mu_derivatives(rows, free_beta(at - step), regularizer, grid)
+            columns.append((up - down) / (2.0 * h))
+        central = np.array(columns).T
+        assert np.array_equal(hess, hess.T)
+        assert np.max(np.abs(hess - central)) <= 1e-6 * np.max(np.abs(hess))
+
+    def test_converged_fit_is_stationary_at_the_long_em_optimum(self, grid):
+        regularizer = LogPriorOnMu(8.0, 2.0)
+        hists, _ = sim_histories(BetaPrior(3.0, 5.0), 0.8, 250, (50, 100), seed=1)
+        cfg = EmConfig(family="beta", mu_mode="free", regularizer=regularizer)
+        report = em_fit(hists, cfg)
+        assert report.stop_reason == "param_tol" and report.converged
+        assert 0 < report.newton_steps <= report.iterations <= 30
+        params = report.final_params
+        grad, _ = free_mu_derivatives(stat_rows(hists), params, regularizer, grid)
+        assert np.max(np.abs(grad)) <= 1e-6
+        np.testing.assert_allclose(param_vec(params), LONG_EM_OPTIMUM, rtol=0, atol=1e-3)
+        assert np.all(np.diff(penalized(report, regularizer)) > 0.0)
+
+    @pytest.mark.parametrize("true_mu, seed", sorted(LONG_EM_OBJECTIVES))
+    def test_weakly_identified_fits_stay_safe_and_reach_em_optimum(
+        self, grid, true_mu, seed
+    ):
+        # Below the benchmark's mu range the likelihood has a ridge and a
+        # local maximum on the alpha floor; (0.6, 2) walks a plain Newton
+        # method to alpha -> 1.
+        regularizer = LogPriorOnMu(8.0, 2.0)
+        hists, _ = sim_histories(BetaPrior(3.0, 5.0), true_mu, 250, (50, 100), seed)
+        cfg = EmConfig(family="beta", mu_mode="free", regularizer=regularizer)
+        report = em_fit(hists, cfg)
+        objective = penalized(report, regularizer)
+        assert np.all(np.diff(objective) >= -cfg.tol_loglik)
+        spacing = float(np.max(np.diff(grid.nodes)))
+        for point in report.trajectory:
+            a, b = point.params.prior.alpha, point.params.prior.beta
+            sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+            assert sd >= 8.0 * spacing, f"Beta({a}, {b}) is narrower than the grid"
+        assert report.stop_reason == "param_tol" and report.newton_steps > 0
+        assert objective[-1] >= LONG_EM_OBJECTIVES[true_mu, seed] - 1e-6
+        # Stationary in every coordinate not held on the alpha floor.
+        params = report.final_params
+        grad, _ = free_mu_derivatives(stat_rows(hists), params, regularizer, grid)
+        if params.prior.alpha <= BETA_SHAPE_FLOOR:
+            assert grad[0] < 0.0
+            grad = grad[1:]
+        assert np.max(np.abs(grad)) <= 1e-4
+
+    @pytest.mark.parametrize(
+        "family, mu_mode",
+        [("beta", "fixed"), ("two_point", "fixed"), ("two_point", "free")],
+    )
+    def test_em_only_fits_take_no_newton_steps(self, family, mu_mode):
+        prior = BetaPrior(3.0, 5.0) if family == "beta" else TwoPointPrior(0.6, 0.4, 0.98)
+        hists, _ = sim_histories(prior, 0.8, 80, (20, 40), seed=5)
+        mu = 0.8 if mu_mode == "fixed" else None
+        cfg = EmConfig(family=family, mu=mu, mu_mode=mu_mode, max_iters=60)
+        assert em_fit(hists, cfg).newton_steps == 0
 
 
 class TestMixtureFit:

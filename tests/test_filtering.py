@@ -113,6 +113,17 @@ class TestClassifyAttentive:
         assert classify_attentive(summary, 0.5, level=0.75)
         assert not classify_attentive(summary, 0.5, level=0.7500000001)
 
+    @pytest.mark.parametrize("params", [TWO_POINT_PARAMS, BETA_PARAMS], ids=["two_point", "beta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eta_star_is_rejected(self, params, bad):
+        summary = summarize_posterior(hist_counts("u", 8, 10), params)
+        with pytest.raises(ValueError, match="eta_star must be finite"):
+            summary.tail_prob(bad)
+        with pytest.raises(ValueError, match="eta_star must be finite"):
+            summary.density.tail_prob(bad)
+        with pytest.raises(ValueError, match="eta_star must be finite"):
+            classify_attentive(summary, bad, level=0.0)
+
 
 class TestSelectUsers:
     def test_empty_rejected(self):

@@ -370,6 +370,7 @@ class TestFitReports:
             "clamp_events",
             "labels_flipped",
             "fallback_rows",
+            "newton_steps",
         }
         assert obj["labels_flipped"] is False
         # Two-point fits count their fallback rows too.
