@@ -623,6 +623,12 @@ def _param_vector(params: ModelParams) -> np.ndarray:
     return np.array(vec)
 
 
+def _node_logs(nodes):
+    """log(eta) and log(1 - eta) at grid nodes, clipped as the Beta density is."""
+    eta = np.clip(nodes, ETA_DENSITY_CLIP, 1.0 - ETA_DENSITY_CLIP)
+    return np.log(eta), np.log1p(-eta)
+
+
 def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
     """Gradient and Hessian in (alpha, beta, mu) of a free-mu Beta objective.
 
@@ -641,8 +647,7 @@ def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
     users, wins, losses = totals
     m = float(cnt.sum())
     nodes = kernel.grid.nodes
-    clipped = np.clip(nodes, ETA_DENSITY_CLIP, 1.0 - ETA_DENSITY_CLIP)
-    x, y = np.log(clipped), np.log1p(-clipped)
+    x, y = _node_logs(nodes)
     g = 0.5 + nodes * (mu - 0.5)
     t, u = nodes / g, nodes / (1.0 - g)  # d log g / d mu, -d log(1-g) / d mu
     ex, ey, et, eu, ett, etu, euu = kernel.posterior_means(
@@ -744,9 +749,7 @@ def em_fit(
 
     sz_u, n_u, cnt, _ = suff_stats(histories)
     m = float(cnt.sum())
-    clip_lo = np.clip(grid.nodes, ETA_DENSITY_CLIP, 1.0 - ETA_DENSITY_CLIP)
-    log_nodes = np.log(clip_lo)
-    log_1m_nodes = np.log1p(-clip_lo)
+    log_nodes, log_1m_nodes = _node_logs(grid.nodes)
 
     # With a log-prior on free mu the M-step maximizes the penalized
     # objective, so that is the quantity the monotonicity guard watches.

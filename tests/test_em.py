@@ -767,6 +767,16 @@ class TestNewtonStep:
             grad = grad[1:]
         assert np.max(np.abs(grad)) <= 1e-4
 
+    def test_step_not_taken_shrinks_the_trust_region(self):
+        # At mu = 0.7, seed 3 the step scaled to the full trust region fails
+        # to raise the objective from iteration 15 on; with a fixed region,
+        # Newton sat out ever longer stretches and the fit took 178
+        # iterations.
+        hists, _ = sim_histories(BetaPrior(3.0, 5.0), 0.7, 250, (50, 100), seed=3)
+        cfg = EmConfig(family="beta", mu_mode="free", regularizer=LogPriorOnMu(8.0, 2.0))
+        report = em_fit(hists, cfg)
+        assert report.stop_reason == "param_tol" and report.iterations <= 40
+
     @pytest.mark.parametrize(
         "family, mu_mode",
         [("beta", "fixed"), ("two_point", "fixed"), ("two_point", "free")],
