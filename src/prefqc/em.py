@@ -120,7 +120,7 @@ class FitReport:
     stop_reason: StopReason
     clamp_events: tuple[ClampEvent, ...] = ()
     # E-step rows, summed over iterations, that underflowed the probability
-    # domain and took log_joint.
+    # domain and took log_joint. A Newton step not taken is no iteration.
     fallback_rows: int = 0
     # Iterations that took a Newton step rather than an EM step.
     newton_steps: int = 0
@@ -633,8 +633,8 @@ def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
     """Gradient and Hessian in (alpha, beta, mu) of a free-mu Beta objective.
 
     The objective is the penalized observed log-likelihood at `params`,
-    whose E-step `kernel` ran last and gave `totals`; `cnt` holds the users
-    of each kernel row and `mu_terms` comes from `_regularizer_terms`. The
+    whose `kernel.e_step` gave `totals`; `cnt` holds the users of each
+    kernel row and `mu_terms` comes from `_regularizer_terms`. The
     gradient is the posterior mean of the complete-data score (Fisher's
     identity), read off the totals: m(r1 - psi(a) + psi(a+b)),
     m(r2 - psi(b) + psi(a+b)) and the mu derivative of `_maximize_mu`. The
@@ -651,7 +651,7 @@ def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
     g = 0.5 + nodes * (mu - 0.5)
     t, u = nodes / g, nodes / (1.0 - g)  # d log g / d mu, -d log(1-g) / d mu
     ex, ey, et, eu, ett, etu, euu = kernel.posterior_means(
-        np.stack([x, y, t, u, t * t, t * u, u * u], axis=1)
+        params, np.stack([x, y, t, u, t * t, t * u, u * u], axis=1)
     ).T
     # Each row's posterior mean and variance of the mu score sz t - (n - sz) u.
     sz, ls = kernel.sum_z, kernel.n - kernel.sum_z
@@ -824,7 +824,6 @@ def em_fit(
                     params, backoff, reach = cand, 1, min(1.0, 2.0 * reach)
                     newton_steps += 1
                     continue
-                fallback_rows += ahead[2]
                 ahead, reach = None, 0.5 * reach
             skip, backoff = backoff, 2 * backoff
 

@@ -408,7 +408,7 @@ class ScaledKernel:
         self.grid = grid
         self.p = None
         self.rowmax = np.empty(self.sum_z.size)
-        self.mu = self.support = self._last = None
+        self.mu = self.support = None
 
     def _build(self, mu: float, support: np.ndarray) -> None:
         if self.p is None:
@@ -428,11 +428,7 @@ class ScaledKernel:
         is sum over rows r of weights[j, r] times row r's posterior masses on
         the support, and fallbacks the number of rows that took `log_joint`.
         """
-        support, log_mass = prior_log_masses(params.prior, self.grid)
-        if params.mu != self.mu or not np.array_equal(support, self.support):
-            self._build(params.mu, support)
-        top = float(log_mass.max())
-        w = np.exp(log_mass - top)
+        w, top = self._scaled_masses(params)
         s = self.p @ w
         low = s < self.fallback_below
         with np.errstate(divide="ignore"):
@@ -444,21 +440,33 @@ class ScaledKernel:
         if fallbacks:
             masses, per_row[low] = self._fallback(params, low)
             totals += weights[:, low] @ masses
-        self._last = params, w, s, low
         return per_row, totals, fallbacks
+
+    def _scaled_masses(self, params: ModelParams):
+        """The prior's masses w scaled to a largest of 1, and log of that scale.
+
+        Rebuilds P first if `params` moved mu or the support.
+        """
+        support, log_mass = prior_log_masses(params.prior, self.grid)
+        if params.mu != self.mu or not np.array_equal(support, self.support):
+            self._build(params.mu, support)
+        top = float(log_mass.max())
+        return np.exp(log_mass - top), top
 
     def _fallback(self, params: ModelParams, low):
         """Posterior masses and log marginals of the rows `low`, by `log_joint`."""
         joint, norm = log_joint(self.sum_z[low, None], self.n[low, None], params, self.grid)
         return np.exp(joint - norm[:, None], out=joint), norm
 
-    def posterior_means(self, columns):
-        """Each row's posterior expectation of `columns` (support x C).
+    def posterior_means(self, params: ModelParams, columns):
+        """Each row's posterior expectation at `params` of `columns` (support x C).
 
-        The posteriors are those of the last `e_step`, whose underflowed rows
-        take `log_joint` again: one rows x C product over the kernel.
+        One rows x C product over the kernel, normalised by each row's
+        s = P @ w as `e_step` forms it; rows that underflow take `log_joint`.
         """
-        params, w, s, low = self._last
+        w, _ = self._scaled_masses(params)
+        s = self.p @ w
+        low = s < self.fallback_below
         means = self.p @ (w[:, None] * columns)
         means /= np.where(low, np.inf, s)[:, None]
         if low.any():

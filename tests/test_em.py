@@ -515,9 +515,15 @@ class TestEmFit:
             max_iters=200,
         )
         report = em_fit(hists, cfg)
-        # Under a log-prior on mu the penalized objective is the monotone one;
-        # a step may trade raw log-likelihood for prior mass.
+        # Under a log-prior on mu the penalized objective is the monotone one.
+        # The raw log-likelihood is not: plain EM run to its param_tol stop
+        # here (7190 iterations) lowers it from iteration 741 on, by 0.059 in
+        # all, so it rose throughout only while the fit stopped at the cap.
         assert np.all(np.diff(penalized(report, cfg.regularizer)) >= -1e-9)
+        # Without the log-prior the raw log-likelihood is the objective.
+        assert_monotone(
+            em_fit(hists, EmConfig(family="beta", mu_mode="free", max_iters=200))
+        )
         params = report.final_params
         assert params.mu_mode == "free"
         assert 0.5 < params.mu < 1.0
@@ -669,18 +675,22 @@ LONG_EM_OPTIMUM = (3.064514330563569, 8.136448265613422, 0.866162391796955)
 
 # Penalized objectives of the robustness fits (Beta(3, 5) truth, 250 users,
 # 50-100 labels, LogPriorOnMu(8, 2)), each run by plain EM to param_tol in
-# 1842-8299 iterations. The (0.6, 5) optimum lies on the alpha floor.
+# 1842-8299 iterations, and the iterations the hybrid fit may take. The
+# (0.6, 5) optimum lies on the alpha floor. At (0.7, 3) the step scaled to
+# the full trust region fails to raise the objective from iteration 15 on;
+# with a region that did not shrink after such a step, Newton sat out ever
+# longer stretches and the fit took 178 iterations.
 LONG_EM_OBJECTIVES = {
-    (0.6, 1): -12988.959143251128,
-    (0.6, 2): -13007.826174490507,
-    (0.6, 3): -13073.548714235676,
-    (0.6, 4): -12702.958305653094,
-    (0.6, 5): -13207.137296185767,
-    (0.7, 1): -12854.986114950136,
-    (0.7, 2): -12853.34646381045,
-    (0.7, 3): -12907.367253758859,
-    (0.7, 4): -12530.103236743687,
-    (0.7, 5): -13035.483065070752,
+    (0.6, 1): (-12988.959143251128, 40),
+    (0.6, 2): (-13007.826174490507, 200),
+    (0.6, 3): (-13073.548714235676, 200),
+    (0.6, 4): (-12702.958305653094, 200),
+    (0.6, 5): (-13207.137296185767, 200),
+    (0.7, 1): (-12854.986114950136, 60),
+    (0.7, 2): (-12853.34646381045, 60),
+    (0.7, 3): (-12907.367253758859, 40),
+    (0.7, 4): (-12530.103236743687, 40),
+    (0.7, 5): (-13035.483065070752, 40),
 }
 
 
@@ -757,8 +767,10 @@ class TestNewtonStep:
             a, b = point.params.prior.alpha, point.params.prior.beta
             sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
             assert sd >= 8.0 * spacing, f"Beta({a}, {b}) is narrower than the grid"
+        long_em, max_iterations = LONG_EM_OBJECTIVES[true_mu, seed]
         assert report.stop_reason == "param_tol" and report.newton_steps > 0
-        assert objective[-1] >= LONG_EM_OBJECTIVES[true_mu, seed] - 1e-6
+        assert report.iterations <= max_iterations
+        assert objective[-1] >= long_em - 1e-6
         # Stationary in every coordinate not held on the alpha floor.
         params = report.final_params
         grad, _ = free_mu_derivatives(stat_rows(hists), params, regularizer, grid)
@@ -766,16 +778,6 @@ class TestNewtonStep:
             assert grad[0] < 0.0
             grad = grad[1:]
         assert np.max(np.abs(grad)) <= 1e-4
-
-    def test_step_not_taken_shrinks_the_trust_region(self):
-        # At mu = 0.7, seed 3 the step scaled to the full trust region fails
-        # to raise the objective from iteration 15 on; with a fixed region,
-        # Newton sat out ever longer stretches and the fit took 178
-        # iterations.
-        hists, _ = sim_histories(BetaPrior(3.0, 5.0), 0.7, 250, (50, 100), seed=3)
-        cfg = EmConfig(family="beta", mu_mode="free", regularizer=LogPriorOnMu(8.0, 2.0))
-        report = em_fit(hists, cfg)
-        assert report.stop_reason == "param_tol" and report.iterations <= 40
 
     @pytest.mark.parametrize(
         "family, mu_mode",

@@ -125,6 +125,19 @@ def test_underflowing_row_falls_back_to_log_joint(grid):
     assert_meets_contract(kernel, params, sz, n, cnt, grid)
 
 
+def test_posterior_means_are_those_of_the_params_given(grid):
+    # The kernel last ran at another mu and prior; one row underflows.
+    params, sz, n = fallback_case(grid)
+    kernel = ScaledKernel(sz, n, grid)
+    kernel.e_step(ModelParams(BetaPrior(2.0, 3.0), 0.7), np.ones((1, 2)))
+    columns = np.stack([grid.nodes, grid.nodes**2], axis=1)
+    joint, norm = log_joint(sz[:, None], n[:, None], params, grid)
+    want = np.exp(joint - norm[:, None]) @ columns
+    got = kernel.posterior_means(params, columns)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert kernel.mu == params.mu
+
+
 def test_fit_report_and_fit_json_count_fallback_rows(grid, tmp_path):
     params, _, _ = fallback_case(grid)
     hists = [UserHistory("far", 0, 2000)]
