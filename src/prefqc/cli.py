@@ -122,8 +122,21 @@ def _em_config(cfg: dict) -> EmConfig:
     )
 
 
+# fit's numeric keys and the types they take; a JSON bool is not a number here.
+_NUMERIC_KEYS = {
+    "mu": ((int, float, type(None)), "a number"),
+    "max_iters": (int, "an integer"),
+    "tol_param": ((int, float), "a number"),
+    "tol_loglik": ((int, float), "a number"),
+}
+
+
 def _fit_once(cfg: dict, strict: bool):
     """fit's core: load annotations, run EM, return (report, labels_flipped)."""
+    for key, (types, kind) in _NUMERIC_KEYS.items():
+        value = cfg.get(key)
+        if key in cfg and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
     mu = cfg.get("mu")
     labels_flipped = False
     if mu is not None:

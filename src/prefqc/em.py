@@ -5,12 +5,13 @@ current parameters, over the prior's support: exactly for the two-point
 family (two atoms), on a trapezoid grid for continuous priors. Both go
 through one probability-domain kernel (`model.ScaledKernel`), which hands
 the M-step the expected users, labels of 1 and labels of 0 at each support
-point. The M-step maximizes the expected complete-data log-likelihood plus
-an optional regularizer on mu: closed form for the two-point family, a
-digamma moment system for the Beta family, and a bracketed Newton method on
-the derivative in mu when mu is estimated rather than known.
+point. The M-step (`m_step`, the library's only one) maximizes the expected
+complete-data log-likelihood plus an optional regularizer on mu: closed form
+for the two-point family, a digamma moment system for the Beta family, and a
+bracketed Newton method on the derivative in mu when mu is estimated rather
+than known.
 
-Every M-step here is an exact maximizer of its block of the surrogate
+Each block of the M-step is an exact maximizer of its part of the surrogate
 objective (clipping included: the objectives are concave per coordinate), so
 the observed log-likelihood is non-decreasing along the trajectory up to
 floating-point noise. The fit loop asserts that invariant every iteration.
@@ -161,6 +162,8 @@ class EmConfig:
     defaults for the rest follow the library's stock choices: interior
     inits (q1=1/2 with masses at 1/4, 3/4; Beta(2,2)), a free mu started at
     the clipped empirical label frequency, sup-norm parameter convergence.
+    With `init`, a `mu` other than init's or a free `mu_mode` for a fixed
+    init is rejected; the default `mu_mode` leaves init's.
     """
 
     family: Literal["two_point", "beta"] | None = None
@@ -176,15 +179,22 @@ class EmConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol_param <= 0.0 or self.tol_loglik <= 0.0:
+        if not (self.tol_param > 0.0 and self.tol_loglik > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.init is None and self.family not in ("two_point", "beta"):
-            raise ValueError("supply init params or family in {'two_point','beta'}")
-        if self.init is not None and self.family is not None:
-            fam = "two_point" if isinstance(self.init.prior, TwoPointPrior) else "beta"
-            known = isinstance(self.init.prior, (TwoPointPrior, BetaPrior))
+        init = self.init
+        if init is None:
+            if self.family not in ("two_point", "beta"):
+                raise ValueError("supply init params or family in {'two_point','beta'}")
+            return
+        if self.family is not None:
+            fam = "two_point" if isinstance(init.prior, TwoPointPrior) else "beta"
+            known = isinstance(init.prior, (TwoPointPrior, BetaPrior))
             if known and fam != self.family:
                 raise ValueError(f"init prior is {fam!r} but family={self.family!r}")
+        if self.mu is not None and self.mu != init.mu:
+            raise ValueError(f"mu={self.mu!r} conflicts with init mu={init.mu!r}")
+        if self.mu_mode == "free" and init.mu_mode == "fixed":
+            raise ValueError("mu_mode='free' conflicts with a fixed-mu init")
 
 
 class PosteriorRows:
@@ -284,18 +294,6 @@ class TwoPointPosterior(_OnePosterior):
         support = np.array([self.eta_lo, self.eta_hi])
         return PosteriorRows(support, np.array([[self.gamma_lo, self.gamma_hi]]))
 
-    @property
-    def e_log_eta(self) -> float:
-        lo = max(self.eta_lo, ETA_DENSITY_CLIP)
-        hi = max(self.eta_hi, ETA_DENSITY_CLIP)
-        return self.gamma_lo * math.log(lo) + self.gamma_hi * math.log(hi)
-
-    @property
-    def e_log_1meta(self) -> float:
-        lo = min(self.eta_lo, 1.0 - ETA_DENSITY_CLIP)
-        hi = min(self.eta_hi, 1.0 - ETA_DENSITY_CLIP)
-        return self.gamma_lo * math.log1p(-lo) + self.gamma_hi * math.log1p(-hi)
-
 
 @dataclass(frozen=True)
 class GridPosterior(_OnePosterior):
@@ -313,16 +311,6 @@ class GridPosterior(_OnePosterior):
 
     def _one_row(self) -> PosteriorRows:
         return PosteriorRows(self.nodes, self.masses[None], self.density[None])
-
-    @property
-    def e_log_eta(self) -> float:
-        e = np.clip(self.nodes, ETA_DENSITY_CLIP, 1.0 - ETA_DENSITY_CLIP)
-        return float(np.dot(self.masses, np.log(e)))
-
-    @property
-    def e_log_1meta(self) -> float:
-        e = np.clip(self.nodes, ETA_DENSITY_CLIP, 1.0 - ETA_DENSITY_CLIP)
-        return float(np.dot(self.masses, np.log1p(-e)))
 
 
 PosteriorDensity = Union[TwoPointPosterior, GridPosterior]
@@ -383,24 +371,6 @@ def posterior_grid(
     return posterior_rows(*suff_stats([history])[:2], params, grid).rows()[0]
 
 
-def m_step_two_point(
-    posteriors: Sequence[tuple[float, float]],
-    histories: Sequence[UserHistory],
-    mu: float,
-) -> TwoPointPrior:
-    """Exact maximizer of the two-point surrogate objective at fixed mu.
-
-    q1 is the mean low-atom responsibility; each atom solves a weighted
-    Bernoulli MLE inverted through the response curve, clipped to [0, 1].
-    Returned with eta_lo <= eta_hi (labels swapped if the update crosses).
-    """
-    if len(posteriors) != len(histories):
-        raise ValueError("posteriors and histories must align")
-    totals = _em_weights(*_user_rows(histories)) @ np.asarray(posteriors, dtype=float)
-    q1, eta_lo, eta_hi, _ = _two_point_update(totals, len(histories), mu)
-    return TwoPointPrior(q1=q1, eta_lo=eta_lo, eta_hi=eta_hi)
-
-
 def _em_weights(sz, n, cnt):
     """E-step weights of rows holding cnt users each with sum_z of n labels.
 
@@ -408,55 +378,6 @@ def _em_weights(sz, n, cnt):
     users, its labels of 1 (wins) and its labels of 0 (losses).
     """
     return np.stack([cnt, cnt * sz, cnt * (n - sz)])
-
-
-def _user_rows(histories):
-    """(sum_z, n, count) columns with one row per history."""
-    sz = np.array([h.sum_z for h in histories], dtype=float)
-    n = np.array([h.n for h in histories], dtype=float)
-    return sz, n, np.ones_like(sz)
-
-
-def _two_point_update(totals, users, mu):
-    """Two-point M-step from the (3, 2) atom totals of `_em_weights`.
-
-    Returns (q1, eta_lo, eta_hi, clip_flags): q1 is the low atom's share of
-    the users, and each atom's eta the Bernoulli MLE of its expected wins W
-    and losses L inverted through the response curve,
-    (W - L) / ((2 mu - 1)(W + L)), clipped to [0, 1].
-    """
-    q1 = float(totals[0, 0] / users)
-    etas = []
-    clipped = []
-    for idx in range(2):
-        wins, losses = float(totals[1, idx]), float(totals[2, idx])
-        den = (2.0 * mu - 1.0) * (wins + losses)
-        if den == 0.0:
-            raise DegenerateComponentError(
-                f"two-point component {idx + 1} has no posterior mass"
-            )
-        raw = (wins - losses) / den
-        etas.append(min(max(raw, 0.0), 1.0))
-        clipped.append(raw < 0.0 or raw > 1.0)
-    swapped = etas[0] > etas[1]
-    if swapped:
-        etas, clipped, q1 = etas[::-1], clipped[::-1], 1.0 - q1
-    return q1, etas[0], etas[1], (clipped[0], clipped[1], swapped)
-
-
-def m_step_beta(
-    posteriors: Sequence[PosteriorDensity],
-) -> tuple[BetaPrior, bool]:
-    """Beta M-step: match digamma moments to mean posterior log-moments.
-
-    Returns the prior and whether the (alpha, beta) > 1 floor clamped.
-    """
-    if not posteriors:
-        raise ValueError("need at least one posterior")
-    r1 = float(np.mean([p.e_log_eta for p in posteriors]))
-    r2 = float(np.mean([p.e_log_1meta for p in posteriors]))
-    sol = solve_beta_system(r1, r2)
-    return BetaPrior(alpha=sol.alpha, beta=sol.beta), sol.clamped
 
 
 def _regularizer_terms(regularizer: RegularizerSpec):
@@ -552,41 +473,6 @@ def _maximize_mu(support, win_counts, loss_counts, regularizer, start=None):
     return x, False, f
 
 
-def _mu_update_arrays(posteriors, current_prior):
-    """(support, users x support masses) for the mu objective."""
-    if not posteriors:
-        return np.array([0.0]), np.zeros((0, 1))
-    if isinstance(posteriors[0], _OnePosterior):
-        tables = [p._one_row() for p in posteriors]
-        return tables[0].support, np.concatenate([t.masses for t in tables])
-    # plain (gamma_lo, gamma_hi) pairs; atoms come from the prior
-    if not isinstance(current_prior, TwoPointPrior):
-        raise ValueError("tuple posteriors need a two-point current_prior")
-    gam = np.asarray(posteriors, dtype=float)
-    return np.array([current_prior.eta_lo, current_prior.eta_hi]), gam
-
-
-def m_step_mu(
-    posteriors,
-    histories: Sequence[UserHistory],
-    current_prior: AttentivenessPrior,
-    regularizer: RegularizerSpec = None,
-) -> float:
-    """Argmax over mu of the expected log-likelihood plus regularizer.
-
-    Accepts two-point responsibilities (pairs or TwoPointPosterior) or grid
-    posteriors. Boundary solutions are logged as a warning.
-    """
-    if len(posteriors) != len(histories):
-        raise ValueError("posteriors and histories must align")
-    support, masses = _mu_update_arrays(posteriors, current_prior)
-    _, wins, losses = _em_weights(*_user_rows(histories)) @ masses
-    mu, at_boundary, _ = _maximize_mu(support, wins, losses, regularizer)
-    if at_boundary:
-        logger.warning("mu update landed on the search boundary at %.6f", mu)
-    return mu
-
-
 def default_init(
     family: str,
     histories: Sequence[UserHistory],
@@ -627,6 +513,65 @@ def _node_logs(nodes):
     """log(eta) and log(1 - eta) at grid nodes, clipped as the Beta density is."""
     eta = np.clip(nodes, ETA_DENSITY_CLIP, 1.0 - ETA_DENSITY_CLIP)
     return np.log(eta), np.log1p(-eta)
+
+
+def m_step(params, totals, users, grid, regularizer=None):
+    """The EM update of `params` from its E-step totals over the support.
+
+    `totals` holds the expected users, wins and losses at each support point
+    (the two atoms, or the nodes of `grid`), as `_em_weights` weighs them; a
+    fixed-mu Beta step reads only the users row. `users` is the user count.
+    Each block is an exact maximizer of the surrogate objective:
+    - two atoms: q1 is the low atom's share of the users, and each eta the
+      Bernoulli MLE (W - L) / ((2 mu - 1)(W + L)) of its expected wins W and
+      losses L, clipped to [0, 1]; atoms that cross trade places, and so do
+      their totals;
+    - Beta: the digamma moment system at the mean posterior log-moments,
+      started from the current shapes (consecutive iterations solve nearly
+      the same system);
+    - a free mu: `_maximize_mu` on the new support, kept only when it scores
+      at least the current mu (near the optimum the two differ by rounding).
+
+    Returns (new params, clamps), the clamps being (parameter, value) pairs:
+    a clipped atom, the (alpha, beta) > 1 floor, or a mu on its bound.
+    """
+    if isinstance(params.prior, TwoPointPrior):
+        q1 = float(totals[0, 0] / users)
+        etas, clipped = [], []
+        for idx in range(2):
+            wins, losses = float(totals[1, idx]), float(totals[2, idx])
+            den = (2.0 * params.mu - 1.0) * (wins + losses)
+            if den == 0.0:
+                raise DegenerateComponentError(
+                    f"two-point component {idx + 1} has no posterior mass"
+                )
+            raw = (wins - losses) / den
+            etas.append(min(max(raw, 0.0), 1.0))
+            clipped.append(raw < 0.0 or raw > 1.0)
+        if etas[0] > etas[1]:
+            etas, clipped, q1 = etas[::-1], clipped[::-1], 1.0 - q1
+            totals = totals[:, ::-1]
+        names = ("eta_lo", "eta_hi")
+        clamps = [(k, e) for k, e, hit in zip(names, etas, clipped) if hit]
+        prior: AttentivenessPrior = TwoPointPrior(q1, etas[0], etas[1])
+        support = np.array(etas)
+    else:
+        log_nodes, log_1m_nodes = _node_logs(grid.nodes)
+        r1 = float(totals[0] @ log_nodes / users)
+        r2 = float(totals[0] @ log_1m_nodes / users)
+        sol = solve_beta_system(r1, r2, start=(params.prior.alpha, params.prior.beta))
+        clamps = [("alpha_beta_floor", sol.alpha)] if sol.clamped else []
+        prior = BetaPrior(alpha=sol.alpha, beta=sol.beta)
+        support = grid.nodes
+
+    mu = params.mu
+    if params.mu_mode == "free":
+        new, at_edge, obj = _maximize_mu(support, totals[1], totals[2], regularizer, mu)
+        if obj(new) >= obj(mu):
+            mu = new
+            if at_edge:
+                clamps.append(("mu", new))
+    return ModelParams(prior=prior, mu=mu, mu_mode=params.mu_mode), clamps
 
 
 def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
@@ -743,13 +688,11 @@ def em_fit(
             "EM fits the two-point and Beta families; mixture densities are "
             "fitted post hoc from MAP estimates (fit_logistic_normal_mixture)"
         )
-    grid = config.grid
     two_point = isinstance(params.prior, TwoPointPrior)
     mu_free = params.mu_mode == "free"
 
     sz_u, n_u, cnt, _ = suff_stats(histories)
     m = float(cnt.sum())
-    log_nodes, log_1m_nodes = _node_logs(grid.nodes)
 
     # With a log-prior on free mu the M-step maximizes the penalized
     # objective, so that is the quantity the monotonicity guard watches.
@@ -771,7 +714,7 @@ def em_fit(
     # One E-step for both families: the kernel is rebuilt in place when mu
     # or the support moves, and the weights give the M-step its totals over
     # the support. A fixed-mu Beta step needs only the users.
-    kernel = ScaledKernel(sz_u, n_u, grid)
+    kernel = ScaledKernel(sz_u, n_u, config.grid)
     weights = _em_weights(sz_u, n_u, cnt)[: 3 if two_point or mu_free else 1]
     fallback_rows = 0
 
@@ -827,42 +770,8 @@ def em_fit(
                 ahead, reach = None, 0.5 * reach
             skip, backoff = backoff, 2 * backoff
 
-        if two_point:
-            q1, eta_lo, eta_hi, flags = _two_point_update(totals, m, params.mu)
-            for name, eta, hit in zip(("eta_lo", "eta_hi"), (eta_lo, eta_hi), flags):
-                if hit:
-                    clamp_events.append(ClampEvent(iteration + 1, name, eta))
-            new_prior: AttentivenessPrior = TwoPointPrior(q1, eta_lo, eta_hi)
-            if flags[2]:  # the atoms traded places; so do their totals
-                totals = totals[:, ::-1]
-            mu_support = np.array([eta_lo, eta_hi])
-        else:
-            r1 = float(totals[0] @ log_nodes / m)
-            r2 = float(totals[0] @ log_1m_nodes / m)
-            # Consecutive EM iterations solve nearly identical systems;
-            # starting Newton at the previous solution skips the warm-up.
-            sol = solve_beta_system(
-                r1, r2, start=(params.prior.alpha, params.prior.beta)
-            )
-            if sol.clamped:
-                clamp_events.append(
-                    ClampEvent(iteration + 1, "alpha_beta_floor", sol.alpha)
-                )
-            new_prior = BetaPrior(alpha=sol.alpha, beta=sol.beta)
-            mu_support = grid.nodes
-
-        new_mu = params.mu
-        if mu_free:
-            cand, at_boundary, obj = _maximize_mu(
-                mu_support, totals[1], totals[2], config.regularizer, params.mu
-            )
-            # Generalized-EM safeguard: never accept a mu that scores below
-            # the current one (near the optimum the two differ by rounding).
-            if obj(cand) >= obj(params.mu):
-                new_mu = cand
-                if at_boundary:
-                    clamp_events.append(ClampEvent(iteration + 1, "mu", cand))
-        params = ModelParams(prior=new_prior, mu=new_mu, mu_mode=params.mu_mode)
+        params, clamps = m_step(params, totals, m, config.grid, config.regularizer)
+        clamp_events += [ClampEvent(iteration + 1, *clamp) for clamp in clamps]
 
     report = FitReport(
         trajectory=tuple(trajectory),

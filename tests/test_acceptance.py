@@ -28,10 +28,9 @@ from prefqc import (
     digamma,
     em_fit,
     histories_from_records,
-    m_step_beta,
-    m_step_two_point,
+    m_step,
     misspecification_suite,
-    posterior_grid,
+    posterior_rows,
     prior_quantile,
     recovery_accuracy,
     relative_error,
@@ -41,9 +40,9 @@ from prefqc import (
     solve_beta_system,
     summarize_histories,
 )
+from prefqc import em
 from prefqc import io as fio
 from prefqc.cli import main as cli_main
-from prefqc.model import UserHistory
 
 SEEDS = range(10)
 
@@ -68,10 +67,6 @@ def _delta_for(preset_name, family, truth_prior, seed):
     truth = ModelParams(prior=truth_prior, mu=scenario.mu, mu_mode="fixed")
     fit = report.final_params
     return relative_error(fit, truth), elapsed, fit.prior
-
-
-def hist_counts(user_id, sum_z, n):
-    return UserHistory.from_labels(user_id, [1] * sum_z + [0] * (n - sum_z))
 
 
 def test_criterion_1_two_point_parameter_recovery(capsys):
@@ -309,8 +304,12 @@ def test_criterion_4_initialization_independence(capsys):
 
 
 def test_criterion_5_m_steps_beat_random_probes(capsys):
+    # em.m_step is the M-step of every fit. Its inputs are built as em_fit
+    # builds them: posterior masses over the support, weighed by the users,
+    # wins and losses of each (sum_z, n) row (em._em_weights).
     rng = np.random.default_rng(505)
     grid = QuadratureGrid.uniform()
+    log_eta, log_1meta = em._node_logs(grid.nodes)
     worst_gap = -math.inf  # most a probe ever beat a returned optimum by
     for _ in range(20):
         # two-point closed form
@@ -319,14 +318,11 @@ def test_criterion_5_m_steps_beat_random_probes(capsys):
         sz = rng.integers(0, n + 1)
         mu = float(rng.uniform(0.6, 0.95))
         g1 = rng.uniform(0.02, 0.98, size=m)
-        hists = [hist_counts(f"u{j}", int(sz[j]), int(n[j])) for j in range(m)]
-        prior = m_step_two_point(
-            [(float(g), float(1.0 - g)) for g in g1], hists, mu
-        )
         gam = np.stack([g1, 1.0 - g1], axis=1)
-        g_tot = gam.sum(axis=0)
-        wins = gam.T @ sz
-        losses = gam.T @ (n - sz)
+        totals = em._em_weights(sz, n, np.ones(m)) @ gam
+        start = ModelParams(prior=TwoPointPrior(0.5, 0.25, 0.75), mu=mu)
+        prior = m_step(start, totals, m, grid)[0].prior
+        g_tot, wins, losses = totals
 
         def q_scalar(q1, eta_a, eta_b):
             ga = 0.5 + eta_a * (mu - 0.5)
@@ -357,7 +353,8 @@ def test_criterion_5_m_steps_beat_random_probes(capsys):
         )
         worst_gap = max(worst_gap, float(probe_vals.max() - ours))
 
-        # beta Newton step on real grid posteriors
+        # beta moment solve on real grid posteriors; a fixed-mu Beta step
+        # reads only the users row of the totals
         m_b = int(rng.integers(5, 16))
         params = ModelParams(
             prior=BetaPrior(
@@ -365,20 +362,13 @@ def test_criterion_5_m_steps_beat_random_probes(capsys):
             ),
             mu=mu,
         )
-        posts = [
-            posterior_grid(
-                hist_counts(f"v{j}", int(s), int(c)), params, grid
-            )
-            for j, (s, c) in enumerate(
-                zip(
-                    rng.integers(0, 31, size=m_b),
-                    np.full(m_b, 30),
-                )
-            )
-        ]
-        beta_prior, _ = m_step_beta(posts)
-        s1 = sum(p.e_log_eta for p in posts)
-        s2 = sum(p.e_log_1meta for p in posts)
+        sz_b = rng.integers(0, 31, size=m_b).astype(float)
+        n_b = np.full(m_b, 30.0)
+        masses = posterior_rows(sz_b, n_b, params, grid).masses
+        users = em._em_weights(sz_b, n_b, np.ones(m_b))[:1] @ masses
+        beta_prior = m_step(params, users, m_b, grid)[0].prior
+        s1 = float(users[0] @ log_eta)
+        s2 = float(users[0] @ log_1meta)
 
         def q_beta(a, b):
             return (a - 1.0) * s1 + (b - 1.0) * s2 - m_b * scipy.special.betaln(a, b)

@@ -180,6 +180,36 @@ class TestFit:
         assert main(["fit", "--config", config]) == EXIT_VALIDATION
         assert "annotations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mu", "0.8"),
+            ("mu", True),
+            ("max_iters", "5"),
+            ("max_iters", 5.0),
+            ("max_iters", True),
+            ("tol_param", "1e-6"),
+            ("tol_loglik", False),
+        ],
+    )
+    def test_non_numeric_setting_names_its_key(self, tmp_path, capsys, key, value):
+        sim = simulate_into(tmp_path)
+        config, _ = fit_config(tmp_path, sim, **{key: value})
+        assert main(["fit", "--config", config]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"config key {key!r} must be" in err and err.count("\n") == 1
+
+    def test_mu_conflicting_with_init_rejected(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path)
+        init = {
+            "prior": {"type": "two_point", "q1": 0.5, "eta_lo": 0.25, "eta_hi": 0.75},
+            "mu": 0.6,
+            "mu_mode": "fixed",
+        }
+        config, _ = fit_config(tmp_path, sim, init=init)
+        assert main(["fit", "--config", config]) == EXIT_VALIDATION
+        assert "conflicts with init mu" in capsys.readouterr().err
+
     def test_iteration_cap_warns(self, tmp_path, capsys):
         sim = simulate_into(tmp_path)
         config, out = fit_config(tmp_path, sim, max_iters=1)

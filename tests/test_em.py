@@ -2,7 +2,6 @@
 
 import logging
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,9 +26,7 @@ from prefqc import (
     em_fit,
     fit_logistic_normal_mixture,
     histories_from_records,
-    m_step_beta,
-    m_step_mu,
-    m_step_two_point,
+    m_step,
     observed_loglik,
     posterior_grid,
     posterior_two_point,
@@ -142,8 +139,9 @@ class TestPosteriorGrid:
 
         assert post.mean_eta == pytest.approx(ref_mean, abs=1e-4)
         assert post.mean_eta == pytest.approx(POST_MEAN_WORKED, abs=1e-4)
-        assert post.e_log_eta == pytest.approx(POST_E_LOG_WORKED, abs=1e-4)
-        assert post.e_log_1meta == pytest.approx(POST_E_LOG1M_WORKED, abs=1e-4)
+        log_eta, log_1meta = em._node_logs(post.nodes)
+        assert post.masses @ log_eta == pytest.approx(POST_E_LOG_WORKED, abs=1e-4)
+        assert post.masses @ log_1meta == pytest.approx(POST_E_LOG1M_WORKED, abs=1e-4)
 
     def test_masses_normalized(self, grid):
         params = ModelParams(prior=BetaPrior(2.0, 4.0), mu=0.7)
@@ -178,6 +176,22 @@ class TestPosteriorGrid:
         assert post.tail_prob(0.85) > 0.99
 
 
+def em_totals(masses, hists):
+    """E-step totals of per-user posterior masses, weighed as em_fit weighs them."""
+    sz = np.array([h.sum_z for h in hists], dtype=float)
+    n = np.array([h.n for h in hists], dtype=float)
+    return em._em_weights(sz, n, np.ones_like(sz)) @ np.asarray(masses, dtype=float)
+
+
+def two_point_step(gammas, hists, mu, mu_mode="fixed", regularizer=None):
+    """`m_step` of a two-point fit from per-user responsibilities.
+
+    The current atoms do not enter the update, so any two will do.
+    """
+    params = ModelParams(TwoPointPrior(0.5, 0.25, 0.75), mu, mu_mode)
+    return m_step(params, em_totals(gammas, hists), len(hists), None, regularizer)
+
+
 def q_two_point(gammas, hists, mu, q1, eta_1, eta_2):
     """Surrogate objective for a (q1, eta_1, eta_2) probe, labels as given."""
     sz = np.array([h.sum_z for h in hists], dtype=float)
@@ -194,16 +208,18 @@ def q_two_point(gammas, hists, mu, q1, eta_1, eta_2):
 class TestMStepTwoPoint:
     def test_uniform_responsibilities_average(self):
         hists = [hist_counts("a", 5, 10), hist_counts("b", 9, 10)]
-        prior = m_step_two_point([(0.5, 0.5), (0.5, 0.5)], hists, mu=0.8)
-        assert prior.q1 == pytest.approx(0.5, abs=1e-12)
+        params, _ = two_point_step([(0.5, 0.5), (0.5, 0.5)], hists, mu=0.8)
+        assert params.prior.q1 == pytest.approx(0.5, abs=1e-12)
 
     def test_raw_update_above_one_clips(self):
         # Second component: (2*10 - 10) / (0.6 * 10) = 1.667, clipped to 1.
         hists = [hist_counts("a", 5, 10), hist_counts("b", 10, 10)]
-        prior = m_step_two_point([(1.0, 0.0), (0.0, 1.0)], hists, mu=0.8)
+        params, clamps = two_point_step([(1.0, 0.0), (0.0, 1.0)], hists, mu=0.8)
+        prior = params.prior
         assert prior.eta_hi == 1.0
         assert prior.eta_lo == pytest.approx(0.0, abs=1e-12)
         assert prior.q1 == pytest.approx(0.5, abs=1e-12)
+        assert clamps == [("eta_hi", 1.0)]
 
     def test_crossed_update_swaps_and_flips_q1(self):
         # Component 1 carries the high-frequency users, so its raw eta comes
@@ -214,7 +230,7 @@ class TestMStepTwoPoint:
             hist_counts("c", 5, 10),
         ]
         gam = [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        prior = m_step_two_point(gam, hists, mu=0.8)
+        prior = two_point_step(gam, hists, mu=0.8)[0].prior
         assert prior.eta_lo <= prior.eta_hi
         assert prior.eta_lo == pytest.approx(0.0, abs=1e-12)
         assert prior.eta_hi == 1.0
@@ -223,7 +239,7 @@ class TestMStepTwoPoint:
     def test_zero_mass_component_raises(self):
         hists = [hist_counts("a", 5, 10)]
         with pytest.raises(DegenerateComponentError):
-            m_step_two_point([(0.0, 1.0)], hists, mu=0.8)
+            two_point_step([(0.0, 1.0)], hists, mu=0.8)
 
     def test_matches_per_coordinate_numeric_maximizer(self, rng):
         # Each atom solves a weighted Bernoulli problem; a bounded 1-D
@@ -236,7 +252,7 @@ class TestMStepTwoPoint:
             g1 = rng.uniform(0.05, 0.95, size=m)
             gam = np.stack([g1, 1.0 - g1], axis=1)
             mu = float(rng.uniform(0.6, 0.95))
-            prior = m_step_two_point([tuple(row) for row in gam], hists, mu)
+            prior = two_point_step(gam, hists, mu)[0].prior
 
             sz = np.array([h.sum_z for h in hists], dtype=float)
             n = np.array([h.n for h in hists], dtype=float)
@@ -266,7 +282,7 @@ class TestMStepTwoPoint:
         g1 = rng.uniform(0.1, 0.9, size=m)
         gam = np.stack([g1, 1.0 - g1], axis=1)
         mu = 0.8
-        prior = m_step_two_point([tuple(r) for r in gam], hists, mu)
+        prior = two_point_step(gam, hists, mu)[0].prior
         # Canonical atom ordering may relabel the responsibility columns,
         # so read the returned optimum under both pairings.
         ours = max(
@@ -279,103 +295,76 @@ class TestMStepTwoPoint:
 
 
 class TestMStepBeta:
-    def test_exact_moments_recover_shapes(self):
-        psi = scipy.special.digamma
-        stub = SimpleNamespace(
-            e_log_eta=float(psi(3.0) - psi(8.0)),
-            e_log_1meta=float(psi(5.0) - psi(8.0)),
-        )
-        prior, clamped = m_step_beta([stub, stub, stub])
-        assert prior.alpha == pytest.approx(3.0, abs=1e-6)
-        assert prior.beta == pytest.approx(5.0, abs=1e-6)
-        assert not clamped
-
-    def test_symmetric_moments_give_equal_shapes(self):
-        psi = scipy.special.digamma
-        rhs = float(psi(2.5) - psi(5.0))
-        stub = SimpleNamespace(e_log_eta=rhs, e_log_1meta=rhs)
-        prior, _ = m_step_beta([stub])
-        assert prior.alpha == pytest.approx(prior.beta, rel=1e-8)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            m_step_beta([])
-
     def test_beats_random_probes(self, grid, rng):
         params = ModelParams(prior=BetaPrior(2.0, 3.0), mu=0.8)
-        posteriors = [
-            posterior_grid(hist_counts(f"u{i}", int(rng.integers(2, 28)), 30), params, grid)
-            for i in range(12)
-        ]
-        prior, clamped = m_step_beta(posteriors)
-        assert not clamped
-        s1 = sum(p.e_log_eta for p in posteriors)
-        s2 = sum(p.e_log_1meta for p in posteriors)
-        m = len(posteriors)
+        hists = [hist_counts(f"u{i}", int(rng.integers(2, 28)), 30) for i in range(12)]
+        masses = [posterior_grid(h, params, grid).masses for h in hists]
+        totals = em_totals(masses, hists)[:1]
+        new, clamps = m_step(params, totals, len(hists), grid)
+        assert clamps == [] and new.mu == params.mu
+        log_eta, log_1meta = em._node_logs(grid.nodes)
+        s1, s2 = float(totals[0] @ log_eta), float(totals[0] @ log_1meta)
+        m = len(hists)
 
         def q_beta(a, b):
             return (a - 1.0) * s1 + (b - 1.0) * s2 - m * float(
                 scipy.special.betaln(a, b)
             )
 
-        ours = q_beta(prior.alpha, prior.beta)
+        ours = q_beta(new.prior.alpha, new.prior.beta)
         probes = rng.uniform(1.001, 30.0, size=(2000, 2))
         vals = np.array([q_beta(a, b) for a, b in probes])
         assert np.all(vals <= ours + 1e-8)
 
 
 class TestMStepMu:
-    def test_fully_attentive_users_recover_frequency(self):
-        # Point-mass-at-1 posteriors reduce the objective to a plain
-        # Bernoulli MLE in mu; frequency 0.8 means mu-hat 0.8.
-        hists = [hist_counts(f"u{i}", 16, 20) for i in range(5)]
-        posteriors = [(0.0, 1.0)] * 5
-        prior = TwoPointPrior(0.5, 0.0, 1.0)
-        mu = m_step_mu(posteriors, hists, prior)
-        assert mu == pytest.approx(0.8, abs=1e-6)
+    # Five users with 16 wins in 20 labels, half their mass on each atom:
+    # from mu = 0.6 or 0.7 both atoms invert to eta above 1 and clip to 1.
+    HISTS = [hist_counts(f"u{i}", 16, 20) for i in range(5)]
+    GAMMAS = [(0.5, 0.5)] * 5
 
-    def test_box_projects_to_boundary(self, caplog):
-        hists = [hist_counts(f"u{i}", 16, 20) for i in range(5)]
-        posteriors = [(0.0, 1.0)] * 5
-        prior = TwoPointPrior(0.5, 0.0, 1.0)
-        with caplog.at_level(logging.WARNING, logger="prefqc.em"):
-            mu = m_step_mu(posteriors, hists, prior, BoxOnMu(lo=0.5, hi=0.7))
-        assert mu == 0.7
-        assert any("boundary" in rec.message for rec in caplog.records)
+    def test_fully_attentive_users_recover_frequency(self):
+        # Atoms at eta = 1 reduce the objective to a plain Bernoulli MLE in
+        # mu; frequency 0.8 means mu-hat 0.8.
+        params, clamps = two_point_step(self.GAMMAS, self.HISTS, 0.7, "free")
+        assert (params.prior.eta_lo, params.prior.eta_hi) == (1.0, 1.0)
+        assert params.mu == pytest.approx(0.8, abs=1e-6)
+        assert clamps == [("eta_lo", 1.0), ("eta_hi", 1.0)]
+
+    def test_box_projects_to_boundary(self):
+        box = BoxOnMu(lo=0.5, hi=0.7)
+        params, clamps = two_point_step(self.GAMMAS, self.HISTS, 0.6, "free", box)
+        assert params.mu == 0.7
+        assert clamps[-1] == ("mu", 0.7)
 
     def test_no_data_returns_regularizer_mode(self):
-        prior = TwoPointPrior(0.5, 0.0, 1.0)
-        mu = m_step_mu([], [], prior, LogPriorOnMu(a=8.0, b=2.0))
+        empty = np.zeros(1)
+        mu, _, _ = _maximize_mu(empty, empty, empty, LogPriorOnMu(a=8.0, b=2.0))
         assert mu == pytest.approx(7.0 / 8.0, abs=1e-6)
-
-    @pytest.mark.parametrize("n_posteriors", [0, 1, 3])
-    def test_length_mismatch_rejected(self, n_posteriors):
-        hists = [hist_counts(f"u{i}", 16, 20) for i in range(2)]
-        prior = TwoPointPrior(0.5, 0.0, 1.0)
-        with pytest.raises(ValueError, match="^posteriors and histories must align$"):
-            m_step_mu([(0.0, 1.0)] * n_posteriors, hists, prior, LogPriorOnMu(8, 2))
 
     def test_beats_random_probes(self, rng):
         hists = [hist_counts(f"u{i}", int(rng.integers(0, 26)), 25) for i in range(8)]
         g1 = rng.uniform(0.1, 0.9, size=8)
-        posteriors = [(float(g), float(1.0 - g)) for g in g1]
-        prior = TwoPointPrior(0.5, 0.15, 0.85)
+        gam = np.stack([g1, 1.0 - g1], axis=1)
         reg = LogPriorOnMu(a=8.0, b=2.0)
-        mu_hat = m_step_mu(posteriors, hists, prior, reg)
+        params, _ = two_point_step(gam, hists, 0.8, "free", reg)
 
         sz = np.array([h.sum_z for h in hists], dtype=float)
         n = np.array([h.n for h in hists], dtype=float)
-        gam = np.array(posteriors)
-        support = np.array([prior.eta_lo, prior.eta_hi])
         wins = gam.T @ sz
         losses = gam.T @ (n - sz)
+        # The mu step scores the updated atoms, each with its own column's
+        # labels; the column with the higher win rate got the higher atom.
+        order = np.argsort(wins / (wins + losses))
+        wins, losses = wins[order], losses[order]
+        support = np.array([params.prior.eta_lo, params.prior.eta_hi])
 
         def objective(mu):
             g = 0.5 + support * (mu - 0.5)
             val = float(np.dot(wins, np.log(g)) + np.dot(losses, np.log1p(-g)))
             return val + 7.0 * math.log(mu) + math.log1p(-mu)
 
-        ours = objective(mu_hat)
+        ours = objective(params.mu)
         probes = rng.uniform(0.5 + 1e-4, 1.0 - 1e-4, size=10_000)
         vals = np.array([objective(p) for p in probes])
         assert np.all(vals <= ours + 1e-8)
@@ -552,10 +541,17 @@ class TestEmFit:
         init = ModelParams(TwoPointPrior(0.54, 0.84, 0.93), mu=0.94, mu_mode="free")
         report = em_fit(hists, EmConfig(init=init, max_iters=1))
         gammas = [posterior_two_point(h, init) for h in hists]
-        new_prior = report.trajectory[1].params.prior
+        stepped = report.trajectory[1].params
+        new_prior = stepped.prior
         assert new_prior.q1 == pytest.approx(1.0 - np.mean([g[0] for g in gammas]))
-        expected = m_step_mu([(hi, lo) for lo, hi in gammas], hists, new_prior)
-        assert report.trajectory[1].params.mu == pytest.approx(expected, abs=1e-6)
+        # em_fit's step is m_step on the totals of the same responsibilities...
+        want, _ = m_step(init, em_totals(gammas, hists), len(hists), None)
+        np.testing.assert_allclose(param_vec(stepped), param_vec(want), atol=1e-9)
+        # ...whose mu step counts each user against the atom its mass moved to.
+        crossed = em_totals([(hi, lo) for lo, hi in gammas], hists)
+        support = np.array([new_prior.eta_lo, new_prior.eta_hi])
+        expected, _, _ = _maximize_mu(support, crossed[1], crossed[2], None)
+        assert stepped.mu == pytest.approx(expected, abs=1e-6)
 
     def test_user_order_is_irrelevant(self):
         hists, _ = sim_histories(TwoPointPrior(0.6, 0.4, 0.98), 0.8, 120, (30, 60), 2)
@@ -614,6 +610,22 @@ class TestEmFit:
         mix = LogisticNormalMixturePrior((1.0,), (0.0,), (1.0,))
         with pytest.raises(ValueError):
             em_fit(hists, EmConfig(init=ModelParams(prior=mix, mu=0.8)))
+        with pytest.raises(ValueError, match="tolerances"):
+            EmConfig(family="beta", mu=0.8, tol_param=math.nan)
+        # An init fixes mu and its mode; a conflicting mu or a free mode for a
+        # fixed init is an error, not a silently fixed fit.
+        fixed = ModelParams(prior=BetaPrior(2.0, 2.0), mu=0.6, mu_mode="fixed")
+        free = ModelParams(prior=BetaPrior(2.0, 2.0), mu=0.6, mu_mode="free")
+        with pytest.raises(ValueError, match="conflicts with init mu"):
+            EmConfig(init=fixed, mu=0.8, mu_mode="free")
+        with pytest.raises(ValueError, match="conflicts with init mu"):
+            EmConfig(init=free, mu=0.8)
+        with pytest.raises(ValueError, match="fixed-mu init"):
+            EmConfig(init=fixed, mu_mode="free")
+        with pytest.raises(ValueError, match="fixed-mu init"):
+            EmConfig(init=fixed, mu=0.6, mu_mode="free")
+        # The default mode cannot be told apart from an explicit "fixed": init wins.
+        assert EmConfig(init=free, mu=0.6, mu_mode="fixed").init.mu_mode == "free"
 
     @pytest.mark.parametrize("mu_mode", ["fixed", "free"])
     @pytest.mark.parametrize(
