@@ -15,7 +15,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -123,20 +122,44 @@ def _em_config(cfg: dict) -> EmConfig:
 
 
 # fit's numeric keys and the types they take; a JSON bool is not a number here.
+_NUMBER = ((int, float), "a number")
 _NUMERIC_KEYS = {
     "mu": ((int, float, type(None)), "a number"),
     "max_iters": (int, "an integer"),
-    "tol_param": ((int, float), "a number"),
-    "tol_loglik": ((int, float), "a number"),
+    "tol_param": _NUMBER,
+    "tol_loglik": _NUMBER,
 }
+# The numeric fields of init's prior and of a regularizer, by their "type".
+_NUMERIC_FIELDS = {
+    "two_point": ("q1", "eta_lo", "eta_hi"),
+    "beta": ("alpha", "beta"),
+    "log_prior_on_mu": ("a", "b"),
+    "box_on_mu": ("lo", "hi"),
+}
+
+
+def _check_types(obj: dict, keys: dict, where: str) -> None:
+    for key, (types, kind) in keys.items():
+        value = obj.get(key)
+        if key in obj and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ConfigError(f"config key {where + key!r} must be {kind}, got {value!r}")
+
+
+def _check_fit_config(cfg: dict) -> None:
+    """Name the key, nested ones as "init.prior.alpha", of a setting of the wrong type."""
+    _check_types(cfg, _NUMERIC_KEYS, "")
+    init = cfg["init"] if isinstance(cfg.get("init"), dict) else {}
+    _check_types(init, {"mu": _NUMBER}, "init.")
+    nested = {"init.prior.": init.get("prior"), "regularizer.": cfg.get("regularizer")}
+    for where, obj in nested.items():
+        if isinstance(obj, dict):
+            fields = _NUMERIC_FIELDS.get(obj.get("type"), ())
+            _check_types(obj, dict.fromkeys(fields, _NUMBER), where)
 
 
 def _fit_once(cfg: dict, strict: bool):
     """fit's core: load annotations, run EM, return (report, labels_flipped)."""
-    for key, (types, kind) in _NUMERIC_KEYS.items():
-        value = cfg.get(key)
-        if key in cfg and (isinstance(value, bool) or not isinstance(value, types)):
-            raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+    _check_fit_config(cfg)
     mu = cfg.get("mu")
     labels_flipped = False
     if mu is not None:
@@ -416,6 +439,9 @@ def _cmd_eval(cfg: dict, args) -> None:
     fits = _eval_fits(cells, seeds, args.strict)
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1:
+        # Imported here: it adds about 20 ms to every command's start.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             fit_results = list(pool.map(_run_eval_fit, fits))
     else:

@@ -173,8 +173,10 @@ def select_users(
 ) -> list[FilterDecision]:
     """Apply a selection rule; one decision per summary, input order kept.
 
-    A tail rule evaluates each distinct posterior object once: the users
-    of one (sum_z, n) row in a `summarize_histories` result share one.
+    A tail rule reads its tail from each summary's `tail_probs` when it
+    holds the rule's eta_star; otherwise it evaluates each distinct
+    posterior object once (the users of one (sum_z, n) row in a
+    `summarize_histories` result share one).
     """
     if not summaries:
         raise ValueError("select_users needs at least one summary")
@@ -189,9 +191,15 @@ def select_users(
     elif isinstance(rule, Threshold):
         keep = [score >= rule.value for score in scores]
     elif isinstance(rule, TailProbability):
-        distinct = {id(s.density): s.density for s in summaries}
+        # A tail that summarize_histories evaluated is read, not recomputed.
+        scores = [dict(s.tail_probs).get(rule.eta_star) for s in summaries]
+        distinct = {
+            id(s.density): s.density for s, p in zip(summaries, scores) if p is None
+        }
         tails = {key: p.tail_prob(rule.eta_star) for key, p in distinct.items()}
-        scores = [tails[id(s.density)] for s in summaries]
+        scores = [
+            tails[id(s.density)] if p is None else p for s, p in zip(summaries, scores)
+        ]
         keep = [score >= rule.level for score in scores]
     else:
         raise TypeError(f"unknown selection rule {rule!r}")

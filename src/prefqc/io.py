@@ -17,6 +17,8 @@ from json.scanner import make_scanner
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .em import ClampEvent, FitReport, LogPriorOnMu, BoxOnMu, RegularizerSpec
 from .filtering import (
     FilterDecision,
@@ -166,43 +168,266 @@ def _annotation_fields(path, line_no: int, line: str) -> tuple[str, str, int]:
     return user_id, item_id, label
 
 
+# The reader takes the file in chunks of about this many bytes, each cut
+# after a line break, so its memory does not grow with the file.
+_CHUNK_BYTES = 1 << 20
+# Ids longer than this many bytes take the per-line path: a chunk's keys
+# for a column are one row this wide per line.
+_MAX_KEY_BYTES = 128
+
+# A line write_annotation_columns writes: _HEAD, the user id, _MID, the
+# item id, _TAIL, the label digit and "}".
+_HEAD = b'{"user_id": "'
+_MID = b'", "item_id": "'
+_TAIL = b'", "label": '
+
+
+def _template(text: bytes) -> list[tuple[int, np.uint64]]:
+    """(offset, little-endian 8-byte word) reads that together cover `text`."""
+    return [
+        (at, np.uint64(int.from_bytes(text[at:at + 8], "little")))
+        for at in sorted({*range(0, len(text) - 7, 8), len(text) - 8})
+    ]
+
+
+_HEAD_WORDS, _MID_WORDS, _TAIL_WORDS = map(_template, (_HEAD, _MID, _TAIL))
+# _KEEP[k] keeps the first k bytes of a little-endian word.
+_KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _matches(words: np.ndarray, at: np.ndarray, template) -> np.ndarray:
+    """Whether the bytes from each of `at` begin with the template's."""
+    ok = np.ones(len(at), dtype=bool)
+    for offset, word in template:
+        ok &= words[at + offset] == word
+    return ok
+
+
+def _line_chunks(fh) -> Iterator[bytes]:
+    """The file's bytes in pieces that end with a line break.
+
+    Line breaks are "\\r\\n", "\\r" and "\\n", each turned into "\\n" as text
+    mode does, so pieces count lines as a text-mode file iterates them. A
+    last line without a break gets one.
+    """
+    carry = b""
+    while True:
+        data = fh.read(_CHUNK_BYTES)
+        buf = carry + data
+        if not data:
+            cut = len(buf)
+        else:
+            # A "\r" that ends the buffer may be the first half of "\r\n".
+            cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
+            if cut == 0:
+                carry = buf
+                continue
+        piece, carry = buf[:cut], buf[cut:]
+        if b"\r" in piece:
+            piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if piece and not piece.endswith(b"\n"):
+            piece += b"\n"
+        if piece:
+            yield piece
+        if not data:
+            return
+
+
+def _certified_lines(a: np.ndarray, words: np.ndarray, size: int):
+    """The lines of a chunk that are laid out as write_annotation_columns' lines.
+
+    `a` is the chunk's `size` bytes plus zero padding and `words[i]` the 8
+    bytes from `a[i]`. A certified line is _HEAD, the user id, _MID, the
+    item id, _TAIL, "0" or "1" and "}", where no id holds a control byte, a
+    quote or a backslash. json.loads reads such a line's ids as their bytes
+    decoded from UTF-8, and its label as the digit. Returns the chunk's
+    line count, the certified line indices, the (start, length) of each
+    one's user id and item id, and its labels.
+    """
+    # Control bytes (every "\n" among them), quotes and backslashes.
+    b = a[:size]
+    special = np.flatnonzero((b < 0x20) | (b == 0x22) | (b == 0x5C))
+    breaks = np.flatnonzero(a[special] == 0x0A)  # index in `special` of each "\n"
+    ends = special[breaks]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # Ten quotes and the "\n": the head's three quotes come first, and the
+    # 4th and the 8th end the two ids.
+    lines = np.flatnonzero(
+        (np.diff(breaks, prepend=-1) == 11) & _matches(words, starts, _HEAD_WORDS)
+    )
+    start, end, last = starts[lines], ends[lines], breaks[lines]
+    user_end, item_end = special[last - 7], special[last - 3]
+    ok = _matches(words, user_end, _MID_WORDS) & _matches(words, item_end, _TAIL_WORDS)
+    ok &= (end == item_end + len(_TAIL) + 2) & (a[end - 1] == 0x7D)
+    ok &= (a[end - 2] | 1) == 0x31  # the label digit is 0 or 1
+    user_start, item_start = start + len(_HEAD), user_end + len(_MID)
+    user_len, item_len = user_end - user_start, item_end - item_start
+    ok &= (user_len <= _MAX_KEY_BYTES) & (item_len <= _MAX_KEY_BYTES)
+    labels = (a[end[ok] - 2] - 0x30).astype(np.int8)
+    users, items = (user_start[ok], user_len[ok]), (item_start[ok], item_len[ok])
+    return len(ends), lines[ok], users, items, labels
+
+
+def _first_seen_ids(a: np.ndarray, words: np.ndarray, start, length):
+    """Code the ids at `a[start:start+length]` by first appearance.
+
+    Ids are keyed by their bytes, zero-padded to a fixed width: one word
+    when all fit in 8 bytes, else rows as wide as the longest. No id holds
+    a zero byte, so equal keys mean equal ids. Returns the distinct ids in
+    order of first appearance, the position of each one's first appearance
+    and each position's code.
+    """
+    width = int(length.max(initial=0))
+    if width <= 8:
+        keys = words[start] & _KEEP[length]
+    else:
+        rows = np.lib.stride_tricks.sliding_window_view(a, width)[start]
+        rows[np.arange(width) >= length[:, None]] = 0
+        keys = rows.view(f"S{width}").ravel()
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    first = np.full(len(uniq), len(keys))
+    np.minimum.at(first, inverse, np.arange(len(keys)))
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    ids = uniq[by_first]
+    raw = ids.view("S8") if width <= 8 else ids
+    return [b.decode("utf-8") for b in raw.tolist()], first[by_first], rank[inverse]
+
+
 def read_annotation_columns(path) -> AnnotationColumns:
     """Read an annotations file into columns, ids numbered by first appearance.
 
-    Each stripped non-blank line is decoded by json's C scanner, the decoder
-    json.loads itself uses: on a stripped line, json.loads succeeds exactly
-    when one value spans the whole line. Any line that fails a check goes
-    back through _annotation_fields, which raises the error for it.
+    The accepted input is that of _annotation_fields, line by line: the
+    same lines are accepted, with the same ids, codes and labels, and the
+    same lines rejected, with the same error; bytes that are not UTF-8
+    raise UnicodeDecodeError, as a text-mode read does. The file is read in chunks of
+    about _CHUNK_BYTES, each cut after a line break. Lines laid out as
+    write_annotation_columns writes them, with ids free of control bytes,
+    quotes and backslashes (see _certified_lines), are read with numpy, a
+    chunk at a time. Every other line is decoded by json's C scanner, the
+    decoder json.loads itself uses: on a stripped line, json.loads
+    succeeds exactly when one value spans the whole line. A line that fails
+    a check there goes back through _annotation_fields, which raises the
+    error for it.
     """
-    scan = make_scanner(json.JSONDecoder())
     user_code: dict[str, int] = {}
     item_code: dict[str, int] = {}
-    users: list[int] = []
-    items: list[int] = []
-    labels: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj, end = scan(line, 0)
-                user_id, item_id, label = obj["user_id"], obj["item_id"], obj["label"]
-                exact = (
-                    end == len(line)
-                    and type(user_id) is str
-                    and type(item_id) is str
-                    and type(label) is int
-                    and (label == 0 or label == 1)
-                )
-            except (StopIteration, ValueError, KeyError, TypeError):
-                exact = False
-            if not exact:
-                user_id, item_id, label = _annotation_fields(path, line_no, line)
-            users.append(user_code.setdefault(user_id, len(user_code)))
-            items.append(item_code.setdefault(item_id, len(item_code)))
-            labels.append(label)
-    return AnnotationColumns.from_codes(user_code, item_code, users, items, labels)
+    parts = []
+    lines_before = 0
+    with open(path, "rb") as fh:
+        for piece in _line_chunks(fh):
+            n_lines, columns = _chunk_columns(
+                path, piece, lines_before, user_code, item_code
+            )
+            parts.append(columns)
+            lines_before += n_lines
+    users, items, labels = (
+        np.concatenate([np.empty(0, dtype)] + [part[j] for part in parts])
+        for j, dtype in enumerate((np.intp, np.intp, np.int8))
+    )
+    return AnnotationColumns(list(user_code), list(item_code), users, items, labels)
+
+
+def _certified_columns(piece: bytes):
+    """A chunk's line count and its certified lines, read with numpy.
+
+    Returns the number of lines, the certified line indices, their labels
+    and, for the user ids and then the item ids, (the distinct ids in order
+    of first appearance, the line of each one's first appearance, each
+    certified line's index into those ids).
+    """
+    if _HEAD not in piece:
+        # No line is laid out as written. Skipping the pass here keeps the
+        # per-line path as fast as it is without it.
+        none = np.empty(0, dtype=np.intp)
+        users, items = ([], [], none), ([], [], none)
+        return piece.count(b"\n"), none, none.astype(np.int8), users, items
+    a = np.frombuffer(piece + bytes(_MAX_KEY_BYTES), dtype=np.uint8)
+    words = np.ndarray((len(a) - 7,), dtype="<u8", buffer=a, strides=(1,))
+    n_lines, lines, user_span, item_span, labels = _certified_lines(a, words, len(piece))
+    columns = []
+    for span in (user_span, item_span):
+        ids, first, codes = _first_seen_ids(a, words, *span)
+        columns.append((ids, lines[first].tolist(), codes))
+    return n_lines, lines, labels, *columns
+
+
+def _chunk_columns(path, piece: bytes, lines_before: int, user_code, item_code):
+    """One chunk's line count, and (user codes, item codes, labels) of its
+    records in line order.
+
+    New ids join `user_code` and `item_code` in the order they first
+    appear, whichever path reads their line.
+    """
+    n_lines, lines, cert_labels, (user_ids, user_first, user_rank), (
+        item_ids, item_first, item_rank
+    ) = _certified_columns(piece)
+    # A stop after each list of first lines that no line index reaches.
+    user_first.append(n_lines)
+    item_first.append(n_lines)
+    next_user = next_item = 0
+    flush_at = min(user_first[0], item_first[0])
+
+    rest = range(n_lines)
+    if len(lines):
+        rest = np.setdiff1d(rest, lines, assume_unique=True).tolist()
+    blank, users, items, labels = [], [], [], []
+    if rest:
+        text = piece.decode("utf-8").split("\n")
+        scan = make_scanner(json.JSONDecoder())
+    for k in rest:
+        line = text[k].strip()
+        if not line:
+            blank.append(k)
+            continue
+        try:
+            obj, end = scan(line, 0)
+            user_id, item_id, label = obj["user_id"], obj["item_id"], obj["label"]
+            exact = (
+                end == len(line)
+                and type(user_id) is str
+                and type(item_id) is str
+                and type(label) is int
+                and (label == 0 or label == 1)
+            )
+        except (StopIteration, ValueError, KeyError, TypeError):
+            exact = False
+        if not exact:
+            user_id, item_id, label = _annotation_fields(
+                path, lines_before + k + 1, line
+            )
+        if k > flush_at:
+            # Ids that certified lines above this one showed first come first.
+            while user_first[next_user] < k:
+                user_code.setdefault(user_ids[next_user], len(user_code))
+                next_user += 1
+            while item_first[next_item] < k:
+                item_code.setdefault(item_ids[next_item], len(item_code))
+                next_item += 1
+            flush_at = min(user_first[next_user], item_first[next_item])
+        users.append(user_code.setdefault(user_id, len(user_code)))
+        items.append(item_code.setdefault(item_id, len(item_code)))
+        labels.append(label)
+    user_codes = [user_code.setdefault(u, len(user_code)) for u in user_ids]
+    item_codes = [item_code.setdefault(i, len(item_code)) for i in item_ids]
+    columns = (
+        np.array(user_codes, dtype=np.intp)[user_rank],
+        np.array(item_codes, dtype=np.intp)[item_rank],
+        cert_labels,
+    )
+    if not labels:
+        return n_lines, columns
+    per_line = [
+        np.array(values, dtype=column.dtype)
+        for column, values in zip(columns, (users, items, labels))
+    ]
+    if not len(lines):
+        return n_lines, per_line
+    # Certified and per-line records back in line order.
+    kept = np.setdiff1d(rest, blank, assume_unique=True)
+    order = np.argsort(np.concatenate([lines, kept]), kind="stable")
+    return n_lines, [np.concatenate(pair)[order] for pair in zip(columns, per_line)]
 
 
 def read_annotations(path) -> list[AnnotationRecord]:
@@ -215,19 +440,24 @@ def _json_ids(ids: Sequence) -> list[str]:
 
 # The JSONL writers format each line with json.dumps' default separators
 # (", " and ": ") and the keys in this order: the bytes json.dumps of the
-# record dict gives.
+# record dict gives. Line texts come from tables built once per id: an
+# annotation line is its user's head joined to its (item, label) tail.
+
+def _item_label_rows(columns: AnnotationColumns) -> np.ndarray:
+    """Each record's row in a table of two rows per item, label 0 first."""
+    return 2 * columns.items + columns.labels
+
 
 def write_annotation_columns(path, columns: AnnotationColumns) -> None:
     users, items = _json_ids(columns.user_ids), _json_ids(columns.item_ids)
-    atomic_write_text(
-        path,
-        "".join(
-            f'{{"user_id": {users[u]}, "item_id": {items[i]}, "label": {z}}}\n'
-            for u, i, z in zip(
-                columns.users.tolist(), columns.items.tolist(), columns.labels.tolist()
-            )
-        ),
+    heads = np.array([f'{{"user_id": {u}, "item_id": ' for u in users], dtype=object)
+    tails = np.array(
+        [f'{i}, "label": {z}}}\n' for i in items for z in (0, 1)], dtype=object
     )
+    lines = np.empty(2 * len(columns), dtype=object)
+    lines[0::2] = heads[columns.users]
+    lines[1::2] = tails[_item_label_rows(columns)]
+    atomic_write_text(path, "".join(lines.tolist()))
 
 
 def write_annotations(path, records: Iterable[AnnotationRecord]) -> None:
@@ -246,14 +476,15 @@ def read_truth(path) -> list[tuple[str, float]]:
 
 def write_pair_columns(path, columns: AnnotationColumns) -> None:
     """DPO-style export: chosen side per item, 'A' when the label is 1."""
-    items = _json_ids(columns.item_ids)
-    atomic_write_text(
-        path,
-        "".join(
-            f'{{"item_id": {items[i]}, "chosen": "{"BA"[z]}"}}\n'
-            for i, z in zip(columns.items.tolist(), columns.labels.tolist())
-        ),
+    lines = np.array(
+        [
+            f'{{"item_id": {i}, "chosen": "{side}"}}\n'
+            for i in _json_ids(columns.item_ids)
+            for side in "BA"
+        ],
+        dtype=object,
     )
+    atomic_write_text(path, "".join(lines[_item_label_rows(columns)].tolist()))
 
 
 def write_pairs(path, records: Iterable[AnnotationRecord]) -> None:

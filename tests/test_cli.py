@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,32 @@ class TestFit:
         assert main(["fit", "--config", config]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert f"config key {key!r} must be" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, extra",
+        [
+            ("init.mu", {"init": {"prior": {"type": "beta", "alpha": 2, "beta": 2},
+                                  "mu": "0.6", "mu_mode": "free"}}),
+            ("init.prior.alpha", {"init": {"prior": {"type": "beta", "alpha": "2", "beta": 2},
+                                           "mu": 0.8, "mu_mode": "fixed"}}),
+            ("init.prior.q1", {"family": "two_point",
+                               "init": {"prior": {"type": "two_point", "q1": True,
+                                                  "eta_lo": 0.2, "eta_hi": 0.9},
+                                        "mu": 0.8}}),
+            ("regularizer.a", {"mu": None, "mu_mode": "free",
+                               "regularizer": {"type": "log_prior_on_mu", "a": "8", "b": 2}}),
+            ("regularizer.hi", {"mu": None, "mu_mode": "free",
+                                "regularizer": {"type": "box_on_mu", "lo": 0.6, "hi": "0.9"}}),
+            ("regularizer.lo", {"mu": None, "mu_mode": "free",
+                                "regularizer": {"type": "box_on_mu", "lo": False, "hi": 0.9}}),
+        ],
+    )
+    def test_non_numeric_nested_setting_names_its_key(self, tmp_path, capsys, key, extra):
+        sim = simulate_into(tmp_path)
+        config, _ = fit_config(tmp_path, sim, **{"family": "beta", **extra})
+        assert main(["fit", "--config", config]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"config key {key!r} must be a number" in err and err.count("\n") == 1
 
     def test_mu_conflicting_with_init_rejected(self, tmp_path, capsys):
         sim = simulate_into(tmp_path)
@@ -626,3 +656,22 @@ class TestParser:
     def test_command_requires_config(self):
         with pytest.raises(SystemExit):
             main(["fit"])
+
+
+def test_import_leaves_the_process_pool_out():
+    # A fresh interpreter; eval imports the pool only when it runs workers.
+    script = (
+        "import sys\n"
+        "import prefqc.cli\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ record wrappers must give the same records, histories, bytes and errors
 
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,6 +167,17 @@ class TestReader:
             assert columns.labels.dtype == np.int8
             assert columns.to_records() == expected[1]
 
+    # The reader takes its file in chunks; tiny ones put a seam in every line.
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 64])
+    @settings(max_examples=100)
+    @given(data=annotation_files())
+    def test_reader_matches_reference_in_small_chunks(self, workdir, chunk_bytes, data):
+        path = workdir / f"chunked_{chunk_bytes}.jsonl"
+        path.write_bytes(data)
+        expected = _outcome(reference.read_annotations, path)
+        with mock.patch.object(fio, "_CHUNK_BYTES", chunk_bytes):
+            assert _outcome(fio.read_annotations, path) == expected
+
     @given(data=annotation_files())
     def test_grouping_matches_reference(self, workdir, data):
         path = workdir / "annotations.jsonl"
@@ -215,6 +227,120 @@ class TestReader:
         assert columns.users.tolist() == [0, 1, 0, 2]
         assert columns.items.tolist() == [0, 1, 1, 0]
         assert columns.labels.tolist() == [1, 0, 0, 1]
+
+
+def _written(rows) -> bytes:
+    """The bytes write_annotation_columns gives for (user, item, label) rows."""
+    return "".join(
+        json.dumps({"user_id": u, "item_id": i, "label": z}) + "\n" for u, i, z in rows
+    ).encode("utf-8")
+
+
+def _same_as_reference(path, chunk_bytes: int) -> tuple:
+    """The reader's outcome on `path` with the given chunk size, checked
+    against the reference: records, id order, codes, dtypes and errors."""
+    expected = _outcome(reference.read_annotations, path)
+    with mock.patch.object(fio, "_CHUNK_BYTES", chunk_bytes):
+        got = _outcome(fio.read_annotation_columns, path)
+    if expected[0] != "ok":
+        assert got == expected
+        return got
+    columns = got[1]
+    records = expected[1]
+    assert columns.to_records() == records
+    assert columns.user_ids == list(dict.fromkeys(r.user_id for r in records))
+    assert columns.item_ids == list(dict.fromkeys(r.item_id for r in records))
+    assert (columns.users.dtype, columns.items.dtype, columns.labels.dtype) == (
+        np.intp, np.intp, np.int8
+    )
+    return got
+
+
+class TestChunkSeams:
+    """Chunk boundaries, line breaks and the two paths of the reader."""
+
+    ROWS = [(f"u{k % 5}", f"i{k % 7}", k % 2) for k in range(40)]
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 64, 1 << 20])
+    def test_crlf_split_across_a_chunk_boundary(self, tmp_path, chunk_bytes):
+        lines = _written(self.ROWS).decode().splitlines()
+        lines[-1] = lines[-1].replace('"label": ', '"label": 7, "x": ')
+        path = tmp_path / "a.jsonl"
+        path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        # The first read ends between the first "\r" and its "\n"; the bad
+        # last line shows that the line count holds after each seam.
+        for size in (chunk_bytes, len(lines[0]) + 1):
+            assert _same_as_reference(path, size)[2] == len(lines)
+        path.write_bytes("\r".join(lines).encode())  # old Mac breaks, no final one
+        assert _same_as_reference(path, chunk_bytes)[2] == len(lines)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 64, 1 << 20])
+    def test_no_final_newline_and_bom(self, tmp_path, chunk_bytes):
+        path = tmp_path / "a.jsonl"
+        data = _written(self.ROWS)[:-1]
+        path.write_bytes(data)
+        assert _same_as_reference(path, chunk_bytes)[0] == "ok"
+        path.write_bytes("\ufeff".encode() + data)
+        got = _same_as_reference(path, chunk_bytes)
+        assert got[0] == "ParseError" and got[2] == 1
+
+    @pytest.mark.parametrize("chunk_bytes", [7, 64, 1000])
+    @pytest.mark.parametrize("bad_line", [2, 25, 40])
+    def test_bad_line_in_a_later_chunk_keeps_its_number(self, tmp_path, chunk_bytes, bad_line):
+        lines = _written(self.ROWS).decode().splitlines()
+        lines[bad_line - 1] = lines[bad_line - 1].replace('"label": ', '"label": 7, "x": ')
+        lines[5] = ""  # a blank line before it still counts
+        path = tmp_path / "a.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = _same_as_reference(path, chunk_bytes)
+        assert got[0] == "ParseError" and got[2] == bad_line
+
+    @pytest.mark.parametrize("width", [1, 8, 9, 36, 200])
+    @pytest.mark.parametrize("chunk_bytes", [64, 1 << 20])
+    def test_writer_format_ids_of_each_width(self, tmp_path, width, chunk_bytes):
+        rng = random.Random(width)
+        alphabet = "abcdefghijklmnopqrstuvwxyz0123456789-_ ./:~!#$%&'()*+,;<=>?@[]^`{|}"
+        users = ["".join(rng.choices(alphabet, k=width)) for _ in range(6)]
+        items = ["".join(rng.choices(alphabet, k=width)) for _ in range(9)]
+        rows = [(rng.choice(users), rng.choice(items), rng.randrange(2)) for _ in range(300)]
+        data = _written(rows)
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(data)
+        _same_as_reference(path, chunk_bytes)
+        # Ids up to _MAX_KEY_BYTES long take the vectorised path.
+        certified = fio._certified_columns(data)[1]
+        assert len(certified) == (len(rows) if width <= fio._MAX_KEY_BYTES else 0)
+
+    @pytest.mark.parametrize("chunk_bytes", [7, 64, 1 << 20])
+    def test_non_ascii_and_escaped_ids_mixed_with_certified_lines(self, tmp_path, chunk_bytes):
+        rng = random.Random(chunk_bytes)
+        ids = ["u0", "é", "雪", "😀", "\u2028", 'a"b', "x\\y", "\t", ""]
+        lines = []
+        for _ in range(200):
+            user_id, item_id = rng.choice(ids), rng.choice(ids)
+            obj = {"user_id": user_id, "item_id": item_id, "label": rng.randrange(2)}
+            style = rng.randrange(4)
+            if style == 0:
+                lines.append(json.dumps(obj))  # escaped as the writer does
+            elif style == 1:
+                lines.append(json.dumps(obj, ensure_ascii=False))  # raw UTF-8
+            elif style == 2:
+                lines.append(json.dumps(obj, separators=(",", ":")))
+            else:
+                lines.append(" " + json.dumps(obj) + "\t")
+        path = tmp_path / "a.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _same_as_reference(path, chunk_bytes)
+
+    def test_invalid_utf8_is_rejected_on_both_paths(self, tmp_path):
+        good = _written([("u", "i", 1)])
+        for bad in (b'{"user_id": "\xff", "item_id": "i", "label": 1}\n', b"\xff\n"):
+            path = tmp_path / "a.jsonl"
+            path.write_bytes(good + bad + good)
+            with pytest.raises(UnicodeDecodeError):
+                reference.read_annotations(path)
+            with pytest.raises(UnicodeDecodeError):
+                fio.read_annotation_columns(path)
 
 
 class TestDuplicates:

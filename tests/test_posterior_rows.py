@@ -236,11 +236,17 @@ def test_tails_are_evaluated_once_per_row_table_and_posterior(grid, rng, monkeyp
     assert table.masses.shape[0] == rows
     assert calls == [(table, s) for s in stars]
     calls.clear()
-    select_users(summaries, TailProbability(0.5, level=0.5))
-    # One single-row evaluation per distinct posterior: each row of the
-    # table once.
+    # A tail rule at one of those stars reads the tails already evaluated,
+    # which are bit for bit the ones each posterior object gives.
+    decisions = select_users(summaries, TailProbability(0.5, level=0.5))
+    assert calls == []
+    assert [d.score for d in decisions] == [s.tail_prob(0.5) for s in summaries]
+    calls.clear()
+    # At another star: one single-row evaluation per distinct posterior,
+    # each row of the table once.
+    select_users(summaries, TailProbability(0.6, level=0.5))
     assert len(calls) == rows
-    assert all(t.density.shape[0] == 1 and s == 0.5 for t, s in calls)
+    assert all(t.density.shape[0] == 1 and s == 0.6 for t, s in calls)
     evaluated = {t.density.__array_interface__["data"][0] for t, _ in calls}
     assert evaluated == {
         f.__array_interface__["data"][0] for f in table.density
@@ -252,6 +258,16 @@ def test_tails_are_evaluated_once_per_row_table_and_posterior(grid, rng, monkeyp
     calls.clear()
     select_users(per_user, TailProbability(0.5, level=0.5))
     assert len(calls) == 20
+
+
+@pytest.mark.parametrize("prior", [BetaPrior(3.0, 5.0), TwoPointPrior(0.5, 0.2, 0.9)])
+def test_tail_rule_reads_stored_tails_bit_for_bit(grid, rng, prior):
+    params = ModelParams(prior=prior, mu=0.8)
+    histories = random_histories(rng, 300, 40)
+    rule = TailProbability(0.55, level=0.5)
+    stored = select_users(summarize_histories(histories, params, grid, [0.3, 0.55]), rule)
+    evaluated = select_users(summarize_histories(histories, params, grid), rule)
+    assert stored == evaluated
 
 
 def test_empty_input_gives_no_rows(grid):
