@@ -301,11 +301,13 @@ def read_annotation_columns(path) -> AnnotationColumns:
     The accepted input is that of _annotation_fields, line by line: the
     same lines are accepted, with the same ids, codes and labels, and the
     same lines rejected, with the same error; bytes that are not UTF-8
-    raise UnicodeDecodeError, as a text-mode read does. The file is read in chunks of
-    about _CHUNK_BYTES, each cut after a line break. Lines laid out as
-    write_annotation_columns writes them, with ids free of control bytes,
-    quotes and backslashes (see _certified_lines), are read with numpy, a
-    chunk at a time. Every other line is decoded by json's C scanner, the
+    raise UnicodeDecodeError, as a text-mode read does.
+
+    The file is read in chunks of about _CHUNK_BYTES, each cut after a line
+    break. In a chunk whose first line starts as a written line, the lines
+    laid out as write_annotation_columns writes them, with ids free of
+    control bytes, quotes and backslashes (see _certified_lines), are read
+    with numpy. Every other line is decoded by json's C scanner, the
     decoder json.loads itself uses: on a stripped line, json.loads
     succeeds exactly when one value spans the whole line. A line that fails
     a check there goes back through _annotation_fields, which raises the
@@ -337,12 +339,6 @@ def _certified_columns(piece: bytes):
     of first appearance, the line of each one's first appearance, each
     certified line's index into those ids).
     """
-    if _HEAD not in piece:
-        # No line is laid out as written. Skipping the pass here keeps the
-        # per-line path as fast as it is without it.
-        none = np.empty(0, dtype=np.intp)
-        users, items = ([], [], none), ([], [], none)
-        return piece.count(b"\n"), none, none.astype(np.int8), users, items
     a = np.frombuffer(piece + bytes(_MAX_KEY_BYTES), dtype=np.uint8)
     words = np.ndarray((len(a) - 7,), dtype="<u8", buffer=a, strides=(1,))
     n_lines, lines, user_span, item_span, labels = _certified_lines(a, words, len(piece))
@@ -357,25 +353,34 @@ def _chunk_columns(path, piece: bytes, lines_before: int, user_code, item_code):
     """One chunk's line count, and (user codes, item codes, labels) of its
     records in line order.
 
+    A chunk whose first line does not start as a written line is read line
+    by line: a file in another layout then pays nothing for the numpy pass.
     New ids join `user_code` and `item_code` in the order they first
     appear, whichever path reads their line.
     """
-    n_lines, lines, cert_labels, (user_ids, user_first, user_rank), (
-        item_ids, item_first, item_rank
-    ) = _certified_columns(piece)
+    text = None
+    if piece.startswith(_HEAD):
+        n_lines, lines, cert_labels, (user_ids, user_first, user_rank), (
+            item_ids, item_first, item_rank
+        ) = _certified_columns(piece)
+        rest = np.setdiff1d(np.arange(n_lines), lines, assume_unique=True).tolist()
+    else:
+        text = piece.decode("utf-8").split("\n")
+        n_lines = len(text) - 1
+        rest = range(n_lines)
+        lines = user_rank = item_rank = np.empty(0, dtype=np.intp)
+        cert_labels = np.empty(0, dtype=np.int8)
+        user_ids, user_first, item_ids, item_first = [], [], [], []
     # A stop after each list of first lines that no line index reaches.
     user_first.append(n_lines)
     item_first.append(n_lines)
     next_user = next_item = 0
     flush_at = min(user_first[0], item_first[0])
 
-    rest = range(n_lines)
-    if len(lines):
-        rest = np.setdiff1d(rest, lines, assume_unique=True).tolist()
     blank, users, items, labels = [], [], [], []
-    if rest:
+    if rest and text is None:
         text = piece.decode("utf-8").split("\n")
-        scan = make_scanner(json.JSONDecoder())
+    scan = make_scanner(json.JSONDecoder())
     for k in rest:
         line = text[k].strip()
         if not line:

@@ -167,6 +167,15 @@ class TestReader:
             assert columns.labels.dtype == np.int8
             assert columns.to_records() == expected[1]
 
+    @given(data=annotation_files())
+    def test_reader_matches_reference_after_a_written_line(self, workdir, data):
+        # A chunk whose first line is written as the writer writes it takes
+        # the numpy pass, and its other lines are read line by line.
+        path = workdir / "after_written.jsonl"
+        path.write_bytes(_written([("u0", "i0", 1)]) + data)
+        expected = _outcome(reference.read_annotations, path)
+        assert _outcome(fio.read_annotations, path) == expected
+
     # The reader takes its file in chunks; tiny ones put a seam in every line.
     @pytest.mark.parametrize("chunk_bytes", [1, 7, 64])
     @settings(max_examples=100)
@@ -198,7 +207,12 @@ class TestReader:
         + ['{"user_id": "u", "item_id": "j", "label": NaN}', '{"item_id": "j", "label": 1}']
         + ["[1, 2]", '"s"', "5", "null", "true", "[]", "{}", "{", "nope", "{'a': 1}"]
         + ['{"user_id": "u", "item_id": "j", "label": 1} {"label": 0}', '"\\x"']
-        + ['\ufeff{"user_id": "u", "item_id": "j", "label": 1}', '{"user_id": "u",'],
+        + ['\ufeff{"user_id": "u", "item_id": "j", "label": 1}', '{"user_id": "u",']
+        # The writer's layout around the wrong keys.
+        + ['{"user_ix": "u", "item_id": "j", "label": 1}',
+           '{"user_id": "u", "item_ix": "j", "label": 1}',
+           '{"user_id": "u", "a": "j", "label": 1}',
+           '{"user_id": "u", "item_id": "j", "labex": 1}'],
     )
     def test_each_bad_line_matches_reference(self, tmp_path, bad):
         path = tmp_path / "a.jsonl"
@@ -315,7 +329,7 @@ class TestChunkSeams:
     def test_non_ascii_and_escaped_ids_mixed_with_certified_lines(self, tmp_path, chunk_bytes):
         rng = random.Random(chunk_bytes)
         ids = ["u0", "é", "雪", "😀", "\u2028", 'a"b', "x\\y", "\t", ""]
-        lines = []
+        lines = [json.dumps({"user_id": "u0", "item_id": "u0", "label": 1})]
         for _ in range(200):
             user_id, item_id = rng.choice(ids), rng.choice(ids)
             obj = {"user_id": user_id, "item_id": item_id, "label": rng.randrange(2)}
