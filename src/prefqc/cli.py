@@ -249,7 +249,7 @@ def _cmd_infer(cfg: dict, args) -> None:
     fio.write_annotation_columns(out / "filtered.jsonl", kept)
     fio.write_pair_columns(out / "pairs.jsonl", kept)
     print(
-        f"infer: kept {len(kept.user_order())}/{len(histories)} users, "
+        f"infer: kept {np.count_nonzero(np.bincount(kept.users))}/{len(histories)} users, "
         f"{len(kept)}/{len(columns)} records -> {out}"
     )
 
@@ -262,7 +262,7 @@ def _cmd_filter(cfg: dict, args) -> None:
     fio.write_annotation_columns(out / "filtered.jsonl", kept)
     fio.write_pair_columns(out / "pairs.jsonl", kept)
     print(
-        f"filter: kept {len(kept.user_order())} users, "
+        f"filter: kept {np.count_nonzero(np.bincount(kept.users))} users, "
         f"{len(kept)}/{len(columns)} records -> {out}"
     )
 

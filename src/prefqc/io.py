@@ -171,8 +171,8 @@ def _annotation_fields(path, line_no: int, line: str) -> tuple[str, str, int]:
 # The reader takes the file in chunks of about this many bytes, each cut
 # after a line break, so its memory does not grow with the file.
 _CHUNK_BYTES = 1 << 20
-# Ids longer than this many bytes take the per-line path: a chunk's keys
-# for a column are one row this wide per line.
+# A chunk with an id longer than this many bytes takes the per-line path:
+# a chunk's keys for a column are one row this wide per line.
 _MAX_KEY_BYTES = 128
 
 # A line write_annotation_columns writes: _HEAD, the user id, _MID, the
@@ -234,48 +234,48 @@ def _line_chunks(fh) -> Iterator[bytes]:
 
 
 def _certified_lines(a: np.ndarray, words: np.ndarray, size: int):
-    """The lines of a chunk that are laid out as write_annotation_columns' lines.
+    """A chunk's id spans and labels, if every line is laid out as
+    write_annotation_columns writes it; else None.
 
     `a` is the chunk's `size` bytes plus zero padding and `words[i]` the 8
     bytes from `a[i]`. A certified line is _HEAD, the user id, _MID, the
     item id, _TAIL, "0" or "1" and "}", where no id holds a control byte, a
-    quote or a backslash. json.loads reads such a line's ids as their bytes
-    decoded from UTF-8, and its label as the digit. Returns the chunk's
-    line count, the certified line indices, the (start, length) of each
-    one's user id and item id, and its labels.
+    quote or a backslash, and no id is longer than _MAX_KEY_BYTES. json.loads
+    reads such a line's ids as their bytes decoded from UTF-8, and its label
+    as the digit. Returns the (start, length) of each line's user id and
+    item id, and its labels.
     """
     # Control bytes (every "\n" among them), quotes and backslashes.
     b = a[:size]
     special = np.flatnonzero((b < 0x20) | (b == 0x22) | (b == 0x5C))
     breaks = np.flatnonzero(a[special] == 0x0A)  # index in `special` of each "\n"
-    ends = special[breaks]
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    # Ten quotes and the "\n": the head's three quotes come first, and the
-    # 4th and the 8th end the two ids.
-    lines = np.flatnonzero(
-        (np.diff(breaks, prepend=-1) == 11) & _matches(words, starts, _HEAD_WORDS)
-    )
-    start, end, last = starts[lines], ends[lines], breaks[lines]
-    user_end, item_end = special[last - 7], special[last - 3]
-    ok = _matches(words, user_end, _MID_WORDS) & _matches(words, item_end, _TAIL_WORDS)
+    # Ten quotes and the "\n" per line: the head's three quotes come first,
+    # and the 4th and the 8th end the two ids.
+    if np.any(np.diff(breaks, prepend=-1) != 11):
+        return None
+    end = special[breaks]
+    start = np.concatenate(([0], end[:-1] + 1))
+    user_end, item_end = special[breaks - 7], special[breaks - 3]
+    ok = _matches(words, start, _HEAD_WORDS) & _matches(words, user_end, _MID_WORDS)
+    ok &= _matches(words, item_end, _TAIL_WORDS)
     ok &= (end == item_end + len(_TAIL) + 2) & (a[end - 1] == 0x7D)
     ok &= (a[end - 2] | 1) == 0x31  # the label digit is 0 or 1
     user_start, item_start = start + len(_HEAD), user_end + len(_MID)
     user_len, item_len = user_end - user_start, item_end - item_start
     ok &= (user_len <= _MAX_KEY_BYTES) & (item_len <= _MAX_KEY_BYTES)
-    labels = (a[end[ok] - 2] - 0x30).astype(np.int8)
-    users, items = (user_start[ok], user_len[ok]), (item_start[ok], item_len[ok])
-    return len(ends), lines[ok], users, items, labels
+    if not ok.all():
+        return None
+    labels = (a[end - 2] - 0x30).astype(np.int8)
+    return (user_start, user_len), (item_start, item_len), labels
 
 
-def _first_seen_ids(a: np.ndarray, words: np.ndarray, start, length):
-    """Code the ids at `a[start:start+length]` by first appearance.
+def _first_seen_codes(a: np.ndarray, words: np.ndarray, start, length, code: dict):
+    """The codes of the ids at `a[start:start+length]`, new ids joining
+    `code` in order of first appearance.
 
     Ids are keyed by their bytes, zero-padded to a fixed width: one word
     when all fit in 8 bytes, else rows as wide as the longest. No id holds
-    a zero byte, so equal keys mean equal ids. Returns the distinct ids in
-    order of first appearance, the position of each one's first appearance
-    and each position's code.
+    a zero byte, so equal keys mean equal ids.
     """
     width = int(length.max(initial=0))
     if width <= 8:
@@ -288,11 +288,10 @@ def _first_seen_ids(a: np.ndarray, words: np.ndarray, start, length):
     first = np.full(len(uniq), len(keys))
     np.minimum.at(first, inverse, np.arange(len(keys)))
     by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(by_first))
-    ids = uniq[by_first]
-    raw = ids.view("S8") if width <= 8 else ids
-    return [b.decode("utf-8") for b in raw.tolist()], first[by_first], rank[inverse]
+    raw = uniq[by_first].view("S8") if width <= 8 else uniq[by_first]
+    codes = np.empty(len(uniq), dtype=np.intp)
+    codes[by_first] = [code.setdefault(b.decode("utf-8"), len(code)) for b in raw.tolist()]
+    return codes[inverse]
 
 
 def read_annotation_columns(path) -> AnnotationColumns:
@@ -304,11 +303,11 @@ def read_annotation_columns(path) -> AnnotationColumns:
     raise UnicodeDecodeError, as a text-mode read does.
 
     The file is read in chunks of about _CHUNK_BYTES, each cut after a line
-    break. In a chunk whose first line starts as a written line, the lines
-    laid out as write_annotation_columns writes them, with ids free of
-    control bytes, quotes and backslashes (see _certified_lines), are read
-    with numpy. Every other line is decoded by json's C scanner, the
-    decoder json.loads itself uses: on a stripped line, json.loads
+    break, and each chunk takes one of two paths. A chunk whose every line
+    is laid out as write_annotation_columns writes it, with ids free of
+    control bytes, quotes and backslashes (see _certified_lines), is read
+    with numpy. Any other chunk is read line by line by json's C scanner,
+    the decoder json.loads itself uses: on a stripped line, json.loads
     succeeds exactly when one value spans the whole line. A line that fails
     a check there goes back through _annotation_fields, which raises the
     error for it.
@@ -331,60 +330,31 @@ def read_annotation_columns(path) -> AnnotationColumns:
     return AnnotationColumns(list(user_code), list(item_code), users, items, labels)
 
 
-def _certified_columns(piece: bytes):
-    """A chunk's line count and its certified lines, read with numpy.
-
-    Returns the number of lines, the certified line indices, their labels
-    and, for the user ids and then the item ids, (the distinct ids in order
-    of first appearance, the line of each one's first appearance, each
-    certified line's index into those ids).
-    """
-    a = np.frombuffer(piece + bytes(_MAX_KEY_BYTES), dtype=np.uint8)
-    words = np.ndarray((len(a) - 7,), dtype="<u8", buffer=a, strides=(1,))
-    n_lines, lines, user_span, item_span, labels = _certified_lines(a, words, len(piece))
-    columns = []
-    for span in (user_span, item_span):
-        ids, first, codes = _first_seen_ids(a, words, *span)
-        columns.append((ids, lines[first].tolist(), codes))
-    return n_lines, lines, labels, *columns
-
-
 def _chunk_columns(path, piece: bytes, lines_before: int, user_code, item_code):
     """One chunk's line count, and (user codes, item codes, labels) of its
     records in line order.
 
-    A chunk whose first line does not start as a written line is read line
-    by line: a file in another layout then pays nothing for the numpy pass.
-    New ids join `user_code` and `item_code` in the order they first
-    appear, whichever path reads their line.
+    Only a chunk whose first line starts as a written line tries the numpy
+    path: a file in another layout pays nothing for it. New ids join
+    `user_code` and `item_code` in the order they first appear.
     """
-    text = None
     if piece.startswith(_HEAD):
-        n_lines, lines, cert_labels, (user_ids, user_first, user_rank), (
-            item_ids, item_first, item_rank
-        ) = _certified_columns(piece)
-        rest = np.setdiff1d(np.arange(n_lines), lines, assume_unique=True).tolist()
-    else:
-        text = piece.decode("utf-8").split("\n")
-        n_lines = len(text) - 1
-        rest = range(n_lines)
-        lines = user_rank = item_rank = np.empty(0, dtype=np.intp)
-        cert_labels = np.empty(0, dtype=np.int8)
-        user_ids, user_first, item_ids, item_first = [], [], [], []
-    # A stop after each list of first lines that no line index reaches.
-    user_first.append(n_lines)
-    item_first.append(n_lines)
-    next_user = next_item = 0
-    flush_at = min(user_first[0], item_first[0])
-
-    blank, users, items, labels = [], [], [], []
-    if rest and text is None:
-        text = piece.decode("utf-8").split("\n")
+        a = np.frombuffer(piece + bytes(_MAX_KEY_BYTES), dtype=np.uint8)
+        words = np.ndarray((len(a) - 7,), dtype="<u8", buffer=a, strides=(1,))
+        certified = _certified_lines(a, words, len(piece))
+        if certified is not None:
+            user_span, item_span, labels = certified
+            return len(labels), (
+                _first_seen_codes(a, words, *user_span, user_code),
+                _first_seen_codes(a, words, *item_span, item_code),
+                labels,
+            )
+    text = piece.decode("utf-8").split("\n")
+    users, items, labels = [], [], []
     scan = make_scanner(json.JSONDecoder())
-    for k in rest:
-        line = text[k].strip()
+    for k, line in enumerate(text[:-1]):
+        line = line.strip()
         if not line:
-            blank.append(k)
             continue
         try:
             obj, end = scan(line, 0)
@@ -402,37 +372,14 @@ def _chunk_columns(path, piece: bytes, lines_before: int, user_code, item_code):
             user_id, item_id, label = _annotation_fields(
                 path, lines_before + k + 1, line
             )
-        if k > flush_at:
-            # Ids that certified lines above this one showed first come first.
-            while user_first[next_user] < k:
-                user_code.setdefault(user_ids[next_user], len(user_code))
-                next_user += 1
-            while item_first[next_item] < k:
-                item_code.setdefault(item_ids[next_item], len(item_code))
-                next_item += 1
-            flush_at = min(user_first[next_user], item_first[next_item])
         users.append(user_code.setdefault(user_id, len(user_code)))
         items.append(item_code.setdefault(item_id, len(item_code)))
         labels.append(label)
-    user_codes = [user_code.setdefault(u, len(user_code)) for u in user_ids]
-    item_codes = [item_code.setdefault(i, len(item_code)) for i in item_ids]
-    columns = (
-        np.array(user_codes, dtype=np.intp)[user_rank],
-        np.array(item_codes, dtype=np.intp)[item_rank],
-        cert_labels,
+    return len(text) - 1, (
+        np.array(users, dtype=np.intp),
+        np.array(items, dtype=np.intp),
+        np.array(labels, dtype=np.int8),
     )
-    if not labels:
-        return n_lines, columns
-    per_line = [
-        np.array(values, dtype=column.dtype)
-        for column, values in zip(columns, (users, items, labels))
-    ]
-    if not len(lines):
-        return n_lines, per_line
-    # Certified and per-line records back in line order.
-    kept = np.setdiff1d(rest, blank, assume_unique=True)
-    order = np.argsort(np.concatenate([lines, kept]), kind="stable")
-    return n_lines, [np.concatenate(pair)[order] for pair in zip(columns, per_line)]
 
 
 def read_annotations(path) -> list[AnnotationRecord]:

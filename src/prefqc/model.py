@@ -80,17 +80,6 @@ class AnnotationColumns:
     labels: np.ndarray  # int8, 0 or 1
 
     @classmethod
-    def from_codes(cls, user_code: dict, item_code: dict, users, items, labels):
-        """Columns from id -> code dicts plus per-record code and label lists."""
-        return cls(
-            list(user_code),
-            list(item_code),
-            np.array(users, dtype=np.intp),
-            np.array(items, dtype=np.intp),
-            np.array(labels, dtype=np.int8),
-        )
-
-    @classmethod
     def from_records(cls, records) -> "AnnotationColumns":
         user_code: dict = {}
         item_code: dict = {}
@@ -99,7 +88,13 @@ class AnnotationColumns:
             users.append(user_code.setdefault(rec.user_id, len(user_code)))
             items.append(item_code.setdefault(rec.item_id, len(item_code)))
             labels.append(rec.label)
-        return cls.from_codes(user_code, item_code, users, items, labels)
+        return cls(
+            list(user_code),
+            list(item_code),
+            np.array(users, dtype=np.intp),
+            np.array(items, dtype=np.intp),
+            np.array(labels, dtype=np.int8),
+        )
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -148,9 +143,12 @@ def histories_from_columns(columns: AnnotationColumns) -> list["UserHistory"]:
     """
     users = columns.users
     keys = users.astype(np.int64) * len(columns.item_ids) + columns.items
-    by_key = np.argsort(keys, kind="stable")
-    repeats = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
-    if repeats.size:
+    ordered = np.sort(keys)
+    if np.any(ordered[1:] == ordered[:-1]):
+        # Only now find which record repeats first: a stable sort keeps
+        # each key's records in file order.
+        by_key = np.argsort(keys, kind="stable")
+        repeats = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
         first = int(repeats.min())
         key = (columns.user_ids[users[first]], columns.item_ids[columns.items[first]])
         raise ValueError(f"duplicate (user_id, item_id): {key!r}")

@@ -169,8 +169,8 @@ class TestReader:
 
     @given(data=annotation_files())
     def test_reader_matches_reference_after_a_written_line(self, workdir, data):
-        # A chunk whose first line is written as the writer writes it takes
-        # the numpy pass, and its other lines are read line by line.
+        # A chunk whose first line is written as the writer writes it tries
+        # the numpy pass; any other line in it sends the chunk line by line.
         path = workdir / "after_written.jsonl"
         path.write_bytes(_written([("u0", "i0", 1)]) + data)
         expected = _outcome(reference.read_annotations, path)
@@ -320,10 +320,34 @@ class TestChunkSeams:
         data = _written(rows)
         path = tmp_path / "a.jsonl"
         path.write_bytes(data)
-        _same_as_reference(path, chunk_bytes)
-        # Ids up to _MAX_KEY_BYTES long take the vectorised path.
-        certified = fio._certified_columns(data)[1]
-        assert len(certified) == (len(rows) if width <= fio._MAX_KEY_BYTES else 0)
+        with mock.patch.object(fio, "make_scanner", wraps=fio.make_scanner) as scanner:
+            _same_as_reference(path, chunk_bytes)
+        # Ids up to _MAX_KEY_BYTES long take the numpy path, longer ones the
+        # per-line scanner.
+        assert scanner.called == (width > fio._MAX_KEY_BYTES)
+
+    def test_only_the_chunk_with_an_escaped_id_is_read_line_by_line(self, tmp_path):
+        rows = [(f"user{k % 13}", f"item{k % 17}", k % 2) for k in range(200)]
+        path = tmp_path / "a.jsonl"
+        scanned = []
+        chunk_columns = fio._chunk_columns
+
+        def spy(path, piece, lines_before, *codes):
+            calls = scanner.call_count
+            n_lines, columns = chunk_columns(path, piece, lines_before, *codes)
+            if scanner.call_count > calls:
+                scanned.append(range(lines_before, lines_before + n_lines))
+            return n_lines, columns
+
+        with mock.patch.object(fio, "make_scanner", wraps=fio.make_scanner) as scanner, \
+                mock.patch.object(fio, "_chunk_columns", spy):
+            path.write_bytes(_written(rows))
+            _same_as_reference(path, 512)
+            assert scanned == []
+            rows[120] = ("é", "item3", 1)  # json.dumps writes "\u00e9"
+            path.write_bytes(_written(rows))
+            _same_as_reference(path, 512)
+        assert len(scanned) == 1 and 120 in scanned[0] and len(scanned[0]) < len(rows)
 
     @pytest.mark.parametrize("chunk_bytes", [7, 64, 1 << 20])
     def test_non_ascii_and_escaped_ids_mixed_with_certified_lines(self, tmp_path, chunk_bytes):
