@@ -218,7 +218,7 @@ def _cmd_fit(cfg: dict, args) -> None:
 def _default_eta_stars(cfg: dict, rule) -> list[float]:
     stars = cfg.get("eta_stars")
     if stars:
-        return [float(s) for s in stars]
+        return list(stars)  # summarize_histories checks each
     if isinstance(rule, TailProbability):
         return [rule.eta_star]
     return [0.5]

@@ -197,6 +197,7 @@ class EmConfig:
             raise ValueError("mu_mode='free' conflicts with a fixed-mu init")
 
 
+@dataclass(eq=False)
 class PosteriorRows:
     """Posteriors over eta of many (sum_z, n) rows on one support.
 
@@ -207,8 +208,9 @@ class PosteriorRows:
     they are the library's only MAP, mean and tail formulas.
     """
 
-    def __init__(self, support, masses, density=None):
-        self.support, self.masses, self.density = support, masses, density
+    support: np.ndarray
+    masses: np.ndarray
+    density: np.ndarray | None = None
 
     def map_eta(self) -> np.ndarray:
         m, s = self.masses, self.support
@@ -256,65 +258,6 @@ class PosteriorRows:
             tails[r : r + 64] = seg[:, 0]
         return tails
 
-    def rows(self) -> list["PosteriorDensity"]:
-        """One posterior object per row, holding that row of this table."""
-        if self.density is None:
-            lo, hi = self.support.tolist()
-            return [TwoPointPosterior(lo, hi, g, h) for g, h in self.masses.tolist()]
-        rows = zip(self.masses, self.density)
-        return [GridPosterior(self.support, m, f) for m, f in rows]
-
-
-class _OnePosterior:
-    """MAP, mean and tail of one posterior, from a one-row PosteriorRows."""
-
-    @property
-    def map_eta(self) -> float:
-        return float(self._one_row().map_eta()[0])
-
-    @property
-    def mean_eta(self) -> float:
-        return float(self._one_row().mean_eta()[0])
-
-    def tail_prob(self, eta_star: float) -> float:
-        """P(eta >= eta_star); see `PosteriorRows.tail`."""
-        return float(self._one_row().tail(eta_star)[0])
-
-
-@dataclass(frozen=True)
-class TwoPointPosterior(_OnePosterior):
-    """Posterior over eta when the prior has two atoms."""
-
-    eta_lo: float
-    eta_hi: float
-    gamma_lo: float
-    gamma_hi: float
-
-    def _one_row(self) -> PosteriorRows:
-        support = np.array([self.eta_lo, self.eta_hi])
-        return PosteriorRows(support, np.array([[self.gamma_lo, self.gamma_hi]]))
-
-
-@dataclass(frozen=True)
-class GridPosterior(_OnePosterior):
-    """Posterior over eta on a quadrature grid (continuous prior)."""
-
-    nodes: np.ndarray
-    masses: np.ndarray  # node probabilities (weights folded in), sum to 1
-    density: np.ndarray  # masses / weights: density w.r.t. Lebesgue measure
-
-    def __post_init__(self):
-        for name in ("nodes", "masses", "density"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def _one_row(self) -> PosteriorRows:
-        return PosteriorRows(self.nodes, self.masses[None], self.density[None])
-
-
-PosteriorDensity = Union[TwoPointPosterior, GridPosterior]
-
 
 def posterior_rows(
     sum_z_u, n_u, params: ModelParams, grid: QuadratureGrid | None
@@ -323,8 +266,7 @@ def posterior_rows(
 
     Two-point priors give the exact two-atom posteriors (`grid` is unused);
     continuous priors give grid posteriors. The table's matrices stay
-    writable, since `np.argmax` copies a read-only array whole; the objects
-    of `PosteriorRows.rows` hold read-only views of their rows.
+    writable, since `np.argmax` copies a read-only array whole.
     """
     prior = params.prior
     if isinstance(prior, TwoPointPrior):
@@ -347,28 +289,6 @@ def posterior_rows(
     masses = np.exp(joint - norm[:, None], out=joint)
     masses /= masses.sum(axis=1, keepdims=True)
     return PosteriorRows(grid.nodes, masses, masses / grid.weights)
-
-
-def posterior_two_point(
-    history: UserHistory, params: ModelParams
-) -> tuple[float, float]:
-    """Responsibilities (gamma_lo, gamma_hi) of the two prior atoms.
-
-    The two values sum to 1 exactly.
-    """
-    if not isinstance(params.prior, TwoPointPrior):
-        raise ValueError("posterior_two_point requires a two-point prior")
-    table = posterior_rows(*suff_stats([history])[:2], params, None)
-    return tuple(table.masses[0].tolist())
-
-
-def posterior_grid(
-    history: UserHistory, params: ModelParams, grid: QuadratureGrid
-) -> GridPosterior:
-    """Grid posterior of eta for a continuous prior."""
-    if isinstance(params.prior, TwoPointPrior):
-        raise ValueError("posterior_grid requires a continuous prior")
-    return posterior_rows(*suff_stats([history])[:2], params, grid).rows()[0]
 
 
 def _em_weights(sz, n, cnt):

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .em import PosteriorDensity, posterior_rows
+from .em import PosteriorRows, posterior_rows
 from .model import (
     AnnotationColumns,
     AnnotationRecord,
@@ -33,17 +33,19 @@ from .numerics import QuadratureGrid
 
 @dataclass(frozen=True)
 class PosteriorSummary:
-    """Per-user posterior digest: point estimates plus tail evaluations."""
+    """Per-user posterior digest: point estimates plus tail evaluations.
+
+    The user's posterior is row `row` of `table`, the one row table that
+    every summary of a `summarize_histories` call shares.
+    """
 
     user_id: str
     n_labels: int
     map_eta: float
     mean_eta: float
     tail_probs: tuple[tuple[float, float], ...]  # (eta_star, P(eta >= eta_star))
-    density: PosteriorDensity  # shared by every user with the same (sum_z, n)
-
-    def tail_prob(self, eta_star: float) -> float:
-        return self.density.tail_prob(eta_star)
+    table: PosteriorRows
+    row: int
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,17 @@ class TopFraction:
     fraction: float
 
     def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
+        if not 0.0 < _finite("fraction", self.fraction) <= 1.0:
             raise ValueError("fraction must lie in (0, 1]")
 
 
 def _finite(name: str, value) -> float:
-    if isinstance(value, numbers.Real) and math.isfinite(value):
+    """`value` as a float; a bool, a non-number or a non-finite one is rejected."""
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    ):
         return float(value)
     raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
@@ -82,7 +89,7 @@ class TailProbability:
 
     def __post_init__(self):
         _finite("eta_star", self.eta_star)
-        if not 0.0 <= self.level <= 1.0:
+        if not 0.0 <= _finite("level", self.level) <= 1.0:
             raise ValueError("level must lie in [0, 1]")
 
 
@@ -133,20 +140,23 @@ def summarize_histories(
     grid posterior (default 1025-node trapezoid grid). `posterior_rows`
     gives one table of the distinct (sum_z, n) rows; its MAP, mean and each
     tail are evaluated once over the table and spread to the users of each
-    row, who share that row's posterior object. Every `eta_stars` entry
-    must be a finite real number.
+    row. Every summary holds that table and its user's row in it. Every
+    `eta_stars` entry must be a finite real number, and no two equal.
     """
     grid = grid if grid is not None else QuadratureGrid.uniform()
     stars = [_finite("eta_stars entry", s) for s in eta_stars]
+    for k, s in enumerate(stars):
+        if s in stars[:k]:
+            raise ValueError(f"eta_stars repeats {s!r}")
     sum_z_u, n_u, _, inverse = suff_stats(histories)
     table = posterior_rows(sum_z_u, n_u, params, grid)
     maps, means = table.map_eta().tolist(), table.mean_eta().tolist()
     # One tuple of (eta_star, tail) pairs per row.
     tails = zip(*[[(s, p) for p in table.tail(s).tolist()] for s in stars])
     tails = tails if stars else [()] * len(maps)
-    rows = list(zip(maps, means, tails, table.rows()))
+    rows = list(zip(maps, means, tails))
     return [
-        PosteriorSummary(h.user_id, h.n, *rows[r])
+        PosteriorSummary(h.user_id, h.n, *rows[r], table, r)
         for h, r in zip(histories, inverse.tolist())
     ]
 
@@ -161,22 +171,15 @@ def summarize_posterior(
     return summarize_histories([history], params, grid, eta_stars)[0]
 
 
-def classify_attentive(
-    summary: PosteriorSummary, eta_star: float, level: float = 0.95
-) -> bool:
-    """Attentive when at least `level` posterior mass sits at or above eta_star."""
-    return summary.tail_prob(eta_star) >= level
-
-
 def select_users(
     summaries: Sequence[PosteriorSummary], rule: SelectionRule
 ) -> list[FilterDecision]:
     """Apply a selection rule; one decision per summary, input order kept.
 
     A tail rule reads its tail from each summary's `tail_probs` when it
-    holds the rule's eta_star; otherwise it evaluates each distinct
-    posterior object once (the users of one (sum_z, n) row in a
-    `summarize_histories` result share one).
+    holds the rule's eta_star; otherwise it evaluates the tail once per
+    distinct row table (one for a `summarize_histories` result) and reads
+    each summary's row.
     """
     if not summaries:
         raise ValueError("select_users needs at least one summary")
@@ -193,12 +196,11 @@ def select_users(
     elif isinstance(rule, TailProbability):
         # A tail that summarize_histories evaluated is read, not recomputed.
         scores = [dict(s.tail_probs).get(rule.eta_star) for s in summaries]
-        distinct = {
-            id(s.density): s.density for s, p in zip(summaries, scores) if p is None
-        }
-        tails = {key: p.tail_prob(rule.eta_star) for key, p in distinct.items()}
+        tables = {id(s.table): s.table for s, p in zip(summaries, scores) if p is None}
+        tails = {key: t.tail(rule.eta_star).tolist() for key, t in tables.items()}
         scores = [
-            tails[id(s.density)] if p is None else p for s, p in zip(summaries, scores)
+            tails[id(s.table)][s.row] if p is None else p
+            for s, p in zip(summaries, scores)
         ]
         keep = [score >= rule.level for score in scores]
     else:

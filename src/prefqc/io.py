@@ -233,21 +233,38 @@ def _line_chunks(fh) -> Iterator[bytes]:
             return
 
 
-def _certified_lines(a: np.ndarray, words: np.ndarray, size: int):
+def _unicode_escapes(a: np.ndarray, at: np.ndarray) -> bool:
+    """Whether each backslash at `at` is followed by "u" and four hex digits."""
+    ok = a[at + 1] == 0x75
+    for k in range(2, 6):
+        c = a[at + k]
+        ok &= ((c - 0x30) < 10) | (((c | 0x20) - 0x61) < 6)  # uint8 wraps
+    return bool(ok.all())
+
+
+def _certified_lines(a: np.ndarray, words: np.ndarray, size: int, escapes: bool):
     """A chunk's id spans and labels, if every line is laid out as
     write_annotation_columns writes it; else None.
 
-    `a` is the chunk's `size` bytes plus zero padding and `words[i]` the 8
-    bytes from `a[i]`. A certified line is _HEAD, the user id, _MID, the
-    item id, _TAIL, "0" or "1" and "}", where no id holds a control byte, a
-    quote or a backslash, and no id is longer than _MAX_KEY_BYTES. json.loads
-    reads such a line's ids as their bytes decoded from UTF-8, and its label
-    as the digit. Returns the (start, length) of each line's user id and
-    item id, and its labels.
+    `a` is the chunk's `size` bytes plus zero padding, `words[i]` the 8
+    bytes from `a[i]`, and `escapes` whether the chunk holds a backslash (a
+    byte search, far cheaper than a numpy pass). A certified line is _HEAD,
+    the user id, _MID, the item id, _TAIL, "0" or "1" and "}", where no id
+    holds a control byte or a quote, every backslash starts a \\uXXXX
+    escape (the only escape write_annotation_columns writes), and no id is
+    longer than _MAX_KEY_BYTES. json.loads reads such a line's ids as their
+    bytes decoded from UTF-8 with the escapes decoded, and its label as the
+    digit. Returns the (start, length) of each line's user id and item id,
+    and its labels.
     """
     # Control bytes (every "\n" among them), quotes and backslashes.
     b = a[:size]
     special = np.flatnonzero((b < 0x20) | (b == 0x22) | (b == 0x5C))
+    if escapes:
+        slash = a[special] == 0x5C
+        if not _unicode_escapes(a, special[slash]):
+            return None
+        special = special[~slash]
     breaks = np.flatnonzero(a[special] == 0x0A)  # index in `special` of each "\n"
     # Ten quotes and the "\n" per line: the head's three quotes come first,
     # and the 4th and the 8th end the two ids.
@@ -269,13 +286,17 @@ def _certified_lines(a: np.ndarray, words: np.ndarray, size: int):
     return (user_start, user_len), (item_start, item_len), labels
 
 
-def _first_seen_codes(a: np.ndarray, words: np.ndarray, start, length, code: dict):
+def _first_seen_codes(
+    a: np.ndarray, words: np.ndarray, start, length, code: dict, decode
+):
     """The codes of the ids at `a[start:start+length]`, new ids joining
     `code` in order of first appearance.
 
     Ids are keyed by their bytes, zero-padded to a fixed width: one word
     when all fit in 8 bytes, else rows as wide as the longest. No id holds
-    a zero byte, so equal keys mean equal ids.
+    a zero byte, so equal keys mean equal bytes. `decode` turns each
+    distinct key into its id, and codes go by the id, so two spellings of
+    one id (an escaped and a plain one) share its code.
     """
     width = int(length.max(initial=0))
     if width <= 8:
@@ -290,8 +311,14 @@ def _first_seen_codes(a: np.ndarray, words: np.ndarray, start, length, code: dic
     by_first = np.argsort(first)
     raw = uniq[by_first].view("S8") if width <= 8 else uniq[by_first]
     codes = np.empty(len(uniq), dtype=np.intp)
-    codes[by_first] = [code.setdefault(b.decode("utf-8"), len(code)) for b in raw.tolist()]
+    codes[by_first] = [code.setdefault(decode(b), len(code)) for b in raw.tolist()]
     return codes[inverse]
+
+
+def _unescaped(raw: bytes) -> str:
+    """The id that a certified line's id bytes spell, \\uXXXX escapes decoded."""
+    text = raw.decode("utf-8")
+    return json.loads(f'"{text}"') if "\\" in text else text
 
 
 def read_annotation_columns(path) -> AnnotationColumns:
@@ -305,12 +332,12 @@ def read_annotation_columns(path) -> AnnotationColumns:
     The file is read in chunks of about _CHUNK_BYTES, each cut after a line
     break, and each chunk takes one of two paths. A chunk whose every line
     is laid out as write_annotation_columns writes it, with ids free of
-    control bytes, quotes and backslashes (see _certified_lines), is read
-    with numpy. Any other chunk is read line by line by json's C scanner,
-    the decoder json.loads itself uses: on a stripped line, json.loads
-    succeeds exactly when one value spans the whole line. A line that fails
-    a check there goes back through _annotation_fields, which raises the
-    error for it.
+    control bytes and quotes and no escape but \\uXXXX (see
+    _certified_lines), is read with numpy. Any other chunk is read line by
+    line by json's C scanner, the decoder json.loads itself uses: on a
+    stripped line, json.loads succeeds exactly when one value spans the
+    whole line. A line that fails a check there goes back through
+    _annotation_fields, which raises the error for it.
     """
     user_code: dict[str, int] = {}
     item_code: dict[str, int] = {}
@@ -341,12 +368,15 @@ def _chunk_columns(path, piece: bytes, lines_before: int, user_code, item_code):
     if piece.startswith(_HEAD):
         a = np.frombuffer(piece + bytes(_MAX_KEY_BYTES), dtype=np.uint8)
         words = np.ndarray((len(a) - 7,), dtype="<u8", buffer=a, strides=(1,))
-        certified = _certified_lines(a, words, len(piece))
+        escapes = b"\\" in piece
+        certified = _certified_lines(a, words, len(piece), escapes)
         if certified is not None:
             user_span, item_span, labels = certified
+            # Only a chunk with a backslash pays for a per-id escape check.
+            decode = _unescaped if escapes else bytes.decode
             return len(labels), (
-                _first_seen_codes(a, words, *user_span, user_code),
-                _first_seen_codes(a, words, *item_span, item_code),
+                _first_seen_codes(a, words, *user_span, user_code, decode),
+                _first_seen_codes(a, words, *item_span, item_code, decode),
                 labels,
             )
     text = piece.decode("utf-8").split("\n")

@@ -279,20 +279,11 @@ def bernoulli_response_prob(eta, mu):
     return float(out) if out.ndim == 0 else out
 
 
-def obs_loglik(z: int, mu: float, eta: float) -> float:
-    """Log-probability of one label under attentiveness eta."""
-    if z not in (0, 1):
-        raise ValueError("z must be 0 or 1")
-    g = bernoulli_response_prob(eta, mu)
-    p = g if z == 1 else 1.0 - g
-    return float(np.log(p)) if p > 0.0 else float("-inf")
-
-
 def loglik_from_counts(sum_z, n, mu, eta):
     """User log-likelihood from the sufficient statistic (sum_z, n).
 
-    The likelihood kernel: the E-step, observed_loglik and both posteriors
-    evaluate the model through it. Broadcasts, so (R, 1) count columns
+    The likelihood kernel: the E-step, observed_loglik and the posterior
+    table (`em.posterior_rows`) evaluate the model through it. Broadcasts, so (R, 1) count columns
     against a (K,) support give the (R, K) matrix over rows x support; with
     mu in (0, 1) both outcome probabilities are positive, so the result is
     finite.
@@ -312,11 +303,6 @@ def _kernel(sum_z, n, mu, eta, out=None):
     counts = np.stack(np.broadcast_arrays(sum_z, np.subtract(n, sum_z)))
     logs = np.stack([np.log(g), np.log1p(-g)])
     return np.einsum("i...,i...->...", counts, logs, out=out)
-
-
-def user_loglik(history: UserHistory, mu: float, eta: float) -> float:
-    """Log-likelihood of one user's history at a single eta."""
-    return float(loglik_from_counts(history.sum_z, history.n, mu, eta))
 
 
 def prior_log_masses(prior: AttentivenessPrior, grid: QuadratureGrid):

@@ -34,6 +34,7 @@ which every change that moves output bits is judged by:
 
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,21 +45,18 @@ from prefqc import (
     LogPriorOnMu,
     BetaPrior,
     FilteredDataset,
-    GridPosterior,
     MissingDecisionError,
     ParseError,
     PosteriorSummary,
     QuadratureGrid,
-    TwoPointPosterior,
     TwoPointPrior,
     UserHistory,
     log_beta,
     log_sum_exp,
     loglik_from_counts,
     prior_log_masses,
-    user_loglik,
 )
-from prefqc.em import MU_SEARCH_HI, MU_SEARCH_LO
+from prefqc.em import MU_SEARCH_HI, MU_SEARCH_LO, PosteriorRows
 from prefqc.model import ETA_DENSITY_CLIP
 from prefqc.simulate import _id_width, sample_eta
 
@@ -152,6 +150,30 @@ def write_pairs(path, records) -> None:
     )
 
 
+@dataclass(frozen=True)
+class TwoPointPosterior:
+    """One user's posterior over the two atoms of a two-point prior."""
+
+    eta_lo: float
+    eta_hi: float
+    gamma_lo: float
+    gamma_hi: float
+
+
+@dataclass(frozen=True)
+class GridPosterior:
+    """One user's posterior on a quadrature grid."""
+
+    nodes: np.ndarray
+    masses: np.ndarray  # node probabilities, sum to 1
+    density: np.ndarray  # masses / weights
+
+
+def user_loglik(history, mu, eta) -> float:
+    """Log-likelihood of one user's history at a single eta."""
+    return float(loglik_from_counts(history.sum_z, history.n, mu, eta))
+
+
 def posterior_two_point(history, params) -> tuple[float, float]:
     """One user's atom responsibilities, one scalar log-sum-exp."""
     prior = params.prior
@@ -176,24 +198,37 @@ def posterior_grid(history, params, grid) -> GridPosterior:
     return GridPosterior(nodes=grid.nodes, masses=masses, density=masses / grid.weights)
 
 
-def summarize_posterior(history, params, grid=None, eta_stars=()) -> PosteriorSummary:
-    """One user's posterior digest, from that user's own posterior."""
+def posterior(history, params, grid=None):
+    """One user's own posterior: over the two atoms, or on the grid."""
     if isinstance(params.prior, TwoPointPrior):
         gamma_lo, gamma_hi = posterior_two_point(history, params)
-        density = TwoPointPosterior(
-            params.prior.eta_lo, params.prior.eta_hi, gamma_lo, gamma_hi
+        return TwoPointPosterior(params.prior.eta_lo, params.prior.eta_hi, gamma_lo, gamma_hi)
+    return posterior_grid(
+        history, params, grid if grid is not None else QuadratureGrid.uniform()
+    )
+
+
+def summarize_posterior(history, params, grid=None, eta_stars=()) -> PosteriorSummary:
+    """One user's posterior digest, from that user's own posterior.
+
+    The summary's table is a one-row table holding that posterior, so a
+    selection rule that evaluates a tail reads it from this user alone.
+    """
+    post = posterior(history, params, grid)
+    if isinstance(post, TwoPointPosterior):
+        table = PosteriorRows(
+            np.array([post.eta_lo, post.eta_hi]), np.array([[post.gamma_lo, post.gamma_hi]])
         )
     else:
-        density = posterior_grid(
-            history, params, grid if grid is not None else QuadratureGrid.uniform()
-        )
+        table = PosteriorRows(post.nodes, post.masses[None], post.density[None])
     return PosteriorSummary(
         user_id=history.user_id,
         n_labels=history.n,
-        map_eta=map_eta(density),
-        mean_eta=mean_eta(density),
-        tail_probs=tuple((float(s), tail_prob(density, float(s))) for s in eta_stars),
-        density=density,
+        map_eta=map_eta(post),
+        mean_eta=mean_eta(post),
+        tail_probs=tuple((float(s), tail_prob(post, float(s))) for s in eta_stars),
+        table=table,
+        row=0,
     )
 
 

@@ -430,11 +430,47 @@ class TestInferAndFilter:
                 {"eta_stars": [-math.inf]},
                 "eta_stars entry must be a finite real number, got -inf",
             ),
+            (
+                {"type": "top_fraction", "fraction": True},
+                {},
+                "fraction must be a finite real number, got True",
+            ),
+            (
+                {"type": "threshold", "value": False},
+                {},
+                "threshold value must be a finite real number, got False",
+            ),
+            (
+                {"type": "tail_probability", "eta_star": True, "level": 0.5},
+                {},
+                "eta_star must be a finite real number, got True",
+            ),
+            (
+                {"type": "tail_probability", "eta_star": 0.5, "level": True},
+                {},
+                "level must be a finite real number, got True",
+            ),
+            (
+                {"type": "top_fraction", "fraction": 0.5},
+                {"eta_stars": [0.5, True]},
+                "eta_stars entry must be a finite real number, got True",
+            ),
+            (
+                {"type": "top_fraction", "fraction": 0.5},
+                {"eta_stars": [0.5, 0.5, 0.7]},
+                "eta_stars repeats 0.5",
+            ),
         ],
-        ids=["eta_star", "threshold", "eta_stars_nan", "eta_stars_inf"],
+        ids=[
+            "eta_star", "threshold", "eta_stars_nan", "eta_stars_inf",
+            "fraction_bool", "threshold_bool", "eta_star_bool", "level_bool",
+            "eta_stars_bool", "eta_stars_repeated",
+        ],
     )
     def test_non_finite_rule_value_exits_2(self, tmp_path, capsys, rule, extra, message):
-        # json reads NaN and -Infinity; they must not reach the tail code.
+        # json reads NaN and -Infinity, and true and false are Python bools
+        # that pass as 1 and 0; none may reach the tail code. A repeated star
+        # would write two posteriors.csv columns of one name.
         sim, fit_out = self.fitted(tmp_path)
         config, out = infer_config(tmp_path, sim, fit_out, rule, **extra)
         capsys.readouterr()

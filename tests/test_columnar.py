@@ -344,10 +344,67 @@ class TestChunkSeams:
             path.write_bytes(_written(rows))
             _same_as_reference(path, 512)
             assert scanned == []
-            rows[120] = ("é", "item3", 1)  # json.dumps writes "\u00e9"
+            rows[120] = ("a\\b", "item3", 1)  # json.dumps writes "a\\\\b"
             path.write_bytes(_written(rows))
             _same_as_reference(path, 512)
         assert len(scanned) == 1 and 120 in scanned[0] and len(scanned[0]) < len(rows)
+
+    @pytest.mark.parametrize("chunk_bytes", [64, 512, 1 << 20])
+    def test_written_non_ascii_ids_take_the_numpy_path(self, tmp_path, chunk_bytes):
+        # json.dumps writes each of these with \uXXXX escapes, a character
+        # outside the BMP as a surrogate pair.
+        ids = ["é", "雪", "😀", "\u2028", "\x85", "a\x7fb", "naïve-ü"]
+        rng = random.Random(chunk_bytes)
+        users = ids + [f"user{k}" for k in range(5)]
+        items = [f"{rng.choice(ids)}{k}" for k in range(20)]
+        rows = [(rng.choice(users), rng.choice(items), rng.randrange(2)) for _ in range(300)]
+        columns = AnnotationColumns.from_records(
+            [AnnotationRecord(u, i, z) for u, i, z in rows]
+        )
+        path = tmp_path / "a.jsonl"
+        fio.write_annotation_columns(path, columns)
+        assert b"\\u" in path.read_bytes()
+        with mock.patch.object(fio, "make_scanner", wraps=fio.make_scanner) as scanner:
+            got = _same_as_reference(path, chunk_bytes)
+        assert not scanner.called
+        assert got[1].user_ids == columns.user_ids
+
+    def test_escaped_and_plain_spellings_of_an_id_share_its_code(self, tmp_path):
+        # Writer-layout lines whose ids spell one id in several ways: plain,
+        # \uXXXX in either case, and escapes of a quote and a backslash.
+        spellings = [
+            ("A", "A"),
+            ("\\u0041", "A"),
+            ("\\u00e9", "é"),
+            ("\\u00E9", "é"),
+            ("é", "é"),
+            ("\\ud83d\\ude00", "😀"),
+            ("q\\u0022q", 'q"q'),
+            ("s\\u005cs", "s\\s"),
+        ]
+        lines = [
+            f'{{"user_id": "{raw}", "item_id": "i{k}", "label": {k % 2}}}\n'
+            for k, (raw, _) in enumerate(spellings * 3)
+        ]
+        path = tmp_path / "a.jsonl"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        with mock.patch.object(fio, "make_scanner", wraps=fio.make_scanner) as scanner:
+            got = _same_as_reference(path, 1 << 20)
+        assert not scanner.called
+        assert got[1].user_ids == ["A", "é", "😀", 'q"q', "s\\s"]
+        assert got[1].users.tolist()[:8] == [0, 0, 1, 1, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "raw", ["\\u00g9", "\\u00e", "\\x41", "\\\\u0041", "\\n", "\\/", "\\U0041"]
+    )
+    def test_other_backslashes_send_the_chunk_line_by_line(self, tmp_path, raw):
+        lines = _written(self.ROWS).decode().splitlines(keepends=True)
+        lines[7] = f'{{"user_id": "x{raw}", "item_id": "i0", "label": 1}}\n'
+        path = tmp_path / "a.jsonl"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        with mock.patch.object(fio, "make_scanner", wraps=fio.make_scanner) as scanner:
+            _same_as_reference(path, 1 << 20)
+        assert scanner.called
 
     @pytest.mark.parametrize("chunk_bytes", [7, 64, 1 << 20])
     def test_non_ascii_and_escaped_ids_mixed_with_certified_lines(self, tmp_path, chunk_bytes):

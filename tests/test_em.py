@@ -28,9 +28,9 @@ from prefqc import (
     histories_from_records,
     m_step,
     observed_loglik,
-    posterior_grid,
-    posterior_two_point,
+    posterior_rows,
     simulate_dataset,
+    summarize_histories,
 )
 from prefqc import em
 from prefqc.em import _maximize_mu
@@ -62,33 +62,43 @@ def hist_counts(user_id, sum_z, n):
     return UserHistory.from_labels(user_id, [1] * sum_z + [0] * (n - sum_z))
 
 
+def one_row(history, params, grid=None):
+    """The one-row posterior table of a single history."""
+    return posterior_rows(*suff_stats([history])[:2], params, grid)
+
+
+def responsibilities(history, params):
+    """(gamma_lo, gamma_hi): a history's two-point responsibilities."""
+    return tuple(one_row(history, params).masses[0].tolist())
+
+
 class TestPosteriorTwoPoint:
     def test_empty_history_returns_prior(self):
         params = ModelParams(prior=TwoPointPrior(0.35, 0.2, 0.9), mu=0.8)
-        g_lo, g_hi = posterior_two_point(UserHistory.from_labels("u", []), params)
+        g_lo, g_hi = responsibilities(UserHistory.from_labels("u", []), params)
         assert g_lo == pytest.approx(0.35, abs=1e-12)
         assert g_hi == pytest.approx(0.65, abs=1e-12)
 
     def test_equal_atoms_cancel_likelihood(self):
         params = ModelParams(prior=TwoPointPrior(0.3, 0.6, 0.6), mu=0.8)
-        g_lo, g_hi = posterior_two_point(hist_counts("u", 7, 10), params)
+        g_lo, g_hi = responsibilities(hist_counts("u", 7, 10), params)
         assert g_lo == pytest.approx(0.3, abs=1e-12)
         assert g_hi == pytest.approx(0.7, abs=1e-12)
 
     def test_worked_instance(self):
         params = ModelParams(prior=TwoPointPrior(0.6, 0.4, 0.98), mu=0.8)
-        g_lo, _ = posterior_two_point(hist_counts("u", 8, 10), params)
+        g_lo, _ = responsibilities(hist_counts("u", 8, 10), params)
         assert g_lo == pytest.approx(GAMMA_LO_WORKED, abs=1e-12)
 
     def test_degenerate_prior_mass(self):
         params = ModelParams(prior=TwoPointPrior(0.0, 0.2, 0.9), mu=0.8)
-        g_lo, g_hi = posterior_two_point(hist_counts("u", 3, 5), params)
+        g_lo, g_hi = responsibilities(hist_counts("u", 3, 5), params)
         assert g_lo == 0.0 and g_hi == 1.0
 
     def test_long_history_no_underflow(self):
         params = ModelParams(prior=TwoPointPrior(0.5, 0.2, 0.9), mu=0.8)
         hist = hist_counts("u", 75000, 100000)
-        g_lo, g_hi = posterior_two_point(hist, params)
+        g_lo, g_hi = responsibilities(hist, params)
         assert math.isfinite(g_lo) and 0.0 <= g_lo <= 1.0
         # frequency 0.75 sits far closer to g(0.9)=0.77 than g(0.2)=0.56
         assert g_hi > 1.0 - 1e-10
@@ -97,37 +107,32 @@ class TestPosteriorTwoPoint:
     def test_sums_to_one(self, sum_z, extra):
         n = sum_z + extra
         params = ModelParams(prior=TwoPointPrior(0.4, 0.3, 0.85), mu=0.75)
-        g_lo, g_hi = posterior_two_point(hist_counts("u", sum_z, n), params)
+        g_lo, g_hi = responsibilities(hist_counts("u", sum_z, n), params)
         assert g_lo + g_hi == 1.0
         assert 0.0 <= g_lo <= 1.0
-
-    def test_rejects_continuous_prior(self):
-        params = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
-        with pytest.raises(ValueError):
-            posterior_two_point(hist_counts("u", 3, 5), params)
 
 
 class TestPosteriorGrid:
     def test_empty_history_recovers_prior(self, grid):
         params = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
-        post = posterior_grid(UserHistory.from_labels("u", []), params, grid)
+        post = one_row(UserHistory.from_labels("u", []), params, grid)
         from prefqc import prior_log_masses
 
         _, log_mass = prior_log_masses(params.prior, grid)
         prior_masses = np.exp(log_mass)
         prior_masses = prior_masses / prior_masses.sum()
-        np.testing.assert_allclose(post.masses, prior_masses, atol=1e-12)
+        np.testing.assert_allclose(post.masses[0], prior_masses, atol=1e-12)
 
     def test_monotone_likelihood_puts_map_at_one(self, grid):
         # Near-uniform prior, every label a win, high mu: the posterior is
         # increasing in eta, so the MAP lands on the last node exactly.
         params = ModelParams(prior=BetaPrior(1.001, 1.001), mu=0.95)
-        post = posterior_grid(hist_counts("u", 200, 200), params, grid)
-        assert post.map_eta == 1.0
+        post = one_row(hist_counts("u", 200, 200), params, grid)
+        assert post.map_eta()[0] == 1.0
 
     def test_worked_moments_match_fine_reference(self, grid):
         params = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
-        post = posterior_grid(hist_counts("u", 8, 10), params, grid)
+        post = one_row(hist_counts("u", 8, 10), params, grid)
 
         # Brute-force reference on a 10^6-node trapezoid grid.
         nodes = np.linspace(0.0, 1.0, 1_000_001)
@@ -137,43 +142,38 @@ class TestPosteriorGrid:
         w = np.exp(logpost - logpost.max())
         ref_mean = float(np.trapezoid(w * nodes, nodes) / np.trapezoid(w, nodes))
 
-        assert post.mean_eta == pytest.approx(ref_mean, abs=1e-4)
-        assert post.mean_eta == pytest.approx(POST_MEAN_WORKED, abs=1e-4)
-        log_eta, log_1meta = em._node_logs(post.nodes)
-        assert post.masses @ log_eta == pytest.approx(POST_E_LOG_WORKED, abs=1e-4)
-        assert post.masses @ log_1meta == pytest.approx(POST_E_LOG1M_WORKED, abs=1e-4)
+        assert post.mean_eta()[0] == pytest.approx(ref_mean, abs=1e-4)
+        assert post.mean_eta()[0] == pytest.approx(POST_MEAN_WORKED, abs=1e-4)
+        log_eta, log_1meta = em._node_logs(post.support)
+        assert post.masses[0] @ log_eta == pytest.approx(POST_E_LOG_WORKED, abs=1e-4)
+        assert post.masses[0] @ log_1meta == pytest.approx(POST_E_LOG1M_WORKED, abs=1e-4)
 
     def test_masses_normalized(self, grid):
         params = ModelParams(prior=BetaPrior(2.0, 4.0), mu=0.7)
-        post = posterior_grid(hist_counts("u", 30, 40), params, grid)
-        assert float(post.masses.sum()) == pytest.approx(1.0, abs=1e-12)
+        post = one_row(hist_counts("u", 30, 40), params, grid)
+        assert float(post.masses[0].sum()) == pytest.approx(1.0, abs=1e-12)
         assert np.all(post.masses >= 0.0)
 
     def test_tail_prob_behavior(self, grid):
         params = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
-        post = posterior_grid(hist_counts("u", 8, 10), params, grid)
-        assert post.tail_prob(0.0) == pytest.approx(1.0, abs=1e-9)
-        assert post.tail_prob(1.0) == 0.0
+        post = one_row(hist_counts("u", 8, 10), params, grid)
+        assert post.tail(0.0)[0] == pytest.approx(1.0, abs=1e-9)
+        assert post.tail(1.0)[0] == 0.0
         # non-increasing in the threshold, even between nodes
         points = np.linspace(0.0, 1.0, 517)
-        tails = np.array([post.tail_prob(float(s)) for s in points])
+        tails = np.array([post.tail(float(s))[0] for s in points])
         assert np.all(np.diff(tails) <= 1e-12)
         # interpolated value is bracketed by the neighboring node tails
         mid = 0.5 * (grid.nodes[500] + grid.nodes[501])
-        assert post.tail_prob(float(grid.nodes[501])) <= post.tail_prob(mid)
-        assert post.tail_prob(mid) <= post.tail_prob(float(grid.nodes[500]))
-
-    def test_rejects_two_point_prior(self, grid):
-        params = ModelParams(prior=TwoPointPrior(0.5, 0.2, 0.9), mu=0.8)
-        with pytest.raises(ValueError):
-            posterior_grid(hist_counts("u", 3, 5), params, grid)
+        assert post.tail(float(grid.nodes[501]))[0] <= post.tail(mid)[0]
+        assert post.tail(mid)[0] <= post.tail(float(grid.nodes[500]))[0]
 
     def test_long_history_concentrates(self, grid):
         params = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
-        post = posterior_grid(hist_counts("u", 7700, 10000), params, grid)
+        post = one_row(hist_counts("u", 7700, 10000), params, grid)
         # frequency 0.77 inverts to eta = (0.77 - 0.5) / 0.3 = 0.9
-        assert post.map_eta == pytest.approx(0.9, abs=0.01)
-        assert post.tail_prob(0.85) > 0.99
+        assert post.map_eta()[0] == pytest.approx(0.9, abs=0.01)
+        assert post.tail(0.85)[0] > 0.99
 
 
 def em_totals(masses, hists):
@@ -298,7 +298,7 @@ class TestMStepBeta:
     def test_beats_random_probes(self, grid, rng):
         params = ModelParams(prior=BetaPrior(2.0, 3.0), mu=0.8)
         hists = [hist_counts(f"u{i}", int(rng.integers(2, 28)), 30) for i in range(12)]
-        masses = [posterior_grid(h, params, grid).masses for h in hists]
+        masses = [one_row(h, params, grid).masses[0] for h in hists]
         totals = em_totals(masses, hists)[:1]
         new, clamps = m_step(params, totals, len(hists), grid)
         assert clamps == [] and new.mu == params.mu
@@ -540,7 +540,7 @@ class TestEmFit:
         hists = [hist_counts("a", 16, 29), hist_counts("b", 1, 3)]
         init = ModelParams(TwoPointPrior(0.54, 0.84, 0.93), mu=0.94, mu_mode="free")
         report = em_fit(hists, EmConfig(init=init, max_iters=1))
-        gammas = [posterior_two_point(h, init) for h in hists]
+        gammas = [responsibilities(h, init) for h in hists]
         stepped = report.trajectory[1].params
         new_prior = stepped.prior
         assert new_prior.q1 == pytest.approx(1.0 - np.mean([g[0] for g in gammas]))
@@ -829,7 +829,7 @@ class TestMixtureFit:
         report = em_fit(hists, EmConfig(family="beta", mu=0.8))
         params = report.final_params
         grid = QuadratureGrid.uniform()
-        maps = [posterior_grid(h, params, grid).map_eta for h in hists]
+        maps = [s.map_eta for s in summarize_histories(hists, params, grid)]
         fitted = fit_logistic_normal_mixture(np.asarray(maps), 3)
         targets = [math.log(0.2 / 0.8), math.log(0.6 / 0.4), math.log(0.9 / 0.1)]
         for mean, target in zip(fitted.means, targets):

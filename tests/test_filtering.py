@@ -19,13 +19,15 @@ from prefqc import (
     TopFraction,
     TwoPointPrior,
     UserHistory,
-    classify_attentive,
     filter_dataset,
     recovery_accuracy,
     relative_error,
     select_users,
+    summarize_histories,
     summarize_posterior,
 )
+from prefqc.em import PosteriorRows
+from prefqc.filtering import PosteriorSummary
 
 # Posterior mass on the low atom for TwoPoint{0.6, 0.4, 0.98}, mu=0.8,
 # sum_z=8, n=10 (same instance as in the EM tests).
@@ -42,21 +44,23 @@ def hist_counts(user_id, sum_z, n):
 
 
 def fake_summary(user_id, map_eta, mean_eta=None, tail=None):
-    """Hand-built summary for rule tests; density is a two-atom stand-in."""
-    from prefqc.em import TwoPointPosterior
-
+    """Hand-built summary for rule tests; its table is a two-atom stand-in."""
     g_hi = tail if tail is not None else map_eta
-    density = TwoPointPosterior(eta_lo=0.0, eta_hi=0.9, gamma_lo=1.0 - g_hi, gamma_hi=g_hi)
-    from prefqc.filtering import PosteriorSummary
-
+    table = PosteriorRows(np.array([0.0, 0.9]), np.array([[1.0 - g_hi, g_hi]]))
     return PosteriorSummary(
         user_id=user_id,
         n_labels=10,
         map_eta=map_eta,
         mean_eta=map_eta if mean_eta is None else mean_eta,
         tail_probs=(),
-        density=density,
+        table=table,
+        row=0,
     )
+
+
+def tail_prob(summary, eta_star):
+    """P(eta >= eta_star) of the summary's posterior."""
+    return float(summary.table.tail(eta_star)[summary.row])
 
 
 class TestSummarizePosterior:
@@ -71,16 +75,16 @@ class TestSummarizePosterior:
         )
         # Tail is a step function over the two atoms.
         assert summary.tail_probs == ((0.5, pytest.approx(g_hi, abs=1e-12)),)
-        assert summary.tail_prob(0.4) == pytest.approx(1.0, abs=1e-12)
-        assert summary.tail_prob(0.98) == pytest.approx(g_hi, abs=1e-12)
-        assert summary.tail_prob(0.981) == 0.0
+        assert tail_prob(summary, 0.4) == pytest.approx(1.0, abs=1e-12)
+        assert tail_prob(summary, 0.98) == pytest.approx(g_hi, abs=1e-12)
+        assert tail_prob(summary, 0.981) == 0.0
         assert summary.n_labels == 10
 
     def test_beta_no_data_tail_at_median_is_half(self):
         summary = summarize_posterior(
             UserHistory.from_labels("u", []), BETA_PARAMS
         )
-        assert summary.tail_prob(BETA_3_5_MEDIAN) == pytest.approx(0.5, abs=1e-3)
+        assert tail_prob(summary, BETA_3_5_MEDIAN) == pytest.approx(0.5, abs=1e-3)
         assert summary.mean_eta == pytest.approx(3.0 / 8.0, abs=1e-6)
 
     def test_mixture_prior_uses_grid(self):
@@ -100,29 +104,34 @@ class TestSummarizePosterior:
         assert tails[0] <= tails[1]
 
 
-class TestClassifyAttentive:
+    @pytest.mark.parametrize("stars", [(0.5, 0.5), (0.3, 0.7, 0.3), (0.0, -0.0)])
+    def test_repeated_eta_star_is_rejected(self, stars):
+        # posteriors.csv holds one tail column per star: a repeat would
+        # write two columns of one name, which read back as one.
+        with pytest.raises(ValueError, match=f"eta_stars repeats {stars[-1]!r}"):
+            summarize_histories([hist_counts("u", 8, 10)], BETA_PARAMS, eta_stars=stars)
+
+
+class TestTailDecision:
     def test_threshold_on_tail_mass(self):
         summary = summarize_posterior(hist_counts("u", 8, 10), TWO_POINT_PARAMS)
         # tail at 0.5 is gamma_hi, about 0.586
-        assert classify_attentive(summary, 0.5, level=0.5)
-        assert not classify_attentive(summary, 0.5, level=0.6)
+        assert select_users([summary], TailProbability(0.5, level=0.5))[0].attentive
+        assert not select_users([summary], TailProbability(0.5, level=0.6))[0].attentive
 
     def test_boundary_level_is_kept(self):
         # exactly-representable tail mass so >= at the boundary is exact
         summary = fake_summary("u", map_eta=0.9, tail=0.75)
-        assert classify_attentive(summary, 0.5, level=0.75)
-        assert not classify_attentive(summary, 0.5, level=0.7500000001)
+        assert select_users([summary], TailProbability(0.5, level=0.75))[0].attentive
+        rule = TailProbability(0.5, level=0.7500000001)
+        assert not select_users([summary], rule)[0].attentive
 
     @pytest.mark.parametrize("params", [TWO_POINT_PARAMS, BETA_PARAMS], ids=["two_point", "beta"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_eta_star_is_rejected(self, params, bad):
         summary = summarize_posterior(hist_counts("u", 8, 10), params)
         with pytest.raises(ValueError, match="eta_star must be finite"):
-            summary.tail_prob(bad)
-        with pytest.raises(ValueError, match="eta_star must be finite"):
-            summary.density.tail_prob(bad)
-        with pytest.raises(ValueError, match="eta_star must be finite"):
-            classify_attentive(summary, bad, level=0.0)
+            summary.table.tail(bad)
 
 
 class TestSelectUsers:
@@ -186,12 +195,17 @@ class TestSelectUsers:
         with pytest.raises(ValueError):
             TailProbability(eta_star=0.5, level=1.5)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5", None])
+    # A bool passes every range check as 1 or 0, so it is refused by type.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5", None, True, False])
     def test_rule_values_must_be_finite_reals(self, bad):
-        with pytest.raises(ValueError, match="finite real number"):
+        with pytest.raises(ValueError, match="eta_star must be a finite real number"):
             TailProbability(eta_star=bad)
-        with pytest.raises(ValueError, match="finite real number"):
+        with pytest.raises(ValueError, match="level must be a finite real number"):
+            TailProbability(eta_star=0.5, level=bad)
+        with pytest.raises(ValueError, match="threshold value must be a finite real number"):
             Threshold(bad)
+        with pytest.raises(ValueError, match="fraction must be a finite real number"):
+            TopFraction(bad)
         with pytest.raises(ValueError, match="eta_stars entry"):
             summarize_posterior(hist_counts("u", 3, 5), BETA_PARAMS, eta_stars=(0.5, bad))
 

@@ -601,8 +601,8 @@ class TestWriterBytes:
         from prefqc import PosteriorSummary
 
         summaries = [
-            PosteriorSummary("u0", 4, 0.75, 0.7, ((0.5, 0.875), (0.9, 0.0)), None),
-            PosteriorSummary("u,1", 2, 0.5, 0.5, ((0.5, 0.5), (0.9, 1e-05)), None),
+            PosteriorSummary("u0", 4, 0.75, 0.7, ((0.5, 0.875), (0.9, 0.0)), None, 0),
+            PosteriorSummary("u,1", 2, 0.5, 0.5, ((0.5, 0.5), (0.9, 1e-05)), None, 1),
         ]
         path = tmp_path / "posteriors.csv"
         write_posteriors(path, summaries)

@@ -21,12 +21,10 @@ from prefqc import (
     bernoulli_response_prob,
     histories_from_records,
     loglik_from_counts,
-    obs_loglik,
     observed_loglik,
     prior_log_masses,
     simulate_dataset,
     suff_stats,
-    user_loglik,
 )
 
 # Hand-checked reference values for the worked single-user instance:
@@ -81,17 +79,22 @@ class TestResponseProb:
             bernoulli_response_prob(0.5, 0.0)
 
 
+def label_loglik(z, mu, eta):
+    """Log-probability of one label: the counts (z, 1)."""
+    return float(loglik_from_counts(z, 1, mu, eta))
+
+
 class TestPerLabelLoglik:
     def test_worked_values(self):
-        assert obs_loglik(1, 0.8, 1.0) == pytest.approx(math.log(0.8), abs=1e-15)
-        assert obs_loglik(1, 0.8, 0.0) == pytest.approx(math.log(0.5), abs=1e-15)
-        assert obs_loglik(0, 0.8, 0.0) == pytest.approx(math.log(0.5), abs=1e-15)
-        assert obs_loglik(1, 0.8, 0.5) == pytest.approx(-0.4307829160924542, abs=1e-14)
-        assert obs_loglik(0, 0.8, 0.5) == pytest.approx(math.log(0.35), abs=1e-14)
+        assert label_loglik(1, 0.8, 1.0) == pytest.approx(math.log(0.8), abs=1e-15)
+        assert label_loglik(1, 0.8, 0.0) == pytest.approx(math.log(0.5), abs=1e-15)
+        assert label_loglik(0, 0.8, 0.0) == pytest.approx(math.log(0.5), abs=1e-15)
+        assert label_loglik(1, 0.8, 0.5) == pytest.approx(-0.4307829160924542, abs=1e-14)
+        assert label_loglik(0, 0.8, 0.5) == pytest.approx(math.log(0.35), abs=1e-14)
 
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError):
-            obs_loglik(2, 0.8, 0.5)
+            label_loglik(2, 0.8, 0.5)
 
     @given(
         labels_strategy,
@@ -99,9 +102,10 @@ class TestPerLabelLoglik:
         st.floats(min_value=0.0, max_value=1.0),
     )
     def test_sufficient_statistic_equals_naive_sum(self, labels, mu, eta):
-        naive = sum(obs_loglik(z, mu, eta) for z in labels)
+        naive = sum(label_loglik(z, mu, eta) for z in labels)
         hist = UserHistory.from_labels("u", labels)
-        assert user_loglik(hist, mu, eta) == pytest.approx(naive, abs=1e-12)
+        got = loglik_from_counts(hist.sum_z, hist.n, mu, eta)
+        assert got == pytest.approx(naive, abs=1e-12)
 
     def test_counts_form_worked_values(self):
         assert loglik_from_counts(10, 10, 0.8, 1.0) == pytest.approx(

@@ -10,7 +10,7 @@ contract of `tests/reference.py`: the mean and each tail probability to
 1e-12 absolute, and the MAP to the same node unless the row's two largest
 log densities lie within 1e-12 of each other. `select_users` over the row
 summaries must decide as it does over the per-user ones, and evaluate each
-tail once per star and row table, and once per distinct posterior.
+tail once per star and row table.
 """
 
 import dataclasses
@@ -26,8 +26,6 @@ from prefqc import (
     TopFraction,
     TwoPointPrior,
     UserHistory,
-    posterior_grid,
-    posterior_two_point,
     select_users,
     summarize_histories,
     summarize_posterior,
@@ -111,32 +109,51 @@ def test_two_point_rows_equal_per_user_reference(q1, eta_lo, eta_hi, mu, grid, r
     want = [ref.summarize_posterior(h, params, grid, ETA_STARS) for h in histories]
     # Short histories leave both atoms with mass: the case where the
     # responsibilities' last bits depend on how they are computed.
-    interior = [w for w in want if 1e-9 < w.density.gamma_lo < 1.0 - 1e-9]
+    gammas = [ref.posterior_two_point(h, params) for h in histories]
+    interior = [g for g, _ in gammas if 1e-9 < g < 1.0 - 1e-9]
     assert len(interior) > len(want) // 2
     assert_summaries_equal(got, want)
-    for g, w in zip(got, want):
-        assert (g.density.gamma_lo, g.density.gamma_hi) == (
-            w.density.gamma_lo,
-            w.density.gamma_hi,
-        )
+    for g, w in zip(got, gammas):
+        assert tuple(g.table.masses[g.row].tolist()) == w
 
 
-def test_one_row_wrappers_equal_reference(grid, rng):
+@pytest.mark.parametrize(
+    "prior", [BetaPrior(3.0, 5.0), TwoPointPrior(0.6, 0.4, 0.98)], ids=["beta", "two_point"]
+)
+def test_each_summary_row_holds_its_users_reference_posterior(prior, grid, rng):
+    params = ModelParams(prior=prior, mu=0.8)
+    histories = random_histories(rng, 300, 40)
+    summaries = summarize_histories(histories, params, grid)
+    for s, h in zip(summaries, histories):
+        want = ref.posterior(h, params, grid)
+        if isinstance(want, ref.TwoPointPosterior):
+            assert s.table.masses[s.row].tolist() == [want.gamma_lo, want.gamma_hi]
+        else:
+            assert np.array_equal(s.table.masses[s.row], want.masses)
+            assert np.array_equal(s.table.density[s.row], want.density)
+
+
+def test_one_row_tables_equal_reference(grid, rng):
     beta = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
     two_point = ModelParams(prior=TwoPointPrior(0.6, 0.4, 0.98), mu=0.8)
     for h in random_histories(rng, 50, 300):
-        got, want = posterior_grid(h, beta, grid), ref.posterior_grid(h, beta, grid)
-        assert np.array_equal(got.masses, want.masses)
-        assert np.array_equal(got.density, want.density)
-        assert posterior_two_point(h, two_point) == ref.posterior_two_point(h, two_point)
+        got = posterior_rows(*suff_stats([h])[:2], beta, grid)
+        want = ref.posterior_grid(h, beta, grid)
+        assert np.array_equal(got.masses[0], want.masses)
+        assert np.array_equal(got.density[0], want.density)
+        got = posterior_rows(*suff_stats([h])[:2], two_point, None)
+        assert tuple(got.masses[0].tolist()) == ref.posterior_two_point(h, two_point)
         assert_summaries_equal(
             [summarize_posterior(h, beta, grid, ETA_STARS)],
             [ref.summarize_posterior(h, beta, grid, ETA_STARS)],
         )
 
 
-def test_one_posterior_per_row_shared_by_its_users(grid):
-    params = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
+@pytest.mark.parametrize(
+    "prior", [BetaPrior(3.0, 5.0), TwoPointPrior(0.6, 0.4, 0.98)], ids=["beta", "two_point"]
+)
+def test_summaries_share_one_table_with_a_row_per_pair(prior, grid):
+    params = ModelParams(prior=prior, mu=0.8)
     histories = [
         UserHistory("a", 3, 10),
         UserHistory("b", 7, 10),
@@ -146,29 +163,26 @@ def test_one_posterior_per_row_shared_by_its_users(grid):
     ]
     summaries = summarize_histories(histories, params, grid)
     assert [s.user_id for s in summaries] == ["a", "b", "c", "d", "e"]
-    assert summaries[0].density is summaries[2].density
-    assert summaries[1].density is summaries[4].density
-    assert len({id(s.density) for s in summaries}) == 3
+    table = summaries[0].table
+    assert all(s.table is table for s in summaries)
+    assert table.masses.shape[0] == 3
+    # Rows come in (sum_z, n) order: (0, 0), (3, 10), (7, 10).
+    assert [s.row for s in summaries] == [1, 2, 1, 0, 2]
 
 
-def test_posterior_rows_is_one_table_with_read_only_row_views(grid):
+def test_posterior_rows_is_one_table(grid):
     params = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
     sum_z_u, n_u, _, _ = suff_stats([UserHistory(f"u{k}", k, 20) for k in range(21)])
     table = posterior_rows(sum_z_u, n_u, params, grid)
     assert table.support is grid.nodes
     assert table.masses.shape == table.density.shape == (21, grid.size)
     assert np.allclose(table.masses.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
-    posts = table.rows()
-    assert len(posts) == 21
-    for p, masses, density in zip(posts, table.masses, table.density):
-        assert p.nodes is grid.nodes
-        assert p.masses.base is table.masses and np.array_equal(p.masses, masses)
-        assert p.density.base is table.density and np.array_equal(p.density, density)
-        assert not p.masses.flags.writeable and not p.density.flags.writeable
+    assert np.array_equal(table.density, table.masses / grid.weights)
     two_point = ModelParams(prior=TwoPointPrior(0.6, 0.4, 0.98), mu=0.8)
     table = posterior_rows(sum_z_u, n_u, two_point, None)
     assert table.support.tolist() == [0.4, 0.98] and table.density is None
-    assert [[p.gamma_lo, p.gamma_hi] for p in table.rows()] == table.masses.tolist()
+    assert table.masses.shape == (21, 2)
+    assert np.all(table.masses.sum(axis=1) == 1.0)
 
 
 RULES = [
@@ -204,7 +218,8 @@ def test_selection_over_rows_equals_per_user_reference(params, rule, grid, rng):
     assert decision_rows(got) == decision_rows(select_users(per_user, rule))
     if isinstance(rule, TailProbability):
         assert [d.score for d in got] == [
-            ref.tail_prob(w.density, rule.eta_star) for w in per_user
+            ref.tail_prob(ref.posterior(h, params, grid), rule.eta_star)
+            for h in histories
         ]
     if isinstance(rule, TopFraction):
         # The cut falls inside a group of users with equal MAP and mean, so
@@ -216,7 +231,7 @@ def test_selection_over_rows_equals_per_user_reference(params, rule, grid, rng):
         assert any(u in kept for u in ties) and not all(u in kept for u in ties)
 
 
-def test_tails_are_evaluated_once_per_row_table_and_posterior(grid, rng, monkeypatch):
+def test_tails_are_evaluated_once_per_row_table(grid, rng, monkeypatch):
     calls = []
     tail = PosteriorRows.tail
 
@@ -237,27 +252,30 @@ def test_tails_are_evaluated_once_per_row_table_and_posterior(grid, rng, monkeyp
     assert calls == [(table, s) for s in stars]
     calls.clear()
     # A tail rule at one of those stars reads the tails already evaluated,
-    # which are bit for bit the ones each posterior object gives.
+    # which are bit for bit those of each summary's row.
     decisions = select_users(summaries, TailProbability(0.5, level=0.5))
     assert calls == []
-    assert [d.score for d in decisions] == [s.tail_prob(0.5) for s in summaries]
-    calls.clear()
-    # At another star: one single-row evaluation per distinct posterior,
-    # each row of the table once.
-    select_users(summaries, TailProbability(0.6, level=0.5))
-    assert len(calls) == rows
-    assert all(t.density.shape[0] == 1 and s == 0.6 for t, s in calls)
-    evaluated = {t.density.__array_interface__["data"][0] for t, _ in calls}
-    assert evaluated == {
-        f.__array_interface__["data"][0] for f in table.density
-    }
-    # Per-user summaries: one evaluation per posterior object, also when two
-    # summaries hold the same one.
+    assert [d.score for d in decisions] == [
+        tail(s.table, 0.5)[s.row] for s in summaries
+    ]
+    # At another star: one evaluation over the whole table.
+    decisions = select_users(summaries, TailProbability(0.6, level=0.5))
+    assert calls == [(table, 0.6)]
+    assert [d.score for d in decisions] == [
+        tail(s.table, 0.6)[s.row] for s in summaries
+    ]
+    # Per-user summaries: one evaluation per table, also when two summaries
+    # hold the same one.
     per_user = [ref.summarize_posterior(h, params, grid) for h in histories[:20]]
     per_user.append(dataclasses.replace(per_user[0], user_id="again"))
     calls.clear()
     select_users(per_user, TailProbability(0.5, level=0.5))
     assert len(calls) == 20
+    # Summaries of two calls: one evaluation per call's table.
+    other = summarize_histories(histories[:50], params, grid)
+    calls.clear()
+    select_users(summaries + other, TailProbability(0.6, level=0.5))
+    assert calls == [(table, 0.6), (other[0].table, 0.6)]
 
 
 @pytest.mark.parametrize("prior", [BetaPrior(3.0, 5.0), TwoPointPrior(0.5, 0.2, 0.9)])
