@@ -16,10 +16,12 @@ objective (clipping included: the objectives are concave per coordinate), so
 the observed log-likelihood is non-decreasing along the trajectory up to
 floating-point noise. The fit loop asserts that invariant every iteration.
 
-A Beta fit with a free mu crawls along the eta (mu - 1/2) ridge under plain
-EM, so it first tries a Newton step on the penalized observed likelihood
-(gradient by Fisher's identity, Hessian by Louis' identity) and keeps it only
-when it raises the objective; otherwise it takes the EM step.
+Plain EM is slow near a Beta fit's optimum: with a free mu it crawls along
+the eta (mu - 1/2) ridge, and with a fixed mu it takes tens of iterations
+that each move the shapes a little. So every Beta iteration first tries a
+Newton step on the penalized observed likelihood (gradient by Fisher's
+identity, Hessian by Louis' identity) and keeps it only when it raises the
+objective; otherwise it takes the EM step. Two-point fits run plain EM.
 """
 
 import logging
@@ -59,8 +61,8 @@ logger = logging.getLogger(__name__)
 MU_SEARCH_LO = 0.5 + 1e-4
 MU_SEARCH_HI = 1.0 - 1e-4
 
-# Trust region of a Newton step in a free-mu Beta fit: each shape moves by at
-# most half its value, mu by at most this much. Unbounded Newton steps jumped
+# Trust region of a Newton step in a Beta fit: each shape moves by at most
+# half its value, a free mu by at most this much. Unbounded Newton steps jumped
 # to priors narrower than the grid spacing, where the trapezoid objective
 # rises by hundreds of nats that the integral does not have.
 NEWTON_MU_RADIUS = 0.05
@@ -125,6 +127,9 @@ class FitReport:
     fallback_rows: int = 0
     # Iterations that took a Newton step rather than an EM step.
     newton_steps: int = 0
+    # Largest absolute projected gradient of the objective at the final
+    # parameters over the user count; None for two-point fits.
+    score_norm: float | None = None
 
     @property
     def final_params(self) -> ModelParams:
@@ -495,46 +500,55 @@ def m_step(params, totals, users, grid, regularizer=None):
 
 
 def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
-    """Gradient and Hessian in (alpha, beta, mu) of a free-mu Beta objective.
+    """Gradient and Hessian of a Beta fit's objective in (alpha, beta[, mu]).
 
     The objective is the penalized observed log-likelihood at `params`,
     whose `kernel.e_step` gave `totals`; `cnt` holds the users of each
-    kernel row and `mu_terms` comes from `_regularizer_terms`. The
-    gradient is the posterior mean of the complete-data score (Fisher's
-    identity), read off the totals: m(r1 - psi(a) + psi(a+b)),
+    kernel row and `mu_terms` comes from `_regularizer_terms`. The mu row
+    and column are there only when mu is free; a fixed-mu fit's totals hold
+    only the users. The gradient is the posterior mean of the complete-data
+    score (Fisher's identity), read off the totals: m(r1 - psi(a) + psi(a+b)),
     m(r2 - psi(b) + psi(a+b)) and the mu derivative of `_maximize_mu`. The
     Hessian is the complete-data Hessian plus the summed posterior
     covariance of that score (Louis' identity); the per-row moments come
-    from one `ScaledKernel.posterior_means` product over seven node columns.
+    from one `ScaledKernel.posterior_means` product over the node columns,
+    two of them for a fixed mu and seven for a free one.
     """
     a, b, mu = params.prior.alpha, params.prior.beta, params.mu
-    pa, pb, _, _ = mu_terms
-    users, wins, losses = totals
+    mu_free = params.mu_mode == "free"
+    users = totals[0]
     m = float(cnt.sum())
     nodes = kernel.grid.nodes
     x, y = _node_logs(nodes)
-    g = 0.5 + nodes * (mu - 0.5)
-    t, u = nodes / g, nodes / (1.0 - g)  # d log g / d mu, -d log(1-g) / d mu
-    ex, ey, et, eu, ett, etu, euu = kernel.posterior_means(
-        params, np.stack([x, y, t, u, t * t, t * u, u * u], axis=1)
-    ).T
-    # Each row's posterior mean and variance of the mu score sz t - (n - sz) u.
-    sz, ls = kernel.sum_z, kernel.n - kernel.sum_z
-    e_s = sz * et - ls * eu
-    var_s = sz * sz * ett - 2.0 * sz * ls * etu + ls * ls * euu - e_s * e_s
+    columns = [x, y]
+    if mu_free:
+        g = 0.5 + nodes * (mu - 0.5)
+        t, u = nodes / g, nodes / (1.0 - g)  # d log g / d mu, -d log(1-g) / d mu
+        columns += [t, u, t * t, t * u, u * u]
+    means = kernel.posterior_means(params, np.stack(columns, axis=1)).T
+    ex, ey = means[:2]
 
     psi_a, psi_b, psi_ab = digamma(np.array([a, b, a + b]))
-    grad = np.array([
-        users @ x - m * (psi_a - psi_ab),
-        users @ y - m * (psi_b - psi_ab),
-        wins @ t - losses @ u + pa / mu - pb / (1.0 - mu),
-    ])
-    hess = np.empty((3, 3))
+    k = 3 if mu_free else 2
+    grad, hess = np.empty(k), np.empty((k, k))
+    grad[0] = users @ x - m * (psi_a - psi_ab)
+    grad[1] = users @ y - m * (psi_b - psi_ab)
     hess[:2, :2] = np.multiply(-m, beta_moment_jacobian(a, b))
     hess[0, 0] += users @ (x * x) - cnt @ (ex * ex)
     hess[0, 1] += users @ (x * y) - cnt @ (ex * ey)
     hess[1, 1] += users @ (y * y) - cnt @ (ey * ey)
     hess[1, 0] = hess[0, 1]
+    if not mu_free:
+        return grad, hess
+
+    pa, pb, _, _ = mu_terms
+    _, wins, losses = totals
+    et, eu, ett, etu, euu = means[2:]
+    # Each row's posterior mean and variance of the mu score sz t - (n - sz) u.
+    sz, ls = kernel.sum_z, kernel.n - kernel.sum_z
+    e_s = sz * et - ls * eu
+    var_s = sz * sz * ett - 2.0 * sz * ls * etu + ls * ls * euu - e_s * e_s
+    grad[2] = wins @ t - losses @ u + pa / mu - pb / (1.0 - mu)
     hess[0, 2] = hess[2, 0] = wins @ (x * t) - losses @ (x * u) - cnt @ (ex * e_s)
     hess[1, 2] = hess[2, 1] = wins @ (y * t) - losses @ (y * u) - cnt @ (ey * e_s)
     hess[2, 2] = (
@@ -544,35 +558,51 @@ def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
     return grad, hess
 
 
-def _newton_step(params, grad, hess, mu_terms, reach):
-    """Trust-region Newton candidate for a free-mu Beta fit, or None.
+def _held(params, grad, mu_terms):
+    """Which of (alpha, beta, mu) a step must leave where they are.
 
-    A coordinate on the shape floor or a mu bound whose gradient points out
-    is held. The step is scaled so that each shape moves by at most `reach`
-    times half its value and mu by at most `reach` times NEWTON_MU_RADIUS.
-    None when nothing is free, when the Hessian over the free coordinates
-    is not negative definite, or when the step leaves the bounds: a bound
-    is reached only by EM steps, since Newton steps that cut to a bound
-    ended on worse local maxima on the alpha floor than plain EM finds.
+    A shape on the floor or a free mu on a bound of its search interval is
+    held when its gradient points out; a fixed mu is always held.
     """
     a, b, mu = params.prior.alpha, params.prior.beta, params.mu
     _, _, lo, hi = mu_terms
-    free = ~np.array([
+    return np.array([
         a <= BETA_SHAPE_FLOOR and grad[0] < 0.0,
         b <= BETA_SHAPE_FLOOR and grad[1] < 0.0,
-        (mu <= lo and grad[2] < 0.0) or (mu >= hi and grad[2] > 0.0),
+        params.mu_mode == "fixed"
+        or (mu <= lo and grad[2] < 0.0)
+        or (mu >= hi and grad[2] > 0.0),
     ])
-    neg = -hess[np.ix_(free, free)]
+
+
+def _newton_step(params, grad, hess, mu_terms, reach):
+    """Trust-region Newton candidate for a Beta fit, or None.
+
+    `grad` and `hess` are `_score_and_hessian`'s; the coordinates `_held`
+    names stay where they are. The step is scaled so that each shape moves
+    by at most `reach` times half its value and mu by at most `reach` times
+    NEWTON_MU_RADIUS. None when nothing is free, when the Hessian over the
+    free coordinates is not negative definite, or when the step leaves the
+    bounds: a bound is reached only by EM steps, since Newton steps that cut
+    to a bound ended on worse local maxima on the alpha floor than plain EM
+    finds.
+    """
+    a, b, mu = params.prior.alpha, params.prior.beta, params.mu
+    _, _, lo, hi = mu_terms
+    free = ~_held(params, grad, mu_terms)
+    sub = free[: grad.size]
+    neg = -hess[np.ix_(sub, sub)]
     if not free.any() or np.any(np.linalg.eigvalsh(neg) <= 0.0):
         return None
     step = np.zeros(3)
-    step[free] = np.linalg.solve(neg, grad[free])
+    step[free] = np.linalg.solve(neg, grad[sub])
     radius = (0.5 * reach * a, 0.5 * reach * b, reach * NEWTON_MU_RADIUS)
     step *= min([1.0] + [r / abs(d) for r, d in zip(radius, step) if d])
     a, b, mu = ((a, b, mu) + step).tolist()
-    if min(a, b) < BETA_SHAPE_FLOOR or not lo <= mu <= hi:
+    mu_free = params.mu_mode == "free"
+    if min(a, b) < BETA_SHAPE_FLOOR or (mu_free and not lo <= mu <= hi):
         return None
-    return ModelParams(BetaPrior(a, b), mu, "free")
+    return ModelParams(BetaPrior(a, b), mu, params.mu_mode)
 
 
 def em_fit(
@@ -583,9 +613,10 @@ def em_fit(
 ) -> FitReport:
     """Run EM to convergence and return the full trajectory.
 
-    A Beta fit with a free mu takes a Newton step instead of the EM step
-    whenever that raises the objective (see `_newton_step`); the report
-    counts them in `newton_steps`.
+    A Beta fit takes a Newton step instead of the EM step whenever that
+    raises the objective (see `_newton_step`); the report counts them in
+    `newton_steps` and gives the projected gradient at the stop, over the
+    user count, as `score_norm`.
 
     Stops when the parameter sup-norm change falls below tol_param
     ("param_tol"), the iteration budget runs out ("max_iters"), or the EM
@@ -638,14 +669,14 @@ def em_fit(
     weights = _em_weights(sz_u, n_u, cnt)[: 3 if two_point or mu_free else 1]
     fallback_rows = 0
 
-    # A free-mu Beta fit tries a Newton step first and takes the EM step
-    # when Newton's is not taken: not defined, or not raising the objective.
-    # A taken step's E-step serves the next iteration. After a step not
-    # taken, Newton sits out 1, 2, 4, ... iterations, so a fit that Newton
-    # does not help costs about what plain EM costs. A step that does not
-    # raise the objective also halves the trust region of the next try; a
-    # taken one doubles it, up to its full size.
-    newton = mu_free and not two_point
+    # A Beta fit tries a Newton step first and takes the EM step when
+    # Newton's is not taken: not defined, or not raising the objective. A
+    # taken step's E-step serves the next iteration. After a step not taken,
+    # Newton sits out 1, 2, 4, ... iterations, so a fit that Newton does not
+    # help costs about what plain EM costs. A step that does not raise the
+    # objective also halves the trust region of the next try; a taken one
+    # doubles it, up to its full size.
+    newton = not two_point
     newton_steps = skip = 0
     backoff, reach = 1, 1.0
     ahead = None
@@ -693,6 +724,13 @@ def em_fit(
         params, clamps = m_step(params, totals, m, config.grid, config.regularizer)
         clamp_events += [ClampEvent(iteration + 1, *clamp) for clamp in clamps]
 
+    score_norm = None
+    if not two_point:
+        # The last E-step's totals are those of the final parameters.
+        grad, _ = _score_and_hessian(params, kernel, totals, cnt, mu_terms)
+        held = _held(params, grad, mu_terms)[: grad.size]
+        score_norm = float(np.max(np.abs(np.where(held, 0.0, grad)))) / m
+
     report = FitReport(
         trajectory=tuple(trajectory),
         converged=converged,
@@ -700,6 +738,7 @@ def em_fit(
         clamp_events=tuple(clamp_events),
         fallback_rows=fallback_rows,
         newton_steps=newton_steps,
+        score_norm=score_norm,
     )
     if strict and stop_reason == "likelihood_decrease":
         raise LikelihoodDecreaseError(report, objective_drop)

@@ -687,6 +687,7 @@ def fit_to_dict(
         "labels_flipped": labels_flipped,
         "fallback_rows": report.fallback_rows,
         "newton_steps": report.newton_steps,
+        "score_norm": report.score_norm,
     }
     if delta is not None:
         out["delta"] = delta
@@ -782,13 +783,18 @@ _ATTENTIVE = {"true": True, "false": False}
 
 
 def write_decisions(path, decisions: Sequence[FilterDecision]) -> None:
+    # Each rule object is encoded once. The key is its identity, not its
+    # value: Threshold(0.0) == Threshold(-0.0), but they spell differently.
+    encoded: dict[int, str] = {}
+
+    def rule_json(rule: SelectionRule) -> str:
+        text = encoded.get(id(rule))
+        if text is None:
+            text = encoded[id(rule)] = json.dumps(encode_rule(rule), sort_keys=True)
+        return text
+
     rows = (
-        [
-            d.user_id,
-            "true" if d.attentive else "false",
-            json.dumps(encode_rule(d.rule), sort_keys=True),
-            _fmt(d.score),
-        ]
+        [d.user_id, "true" if d.attentive else "false", rule_json(d.rule), _fmt(d.score)]
         for d in decisions
     )
     _write_csv(path, _DECISION_HEADER, rows)

@@ -130,9 +130,15 @@ class AnnotationColumns:
 
 
 def first_seen(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of `codes` in order of first appearance."""
-    uniq, first = np.unique(codes, return_index=True)
-    return uniq[np.argsort(first)]
+    """The distinct values of `codes` (non-negative) in order of first appearance.
+
+    Each value's first position comes from one unbuffered minimum per
+    record; only the distinct values are sorted.
+    """
+    first = np.full(np.max(codes, initial=-1) + 1, codes.size, dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    seen = np.flatnonzero(first < codes.size)
+    return seen[np.argsort(first[seen])]
 
 
 def histories_from_columns(columns: AnnotationColumns) -> list["UserHistory"]:

@@ -229,6 +229,8 @@ def simulate_columns(
     user_width = _id_width(m)
     item_width = _id_width(n_max)
     user_ids = [f"u{j:0{user_width}d}" for j in range(m)]
+    # A user's item ids are its id plus the first n_j of these suffixes.
+    suffixes = [f"-{i:0{item_width}d}" for i in range(n_max)]
     item_ids: list[str] = []
     labels = []
     for j, user_id in enumerate(user_ids):
@@ -245,7 +247,7 @@ def simulate_columns(
         attentive = rng.random(n_j) < etas[j]
         u = rng.random(n_j)
         labels.append(np.where(attentive, u < p, u < 0.5))
-        item_ids.extend(f"{user_id}-{i:0{item_width}d}" for i in range(n_j))
+        item_ids.extend(map(user_id.__add__, suffixes[:n_j]))
     columns = AnnotationColumns(
         user_ids,
         item_ids,

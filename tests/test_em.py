@@ -460,19 +460,48 @@ def assert_monotone(report):
 
 class TestEmFit:
     def test_init_at_truth_barely_moves(self):
-        for prior in (TwoPointPrior(0.6, 0.4, 0.98), BetaPrior(3.0, 5.0)):
-            hists, _ = sim_histories(prior, 0.8, 2000, (50, 100), seed=0)
-            cfg = EmConfig(
-                init=ModelParams(prior=prior, mu=0.8, mu_mode="fixed"), max_iters=2
+        # Two-point fits run plain EM, whose first step from the truth is
+        # small.
+        prior = TwoPointPrior(0.6, 0.4, 0.98)
+        hists, _ = sim_histories(prior, 0.8, 2000, (50, 100), seed=0)
+        cfg = EmConfig(
+            init=ModelParams(prior=prior, mu=0.8, mu_mode="fixed"), max_iters=2
+        )
+        report = em_fit(hists, cfg)
+        change = np.max(
+            np.abs(
+                param_vec(report.trajectory[1].params)
+                - param_vec(report.trajectory[0].params)
             )
-            report = em_fit(hists, cfg)
-            change = np.max(
-                np.abs(
-                    param_vec(report.trajectory[1].params)
-                    - param_vec(report.trajectory[0].params)
-                )
-            )
-            assert change < 0.05
+        )
+        assert change < 0.05
+
+    def test_init_at_truth_steps_to_the_optimum_without_overshoot(self):
+        # A Beta fit's first step from the truth is a Newton step: it moves
+        # about 0.27, just past this sample's optimum, Beta(2.853, 4.753).
+        # It must end nearer the optimum than it started and overshoot it
+        # by less than EM's 0.05 first-step limit, and the optimum must lie
+        # within criterion 2's information bound.
+        from test_acceptance import _label_count_information
+
+        prior = BetaPrior(3.0, 5.0)
+        hists, _ = sim_histories(prior, 0.8, 2000, (50, 100), seed=0)
+        cfg = EmConfig(init=ModelParams(prior=prior, mu=0.8, mu_mode="fixed"))
+        report = em_fit(hists, cfg)
+        assert report.stop_reason == "param_tol"
+        truth, first, optimum = (
+            param_vec(report.trajectory[i].params) for i in (0, 1, -1)
+        )
+        assert np.all(np.abs(first - optimum) < np.abs(truth - optimum))
+        assert np.max(np.abs(first - optimum)) < 0.05
+        # The sample's Fisher information: one label-count term per user.
+        n, users = np.unique([h.n for h in hists], return_counts=True)
+        info = sum(
+            k * _label_count_information(3.0, 5.0, 0.8, int(n_j))
+            for n_j, k in zip(n, users)
+        )
+        err = optimum - truth
+        assert float(err @ info @ err) <= scipy.stats.chi2.ppf(0.999, 2)
 
     def test_two_point_recovery_and_monotonicity(self):
         truth = TwoPointPrior(0.6, 0.4, 0.98)
@@ -651,11 +680,11 @@ class TestEmFit:
         assert report.final_loglik == report.trajectory[-1].loglik
 
 
-def free_mu_derivatives(rows, params, regularizer, grid):
+def beta_derivatives(rows, params, regularizer, grid):
     """`em`'s gradient and Hessian of the penalized objective at `params`.
 
     `rows` is a list of (sum_z, n, count), as `reference.penalized_loglik`
-    takes them.
+    takes them. The mu row and column are there only for a free mu.
     """
     sz, n, cnt = (np.array(col, dtype=float) for col in zip(*rows))
     kernel = ScaledKernel(sz, n, grid)
@@ -669,8 +698,8 @@ def stat_rows(histories):
     return list(zip(sz.tolist(), n.tolist(), cnt.tolist()))
 
 
-def free_beta(vec) -> ModelParams:
-    return ModelParams(BetaPrior(vec[0], vec[1]), vec[2], "free")
+def beta_params(vec, mu_mode="free") -> ModelParams:
+    return ModelParams(BetaPrior(vec[0], vec[1]), vec[2], mu_mode)
 
 
 def penalized(report, regularizer):
@@ -714,38 +743,65 @@ class TestNewtonStep:
         (0.9, (3.0, 5.0, 0.88), None),
     ]
 
+    # A fixed mu is a constant of the objective: its derivatives are the
+    # (alpha, beta) block, and the mu log-prior adds nothing to them.
+    @pytest.mark.parametrize("mu_mode", ["free", "fixed"])
     @pytest.mark.parametrize("true_mu, at, regularizer", CASES)
     def test_gradient_is_the_derivative_of_the_objective(
-        self, grid, true_mu, at, regularizer
+        self, grid, true_mu, at, regularizer, mu_mode
     ):
         hists, _ = sim_histories(BetaPrior(3.0, 5.0), true_mu, 40, (10, 30), seed=3)
         rows = stat_rows(hists)
-        grad, _ = free_mu_derivatives(rows, free_beta(at), regularizer, grid)
+        grad, _ = beta_derivatives(rows, beta_params(at, mu_mode), regularizer, grid)
+        assert grad.shape == ((3,) if mu_mode == "free" else (2,))
         h = 1e-5
         central = []
-        for j in range(3):
+        for j in range(grad.size):
             step = np.eye(3)[j] * h
-            up = ref.penalized_loglik(rows, free_beta(at + step), grid, regularizer)
-            down = ref.penalized_loglik(rows, free_beta(at - step), grid, regularizer)
+            up = ref.penalized_loglik(
+                rows, beta_params(at + step, mu_mode), grid, regularizer
+            )
+            down = ref.penalized_loglik(
+                rows, beta_params(at - step, mu_mode), grid, regularizer
+            )
             central.append((up - down) / (2.0 * h))
         assert np.max(np.abs(grad - central)) <= 1e-6 * np.max(np.abs(grad))
 
+    @pytest.mark.parametrize("mu_mode", ["free", "fixed"])
     @pytest.mark.parametrize("true_mu, at, regularizer", CASES)
     def test_louis_hessian_is_the_derivative_of_the_gradient(
-        self, grid, true_mu, at, regularizer
+        self, grid, true_mu, at, regularizer, mu_mode
     ):
         hists, _ = sim_histories(BetaPrior(3.0, 5.0), true_mu, 40, (10, 30), seed=3)
         rows = stat_rows(hists)
-        _, hess = free_mu_derivatives(rows, free_beta(at), regularizer, grid)
+        params = beta_params(at, mu_mode)
+        grad, hess = beta_derivatives(rows, params, regularizer, grid)
         h = 1e-5
         columns = []
-        for j in range(3):
+        for j in range(grad.size):
             step = np.eye(3)[j] * h
-            up, _ = free_mu_derivatives(rows, free_beta(at + step), regularizer, grid)
-            down, _ = free_mu_derivatives(rows, free_beta(at - step), regularizer, grid)
+            up, _ = beta_derivatives(
+                rows, beta_params(at + step, mu_mode), regularizer, grid
+            )
+            down, _ = beta_derivatives(
+                rows, beta_params(at - step, mu_mode), regularizer, grid
+            )
             columns.append((up - down) / (2.0 * h))
         central = np.array(columns).T
         assert np.array_equal(hess, hess.T)
+        if mu_mode == "fixed":
+            # The fixed-mu block is the free-mu Hessian's (alpha, beta) block.
+            _, full = beta_derivatives(rows, beta_params(at), regularizer, grid)
+            np.testing.assert_allclose(hess, full[:2, :2], rtol=1e-12, atol=0)
+        # The complete-data term -m J(a, b) takes its trigammas by finite
+        # differences, 1.2e-7 off at a = 3 or b = 4; swap in scipy's, so
+        # that the (alpha, beta) block is held to the bound on its own.
+        a, b = at[0], at[1]
+        tri = scipy.special.polygamma(1, [a, b, a + b])
+        exact_j = np.array([[tri[0] - tri[2], -tri[2]], [-tri[2], tri[1] - tri[2]]])
+        m = sum(count for _, _, count in rows)
+        hess = hess.copy()
+        hess[:2, :2] += m * (np.array(em.beta_moment_jacobian(a, b)) - exact_j)
         assert np.max(np.abs(hess - central)) <= 1e-6 * np.max(np.abs(hess))
 
     def test_converged_fit_is_stationary_at_the_long_em_optimum(self, grid):
@@ -756,7 +812,7 @@ class TestNewtonStep:
         assert report.stop_reason == "param_tol" and report.converged
         assert 0 < report.newton_steps <= report.iterations <= 30
         params = report.final_params
-        grad, _ = free_mu_derivatives(stat_rows(hists), params, regularizer, grid)
+        grad, _ = beta_derivatives(stat_rows(hists), params, regularizer, grid)
         assert np.max(np.abs(grad)) <= 1e-6
         np.testing.assert_allclose(param_vec(params), LONG_EM_OPTIMUM, rtol=0, atol=1e-3)
         assert np.all(np.diff(penalized(report, regularizer)) > 0.0)
@@ -785,22 +841,50 @@ class TestNewtonStep:
         assert objective[-1] >= long_em - 1e-6
         # Stationary in every coordinate not held on the alpha floor.
         params = report.final_params
-        grad, _ = free_mu_derivatives(stat_rows(hists), params, regularizer, grid)
+        grad, _ = beta_derivatives(stat_rows(hists), params, regularizer, grid)
         if params.prior.alpha <= BETA_SHAPE_FLOOR:
             assert grad[0] < 0.0
             grad = grad[1:]
         assert np.max(np.abs(grad)) <= 1e-4
 
-    @pytest.mark.parametrize(
-        "family, mu_mode",
-        [("beta", "fixed"), ("two_point", "fixed"), ("two_point", "free")],
-    )
-    def test_em_only_fits_take_no_newton_steps(self, family, mu_mode):
-        prior = BetaPrior(3.0, 5.0) if family == "beta" else TwoPointPrior(0.6, 0.4, 0.98)
-        hists, _ = sim_histories(prior, 0.8, 80, (20, 40), seed=5)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fixed_mu_fit_stops_stationary_without_a_drop(self, grid, seed):
+        # beta_bulk's shape: Beta(3, 5), mu = 0.8, 2000 users, 50-100 labels.
+        # The param_tol stop must sit on the stationary point, not merely
+        # follow a small step: EM steps alone can stop such a fit at a
+        # gradient of 6e-5.
+        hists, _ = sim_histories(BetaPrior(3.0, 5.0), 0.8, 2000, (50, 100), seed)
+        report = em_fit(hists, EmConfig(family="beta", mu=0.8))
+        assert report.stop_reason == "param_tol" and report.converged
+        assert 0 < report.newton_steps <= report.iterations <= 15
+        lls = np.array([pt.loglik for pt in report.trajectory])
+        assert np.all(np.diff(lls) >= 0.0)
+        params = report.final_params
+        grad, _ = beta_derivatives(stat_rows(hists), params, None, grid)
+        assert grad.shape == (2,) and np.max(np.abs(grad)) <= 1e-6
+        assert report.score_norm == np.max(np.abs(grad)) / len(hists)
+
+    def test_fixed_mu_step_holds_mu_and_a_shape_on_the_floor(self):
+        params = ModelParams(BetaPrior(BETA_SHAPE_FLOOR, 3.0), 0.8)
+        terms = em._regularizer_terms(None)
+        grad = np.array([-5.0, 2.0])
+        hess = np.array([[-4.0, 1.0], [1.0, -2.0]])
+        assert em._held(params, grad, terms).tolist() == [True, False, True]
+        cand = em._newton_step(params, grad, hess, terms, 1.0)
+        # Only beta moves: by 2 / 2, inside its trust region of 1.5.
+        assert cand.prior.alpha == BETA_SHAPE_FLOOR and cand.prior.beta == 4.0
+        assert cand.mu == 0.8 and cand.mu_mode == "fixed"
+        # Nothing is free once beta is on the floor too.
+        on_floor = ModelParams(BetaPrior(BETA_SHAPE_FLOOR, BETA_SHAPE_FLOOR), 0.8)
+        assert em._newton_step(on_floor, -np.abs(grad), hess, terms, 1.0) is None
+
+    @pytest.mark.parametrize("mu_mode", ["fixed", "free"])
+    def test_two_point_fits_take_no_newton_steps(self, mu_mode):
+        hists, _ = sim_histories(TwoPointPrior(0.6, 0.4, 0.98), 0.8, 80, (20, 40), 5)
         mu = 0.8 if mu_mode == "fixed" else None
-        cfg = EmConfig(family=family, mu=mu, mu_mode=mu_mode, max_iters=60)
-        assert em_fit(hists, cfg).newton_steps == 0
+        cfg = EmConfig(family="two_point", mu=mu, mu_mode=mu_mode, max_iters=60)
+        report = em_fit(hists, cfg)
+        assert report.newton_steps == 0 and report.score_norm is None
 
 
 class TestMixtureFit:

@@ -371,8 +371,12 @@ class TestFitReports:
             "labels_flipped",
             "fallback_rows",
             "newton_steps",
+            "score_norm",
         }
         assert obj["labels_flipped"] is False
+        assert obj["score_norm"] == report.score_norm and report.score_norm >= 0.0
+        # Two-point fits have no score yet: null on disk.
+        assert fit_to_dict(small_fit("two_point"))["score_norm"] is None
         # Two-point fits count their fallback rows too.
         assert fit_to_dict(small_fit("two_point"))["fallback_rows"] == 0
         with_delta = fit_to_dict(report, labels_flipped=True, delta=0.12)
@@ -459,6 +463,27 @@ class TestDecisionsCsv:
         path = tmp_path / "decisions.csv"
         write_decisions(path, decisions)
         assert read_decisions(path) == decisions
+
+    def test_each_rule_object_keeps_its_own_spelling(self, tmp_path, monkeypatch):
+        # Threshold(0.0) == Threshold(-0.0), yet each writes its own value,
+        # and each rule object is encoded once however many users share it.
+        plus, minus = Threshold(0.0), Threshold(-0.0)
+        decisions = [
+            FilterDecision(f"u{i}", i % 3 == 0, rule, 0.5)
+            for i, rule in enumerate([plus, minus, plus, minus, minus])
+        ]
+        calls = []
+
+        def counting(rule):
+            calls.append(rule)
+            return encode_rule(rule)
+
+        monkeypatch.setattr("prefqc.io.encode_rule", counting)
+        path = tmp_path / "decisions.csv"
+        write_decisions(path, decisions)
+        assert [id(rule) for rule in calls] == [id(plus), id(minus)]
+        signs = [math.copysign(1.0, d.rule.value) for d in read_decisions(path)]
+        assert signs == [1.0, -1.0, 1.0, -1.0, -1.0]
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "decisions.csv"

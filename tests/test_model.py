@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prefqc import (
@@ -26,6 +26,7 @@ from prefqc import (
     simulate_dataset,
     suff_stats,
 )
+from prefqc.model import first_seen
 
 # Hand-checked reference values for the worked single-user instance:
 # TwoPoint{q1=0.6, eta_lo=0.4, eta_hi=0.98}, mu=0.8, sum_z=8, n=10.
@@ -159,6 +160,19 @@ class TestHistories:
         ]
         hists = histories_from_records(records)
         assert hists == [UserHistory("b", 1, 2), UserHistory("a", 0, 1)]
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=80))
+    @example([])
+    @example([(3, True), (3, False), (0, True), (7, True), (0, False)])
+    def test_first_seen_equals_the_unique_definition(self, pairs):
+        # The kept codes of a mask, as take() leaves them: gaps included.
+        codes = np.array([c for c, _ in pairs], dtype=np.intp)
+        kept = codes[np.array([k for _, k in pairs], dtype=bool)]
+        for sample in (codes, kept):
+            uniq, first = np.unique(sample, return_index=True)
+            got = first_seen(sample)
+            assert got.dtype == np.intp
+            assert got.tolist() == uniq[np.argsort(first)].tolist()
 
     def test_duplicate_pair_rejected(self):
         records = [AnnotationRecord("a", "i1", 1), AnnotationRecord("a", "i1", 0)]

@@ -364,6 +364,22 @@ COLUMN_SCENARIOS = {
 class TestSimulateColumns:
     """The columnar simulation against the per-record loop it replaced."""
 
+    @pytest.mark.parametrize("n_range", [(1, 12), (9_998, 10_001)])
+    def test_item_ids_are_the_user_id_and_a_padded_index(self, n_range):
+        # Item index widths 4 and 5: max(4, digits of n_max - 1).
+        sc = scenario(BetaPrior(3.0, 5.0), m=3, n_range=n_range)
+        columns, truth = simulate_columns(sc)
+        width = max(4, len(str(n_range[1] - 1)))
+        counts = np.bincount(columns.users).tolist()
+        assert columns.item_ids == [
+            f"{user_id}-{i:0{width}d}"
+            for user_id, n in zip(columns.user_ids, counts)
+            for i in range(n)
+        ]
+        want_records, want_truth = ref.simulate_dataset(sc)
+        assert truth == want_truth
+        assert columns.to_records() == want_records
+
     @pytest.mark.parametrize("name", sorted(COLUMN_SCENARIOS))
     def test_same_records_truth_and_histories(self, name):
         scenario = COLUMN_SCENARIOS[name]
