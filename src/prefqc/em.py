@@ -499,7 +499,7 @@ def m_step(params, totals, users, grid, regularizer=None):
     return ModelParams(prior=prior, mu=mu, mu_mode=params.mu_mode), clamps
 
 
-def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
+def _score_and_hessian(params, kernel, totals, cnt, mu_terms, hessian=True):
     """Gradient and Hessian of a Beta fit's objective in (alpha, beta[, mu]).
 
     The objective is the penalized observed log-likelihood at `params`,
@@ -512,7 +512,8 @@ def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
     Hessian is the complete-data Hessian plus the summed posterior
     covariance of that score (Louis' identity); the per-row moments come
     from one `ScaledKernel.posterior_means` product over the node columns,
-    two of them for a fixed mu and seven for a free one.
+    two of them for a fixed mu and seven for a free one. With `hessian`
+    false the product is skipped and the Hessian is None.
     """
     a, b, mu = params.prior.alpha, params.prior.beta, params.mu
     mu_free = params.mu_mode == "free"
@@ -520,19 +521,23 @@ def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
     m = float(cnt.sum())
     nodes = kernel.grid.nodes
     x, y = _node_logs(nodes)
-    columns = [x, y]
-    if mu_free:
-        g = 0.5 + nodes * (mu - 0.5)
-        t, u = nodes / g, nodes / (1.0 - g)  # d log g / d mu, -d log(1-g) / d mu
-        columns += [t, u, t * t, t * u, u * u]
-    means = kernel.posterior_means(params, np.stack(columns, axis=1)).T
-    ex, ey = means[:2]
-
     psi_a, psi_b, psi_ab = digamma(np.array([a, b, a + b]))
-    k = 3 if mu_free else 2
-    grad, hess = np.empty(k), np.empty((k, k))
+    grad = np.empty(3 if mu_free else 2)
     grad[0] = users @ x - m * (psi_a - psi_ab)
     grad[1] = users @ y - m * (psi_b - psi_ab)
+    if mu_free:
+        pa, pb, _, _ = mu_terms
+        _, wins, losses = totals
+        g = 0.5 + nodes * (mu - 0.5)
+        t, u = nodes / g, nodes / (1.0 - g)  # d log g / d mu, -d log(1-g) / d mu
+        grad[2] = wins @ t - losses @ u + pa / mu - pb / (1.0 - mu)
+    if not hessian:
+        return grad, None
+
+    columns = [x, y, t, u, t * t, t * u, u * u] if mu_free else [x, y]
+    means = kernel.posterior_means(params, np.stack(columns, axis=1)).T
+    ex, ey = means[:2]
+    hess = np.empty((grad.size, grad.size))
     hess[:2, :2] = np.multiply(-m, beta_moment_jacobian(a, b))
     hess[0, 0] += users @ (x * x) - cnt @ (ex * ex)
     hess[0, 1] += users @ (x * y) - cnt @ (ex * ey)
@@ -541,14 +546,11 @@ def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
     if not mu_free:
         return grad, hess
 
-    pa, pb, _, _ = mu_terms
-    _, wins, losses = totals
     et, eu, ett, etu, euu = means[2:]
     # Each row's posterior mean and variance of the mu score sz t - (n - sz) u.
     sz, ls = kernel.sum_z, kernel.n - kernel.sum_z
     e_s = sz * et - ls * eu
     var_s = sz * sz * ett - 2.0 * sz * ls * etu + ls * ls * euu - e_s * e_s
-    grad[2] = wins @ t - losses @ u + pa / mu - pb / (1.0 - mu)
     hess[0, 2] = hess[2, 0] = wins @ (x * t) - losses @ (x * u) - cnt @ (ex * e_s)
     hess[1, 2] = hess[2, 1] = wins @ (y * t) - losses @ (y * u) - cnt @ (ey * e_s)
     hess[2, 2] = (
@@ -559,20 +561,21 @@ def _score_and_hessian(params, kernel, totals, cnt, mu_terms):
 
 
 def _held(params, grad, mu_terms):
-    """Which of (alpha, beta, mu) a step must leave where they are.
+    """Which coordinates of `grad` a step must leave where they are.
 
     A shape on the floor or a free mu on a bound of its search interval is
-    held when its gradient points out; a fixed mu is always held.
+    held when its gradient points out. A fixed mu is not a coordinate of
+    `grad`; the step leaves it where it is.
     """
     a, b, mu = params.prior.alpha, params.prior.beta, params.mu
-    _, _, lo, hi = mu_terms
-    return np.array([
+    held = [
         a <= BETA_SHAPE_FLOOR and grad[0] < 0.0,
         b <= BETA_SHAPE_FLOOR and grad[1] < 0.0,
-        params.mu_mode == "fixed"
-        or (mu <= lo and grad[2] < 0.0)
-        or (mu >= hi and grad[2] > 0.0),
-    ])
+    ]
+    if params.mu_mode == "free":
+        _, _, lo, hi = mu_terms
+        held.append((mu <= lo and grad[2] < 0.0) or (mu >= hi and grad[2] > 0.0))
+    return np.array(held)
 
 
 def _newton_step(params, grad, hess, mu_terms, reach):
@@ -590,15 +593,14 @@ def _newton_step(params, grad, hess, mu_terms, reach):
     a, b, mu = params.prior.alpha, params.prior.beta, params.mu
     _, _, lo, hi = mu_terms
     free = ~_held(params, grad, mu_terms)
-    sub = free[: grad.size]
-    neg = -hess[np.ix_(sub, sub)]
+    neg = -hess[np.ix_(free, free)]
     if not free.any() or np.any(np.linalg.eigvalsh(neg) <= 0.0):
         return None
-    step = np.zeros(3)
-    step[free] = np.linalg.solve(neg, grad[sub])
+    step = np.zeros(grad.size)
+    step[free] = np.linalg.solve(neg, grad[free])
     radius = (0.5 * reach * a, 0.5 * reach * b, reach * NEWTON_MU_RADIUS)
     step *= min([1.0] + [r / abs(d) for r, d in zip(radius, step) if d])
-    a, b, mu = ((a, b, mu) + step).tolist()
+    a, b, mu = ((a, b, mu) + np.pad(step, (0, 3 - step.size))).tolist()
     mu_free = params.mu_mode == "free"
     if min(a, b) < BETA_SHAPE_FLOOR or (mu_free and not lo <= mu <= hi):
         return None
@@ -727,8 +729,8 @@ def em_fit(
     score_norm = None
     if not two_point:
         # The last E-step's totals are those of the final parameters.
-        grad, _ = _score_and_hessian(params, kernel, totals, cnt, mu_terms)
-        held = _held(params, grad, mu_terms)[: grad.size]
+        grad, _ = _score_and_hessian(params, kernel, totals, cnt, mu_terms, False)
+        held = _held(params, grad, mu_terms)
         score_norm = float(np.max(np.abs(np.where(held, 0.0, grad)))) / m
 
     report = FitReport(

@@ -21,8 +21,13 @@ which every change that moves output bits is judged by:
   times the total number of labels;
 - the two-point parameters one EM step gives (q1, eta_lo, eta_hi):
   absolute 1e-12;
-- converged fixed-mu parameters: within the fit's `tol_param` of those
-  the code gave before the change;
+- converged fixed-mu Beta fits: a projected gradient of at most 1e-6
+  (`score_norm` times the user count) and parameters within the fit's
+  `tol_param` of the stationary point, rather than of the bits the code
+  gave before the change (checked by `test_em.py`'s
+  `test_fixed_mu_fit_stops_stationary_without_a_drop`);
+- converged two-point parameters, which EM steps alone reach: within the
+  fit's `tol_param` of those the code gave before the change;
 - a row's posterior summary (`row_summary`): the mean and each tail
   probability absolute 1e-12; the MAP the same node, unless the row's two
   largest log densities lie within 1e-12 of each other;

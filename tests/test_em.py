@@ -790,18 +790,20 @@ class TestNewtonStep:
         central = np.array(columns).T
         assert np.array_equal(hess, hess.T)
         if mu_mode == "fixed":
-            # The fixed-mu block is the free-mu Hessian's (alpha, beta) block.
+            # The fixed-mu block is the free-mu Hessian's (alpha, beta) block,
+            # whose raw entries the free-mu case checks.
             _, full = beta_derivatives(rows, beta_params(at), regularizer, grid)
             np.testing.assert_allclose(hess, full[:2, :2], rtol=1e-12, atol=0)
-        # The complete-data term -m J(a, b) takes its trigammas by finite
-        # differences, 1.2e-7 off at a = 3 or b = 4; swap in scipy's, so
-        # that the (alpha, beta) block is held to the bound on its own.
-        a, b = at[0], at[1]
-        tri = scipy.special.polygamma(1, [a, b, a + b])
-        exact_j = np.array([[tri[0] - tri[2], -tri[2]], [-tri[2], tri[1] - tri[2]]])
-        m = sum(count for _, _, count in rows)
-        hess = hess.copy()
-        hess[:2, :2] += m * (np.array(em.beta_moment_jacobian(a, b)) - exact_j)
+            # Without the mu entry to set the scale, the finite-difference
+            # trigammas of the complete-data term -m J(a, b) show: 1.2e-7 off
+            # at a = 3 or b = 4 (`test_numerics.TestBetaMomentJacobian` bounds
+            # them). Swap in scipy's, so that the rest of the block is held to
+            # the bound on its own.
+            a, b = at[0], at[1]
+            tri = scipy.special.polygamma(1, [a, b, a + b])
+            exact_j = np.array([[tri[0] - tri[2], -tri[2]], [-tri[2], tri[1] - tri[2]]])
+            m = sum(count for _, _, count in rows)
+            hess = hess + m * (np.array(em.beta_moment_jacobian(a, b)) - exact_j)
         assert np.max(np.abs(hess - central)) <= 1e-6 * np.max(np.abs(hess))
 
     def test_converged_fit_is_stationary_at_the_long_em_optimum(self, grid):
@@ -854,22 +856,25 @@ class TestNewtonStep:
         # follow a small step: EM steps alone can stop such a fit at a
         # gradient of 6e-5.
         hists, _ = sim_histories(BetaPrior(3.0, 5.0), 0.8, 2000, (50, 100), seed)
-        report = em_fit(hists, EmConfig(family="beta", mu=0.8))
+        cfg = EmConfig(family="beta", mu=0.8)
+        report = em_fit(hists, cfg)
         assert report.stop_reason == "param_tol" and report.converged
         assert 0 < report.newton_steps <= report.iterations <= 15
         lls = np.array([pt.loglik for pt in report.trajectory])
         assert np.all(np.diff(lls) >= 0.0)
         params = report.final_params
-        grad, _ = beta_derivatives(stat_rows(hists), params, None, grid)
+        grad, hess = beta_derivatives(stat_rows(hists), params, None, grid)
         assert grad.shape == (2,) and np.max(np.abs(grad)) <= 1e-6
         assert report.score_norm == np.max(np.abs(grad)) / len(hists)
+        # The Newton step to the stationary point is shorter than tol_param.
+        assert np.max(np.abs(np.linalg.solve(hess, grad))) < cfg.tol_param
 
     def test_fixed_mu_step_holds_mu_and_a_shape_on_the_floor(self):
         params = ModelParams(BetaPrior(BETA_SHAPE_FLOOR, 3.0), 0.8)
         terms = em._regularizer_terms(None)
         grad = np.array([-5.0, 2.0])
         hess = np.array([[-4.0, 1.0], [1.0, -2.0]])
-        assert em._held(params, grad, terms).tolist() == [True, False, True]
+        assert em._held(params, grad, terms).tolist() == [True, False]
         cand = em._newton_step(params, grad, hess, terms, 1.0)
         # Only beta moves: by 2 / 2, inside its trust region of 1.5.
         assert cand.prior.alpha == BETA_SHAPE_FLOOR and cand.prior.beta == 4.0
