@@ -26,7 +26,7 @@ objective; otherwise it takes the EM step. Two-point fits run plain EM.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Literal, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -422,16 +422,8 @@ def default_init(
 
 
 def _param_vector(params: ModelParams) -> np.ndarray:
-    prior = params.prior
-    if isinstance(prior, TwoPointPrior):
-        vec = [prior.q1, prior.eta_lo, prior.eta_hi]
-    elif isinstance(prior, BetaPrior):
-        vec = [prior.alpha, prior.beta]
-    else:
-        raise ValueError("EM supports two-point and Beta priors")
-    if params.mu_mode == "free":
-        vec.append(params.mu)
-    return np.array(vec)
+    vec = astuple(params.prior)
+    return np.array(vec + (params.mu,) if params.mu_mode == "free" else vec)
 
 
 def _node_logs(nodes):

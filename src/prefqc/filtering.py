@@ -12,7 +12,7 @@ can be reproduced byte for byte.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -22,6 +22,7 @@ from .em import PosteriorRows, posterior_rows
 from .model import (
     AnnotationColumns,
     AnnotationRecord,
+    BetaPrior,
     ModelParams,
     TwoPointPrior,
     UserHistory,
@@ -285,14 +286,9 @@ def relative_error(theta_hat: ModelParams, theta_star: ModelParams) -> float:
         raise ValueError("priors must come from the same family")
     if theta_hat.mu_mode != theta_star.mu_mode:
         raise ValueError("mu_mode must match")
-    two_point = isinstance(star, TwoPointPrior)
-    names = ("q1", "eta_lo", "eta_hi") if two_point else ("alpha", "beta")
-    try:
-        pairs = [(getattr(hat, k), getattr(star, k)) for k in names]
-    except AttributeError:
-        raise ValueError(
-            "relative_error supports two-point and Beta parameterizations"
-        ) from None
+    if not isinstance(star, (TwoPointPrior, BetaPrior)):
+        raise ValueError("relative_error supports two-point and Beta parameterizations")
+    pairs = list(zip(astuple(hat), astuple(star)))
     if theta_star.mu_mode == "free":
         pairs.append((theta_hat.mu, theta_star.mu))
     return max(

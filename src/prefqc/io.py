@@ -8,6 +8,7 @@ leaves a truncated output behind.
 """
 
 import csv
+import dataclasses
 import io as _stdio
 import json
 import math
@@ -514,58 +515,64 @@ def write_scored_pairs(path, pairs: Iterable[ScoredPair]) -> None:
 
 # --------------------------------------------------- priors, params, rules
 
+def _plain(value):
+    """A field value as JSON holds it: tuples, nested ones too, as lists."""
+    return [_plain(v) for v in value] if isinstance(value, (tuple, list)) else value
+
+
+def _tuples(value):
+    """A JSON field value as its dataclass holds it: lists as tuples."""
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def _encode(kind: str, table: dict[str, type], value) -> dict[str, Any]:
+    """{"type": tag, <field>: <value>, ...} in the dataclass's field order."""
+    tag = next((tag for tag, cls in table.items() if isinstance(value, cls)), None)
+    if tag is None:
+        raise TypeError(f"cannot encode {kind} {value!r}")
+    return {"type": tag} | {
+        f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)
+    }
+
+
+def _decode(kind: str, table: dict[str, type], obj):
+    """The dataclass instance an _encode dict describes.
+
+    A field with a default may be left out; a missing required field raises
+    KeyError naming it, and keys that name no field are ignored.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a {kind} must be a JSON object, got {obj!r}")
+    tag = obj.get("type")
+    cls = table.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ValueError(f"unknown {kind} type {tag!r}")
+    return cls(**{
+        f.name: _tuples(obj[f.name])
+        for f in dataclasses.fields(cls)
+        if f.name in obj or f.default is dataclasses.MISSING
+    })
+
+
+# One table per kind, so that decode_prior rejects a rule's tag.
+_PRIORS = {
+    "two_point": TwoPointPrior,
+    "beta": BetaPrior,
+    "logistic_normal_mixture": LogisticNormalMixturePrior,
+    "beta_mixture": BetaMixture,
+    "logistic_normal": LogisticNormal,
+    "discrete_masses": DiscreteMasses,
+}
+_RULES = {"top_fraction": TopFraction, "threshold": Threshold, "tail_probability": TailProbability}
+_REGULARIZERS = {"log_prior_on_mu": LogPriorOnMu, "box_on_mu": BoxOnMu}
+
+
 def encode_prior(prior) -> dict[str, Any]:
-    if isinstance(prior, TwoPointPrior):
-        return {
-            "type": "two_point",
-            "q1": prior.q1,
-            "eta_lo": prior.eta_lo,
-            "eta_hi": prior.eta_hi,
-        }
-    if isinstance(prior, BetaPrior):
-        return {"type": "beta", "alpha": prior.alpha, "beta": prior.beta}
-    if isinstance(prior, LogisticNormalMixturePrior):
-        return {
-            "type": "logistic_normal_mixture",
-            "weights": list(prior.weights),
-            "means": list(prior.means),
-            "sigmas": list(prior.sigmas),
-        }
-    if isinstance(prior, BetaMixture):
-        return {
-            "type": "beta_mixture",
-            "weights": list(prior.weights),
-            "components": [list(c) for c in prior.components],
-        }
-    if isinstance(prior, LogisticNormal):
-        return {"type": "logistic_normal", "m": prior.m, "s": prior.s}
-    if isinstance(prior, DiscreteMasses):
-        return {"type": "discrete_masses", "atoms": [list(a) for a in prior.atoms]}
-    raise TypeError(f"cannot encode prior {prior!r}")
+    return _encode("prior", _PRIORS, prior)
 
 
 def decode_prior(obj: dict[str, Any]):
-    kind = obj.get("type")
-    if kind == "two_point":
-        return TwoPointPrior(q1=obj["q1"], eta_lo=obj["eta_lo"], eta_hi=obj["eta_hi"])
-    if kind == "beta":
-        return BetaPrior(alpha=obj["alpha"], beta=obj["beta"])
-    if kind == "logistic_normal_mixture":
-        return LogisticNormalMixturePrior(
-            weights=tuple(obj["weights"]),
-            means=tuple(obj["means"]),
-            sigmas=tuple(obj["sigmas"]),
-        )
-    if kind == "beta_mixture":
-        return BetaMixture(
-            weights=tuple(obj["weights"]),
-            components=tuple(tuple(c) for c in obj["components"]),
-        )
-    if kind == "logistic_normal":
-        return LogisticNormal(m=obj["m"], s=obj["s"])
-    if kind == "discrete_masses":
-        return DiscreteMasses(atoms=tuple(tuple(a) for a in obj["atoms"]))
-    raise ValueError(f"unknown prior type {kind!r}")
+    return _decode("prior", _PRIORS, obj)
 
 
 def encode_params(params: ModelParams) -> dict[str, Any]:
@@ -585,45 +592,19 @@ def decode_params(obj: dict[str, Any]) -> ModelParams:
 
 
 def encode_rule(rule: SelectionRule) -> dict[str, Any]:
-    if isinstance(rule, TopFraction):
-        return {"type": "top_fraction", "fraction": rule.fraction}
-    if isinstance(rule, Threshold):
-        return {"type": "threshold", "value": rule.value}
-    if isinstance(rule, TailProbability):
-        return {"type": "tail_probability", "eta_star": rule.eta_star, "level": rule.level}
-    raise TypeError(f"cannot encode rule {rule!r}")
+    return _encode("rule", _RULES, rule)
 
 
 def decode_rule(obj: dict[str, Any]) -> SelectionRule:
-    kind = obj.get("type")
-    if kind == "top_fraction":
-        return TopFraction(fraction=obj["fraction"])
-    if kind == "threshold":
-        return Threshold(value=obj["value"])
-    if kind == "tail_probability":
-        return TailProbability(eta_star=obj["eta_star"], level=obj.get("level", 0.95))
-    raise ValueError(f"unknown rule type {kind!r}")
+    return _decode("rule", _RULES, obj)
 
 
 def encode_regularizer(reg: RegularizerSpec) -> dict[str, Any] | None:
-    if reg is None:
-        return None
-    if isinstance(reg, LogPriorOnMu):
-        return {"type": "log_prior_on_mu", "a": reg.a, "b": reg.b}
-    if isinstance(reg, BoxOnMu):
-        return {"type": "box_on_mu", "lo": reg.lo, "hi": reg.hi}
-    raise TypeError(f"cannot encode regularizer {reg!r}")
+    return None if reg is None else _encode("regularizer", _REGULARIZERS, reg)
 
 
 def decode_regularizer(obj: dict[str, Any] | None) -> RegularizerSpec:
-    if obj is None:
-        return None
-    kind = obj.get("type")
-    if kind == "log_prior_on_mu":
-        return LogPriorOnMu(a=obj["a"], b=obj["b"])
-    if kind == "box_on_mu":
-        return BoxOnMu(lo=obj["lo"], hi=obj["hi"])
-    raise ValueError(f"unknown regularizer type {kind!r}")
+    return None if obj is None else _decode("regularizer", _REGULARIZERS, obj)
 
 
 def encode_scenario(scenario: SimulationScenario) -> dict[str, Any]:
@@ -710,14 +691,10 @@ def read_fit(path) -> dict[str, Any]:
 
 def _param_columns(params: ModelParams) -> list[tuple[str, float]]:
     prior = params.prior
-    if isinstance(prior, TwoPointPrior):
-        cols = [("q1", prior.q1), ("eta_lo", prior.eta_lo), ("eta_hi", prior.eta_hi)]
-    elif isinstance(prior, BetaPrior):
-        cols = [("alpha", prior.alpha), ("beta", prior.beta)]
-    else:
+    if not isinstance(prior, (TwoPointPrior, BetaPrior)):
         raise TypeError("trajectories exist only for two-point and Beta fits")
-    cols.append(("mu", params.mu))
-    return cols
+    fields = dataclasses.fields(prior)
+    return [(f.name, getattr(prior, f.name)) for f in fields] + [("mu", params.mu)]
 
 
 def write_trajectory(path, report: FitReport) -> None:

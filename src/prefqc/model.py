@@ -14,7 +14,7 @@ raw products would underflow. The E-step of both prior families
 """
 
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Literal, Union, get_args
 
 import numpy as np
 
@@ -268,6 +268,11 @@ class ModelParams:
     mu_mode: MuMode = "fixed"
 
     def __post_init__(self):
+        if not isinstance(self.prior, get_args(AttentivenessPrior)):
+            raise ValueError(
+                "ModelParams takes a two-point, Beta or logistic-normal mixture "
+                f"prior, not {type(self.prior).__name__}"
+            )
         if not 0.5 < self.mu < 1.0:
             raise ValueError("mu must lie strictly inside (1/2, 1)")
         if self.mu_mode not in ("fixed", "free"):

@@ -47,6 +47,20 @@ def simulate_into(tmp_path, name="sim", **kw):
     return out
 
 
+# Priors that only simulate: no fit or posterior is defined for them.
+SIMULATION_ONLY_PRIORS = [
+    {"type": "beta_mixture", "weights": [1.0], "components": [[2.0, 3.0]]},
+    {"type": "logistic_normal", "m": 0.0, "s": 1.0},
+    {"type": "discrete_masses", "atoms": [[1.0, 0.5]]},
+]
+
+
+def one_line_error(capsys, *parts):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(part in err for part in parts), err
+
+
 class TestSimulate:
     def test_preset_line_count_and_determinism(self, tmp_path, capsys):
         hashes = []
@@ -94,6 +108,16 @@ class TestSimulate:
             tmp_path / "c.json", preset="mystery", out_dir=str(tmp_path / "out")
         )
         assert main(["simulate", "--config", config]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("prior", ["beta", ["beta"]], ids=["string", "list"])
+    def test_prior_that_is_not_an_object_exits_2(self, tmp_path, capsys, prior):
+        config = write_config(
+            tmp_path / "c.json",
+            scenario={**tiny_scenario(), "prior": prior},
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main(["simulate", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "a prior must be a JSON object")
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.json"]) == EXIT_VALIDATION
@@ -228,6 +252,23 @@ class TestFit:
         assert main(["fit", "--config", config]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert f"config key {key!r} must be a number" in err and err.count("\n") == 1
+
+    def test_regularizer_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path)
+        config, _ = fit_config(
+            tmp_path, sim, family="beta", mu=None, mu_mode="free",
+            regularizer="log_prior_on_mu",
+        )
+        assert main(["fit", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "a regularizer must be a JSON object")
+
+    @pytest.mark.parametrize("prior", SIMULATION_ONLY_PRIORS, ids=lambda p: p["type"])
+    def test_simulation_only_init_prior_exits_2(self, tmp_path, capsys, prior):
+        sim = simulate_into(tmp_path)
+        config, out = fit_config(tmp_path, sim, init={"prior": prior, "mu": 0.8})
+        assert main(["fit", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "ModelParams takes a two-point, Beta")
+        assert not (out / "fit.json").exists()
 
     def test_mu_conflicting_with_init_rejected(self, tmp_path, capsys):
         sim = simulate_into(tmp_path)
@@ -478,6 +519,28 @@ class TestInferAndFilter:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "decisions.csv").exists()
 
+    def test_rule_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        sim, fit_out = self.fitted(tmp_path)
+        config, out = infer_config(tmp_path, sim, fit_out, "top_fraction")
+        capsys.readouterr()
+        assert main(["infer", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "a rule must be a JSON object")
+        assert not (out / "decisions.csv").exists()
+
+    @pytest.mark.parametrize("prior", SIMULATION_ONLY_PRIORS, ids=lambda p: p["type"])
+    def test_simulation_only_fit_prior_exits_2(self, tmp_path, capsys, prior):
+        sim, fit_out = self.fitted(tmp_path)
+        fit = json.loads((fit_out / "fit.json").read_text())
+        fit["params"]["prior"] = prior
+        (fit_out / "fit.json").write_text(json.dumps(fit))
+        config, out = infer_config(
+            tmp_path, sim, fit_out, {"type": "top_fraction", "fraction": 0.5}
+        )
+        capsys.readouterr()
+        assert main(["infer", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "ModelParams takes a two-point, Beta")
+        assert not (out / "decisions.csv").exists()
+
     def test_filter_with_missing_decision_fails(self, tmp_path):
         sim, fit_out = self.fitted(tmp_path)
         config, infer_out = infer_config(
@@ -597,6 +660,13 @@ class TestEval:
         for seeds in ([], "0"):
             config, _ = self.eval_config(tmp_path, seeds, cells=[self.tiny_cell()])
             assert main(["eval", "--config", config]) == EXIT_VALIDATION
+
+    def test_cell_prior_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        cell = self.tiny_cell(scenario={**tiny_scenario(m=30), "prior": "two_point"})
+        config, out = self.eval_config(tmp_path, [0], cells=[cell])
+        assert main(["eval", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "a prior must be a JSON object")
+        assert not (out / "sweep.csv").exists()
 
     def test_needs_cells_or_known_preset(self, tmp_path):
         config, _ = self.eval_config(tmp_path, [0], preset="unknown_sweep")

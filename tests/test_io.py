@@ -274,6 +274,31 @@ PRIORS = [
 ]
 
 
+# The keys are the dataclass field names, so renaming a field would change
+# fit.json, decisions.csv and every config; the round trips would not see it.
+WIRE_FORMAT = [
+    (PRIORS[0], encode_prior,
+     {"type": "two_point", "q1": 0.6, "eta_lo": 0.4, "eta_hi": 0.98}),
+    (PRIORS[1], encode_prior, {"type": "beta", "alpha": 3.0, "beta": 5.0}),
+    (PRIORS[2], encode_prior,
+     {"type": "logistic_normal_mixture", "weights": [0.4, 0.6],
+      "means": [-1.0, 1.5], "sigmas": [0.5, 0.9]}),
+    (PRIORS[3], encode_prior,
+     {"type": "beta_mixture", "weights": [0.6, 0.4],
+      "components": [[4.0, 16.0], [16.0, 4.0]]}),
+    (PRIORS[4], encode_prior, {"type": "logistic_normal", "m": -0.6, "s": 0.8}),
+    (PRIORS[5], encode_prior,
+     {"type": "discrete_masses", "atoms": [[0.2, 0.2], [0.6, 0.6], [0.2, 0.9]]}),
+    (TopFraction(0.5), encode_rule, {"type": "top_fraction", "fraction": 0.5}),
+    (Threshold(0.62), encode_rule, {"type": "threshold", "value": 0.62}),
+    (TailProbability(0.5, 0.9), encode_rule,
+     {"type": "tail_probability", "eta_star": 0.5, "level": 0.9}),
+    (LogPriorOnMu(8.0, 2.0), encode_regularizer,
+     {"type": "log_prior_on_mu", "a": 8.0, "b": 2.0}),
+    (BoxOnMu(0.5, 0.7), encode_regularizer, {"type": "box_on_mu", "lo": 0.5, "hi": 0.7}),
+]
+
+
 class TestTypedCodecs:
     @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: type(p).__name__)
     def test_prior_round_trip(self, prior):
@@ -340,6 +365,41 @@ class TestTypedCodecs:
         )
         decoded = decode_scenario(encode_scenario(scenario))
         assert decoded.per_item_p_model is None and decoded == scenario
+
+    @pytest.mark.parametrize(
+        "value, encode, expected", WIRE_FORMAT, ids=[e["type"] for _, _, e in WIRE_FORMAT]
+    )
+    def test_wire_format_is_pinned(self, value, encode, expected):
+        assert encode(value) == expected  # a tuple is not equal to its list
+
+    @pytest.mark.parametrize("prior", PRIORS[2:4] + PRIORS[5:], ids=lambda p: type(p).__name__)
+    def test_decoded_sequence_fields_are_tuples(self, prior):
+        decoded = decode_prior(json.loads(json.dumps(encode_prior(prior))))
+        for name in decoded.__dataclass_fields__:
+            value = getattr(decoded, name)
+            assert type(value) is tuple
+            assert all(type(v) is tuple for v in value if not isinstance(v, float))
+        assert hash(decoded) == hash(prior) and decoded == prior
+
+    def test_a_tag_of_another_kind_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown prior type 'threshold'"):
+            decode_prior({"type": "threshold", "value": 0.5})
+        with pytest.raises(ValueError, match="unknown rule type 'beta'"):
+            decode_rule({"type": "beta", "alpha": 2.0, "beta": 2.0})
+
+    def test_missing_required_field_is_named(self):
+        with pytest.raises(KeyError, match="eta_hi"):
+            decode_prior({"type": "two_point", "q1": 0.5, "eta_lo": 0.2})
+        with pytest.raises(KeyError, match="eta_star"):
+            decode_rule({"type": "tail_probability", "level": 0.9})
+
+    @pytest.mark.parametrize("obj", ["beta", ["beta"], 3.0, True])
+    def test_a_value_that_is_not_an_object_is_rejected(self, obj):
+        for kind, decode in (
+            ("prior", decode_prior), ("rule", decode_rule), ("regularizer", decode_regularizer)
+        ):
+            with pytest.raises(ValueError, match=f"a {kind} must be a JSON object"):
+                decode(obj)
 
 
 class TestJsonFiles:
