@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: simulate, fit, infer, filter, estimate-mu, eval. Each takes a
-JSON config (--config), plus --seed and --strict overrides. Exit codes:
-0 success, 2 validation or input error, 3 numeric failure.
+JSON config (--config); simulate also takes a --seed override, and fit and
+eval a --strict switch. Exit codes: 0 success, 2 validation or input error,
+3 numeric failure.
 
 The canonical label orientation has option A preferred on average (mu above
 one half). Configs with mu below one half are accepted by flipping every
@@ -24,10 +25,12 @@ import numpy as np
 
 from . import io as fio
 from .em import (
+    FAMILIES,
     DegenerateComponentError,
     EmConfig,
     LikelihoodDecreaseError,
     em_fit,
+    family_of,
 )
 from .filtering import (
     TailProbability,
@@ -37,16 +40,10 @@ from .filtering import (
     select_users,
     summarize_histories,
 )
-from .model import (
-    BetaPrior,
-    ModelParams,
-    TwoPointPrior,
-    histories_from_columns,
-)
+from .model import ModelParams, histories_from_columns
 from .numerics import SolverError
 from .simulate import (
     ERROR_SWEEP_CELLS,
-    SimulationScenario,
     estimate_mu,
     prior_quantile,
     scenario_preset,
@@ -108,17 +105,18 @@ def _cmd_simulate(cfg: dict, args) -> None:
     )
 
 
+_EM_KEYS = ("family", "mu", "mu_mode", "max_iters", "tol_param", "tol_loglik")
+
+
 def _em_config(cfg: dict) -> EmConfig:
-    """EmConfig from fit config keys; fit and eval both build theirs here."""
+    """EmConfig from fit config keys; fit and eval both build theirs here.
+
+    A key the config leaves out keeps EmConfig's default.
+    """
     init = cfg.get("init")
     return EmConfig(
-        family=cfg.get("family"),
-        mu=cfg.get("mu"),
-        mu_mode=cfg.get("mu_mode", "fixed"),
+        **{key: cfg[key] for key in _EM_KEYS if key in cfg},
         init=None if init is None else fio.decode_params(init),
-        max_iters=cfg.get("max_iters", 500),
-        tol_param=cfg.get("tol_param", 1e-6),
-        tol_loglik=cfg.get("tol_loglik", 1e-9),
         regularizer=fio.decode_regularizer(cfg.get("regularizer")),
     )
 
@@ -133,10 +131,8 @@ _NUMERIC_KEYS = {
 }
 # The numeric fields of init's prior and of a regularizer, by their "type".
 _NUMERIC_FIELDS = {
-    "two_point": ("q1", "eta_lo", "eta_hi"),
-    "beta": ("alpha", "beta"),
-    "log_prior_on_mu": ("a", "b"),
-    "box_on_mu": ("lo", "hi"),
+    tag: [f.name for f in dataclasses.fields(kind)]
+    for tag, kind in [*FAMILIES.items(), *fio._REGULARIZERS.items()]
 }
 
 
@@ -182,13 +178,10 @@ def _fit_once(cfg: dict, strict: bool):
     return report, labels_flipped
 
 
-def _truth_params_from_scenario(path, mu_mode: str) -> ModelParams:
-    scenario = fio.decode_scenario(fio.read_json(path))
-    if not isinstance(scenario.prior, (TwoPointPrior, BetaPrior)):
-        raise ConfigError(
-            "truth_scenario prior is outside the fitted families; no delta defined"
-        )
-    return ModelParams(prior=scenario.prior, mu=scenario.mu, mu_mode=mu_mode)
+def _delta(fitted: ModelParams, scenario) -> float:
+    """relative_error of a fit against the truth a scenario simulated."""
+    truth = ModelParams(prior=scenario.prior, mu=scenario.mu, mu_mode=fitted.mu_mode)
+    return relative_error(fitted, truth)
 
 
 def _cmd_fit(cfg: dict, args) -> None:
@@ -196,10 +189,12 @@ def _cmd_fit(cfg: dict, args) -> None:
     report, labels_flipped = _fit_once(cfg, args.strict)
     delta = None
     if cfg.get("truth_scenario"):
-        truth = _truth_params_from_scenario(
-            cfg["truth_scenario"], report.final_params.mu_mode
-        )
-        delta = relative_error(report.final_params, truth)
+        scenario = fio.decode_scenario(fio.read_json(cfg["truth_scenario"]))
+        if family_of(scenario.prior) is None:
+            raise ConfigError(
+                "truth_scenario prior is outside the fitted families; no delta defined"
+            )
+        delta = _delta(report.final_params, scenario)
     fio.write_fit(
         out / "fit.json", report, labels_flipped=labels_flipped, delta=delta
     )
@@ -291,8 +286,8 @@ def _eval_cells(cfg: dict) -> list[dict]:
     preset = cfg.get("preset")
     if preset == "table3_grid":
         cells = []
-        for family, (m, n) in product(("two_point", "beta"), ERROR_SWEEP_CELLS):
-            tag = "twopoint" if family == "two_point" else "beta"
+        for family, (m, n) in product(FAMILIES, ERROR_SWEEP_CELLS):
+            tag = family.replace("_", "")  # presets spell two_point "twopoint"
             scenario = scenario_preset(f"table3_{tag}_{m}_{n}")
             cells.append(
                 {
@@ -306,8 +301,8 @@ def _eval_cells(cfg: dict) -> list[dict]:
         return cells
     if preset == "mu_effect":
         cells = []
-        prior = BetaPrior(alpha=3.0, beta=5.0)
-        median = prior_quantile(prior, 0.5)
+        base = scenario_preset("beta_default")
+        median = prior_quantile(base.prior, 0.5)
         rules = (
             ("ranking", {"type": "top_fraction", "fraction": 0.5}),
             ("threshold", {"type": "threshold", "value": median}),
@@ -315,11 +310,7 @@ def _eval_cells(cfg: dict) -> list[dict]:
         for mu, variant, (rule_name, rule) in product(
             (0.6, 0.7, 0.8, 0.9), ("known", "beta_prior"), rules
         ):
-            scenario = fio.encode_scenario(
-                SimulationScenario(
-                    prior=prior, mu=mu, num_users=400, n_range=(50, 100)
-                )
-            )
+            scenario = fio.encode_scenario(dataclasses.replace(base, mu=mu))
             cells.append(
                 {
                     "cell": f"mu_{mu:g}_{variant}_{rule_name}",
@@ -387,13 +378,9 @@ def _run_eval_fit(fit: dict) -> list[dict]:
         report = em_fit(histories, em_config, strict=fit["strict"])
         fitted = report.final_params
         scores: dict = {}
-        if isinstance(scenario.prior, (TwoPointPrior, BetaPrior)) and type(
-            scenario.prior
-        ) is type(fitted.prior):
-            truth_params = ModelParams(
-                prior=scenario.prior, mu=scenario.mu, mu_mode=fitted.mu_mode
-            )
-            scores["delta"] = relative_error(fitted, truth_params)
+        # A fitted prior is always in FAMILIES, so a truth outside them has no delta.
+        if family_of(scenario.prior) == family_of(fitted.prior):
+            scores["delta"] = _delta(fitted, scenario)
         scores.update(converged=report.converged, iterations=report.iterations)
     except Exception as exc:  # recorded per cell; the sweep keeps going
         error = f"{type(exc).__name__}: {exc}"
@@ -436,7 +423,11 @@ def _cmd_eval(cfg: dict, args) -> None:
     seeds = cfg.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("eval needs a non-empty 'seeds' list")
-    seeds = [int(s) for s in seeds]
+    for k, seed in enumerate(seeds):
+        if type(seed) is not int:  # a float would truncate, and a bool is an int
+            raise ConfigError(f"eval seeds must be JSON integers, got {json.dumps(seed)}")
+        if seed in seeds[:k]:
+            raise ConfigError(f"eval seeds repeat {seed}")
     cells = _eval_cells(cfg)
     fits = _eval_fits(cells, seeds, args.strict)
     workers = int(os.environ.get(WORKERS_ENV, "1"))
@@ -518,12 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, type=Path, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="treat numeric invariant violations as fatal",
-        )
+        if name == "simulate":
+            p.add_argument("--seed", type=int, help="override the config seed")
+        if name in ("fit", "eval"):
+            p.add_argument(
+                "--strict",
+                action="store_true",
+                help="treat numeric invariant violations as fatal",
+            )
         p.set_defaults(func=func)
     return parser
 

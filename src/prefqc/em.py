@@ -95,6 +95,18 @@ class BoxOnMu:
 
 RegularizerSpec = Union[LogPriorOnMu, BoxOnMu, None]
 
+# The prior families EM fits, by config name, each with the start
+# `default_init` gives a fit of that family.
+FAMILIES: dict[str, AttentivenessPrior] = {
+    "two_point": TwoPointPrior(q1=0.5, eta_lo=0.25, eta_hi=0.75),
+    "beta": BetaPrior(alpha=2.0, beta=2.0),
+}
+
+
+def family_of(prior) -> str | None:
+    """The FAMILIES name of `prior`'s family; None for a prior EM does not fit."""
+    return next((k for k, v in FAMILIES.items() if isinstance(prior, type(v))), None)
+
 
 class TrajectoryPoint(NamedTuple):
     iteration: int
@@ -161,9 +173,9 @@ class EmConfig:
     """Fit configuration.
 
     Either supply `init` (a full ModelParams) or a `family` plus `mu`;
-    defaults for the rest follow the library's stock choices: interior
-    inits (q1=1/2 with masses at 1/4, 3/4; Beta(2,2)), a free mu started at
-    the clipped empirical label frequency, sup-norm parameter convergence.
+    defaults for the rest follow the library's stock choices: the family's
+    start in FAMILIES, a free mu started at the clipped empirical label
+    frequency, sup-norm parameter convergence.
     With `init`, a `mu` other than init's or a free `mu_mode` for a fixed
     init is rejected; the default `mu_mode` leaves init's.
     """
@@ -185,14 +197,13 @@ class EmConfig:
             raise ValueError("tolerances must be positive")
         init = self.init
         if init is None:
-            if self.family not in ("two_point", "beta"):
+            # A list, not the dict: a family from JSON may be unhashable.
+            if self.family not in list(FAMILIES):
                 raise ValueError("supply init params or family in {'two_point','beta'}")
             return
-        if self.family is not None:
-            fam = "two_point" if isinstance(init.prior, TwoPointPrior) else "beta"
-            known = isinstance(init.prior, (TwoPointPrior, BetaPrior))
-            if known and fam != self.family:
-                raise ValueError(f"init prior is {fam!r} but family={self.family!r}")
+        fam = family_of(init.prior)
+        if self.family is not None and fam is not None and fam != self.family:
+            raise ValueError(f"init prior is {fam!r} but family={self.family!r}")
         if self.mu is not None and self.mu != init.mu:
             raise ValueError(f"mu={self.mu!r} conflicts with init mu={init.mu!r}")
         if self.mu_mode == "free" and init.mu_mode == "fixed":
@@ -337,6 +348,17 @@ def _mu_objective(support, win_counts, loss_counts, pa, pb):
     return objective
 
 
+def _mu_score(support, wins, losses, mu, pa, pb):
+    """(d/dmu, t, u) of sum W log g + L log(1 - g) plus the log-prior.
+
+    g = 1/2 + s (mu - 1/2) at each support point s, with expected wins W and
+    losses L there; t = d log g / d mu and u = -d log(1 - g) / d mu per point.
+    """
+    g = 0.5 + support * (mu - 0.5)
+    t, u = support / g, support / (1.0 - g)
+    return float(wins @ t - losses @ u) + pa / mu - pb / (1.0 - mu), t, u
+
+
 def _maximize_mu(support, win_counts, loss_counts, regularizer, start=None):
     """Argmax over mu of the expected-likelihood term plus the log-prior.
 
@@ -355,14 +377,10 @@ def _maximize_mu(support, win_counts, loss_counts, regularizer, start=None):
     f = _mu_objective(support, win_counts, loss_counts, pa, pb)
 
     def deriv(mu: float) -> tuple[float, float]:
-        # First and second derivative of sum W log g + L log(1 - g) plus the
-        # log-prior, with g = 1/2 + s (mu - 1/2) at each support point s.
-        g = support * (mu - 0.5) + 0.5
-        t = support / g
-        u = support / (1.0 - g)
-        q = 1.0 - mu
-        d1 = float(win_counts @ t - loss_counts @ u) + pa / mu - pb / q
+        # First and second derivative of the objective.
+        d1, t, u = _mu_score(support, win_counts, loss_counts, mu, pa, pb)
         d2 = float(win_counts @ (t * t) + loss_counts @ (u * u))
+        q = 1.0 - mu
         return d1, -d2 - pa / (mu * mu) - pb / (q * q)
 
     x = 0.5 * (lo + hi) if start is None else min(max(start, lo), hi)
@@ -409,13 +427,9 @@ def default_init(
         total_n = sum(h.n for h in histories)
         freq = sum(h.sum_z for h in histories) / total_n if total_n else 0.75
         mu0 = min(max(freq, 0.55), 0.95)
-    if family == "two_point":
-        prior: AttentivenessPrior = TwoPointPrior(q1=0.5, eta_lo=0.25, eta_hi=0.75)
-    elif family == "beta":
-        prior = BetaPrior(alpha=2.0, beta=2.0)
-    else:
+    if family not in list(FAMILIES):
         raise ValueError(f"unsupported family {family!r}")
-    return ModelParams(prior=prior, mu=mu0, mu_mode=mu_mode)
+    return ModelParams(prior=FAMILIES[family], mu=mu0, mu_mode=mu_mode)
 
 
 def _param_vector(params: ModelParams) -> np.ndarray:
@@ -497,7 +511,7 @@ def _score_and_hessian(params, kernel, totals, cnt, mu_terms, hessian=True):
     and column are there only when mu is free; a fixed-mu fit's totals hold
     only the users. The gradient is the posterior mean of the complete-data
     score (Fisher's identity), read off the totals: m(r1 - psi(a) + psi(a+b)),
-    m(r2 - psi(b) + psi(a+b)) and the mu derivative of `_maximize_mu`. The
+    m(r2 - psi(b) + psi(a+b)) and `_mu_score`, the mu derivative. The
     Hessian is the complete-data Hessian plus the summed posterior
     covariance of that score (Louis' identity); the per-row moments come
     from one `ScaledKernel.posterior_means` product over the node columns,
@@ -517,9 +531,7 @@ def _score_and_hessian(params, kernel, totals, cnt, mu_terms, hessian=True):
     if mu_free:
         pa, pb, _, _ = mu_terms
         _, wins, losses = totals
-        g = 0.5 + nodes * (mu - 0.5)
-        t, u = nodes / g, nodes / (1.0 - g)  # d log g / d mu, -d log(1-g) / d mu
-        grad[2] = wins @ t - losses @ u + pa / mu - pb / (1.0 - mu)
+        grad[2], t, u = _mu_score(nodes, wins, losses, mu, pa, pb)
     if not hessian:
         return grad, None
 
@@ -625,12 +637,13 @@ def em_fit(
     params = config.init if config.init is not None else default_init(
         config.family, histories, config.mu, config.mu_mode
     )
-    if isinstance(params.prior, LogisticNormalMixturePrior):
+    family = family_of(params.prior)
+    if family is None:
         raise ValueError(
             "EM fits the two-point and Beta families; mixture densities are "
             "fitted post hoc from MAP estimates (fit_logistic_normal_mixture)"
         )
-    two_point = isinstance(params.prior, TwoPointPrior)
+    two_point = family == "two_point"
     mu_free = params.mu_mode == "free"
 
     sz_u, n_u, cnt, _ = suff_stats(histories)

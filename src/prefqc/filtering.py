@@ -18,13 +18,11 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .em import PosteriorRows, posterior_rows
+from .em import PosteriorRows, family_of, posterior_rows
 from .model import (
     AnnotationColumns,
     AnnotationRecord,
-    BetaPrior,
     ModelParams,
-    TwoPointPrior,
     UserHistory,
     first_seen,
     suff_stats,
@@ -286,7 +284,7 @@ def relative_error(theta_hat: ModelParams, theta_star: ModelParams) -> float:
         raise ValueError("priors must come from the same family")
     if theta_hat.mu_mode != theta_star.mu_mode:
         raise ValueError("mu_mode must match")
-    if not isinstance(star, (TwoPointPrior, BetaPrior)):
+    if family_of(star) is None:
         raise ValueError("relative_error supports two-point and Beta parameterizations")
     pairs = list(zip(astuple(hat), astuple(star)))
     if theta_star.mu_mode == "free":

@@ -20,7 +20,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .em import ClampEvent, FitReport, LogPriorOnMu, BoxOnMu, RegularizerSpec
+from .em import BoxOnMu, ClampEvent, FitReport, LogPriorOnMu, RegularizerSpec, family_of
 from .filtering import (
     FilterDecision,
     PosteriorSummary,
@@ -36,6 +36,7 @@ from .model import (
     LogisticNormalMixturePrior,
     ModelParams,
     TwoPointPrior,
+    first_seen,
 )
 from .simulate import (
     BetaMixture,
@@ -307,9 +308,7 @@ def _first_seen_codes(
         rows[np.arange(width) >= length[:, None]] = 0
         keys = rows.view(f"S{width}").ravel()
     uniq, inverse = np.unique(keys, return_inverse=True)
-    first = np.full(len(uniq), len(keys))
-    np.minimum.at(first, inverse, np.arange(len(keys)))
-    by_first = np.argsort(first)
+    by_first = first_seen(inverse)
     raw = uniq[by_first].view("S8") if width <= 8 else uniq[by_first]
     codes = np.empty(len(uniq), dtype=np.intp)
     codes[by_first] = [code.setdefault(decode(b), len(code)) for b in raw.tolist()]
@@ -632,8 +631,8 @@ def decode_scenario(obj: dict[str, Any]) -> SimulationScenario:
         prior=decode_prior(obj["prior"]),
         mu=obj["mu"],
         num_users=obj["num_users"],
-        n_range=(int(obj["n_range"][0]), int(obj["n_range"][1])),
-        seed=int(obj.get("seed", 0)),
+        n_range=_tuples(obj["n_range"]),
+        seed=obj.get("seed", 0),
         per_item_p_model=(
             None if p_model is None else BetaPerItemP(p_model["alpha"], p_model["beta"])
         ),
@@ -696,7 +695,7 @@ def read_fit(path) -> dict[str, Any]:
 
 def _param_columns(params: ModelParams) -> list[tuple[str, float]]:
     prior = params.prior
-    if not isinstance(prior, (TwoPointPrior, BetaPrior)):
+    if family_of(prior) is None:
         raise TypeError("trajectories exist only for two-point and Beta fits")
     fields = dataclasses.fields(prior)
     return [(f.name, getattr(prior, f.name)) for f in fields] + [("mu", params.mu)]

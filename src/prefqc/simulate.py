@@ -13,6 +13,7 @@ generated in any order, or in parallel, without changing a single bit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
@@ -87,6 +88,11 @@ class BetaPerItemP:
         return self.alpha / (self.alpha + self.beta)
 
 
+def _integer(value) -> bool:
+    """Whether `value` is an integer; numpy integers are, bools are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimulationScenario:
     prior: TruePriorSpec
@@ -99,10 +105,15 @@ class SimulationScenario:
     def __post_init__(self):
         if not 0.5 < self.mu < 1.0:
             raise ValueError("mu must lie strictly between 1/2 and 1")
+        for name in ("num_users", "seed"):
+            if not _integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.num_users < 1:
             raise ValueError("num_users must be positive")
+        if len(self.n_range) != 2:
+            raise ValueError(f"n_range must hold two bounds, got {self.n_range!r}")
         n_min, n_max = self.n_range
-        if not (isinstance(n_min, int) and isinstance(n_max, int)):
+        if not (_integer(n_min) and _integer(n_max)):
             raise ValueError("n_range bounds must be integers")
         if not 1 <= n_min <= n_max:
             raise ValueError("need 1 <= n_min <= n_max")
@@ -113,10 +124,20 @@ class SimulationScenario:
             raise ValueError("per-item p model mean must equal mu")
 
 
+def _two_atoms(spec: TruePriorSpec) -> TruePriorSpec:
+    """A two-point prior as the DiscreteMasses of its two atoms; others as given.
+
+    `sample_eta` draws one uniform u per user from either, and u < q1 picks
+    the low atom.
+    """
+    if isinstance(spec, TwoPointPrior):
+        return DiscreteMasses(((spec.q1, spec.eta_lo), (spec.q2, spec.eta_hi)))
+    return spec
+
+
 def prior_mean(spec: TruePriorSpec) -> float:
     """E[eta] under the true distribution."""
-    if isinstance(spec, TwoPointPrior):
-        return spec.q1 * spec.eta_lo + spec.q2 * spec.eta_hi
+    spec = _two_atoms(spec)
     if isinstance(spec, BetaPrior):
         return spec.alpha / (spec.alpha + spec.beta)
     if isinstance(spec, BetaMixture):
@@ -149,10 +170,7 @@ def prior_quantile(spec: TruePriorSpec, q: float) -> float:
     """Quantile of the true distribution (exact where a form exists)."""
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly inside (0, 1)")
-    if isinstance(spec, TwoPointPrior):
-        return _discrete_quantile(
-            [(spec.q1, spec.eta_lo), (spec.q2, spec.eta_hi)], q
-        )
+    spec = _two_atoms(spec)
     if isinstance(spec, DiscreteMasses):
         return _discrete_quantile(spec.atoms, q)
     # scipy is imported where it is used: at module level it would be most
@@ -179,9 +197,7 @@ def prior_quantile(spec: TruePriorSpec, q: float) -> float:
 # Quoted: evaluating np.random at def time would load numpy.random, 11-19 ms
 # (2-vCPU Xeon), into every command, most of which never draw a number.
 def sample_eta(spec: TruePriorSpec, size: int, rng: "np.random.Generator") -> np.ndarray:
-    if isinstance(spec, TwoPointPrior):
-        u = rng.random(size)
-        return np.where(u < spec.q1, spec.eta_lo, spec.eta_hi)
+    spec = _two_atoms(spec)
     if isinstance(spec, DiscreteMasses):
         cum = np.cumsum([w for w, _ in spec.atoms])
         etas = np.array([e for _, e in spec.atoms])
@@ -364,31 +380,18 @@ ERROR_SWEEP_CELLS = ((200, 50), (400, 50), (200, 100), (400, 100), (800, 100), (
 
 def _build_presets():
     presets = {}
-    for m, n in ERROR_SWEEP_CELLS:
-        presets[f"table3_twopoint_{m}_{n}"] = SimulationScenario(
-            prior=TwoPointPrior(q1=0.6, eta_lo=0.4, eta_hi=0.98),
-            mu=0.8,
-            num_users=m,
-            n_range=(n, n),
+    # The two reference truths: the estimation-error grid and a default each.
+    for tag, prior in (
+        ("twopoint", TwoPointPrior(q1=0.6, eta_lo=0.4, eta_hi=0.98)),
+        ("beta", BetaPrior(alpha=3.0, beta=5.0)),
+    ):
+        for m, n in ERROR_SWEEP_CELLS:
+            presets[f"table3_{tag}_{m}_{n}"] = SimulationScenario(
+                prior=prior, mu=0.8, num_users=m, n_range=(n, n)
+            )
+        presets[f"{tag}_default"] = SimulationScenario(
+            prior=prior, mu=0.8, num_users=400, n_range=(50, 100)
         )
-        presets[f"table3_beta_{m}_{n}"] = SimulationScenario(
-            prior=BetaPrior(alpha=3.0, beta=5.0),
-            mu=0.8,
-            num_users=m,
-            n_range=(n, n),
-        )
-    presets["twopoint_default"] = SimulationScenario(
-        prior=TwoPointPrior(q1=0.6, eta_lo=0.4, eta_hi=0.98),
-        mu=0.8,
-        num_users=400,
-        n_range=(50, 100),
-    )
-    presets["beta_default"] = SimulationScenario(
-        prior=BetaPrior(alpha=3.0, beta=5.0),
-        mu=0.8,
-        num_users=400,
-        n_range=(50, 100),
-    )
     # mu is a fixed reference value for this pairing, not recomputed here.
     presets["ultrafeedback_qwen7b_qwen05b"] = SimulationScenario(
         prior=TwoPointPrior(q1=0.2, eta_lo=0.2, eta_hi=0.98),

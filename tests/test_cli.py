@@ -129,6 +129,29 @@ class TestSimulate:
         assert main(["simulate", "--config", config]) == EXIT_VALIDATION
         one_line_error(capsys, "a scenario must be a JSON object, got 'beta'")
 
+    # A count or seed is a JSON integer; nothing is cut or cast to one.
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n_range": [10.7, 20]}, "n_range bounds must be integers"),
+            ({"n_range": ["7", 20]}, "n_range bounds must be integers"),
+            ({"n_range": [10, 20, 30]}, "n_range must hold two bounds"),
+            ({"seed": 2.9}, "seed must be an integer, got 2.9"),
+            ({"seed": True}, "seed must be an integer, got True"),
+        ],
+        ids=["float_bound", "string_bound", "three_bounds", "float_seed", "bool_seed"],
+    )
+    def test_scenario_count_that_is_not_an_integer_exits_2(
+        self, tmp_path, capsys, fields, message
+    ):
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path / "c.json", scenario={**tiny_scenario(), **fields}, out_dir=str(out)
+        )
+        assert main(["simulate", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, message)
+        assert not (out / "scenario.json").exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.json"]) == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
@@ -167,6 +190,15 @@ class TestFit:
         fit = fio.read_fit(out / "fit.json")
         assert 0.0 <= fit["delta"] < 1.5
         assert "delta" in capsys.readouterr().out
+
+    def test_truth_scenario_with_a_fractional_bound_exits_2(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path)
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({**tiny_scenario(), "n_range": [20.5, 30]}))
+        config, out = fit_config(tmp_path, sim, truth_scenario=str(truth))
+        assert main(["fit", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "n_range bounds must be integers")
+        assert not (out / "fit.json").exists()
 
     def test_low_mu_flips_labels_and_matches(self, tmp_path):
         sim = simulate_into(tmp_path)
@@ -244,12 +276,24 @@ class TestFit:
                                   "mu": "0.6", "mu_mode": "free"}}),
             ("init.prior.alpha", {"init": {"prior": {"type": "beta", "alpha": "2", "beta": 2},
                                            "mu": 0.8, "mu_mode": "fixed"}}),
+            ("init.prior.beta", {"init": {"prior": {"type": "beta", "alpha": 2, "beta": "2"},
+                                          "mu": 0.8, "mu_mode": "fixed"}}),
             ("init.prior.q1", {"family": "two_point",
                                "init": {"prior": {"type": "two_point", "q1": True,
                                                   "eta_lo": 0.2, "eta_hi": 0.9},
                                         "mu": 0.8}}),
+            ("init.prior.eta_lo", {"family": "two_point",
+                                   "init": {"prior": {"type": "two_point", "q1": 0.5,
+                                                      "eta_lo": "0.2", "eta_hi": 0.9},
+                                            "mu": 0.8}}),
+            ("init.prior.eta_hi", {"family": "two_point",
+                                   "init": {"prior": {"type": "two_point", "q1": 0.5,
+                                                      "eta_lo": 0.2, "eta_hi": False},
+                                            "mu": 0.8}}),
             ("regularizer.a", {"mu": None, "mu_mode": "free",
                                "regularizer": {"type": "log_prior_on_mu", "a": "8", "b": 2}}),
+            ("regularizer.b", {"mu": None, "mu_mode": "free",
+                               "regularizer": {"type": "log_prior_on_mu", "a": 8, "b": [2]}}),
             ("regularizer.hi", {"mu": None, "mu_mode": "free",
                                 "regularizer": {"type": "box_on_mu", "lo": 0.6, "hi": "0.9"}}),
             ("regularizer.lo", {"mu": None, "mu_mode": "free",
@@ -671,6 +715,27 @@ class TestEval:
             config, _ = self.eval_config(tmp_path, seeds, cells=[self.tiny_cell()])
             assert main(["eval", "--config", config]) == EXIT_VALIDATION
 
+    # Cast to an integer, each of these would be seed 1 fitted a second time.
+    @pytest.mark.parametrize("seed", [1.5, True, "1"], ids=["float", "bool", "string"])
+    def test_seed_that_is_not_a_json_integer_exits_2(self, tmp_path, capsys, seed):
+        config, out = self.eval_config(tmp_path, [1, seed], cells=[self.tiny_cell()])
+        assert main(["eval", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, f"eval seeds must be JSON integers, got {json.dumps(seed)}")
+        assert not (out / "sweep.csv").exists()
+
+    def test_repeated_seed_exits_2(self, tmp_path, capsys):
+        config, out = self.eval_config(tmp_path, [1, 0, 1], cells=[self.tiny_cell()])
+        assert main(["eval", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "eval seeds repeat 1")
+        assert not (out / "sweep.csv").exists()
+
+    def test_cell_scenario_with_a_fractional_bound_exits_2(self, tmp_path, capsys):
+        cell = self.tiny_cell(scenario={**tiny_scenario(m=30), "n_range": [20.5, 30]})
+        config, out = self.eval_config(tmp_path, [0], cells=[cell])
+        assert main(["eval", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "n_range bounds must be integers")
+        assert not (out / "sweep.csv").exists()
+
     def test_cell_prior_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         cell = self.tiny_cell(scenario={**tiny_scenario(m=30), "prior": "two_point"})
         config, out = self.eval_config(tmp_path, [0], cells=[cell])
@@ -779,6 +844,18 @@ class TestParser:
     def test_command_requires_config(self):
         with pytest.raises(SystemExit):
             main(["fit"])
+
+    # simulate alone reads --seed, and fit and eval alone read --strict.
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(name, "--seed=5") for name in ("fit", "infer", "filter", "estimate-mu", "eval")]
+        + [(name, "--strict") for name in ("simulate", "infer", "filter", "estimate-mu")],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "x.json", flag])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def child_env():

@@ -656,6 +656,13 @@ class TestEmFit:
         # The default mode cannot be told apart from an explicit "fixed": init wins.
         assert EmConfig(init=free, mu=0.6, mu_mode="fixed").init.mu_mode == "free"
 
+    def test_family_of_names_each_start_and_nothing_else(self):
+        for name, start in em.FAMILIES.items():
+            assert em.family_of(start) == name
+            assert em.default_init(name, [], 0.8, "fixed").prior == start
+        mix = LogisticNormalMixturePrior((1.0,), (0.0,), (1.0,))
+        assert em.family_of(mix) is None
+
     @pytest.mark.parametrize("mu_mode", ["fixed", "free"])
     @pytest.mark.parametrize(
         "truth",

@@ -89,9 +89,31 @@ class TestScenarioValidation:
             SimulationScenario(prior=self.prior(), mu=0.8, num_users=0, n_range=(3, 3))
 
     def test_n_range_checks(self):
-        for bad in ((0, 3), (5, 3), (2.0, 3)):
+        for bad in ((0, 3), (5, 3), (2.0, 3), (True, 3), (3, 3, 4)):
             with pytest.raises(ValueError):
                 SimulationScenario(prior=self.prior(), mu=0.8, num_users=5, n_range=bad)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"num_users": True},
+            {"num_users": 5.0},
+            {"seed": 2.9},
+            {"seed": False},
+        ],
+        ids=["bool_users", "float_users", "float_seed", "bool_seed"],
+    )
+    def test_num_users_and_seed_must_be_integers(self, fields):
+        base = {"prior": self.prior(), "mu": 0.8, "num_users": 5, "n_range": (3, 3)}
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimulationScenario(**{**base, **fields})
+
+    def test_numpy_integers_pass(self):
+        scenario = SimulationScenario(
+            prior=self.prior(), mu=0.8, num_users=np.int64(5),
+            n_range=(np.int32(3), np.int64(4)), seed=np.uint32(7),
+        )
+        assert scenario.num_users == 5 and scenario.seed == 7
 
     def test_per_item_p_mean_must_match_mu(self):
         ok = SimulationScenario(
