@@ -9,138 +9,98 @@ shared by the users that have it), and filters datasets down to the labels
 of users worth trusting.
 """
 
-from .em import (
-    BoxOnMu,
-    ClampEvent,
-    DegenerateComponentError,
-    EmConfig,
-    FitReport,
-    LikelihoodDecreaseError,
-    LogPriorOnMu,
-    TrajectoryPoint,
-    em_fit,
-    fit_logistic_normal_mixture,
-    m_step,
-    posterior_rows,
-)
-from .filtering import (
-    FilterDecision,
-    FilteredDataset,
-    MissingDecisionError,
-    PosteriorSummary,
-    TailProbability,
-    Threshold,
-    TopFraction,
-    filter_dataset,
-    recovery_accuracy,
-    relative_error,
-    select_users,
-    summarize_histories,
-    summarize_posterior,
-)
-from .io import ParseError
-from .model import (
-    AnnotationRecord,
-    BetaPrior,
-    LogisticNormalMixturePrior,
-    ModelParams,
-    TwoPointPrior,
-    UserHistory,
-    bernoulli_response_prob,
-    histories_from_records,
-    loglik_from_counts,
-    observed_loglik,
-    prior_log_masses,
-    suff_stats,
-)
-from .numerics import (
-    BetaSolution,
-    QuadratureGrid,
-    SolverError,
-    digamma,
-    log_beta,
-    log_sum_exp,
-    solve_beta_system,
-)
-from .simulate import (
-    BetaMixture,
-    BetaPerItemP,
-    DiscreteMasses,
-    LogisticNormal,
-    MuEstimate,
-    ScoredPair,
-    SimulationScenario,
-    estimate_mu,
-    list_presets,
-    misspecification_suite,
-    prior_mean,
-    prior_quantile,
-    sample_eta,
-    scenario_preset,
-    simulate_dataset,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnotationRecord",
-    "BetaMixture",
-    "BetaPerItemP",
-    "BetaPrior",
-    "BetaSolution",
-    "BoxOnMu",
-    "ClampEvent",
-    "DegenerateComponentError",
-    "DiscreteMasses",
-    "EmConfig",
-    "FilterDecision",
-    "FilteredDataset",
-    "FitReport",
-    "LikelihoodDecreaseError",
-    "LogPriorOnMu",
-    "LogisticNormal",
-    "LogisticNormalMixturePrior",
-    "MissingDecisionError",
-    "ModelParams",
-    "MuEstimate",
-    "ParseError",
-    "PosteriorSummary",
-    "QuadratureGrid",
-    "ScoredPair",
-    "SimulationScenario",
-    "SolverError",
-    "TailProbability",
-    "Threshold",
-    "TopFraction",
-    "TrajectoryPoint",
-    "TwoPointPrior",
-    "UserHistory",
-    "bernoulli_response_prob",
-    "digamma",
-    "em_fit",
-    "estimate_mu",
-    "filter_dataset",
-    "fit_logistic_normal_mixture",
-    "histories_from_records",
-    "list_presets",
-    "log_beta",
-    "log_sum_exp",
-    "loglik_from_counts",
-    "m_step",
-    "misspecification_suite",
-    "observed_loglik",
-    "posterior_rows",
-    "prior_log_masses",
-    "prior_mean",
-    "prior_quantile",
-    "recovery_accuracy",
-    "relative_error",
-    "sample_eta",
-    "scenario_preset",
-    "select_users",
-    "simulate_dataset",
-    "solve_beta_system",
-    "suff_stats",
-    "summarize_histories",
-    "summarize_posterior",
-]
+# The public names, by the module that defines them. A name is imported on
+# first access (PEP 562), so `import prefqc` loads no submodule and each
+# command loads only the modules it runs.
+_PUBLIC = {
+    "em": (
+        "BoxOnMu",
+        "ClampEvent",
+        "DegenerateComponentError",
+        "EmConfig",
+        "FitReport",
+        "LikelihoodDecreaseError",
+        "LogPriorOnMu",
+        "TrajectoryPoint",
+        "em_fit",
+        "fit_logistic_normal_mixture",
+        "m_step",
+        "posterior_rows",
+    ),
+    "filtering": (
+        "FilterDecision",
+        "FilteredDataset",
+        "MissingDecisionError",
+        "PosteriorSummary",
+        "TailProbability",
+        "Threshold",
+        "TopFraction",
+        "filter_dataset",
+        "recovery_accuracy",
+        "relative_error",
+        "select_users",
+        "summarize_histories",
+        "summarize_posterior",
+    ),
+    "io": ("ParseError",),
+    "model": (
+        "AnnotationRecord",
+        "BetaPrior",
+        "LogisticNormalMixturePrior",
+        "ModelParams",
+        "TwoPointPrior",
+        "UserHistory",
+        "bernoulli_response_prob",
+        "histories_from_records",
+        "loglik_from_counts",
+        "observed_loglik",
+        "prior_log_masses",
+        "suff_stats",
+    ),
+    "numerics": (
+        "BetaSolution",
+        "QuadratureGrid",
+        "SolverError",
+        "digamma",
+        "log_beta",
+        "log_sum_exp",
+        "solve_beta_system",
+    ),
+    "simulate": (
+        "BetaMixture",
+        "BetaPerItemP",
+        "DiscreteMasses",
+        "LogisticNormal",
+        "MuEstimate",
+        "ScoredPair",
+        "SimulationScenario",
+        "estimate_mu",
+        "list_presets",
+        "misspecification_suite",
+        "prior_mean",
+        "prior_quantile",
+        "sample_eta",
+        "scenario_preset",
+        "simulate_dataset",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -32,23 +32,12 @@ from .em import (
     em_fit,
     family_of,
 )
-from .filtering import (
-    TailProbability,
-    filter_mask,
-    recovery_accuracy,
-    relative_error,
-    select_users,
-    summarize_histories,
-)
-from .model import ModelParams, histories_from_columns
+from .model import ModelParams, UserHistory, histories_from_columns
 from .numerics import SolverError
-from .simulate import (
-    ERROR_SWEEP_CELLS,
-    estimate_mu,
-    prior_quantile,
-    scenario_preset,
-    simulate_columns,
-)
+
+# filtering and simulate are imported by the commands that run them: fit
+# needs neither, infer and filter only filtering, simulate and estimate-mu
+# only simulate.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -81,6 +70,8 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _resolve_scenario(cfg: dict, seed_override: int | None):
+    from .simulate import scenario_preset
+
     if ("preset" in cfg) == ("scenario" in cfg):
         raise ConfigError("give exactly one of 'preset' or 'scenario'")
     if "preset" in cfg:
@@ -93,6 +84,8 @@ def _resolve_scenario(cfg: dict, seed_override: int | None):
 
 
 def _cmd_simulate(cfg: dict, args) -> None:
+    from .simulate import simulate_columns
+
     scenario = _resolve_scenario(cfg, args.seed)
     out = _out_dir(cfg)
     columns, truth = simulate_columns(scenario)
@@ -132,7 +125,10 @@ _NUMERIC_KEYS = {
 # The numeric fields of init's prior and of a regularizer, by their "type".
 _NUMERIC_FIELDS = {
     tag: [f.name for f in dataclasses.fields(kind)]
-    for tag, kind in [*FAMILIES.items(), *fio._REGULARIZERS.items()]
+    for tag, kind in [
+        *FAMILIES.items(),
+        *((tag, fio._class(name)) for tag, name in fio._REGULARIZERS.items()),
+    ]
 }
 
 
@@ -180,6 +176,8 @@ def _fit_once(cfg: dict, strict: bool):
 
 def _delta(fitted: ModelParams, scenario) -> float:
     """relative_error of a fit against the truth a scenario simulated."""
+    from .filtering import relative_error
+
     truth = ModelParams(prior=scenario.prior, mu=scenario.mu, mu_mode=fitted.mu_mode)
     return relative_error(fitted, truth)
 
@@ -213,6 +211,8 @@ def _cmd_fit(cfg: dict, args) -> None:
 
 
 def _default_eta_stars(cfg: dict, rule) -> list[float]:
+    from .filtering import TailProbability
+
     stars = cfg.get("eta_stars")
     if stars:
         return list(stars)  # summarize_histories checks each
@@ -222,6 +222,8 @@ def _default_eta_stars(cfg: dict, rule) -> list[float]:
 
 
 def _cmd_infer(cfg: dict, args) -> None:
+    from .filtering import filter_mask, select_users, summarize_histories
+
     out = _out_dir(cfg)
     fit = fio.read_fit(_require(cfg, "fit"))
     params: ModelParams = fit["params"]
@@ -252,6 +254,8 @@ def _cmd_infer(cfg: dict, args) -> None:
 
 
 def _cmd_filter(cfg: dict, args) -> None:
+    from .filtering import filter_mask
+
     out = _out_dir(cfg)
     columns = fio.read_annotation_columns(_require(cfg, "annotations"))
     decisions = fio.read_decisions(_require(cfg, "decisions"))
@@ -265,6 +269,8 @@ def _cmd_filter(cfg: dict, args) -> None:
 
 
 def _cmd_estimate_mu(cfg: dict, args) -> None:
+    from .simulate import estimate_mu
+
     pairs = fio.read_scored_pairs(_require(cfg, "scores"))
     est = estimate_mu(pairs)
     payload = {
@@ -281,6 +287,8 @@ def _cmd_estimate_mu(cfg: dict, args) -> None:
 # ------------------------------------------------------------------- eval
 
 def _eval_cells(cfg: dict) -> list[dict]:
+    from .simulate import ERROR_SWEEP_CELLS, prior_quantile, scenario_preset
+
     if "cells" in cfg:
         return list(cfg["cells"])
     preset = cfg.get("preset")
@@ -324,24 +332,31 @@ def _eval_cells(cfg: dict) -> list[dict]:
     raise ConfigError("eval config needs 'cells' or preset in {'table3_grid','mu_effect'}")
 
 
-_FIT_KEYS = ("family", "scenario", "mu_variant")
-
 # eval's "beta_prior" mu_variant: a free mu under a Beta(8, 2) log-prior.
 _BETA_PRIOR_ON_MU = {"type": "log_prior_on_mu", "a": 8.0, "b": 2.0}
 
 
-def _eval_fits(cells: list[dict], seeds: list[int], strict: bool) -> list[dict]:
-    """Group the (cell, seed) runs by everything their fit depends on.
+def _eval_datasets(
+    cells: list[dict], scenarios: list, seeds: list[int], strict: bool
+) -> list[dict]:
+    """Group the (cell, seed) runs by the dataset they draw, then by fit.
 
-    Cells that differ only in rule or quantile share one simulated dataset
-    and one EM fit; each member keeps its own scoring.
+    A dataset is a cell's decoded scenario with the eval seed set in it,
+    keyed by its encoding: cells that spell one scenario differently share
+    it, and -0.0 stays apart from 0.0. Its fits are the distinct (family,
+    mu_variant) pairs of its cells; cells that differ only in rule or
+    quantile share one fit, and each keeps its own scoring.
     """
-    fits: dict[str, dict] = {}
-    for i, cell in enumerate(cells):
+    datasets: dict[str, dict] = {}
+    for i, (cell, scenario) in enumerate(zip(cells, scenarios)):
+        spec = {key: cell[key] for key in ("family", "mu_variant")}
         for seed in seeds:
-            spec = {key: _require(cell, key) for key in _FIT_KEYS}
-            spec.update(seed=seed, strict=strict)
-            fit = fits.setdefault(
+            seeded = dataclasses.replace(scenario, seed=seed)
+            dataset = datasets.setdefault(
+                json.dumps(fio.encode_scenario(seeded)),
+                {"scenario": seeded, "strict": strict, "fits": {}},
+            )
+            fit = dataset["fits"].setdefault(
                 json.dumps(spec, sort_keys=True), {**spec, "members": []}
             )
             fit["members"].append(
@@ -351,22 +366,52 @@ def _eval_fits(cells: list[dict], seeds: list[int], strict: bool) -> list[dict]:
                     "quantile": cell.get("quantile", 0.5),
                 }
             )
-    return list(fits.values())
+    return list(datasets.values())
 
 
-def _run_eval_fit(fit: dict) -> list[dict]:
-    """One distinct fit, scored for each member cell.
+def _failed(members: list[dict], seed: int, exc: Exception) -> list[dict]:
+    error = f"{type(exc).__name__}: {exc}"
+    return [{"cell_index": m["cell_index"], "seed": seed, "error": error} for m in members]
 
-    Returns one plain-data result per member so it can cross processes. A
-    failure before scoring fails every member; a scoring failure fails only
-    its own cell.
+
+def _run_eval_dataset(dataset: dict) -> list[dict]:
+    """Draw one dataset, then run and score each of its fits on it.
+
+    Returns one plain-data result per member cell so it can cross
+    processes. A failed draw fails every member of the dataset. eval reads
+    only each user's (sum_z, n) and true eta, so no record columns or item
+    ids are built.
     """
-    seed = fit["seed"]
+    from .simulate import _draw_users
+
+    scenario = dataset["scenario"]
     try:
-        scenario = fio.decode_scenario(fit["scenario"])
-        scenario = dataclasses.replace(scenario, seed=seed)
-        columns, truth = simulate_columns(scenario)
-        histories = histories_from_columns(columns)
+        user_ids, etas, labels = _draw_users(scenario)
+    except Exception as exc:  # recorded per cell; the sweep keeps going
+        members = [m for fit in dataset["fits"].values() for m in fit["members"]]
+        return _failed(members, scenario.seed, exc)
+    histories = [
+        UserHistory(user_id, int(np.count_nonzero(z)), len(z))
+        for user_id, z in zip(user_ids, labels)
+    ]
+    true_etas = dict(zip(user_ids, etas.tolist()))
+    return [
+        result
+        for fit in dataset["fits"].values()
+        for result in _run_eval_fit(fit, scenario, histories, true_etas, dataset["strict"])
+    ]
+
+
+def _run_eval_fit(fit: dict, scenario, histories, true_etas, strict: bool) -> list[dict]:
+    """One distinct fit of a dataset, scored for each member cell.
+
+    A failure before scoring, an unknown mu_variant too, fails every member;
+    a scoring failure fails only its own cell.
+    """
+    from .filtering import recovery_accuracy, select_users, summarize_histories
+
+    seed = scenario.seed
+    try:
         variant = fit["mu_variant"]
         if variant == "known":
             mu_keys = {"mu": scenario.mu}
@@ -375,7 +420,7 @@ def _run_eval_fit(fit: dict) -> list[dict]:
         else:
             raise ConfigError(f"unknown mu_variant {variant!r}")
         em_config = _em_config({"family": fit["family"], **mu_keys})
-        report = em_fit(histories, em_config, strict=fit["strict"])
+        report = em_fit(histories, em_config, strict=strict)
         fitted = report.final_params
         scores: dict = {}
         # A fitted prior is always in FAMILIES, so a truth outside them has no delta.
@@ -383,13 +428,8 @@ def _run_eval_fit(fit: dict) -> list[dict]:
             scores["delta"] = _delta(fitted, scenario)
         scores.update(converged=report.converged, iterations=report.iterations)
     except Exception as exc:  # recorded per cell; the sweep keeps going
-        error = f"{type(exc).__name__}: {exc}"
-        return [
-            {"cell_index": m["cell_index"], "seed": seed, "error": error}
-            for m in fit["members"]
-        ]
+        return _failed(fit["members"], seed, exc)
 
-    true_etas = dict(truth)
     summaries = None  # the same for every rule: eval asks for no eta_stars
     results = []
     for member in fit["members"]:
@@ -426,28 +466,36 @@ def _cmd_eval(cfg: dict, args) -> None:
     for k, seed in enumerate(seeds):
         if type(seed) is not int:  # a float would truncate, and a bool is an int
             raise ConfigError(f"eval seeds must be JSON integers, got {json.dumps(seed)}")
+        if seed < 0:  # numpy's SeedSequence rejects it inside every draw
+            raise ConfigError(f"eval seeds must be non-negative, got {seed}")
         if seed in seeds[:k]:
             raise ConfigError(f"eval seeds repeat {seed}")
     cells = _eval_cells(cfg)
-    fits = _eval_fits(cells, seeds, args.strict)
+    # Every cell's keys are checked, then its scenario decoded, before any work.
+    for cell in cells:
+        for key in ("family", "scenario", "mu_variant"):
+            _require(cell, key)
+    scenarios = [fio.decode_scenario(cell["scenario"]) for cell in cells]
+    datasets = _eval_datasets(cells, scenarios, seeds, args.strict)
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1:
         # Imported here: it adds about 20 ms to every command's start.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            fit_results = list(pool.map(_run_eval_fit, fits))
+            dataset_results = list(pool.map(_run_eval_dataset, datasets))
     else:
-        fit_results = [_run_eval_fit(f) for f in fits]
+        # One dataset's histories are alive at a time.
+        dataset_results = [_run_eval_dataset(d) for d in datasets]
 
     by_cell: dict[int, list[dict]] = {}
-    for results in fit_results:
+    for results in dataset_results:
         for res in results:
             by_cell.setdefault(res["cell_index"], []).append(res)
 
     rows = []
     total_failures = 0
-    for i, cell in enumerate(cells):
+    for i, (cell, scenario) in enumerate(zip(cells, scenarios)):
         cell_results = sorted(by_cell.get(i, []), key=lambda r: r["seed"])
         failures = [r for r in cell_results if "error" in r]
         ok = [r for r in cell_results if "error" not in r]
@@ -457,7 +505,6 @@ def _cmd_eval(cfg: dict, args) -> None:
         d_mean, d_std = _mean_std(deltas)
         a_mean, a_std = _mean_std(accs)
         iters_mean, _ = _mean_std([r["iterations"] for r in ok])
-        scenario = fio.decode_scenario(cell["scenario"])
         rows.append(
             {
                 "cell": cell["cell"],

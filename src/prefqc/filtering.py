@@ -264,12 +264,31 @@ def recovery_accuracy(
     if threshold is None:
         if not 0.0 <= quantile <= 1.0:
             raise ValueError("quantile must lie in [0, 1]")
-        threshold = float(np.quantile([eta_map[d.user_id] for d in decisions], quantile))
+        threshold = _quantile([eta_map[d.user_id] for d in decisions], quantile)
     truly_above = {d.user_id for d in decisions if eta_map[d.user_id] > threshold}
     if not truly_above:
         raise ValueError("no user's true eta lies above the threshold")
     kept = {d.user_id for d in decisions if d.attentive}
     return len(kept & truly_above) / len(truly_above)
+
+
+def _quantile(values: Sequence[float], q: float) -> float:
+    """`float(np.quantile(values, q))`, bit for bit, for finite values.
+
+    numpy's default ("linear") method: sort, then interpolate between the
+    two values around index (len - 1) * q with numpy's two-sided lerp.
+    np.quantile itself loads numpy.ma, 10-17 ms (2-vCPU Xeon), on its
+    first call.
+    """
+    x = np.sort(np.asarray(values, dtype=float))
+    if math.isnan(x[-1]):  # np.sort puts NaN last; np.quantile returns NaN
+        return math.nan
+    last = len(x) - 1
+    v = last * q
+    i = min(math.floor(v), last)
+    a, b = float(x[i]), float(x[min(i + 1, last)])
+    t = v - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def relative_error(theta_hat: ModelParams, theta_star: ModelParams) -> float:

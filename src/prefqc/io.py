@@ -13,39 +13,20 @@ import io as _stdio
 import json
 import math
 import os
+import sys
 import tempfile
 from json.scanner import make_scanner
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .em import BoxOnMu, ClampEvent, FitReport, LogPriorOnMu, RegularizerSpec, family_of
-from .filtering import (
-    FilterDecision,
-    PosteriorSummary,
-    SelectionRule,
-    TailProbability,
-    Threshold,
-    TopFraction,
-)
-from .model import (
-    AnnotationColumns,
-    AnnotationRecord,
-    BetaPrior,
-    LogisticNormalMixturePrior,
-    ModelParams,
-    TwoPointPrior,
-    first_seen,
-)
-from .simulate import (
-    BetaMixture,
-    BetaPerItemP,
-    DiscreteMasses,
-    LogisticNormal,
-    ScoredPair,
-    SimulationScenario,
-)
+from .em import ClampEvent, FitReport, RegularizerSpec, family_of
+from .model import AnnotationColumns, AnnotationRecord, ModelParams, first_seen
+
+if TYPE_CHECKING:
+    from .filtering import FilterDecision, PosteriorSummary, SelectionRule
+    from .simulate import ScoredPair, SimulationScenario
 
 
 class ParseError(ValueError):
@@ -492,10 +473,11 @@ def read_pairs(path) -> list[tuple[str, str]]:
 _SCORED_PAIR_HEADER = ["item_id", "score_a", "score_b"]
 
 
-def read_scored_pairs(path) -> list[ScoredPair]:
+def read_scored_pairs(path) -> list["ScoredPair"]:
+    scored_pair = _class("ScoredPair")
     return _read_csv(
         path,
-        lambda row: ScoredPair(
+        lambda row: scored_pair(
             item_id=row["item_id"],
             score_a=float(row["score_a"]),
             score_b=float(row["score_b"]),
@@ -504,7 +486,7 @@ def read_scored_pairs(path) -> list[ScoredPair]:
     )
 
 
-def write_scored_pairs(path, pairs: Iterable[ScoredPair]) -> None:
+def write_scored_pairs(path, pairs: Iterable["ScoredPair"]) -> None:
     _write_csv(
         path,
         _SCORED_PAIR_HEADER,
@@ -524,9 +506,20 @@ def _tuples(value):
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
-def _encode(kind: str, table: dict[str, type], value) -> dict[str, Any]:
-    """{"type": tag, <field>: <value>, ...} in the dataclass's field order."""
-    tag = next((tag for tag, cls in table.items() if isinstance(value, cls)), None)
+def _class(name: str) -> type:
+    """The package's public class `name`; its module is imported on first use."""
+    return getattr(sys.modules[__package__], name)
+
+
+def _encode(kind: str, table: dict[str, str], value) -> dict[str, Any]:
+    """{"type": tag, <field>: <value>, ...} in the dataclass's field order.
+
+    The table's classes are tried in order, each imported only when reached:
+    a value's own module is loaded already.
+    """
+    tag = next(
+        (tag for tag, name in table.items() if isinstance(value, _class(name))), None
+    )
     if tag is None:
         raise TypeError(f"cannot encode {kind} {value!r}")
     return {"type": tag} | {
@@ -539,7 +532,7 @@ def _require_object(kind: str, obj) -> None:
         raise ValueError(f"a {kind} must be a JSON object, got {obj!r}")
 
 
-def _decode(kind: str, table: dict[str, type], obj):
+def _decode(kind: str, table: dict[str, str], obj):
     """The dataclass instance an _encode dict describes.
 
     A field with a default may be left out; a missing required field raises
@@ -547,9 +540,10 @@ def _decode(kind: str, table: dict[str, type], obj):
     """
     _require_object(kind, obj)
     tag = obj.get("type")
-    cls = table.get(tag) if isinstance(tag, str) else None
-    if cls is None:
+    name = table.get(tag) if isinstance(tag, str) else None
+    if name is None:
         raise ValueError(f"unknown {kind} type {tag!r}")
+    cls = _class(name)
     return cls(**{
         f.name: _tuples(obj[f.name])
         for f in dataclasses.fields(cls)
@@ -557,17 +551,23 @@ def _decode(kind: str, table: dict[str, type], obj):
     })
 
 
-# One table per kind, so that decode_prior rejects a rule's tag.
+# One table per kind, so that decode_prior rejects a rule's tag. Each tag
+# maps to its class's public name: a fit meets only the fitted families and
+# the regularizers, and so loads neither simulate nor filtering.
 _PRIORS = {
-    "two_point": TwoPointPrior,
-    "beta": BetaPrior,
-    "logistic_normal_mixture": LogisticNormalMixturePrior,
-    "beta_mixture": BetaMixture,
-    "logistic_normal": LogisticNormal,
-    "discrete_masses": DiscreteMasses,
+    "two_point": "TwoPointPrior",
+    "beta": "BetaPrior",
+    "logistic_normal_mixture": "LogisticNormalMixturePrior",
+    "beta_mixture": "BetaMixture",
+    "logistic_normal": "LogisticNormal",
+    "discrete_masses": "DiscreteMasses",
 }
-_RULES = {"top_fraction": TopFraction, "threshold": Threshold, "tail_probability": TailProbability}
-_REGULARIZERS = {"log_prior_on_mu": LogPriorOnMu, "box_on_mu": BoxOnMu}
+_RULES = {
+    "top_fraction": "TopFraction",
+    "threshold": "Threshold",
+    "tail_probability": "TailProbability",
+}
+_REGULARIZERS = {"log_prior_on_mu": "LogPriorOnMu", "box_on_mu": "BoxOnMu"}
 
 
 def encode_prior(prior) -> dict[str, Any]:
@@ -594,11 +594,11 @@ def decode_params(obj: dict[str, Any]) -> ModelParams:
     )
 
 
-def encode_rule(rule: SelectionRule) -> dict[str, Any]:
+def encode_rule(rule: "SelectionRule") -> dict[str, Any]:
     return _encode("rule", _RULES, rule)
 
 
-def decode_rule(obj: dict[str, Any]) -> SelectionRule:
+def decode_rule(obj: dict[str, Any]) -> "SelectionRule":
     return _decode("rule", _RULES, obj)
 
 
@@ -610,7 +610,7 @@ def decode_regularizer(obj: dict[str, Any] | None) -> RegularizerSpec:
     return None if obj is None else _decode("regularizer", _REGULARIZERS, obj)
 
 
-def encode_scenario(scenario: SimulationScenario) -> dict[str, Any]:
+def encode_scenario(scenario: "SimulationScenario") -> dict[str, Any]:
     p_model = scenario.per_item_p_model
     return {
         "prior": encode_prior(scenario.prior),
@@ -624,17 +624,19 @@ def encode_scenario(scenario: SimulationScenario) -> dict[str, Any]:
     }
 
 
-def decode_scenario(obj: dict[str, Any]) -> SimulationScenario:
+def decode_scenario(obj: dict[str, Any]) -> "SimulationScenario":
     _require_object("scenario", obj)
     p_model = obj.get("per_item_p_model")
-    return SimulationScenario(
+    return _class("SimulationScenario")(
         prior=decode_prior(obj["prior"]),
         mu=obj["mu"],
         num_users=obj["num_users"],
         n_range=_tuples(obj["n_range"]),
         seed=obj.get("seed", 0),
         per_item_p_model=(
-            None if p_model is None else BetaPerItemP(p_model["alpha"], p_model["beta"])
+            None
+            if p_model is None
+            else _class("BetaPerItemP")(p_model["alpha"], p_model["beta"])
         ),
     )
 
@@ -719,7 +721,7 @@ def read_trajectory(path) -> list[dict[str, float]]:
 
 # ------------------------------------------------- posteriors & decisions
 
-def _tail_columns(summaries: Sequence[PosteriorSummary]) -> list[float]:
+def _tail_columns(summaries: Sequence["PosteriorSummary"]) -> list[float]:
     stars = [s for s, _ in summaries[0].tail_probs]
     for summary in summaries:
         if [s for s, _ in summary.tail_probs] != stars:
@@ -727,7 +729,7 @@ def _tail_columns(summaries: Sequence[PosteriorSummary]) -> list[float]:
     return stars
 
 
-def write_posteriors(path, summaries: Sequence[PosteriorSummary]) -> None:
+def write_posteriors(path, summaries: Sequence["PosteriorSummary"]) -> None:
     if not summaries:
         raise ValueError("no summaries to write")
     stars = _tail_columns(summaries)
@@ -763,12 +765,12 @@ _DECISION_HEADER = ["user_id", "attentive", "rule", "score"]
 _ATTENTIVE = {"true": True, "false": False}
 
 
-def write_decisions(path, decisions: Sequence[FilterDecision]) -> None:
+def write_decisions(path, decisions: Sequence["FilterDecision"]) -> None:
     # Each rule object is encoded once. The key is its identity, not its
     # value: Threshold(0.0) == Threshold(-0.0), but they spell differently.
     encoded: dict[int, str] = {}
 
-    def rule_json(rule: SelectionRule) -> str:
+    def rule_json(rule: "SelectionRule") -> str:
         text = encoded.get(id(rule))
         if text is None:
             text = encoded[id(rule)] = json.dumps(encode_rule(rule), sort_keys=True)
@@ -781,20 +783,21 @@ def write_decisions(path, decisions: Sequence[FilterDecision]) -> None:
     _write_csv(path, _DECISION_HEADER, rows)
 
 
-def read_decisions(path) -> list[FilterDecision]:
+def read_decisions(path) -> list["FilterDecision"]:
     # infer writes one rule text on every row, so each distinct text is
     # decoded once. The key is the text, not the rule: -0.0 and 0.0 stay apart.
-    decoded: dict[str, SelectionRule] = {}
+    decoded: dict[str, "SelectionRule"] = {}
 
-    def rule_of(text: str) -> SelectionRule:
+    def rule_of(text: str) -> "SelectionRule":
         rule = decoded.get(text)
         if rule is None:
             rule = decoded[text] = decode_rule(json.loads(text))
         return rule
 
+    filter_decision = _class("FilterDecision")
     return _read_csv(
         path,
-        lambda row: FilterDecision(
+        lambda row: filter_decision(
             user_id=row["user_id"],
             attentive=_ATTENTIVE[row["attentive"]],
             rule=rule_of(row["rule"]),

@@ -110,6 +110,9 @@ class SimulationScenario:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.num_users < 1:
             raise ValueError("num_users must be positive")
+        # numpy's SeedSequence, which every draw starts from, rejects it too.
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if len(self.n_range) != 2:
             raise ValueError(f"n_range must hold two bounds, got {self.n_range!r}")
         n_min, n_max = self.n_range
@@ -224,15 +227,14 @@ def _id_width(count: int) -> int:
     return max(4, len(str(count - 1)))
 
 
-def simulate_columns(
+def _draw_users(
     scenario: SimulationScenario,
-) -> tuple[AnnotationColumns, list[tuple[str, float]]]:
-    """Draw a full dataset as columns; returns (columns, [(user_id, true_eta)]).
+) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+    """Every user's id, true eta and labels (a bool array of the user's length).
 
     Stream layout: one master stream draws every user's eta and label count,
     then each user gets an independent spawned stream for their item-level
-    draws. Records come user by user, each user's items in order, and every
-    item id is distinct. Output is byte-identical for equal scenarios.
+    draws. Every simulation draws here, so equal scenarios give equal bits.
     """
     m = scenario.num_users
     n_min, n_max = scenario.n_range
@@ -240,15 +242,10 @@ def simulate_columns(
     master = np.random.default_rng(children[0])
     etas = sample_eta(scenario.prior, m, master)
     label_counts = master.integers(n_min, n_max + 1, size=m)
-
     user_width = _id_width(m)
-    item_width = _id_width(n_max)
     user_ids = [f"u{j:0{user_width}d}" for j in range(m)]
-    # A user's item ids are its id plus the first n_j of these suffixes.
-    suffixes = [f"-{i:0{item_width}d}" for i in range(n_max)]
-    item_ids: list[str] = []
     labels = []
-    for j, user_id in enumerate(user_ids):
+    for j in range(m):
         n_j = int(label_counts[j])
         rng = np.random.default_rng(children[j + 1])
         if scenario.per_item_p_model is None:
@@ -262,15 +259,33 @@ def simulate_columns(
         attentive = rng.random(n_j) < etas[j]
         u = rng.random(n_j)
         labels.append(np.where(attentive, u < p, u < 0.5))
+    return user_ids, etas.astype(float), labels
+
+
+def simulate_columns(
+    scenario: SimulationScenario,
+) -> tuple[AnnotationColumns, list[tuple[str, float]]]:
+    """Draw a full dataset as columns; returns (columns, [(user_id, true_eta)]).
+
+    Records come user by user, each user's items in order, and every item
+    id is distinct. Output is byte-identical for equal scenarios.
+    """
+    user_ids, etas, labels = _draw_users(scenario)
+    label_counts = [len(z) for z in labels]
+    # A user's item ids are its id plus the first n_j of these suffixes.
+    n_max = scenario.n_range[1]
+    suffixes = [f"-{i:0{_id_width(n_max)}d}" for i in range(n_max)]
+    item_ids: list[str] = []
+    for user_id, n_j in zip(user_ids, label_counts):
         item_ids.extend(map(user_id.__add__, suffixes[:n_j]))
     columns = AnnotationColumns(
         user_ids,
         item_ids,
-        np.repeat(np.arange(m, dtype=np.intp), label_counts),
+        np.repeat(np.arange(len(user_ids), dtype=np.intp), label_counts),
         np.arange(len(item_ids), dtype=np.intp),
         np.concatenate(labels).astype(np.int8),
     )
-    return columns, list(zip(user_ids, etas.astype(float).tolist()))
+    return columns, list(zip(user_ids, etas.tolist()))
 
 
 def simulate_dataset(

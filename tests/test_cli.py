@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from prefqc import cli
+from prefqc import cli, simulate
 from prefqc import io as fio
 from prefqc.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from prefqc.cli import _eval_cells
@@ -90,6 +90,15 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", config, "--seed", "99"]) == EXIT_OK
         assert fio.read_json(out / "scenario.json")["seed"] == 99
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        config = write_config(
+            tmp_path / "c.json", scenario=tiny_scenario(), out_dir=str(out)
+        )
+        assert main(["simulate", "--config", config, "--seed", "-1"]) == EXIT_VALIDATION
+        one_line_error(capsys, "seed must be non-negative, got -1")
+        assert not (out / "annotations.jsonl").exists()
 
     def test_different_seeds_differ(self, tmp_path):
         a = simulate_into(tmp_path, "a", seed=1)
@@ -681,6 +690,18 @@ class TestEval:
         monkeypatch.setattr(cli, "em_fit", counting_em_fit)
         return calls
 
+    def count_draws(self, monkeypatch):
+        """Seeds of the datasets eval draws, one entry per draw."""
+        seeds = []
+        real_draw = simulate._draw_users
+
+        def counting_draw(scenario):
+            seeds.append(scenario.seed)
+            return real_draw(scenario)
+
+        monkeypatch.setattr(simulate, "_draw_users", counting_draw)
+        return seeds
+
     def test_custom_cells_produce_sweep_rows(self, tmp_path):
         config, out = self.eval_config(tmp_path, [0, 1], cells=[self.tiny_cell()])
         assert main(["eval", "--config", config]) == EXIT_OK
@@ -723,6 +744,13 @@ class TestEval:
         one_line_error(capsys, f"eval seeds must be JSON integers, got {json.dumps(seed)}")
         assert not (out / "sweep.csv").exists()
 
+    def test_negative_seed_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        calls = self.count_fits(monkeypatch)
+        config, out = self.eval_config(tmp_path, [1, -1], cells=[self.tiny_cell()])
+        assert main(["eval", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "eval seeds must be non-negative, got -1")
+        assert calls == [] and not (out / "sweep.csv").exists()
+
     def test_repeated_seed_exits_2(self, tmp_path, capsys):
         config, out = self.eval_config(tmp_path, [1, 0, 1], cells=[self.tiny_cell()])
         assert main(["eval", "--config", config]) == EXIT_VALIDATION
@@ -734,6 +762,19 @@ class TestEval:
         config, out = self.eval_config(tmp_path, [0], cells=[cell])
         assert main(["eval", "--config", config]) == EXIT_VALIDATION
         one_line_error(capsys, "n_range bounds must be integers")
+        assert not (out / "sweep.csv").exists()
+
+    def test_bad_scenario_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # The good cell comes first; no fit of it runs either.
+        bad = self.tiny_cell(
+            cell="bad", scenario={**tiny_scenario(m=30), "n_range": [20.5, 30]}
+        )
+        calls = self.count_fits(monkeypatch)
+        draws = self.count_draws(monkeypatch)
+        config, out = self.eval_config(tmp_path, [1, 2, 3], cells=[self.tiny_cell(), bad])
+        assert main(["eval", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "n_range bounds must be integers")
+        assert calls == [] and draws == []
         assert not (out / "sweep.csv").exists()
 
     def test_cell_prior_that_is_not_an_object_exits_2(self, tmp_path, capsys):
@@ -767,6 +808,9 @@ class TestEval:
                 scenario=tiny_scenario(mu=0.9, m=30),
                 rule=threshold,
             ),
+            # The mu 0.8 dataset's second fit.
+            self.tiny_cell(cell="free", mu_variant="beta_prior"),
+            self.tiny_cell(cell="free_threshold", mu_variant="beta_prior", rule=threshold),
         ]
         config, out = self.eval_config(tmp_path, [0, 1], cells=cells)
         assert main(["eval", "--config", config]) == EXIT_OK
@@ -792,6 +836,66 @@ class TestEval:
             for column in ("delta_mean", "delta_std", "accuracy_mean", "accuracy_std"):
                 assert row[column] == ref[column]
         assert rows["ranking"]["delta_mean"] == rows["threshold"]["delta_mean"]
+
+    def test_cells_sharing_a_dataset_simulate_once(self, tmp_path, monkeypatch):
+        threshold = {"type": "threshold", "value": 0.7}
+        cells = [
+            self.tiny_cell(cell=f"{variant}_{name}", mu_variant=variant, **rule)
+            for variant in ("known", "beta_prior")
+            for name, rule in (("ranking", {}), ("threshold", {"rule": threshold}))
+        ]
+        # The cell's own seed, which eval replaces, does not split the dataset.
+        cells[-1]["scenario"] = tiny_scenario(m=30, seed=99)
+        draws = self.count_draws(monkeypatch)
+        rows = self.run_sweep(tmp_path, "shared", cells, [0, 1])
+        assert draws == [0, 1]  # one draw per seed, not per (fit, seed)
+        for cell in cells:
+            alone = self.run_sweep(tmp_path, cell["cell"], [cell], [0, 1])
+            assert rows[cell["cell"]] == alone[cell["cell"]]
+            assert rows[cell["cell"]]["seeds_ok"] == "2"
+
+    def test_signed_zero_scenarios_draw_apart(self, tmp_path, monkeypatch):
+        # -0.0 == 0.0, but they spell two scenarios; each is drawn.
+        scenario = tiny_scenario(m=30)
+        scenario["prior"] = {"type": "discrete_masses", "atoms": [[0.5, 0.0], [0.5, 0.9]]}
+        negative = json.loads(json.dumps(scenario).replace("0.0]", "-0.0]"))
+        cells = [
+            self.tiny_cell(cell="zero", scenario=scenario, rule=None),
+            self.tiny_cell(cell="negative_zero", scenario=negative, rule=None),
+        ]
+        draws = self.count_draws(monkeypatch)
+        self.run_sweep(tmp_path, "signed", cells, [0])
+        assert draws == [0, 0]
+
+    def test_unknown_mu_variant_fails_only_its_fit(self, tmp_path, monkeypatch):
+        cells = [
+            self.tiny_cell(cell="good"),
+            self.tiny_cell(cell="bogus", mu_variant="bogus"),
+            self.tiny_cell(
+                cell="bogus_threshold",
+                mu_variant="bogus",
+                rule={"type": "threshold", "value": 0.7},
+            ),
+        ]
+        draws = self.count_draws(monkeypatch)
+        rows = self.run_sweep(tmp_path, "mixed", cells, [0, 1])
+        assert draws == [0, 1]
+        alone = self.run_sweep(tmp_path, "alone", cells[:1], [0, 1])
+        assert rows["good"] == alone["good"] and rows["good"]["seeds_ok"] == "2"
+        for name in ("bogus", "bogus_threshold"):
+            assert rows[name]["seeds_ok"] == "0" and rows[name]["seeds_failed"] == "2"
+            assert "unknown mu_variant 'bogus'" in rows[name]["note"]
+
+    def test_failed_draw_fails_every_cell_of_its_dataset(self, tmp_path, monkeypatch):
+        def failing_draw(scenario):
+            raise FloatingPointError("draw failed")
+
+        monkeypatch.setattr(simulate, "_draw_users", failing_draw)
+        cells = [self.tiny_cell(), self.tiny_cell(cell="free", mu_variant="beta_prior")]
+        rows = self.run_sweep(tmp_path, "draw", cells, [0])
+        for row in rows.values():
+            assert row["seeds_ok"] == "0" and row["seeds_failed"] == "1"
+            assert row["note"] == "FloatingPointError: draw failed"
 
     def test_member_quantile_honoured(self, tmp_path):
         cells = [
@@ -883,6 +987,59 @@ def test_import_leaves_out(module):
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def modules_after(tmp_path, command, **cfg):
+    """The prefqc and numpy.ma modules a fresh process has loaded after running
+    `command` on a config."""
+    config = write_config(tmp_path / f"{command}_modules.json", **cfg)
+    script = (
+        "import sys\n"
+        "from prefqc.cli import main\n"
+        f"assert main([{command!r}, '--config', {config!r}]) == 0\n"
+        "print(*[m for m in sys.modules if m.startswith(('prefqc.', 'numpy.ma'))])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    sim = simulate_into(tmp_path)
+    annotations = str(sim / "annotations.jsonl")
+    fit_out = tmp_path / "fit"
+    fit = modules_after(
+        tmp_path, "fit", annotations=annotations, out_dir=str(fit_out),
+        family="two_point", mu=0.8,
+    )
+    assert "prefqc.em" in fit
+    assert not fit & {"prefqc.simulate", "prefqc.filtering"}
+    infer = modules_after(
+        tmp_path, "infer", annotations=annotations, fit=str(fit_out / "fit.json"),
+        out_dir=str(tmp_path / "infer"), rule={"type": "top_fraction", "fraction": 0.5},
+    )
+    assert "prefqc.filtering" in infer and "prefqc.simulate" not in infer
+    cells = [
+        {
+            "cell": "c",
+            "family": "two_point",
+            "scenario": tiny_scenario(m=30),
+            "mu_variant": "known",
+            "rule": {"type": "threshold", "value": 0.7},
+        }
+    ]
+    evaluated = modules_after(
+        tmp_path, "eval", cells=cells, seeds=[0], out_dir=str(tmp_path / "eval")
+    )
+    assert {"prefqc.simulate", "prefqc.filtering"} <= evaluated
+    assert "numpy.ma" not in evaluated  # recovery_accuracy's quantile avoids it
+    assert (tmp_path / "eval" / "sweep.csv").exists()
 
 
 _spec = importlib.util.spec_from_file_location(

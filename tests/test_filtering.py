@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prefqc import (
@@ -27,6 +27,7 @@ from prefqc import (
     summarize_posterior,
 )
 from prefqc.em import PosteriorRows
+from prefqc import filtering
 from prefqc.filtering import PosteriorSummary
 
 # Posterior mass on the low atom for TwoPoint{0.6, 0.4, 0.98}, mu=0.8,
@@ -304,6 +305,31 @@ class TestRecoveryAccuracy:
         decisions = [decision("a", True), decision("b", False)]
         acc = recovery_accuracy(decisions, [("a", 0.9), ("b", 0.1)], threshold=0.5)
         assert acc == 1.0
+
+
+# recovery_accuracy's empirical quantile must equal np.quantile's bits:
+# values with ties, a single value, the ends and the middle, and any q.
+_quantile_values = st.one_of(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=40),
+)
+
+
+@given(
+    values=_quantile_values,
+    q=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+)
+# Interpolating from the wrong side of 0.5 misses these by one bit.
+@example(values=[0.062, 0.641], q=0.85)
+@example(values=[0.055, 0.188], q=0.27)
+def test_empirical_quantile_equals_numpy_bit_for_bit(values, q):
+    got = filtering._quantile(values, q)
+    assert got.hex() == float(np.quantile(values, q)).hex()
+
+
+def test_empirical_quantile_of_one_value_is_that_value():
+    for q in (0.0, 0.3, 0.5, 1.0):
+        assert filtering._quantile([0.7], q) == 0.7
 
 
 class TestRelativeError:

@@ -108,6 +108,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="must be an integer"):
             SimulationScenario(**{**base, **fields})
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence, which every draw starts from, rejects it too.
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SimulationScenario(
+                prior=self.prior(), mu=0.8, num_users=5, n_range=(3, 3), seed=-1
+            )
+
     def test_numpy_integers_pass(self):
         scenario = SimulationScenario(
             prior=self.prior(), mu=0.8, num_users=np.int64(5),
