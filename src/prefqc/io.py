@@ -474,10 +474,11 @@ _SCORED_PAIR_HEADER = ["item_id", "score_a", "score_b"]
 
 
 def read_scored_pairs(path) -> list["ScoredPair"]:
-    scored_pair = _class("ScoredPair")
+    from .simulate import ScoredPair
+
     return _read_csv(
         path,
-        lambda row: scored_pair(
+        lambda row: ScoredPair(
             item_id=row["item_id"],
             score_a=float(row["score_a"]),
             score_b=float(row["score_b"]),
@@ -625,18 +626,18 @@ def encode_scenario(scenario: "SimulationScenario") -> dict[str, Any]:
 
 
 def decode_scenario(obj: dict[str, Any]) -> "SimulationScenario":
+    from .simulate import BetaPerItemP, SimulationScenario
+
     _require_object("scenario", obj)
     p_model = obj.get("per_item_p_model")
-    return _class("SimulationScenario")(
+    return SimulationScenario(
         prior=decode_prior(obj["prior"]),
         mu=obj["mu"],
         num_users=obj["num_users"],
         n_range=_tuples(obj["n_range"]),
         seed=obj.get("seed", 0),
         per_item_p_model=(
-            None
-            if p_model is None
-            else _class("BetaPerItemP")(p_model["alpha"], p_model["beta"])
+            None if p_model is None else BetaPerItemP(p_model["alpha"], p_model["beta"])
         ),
     )
 
@@ -784,6 +785,8 @@ def write_decisions(path, decisions: Sequence["FilterDecision"]) -> None:
 
 
 def read_decisions(path) -> list["FilterDecision"]:
+    from .filtering import FilterDecision
+
     # infer writes one rule text on every row, so each distinct text is
     # decoded once. The key is the text, not the rule: -0.0 and 0.0 stay apart.
     decoded: dict[str, "SelectionRule"] = {}
@@ -794,10 +797,9 @@ def read_decisions(path) -> list["FilterDecision"]:
             rule = decoded[text] = decode_rule(json.loads(text))
         return rule
 
-    filter_decision = _class("FilterDecision")
     return _read_csv(
         path,
-        lambda row: filter_decision(
+        lambda row: FilterDecision(
             user_id=row["user_id"],
             attentive=_ATTENTIVE[row["attentive"]],
             rule=rule_of(row["rule"]),
