@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import gc
 import json
-import os
 import sys
 from itertools import product
 from pathlib import Path
@@ -42,8 +41,6 @@ from .numerics import SolverError
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
-
-WORKERS_ENV = "PREFQC_WORKERS"
 
 _NUMERIC_ERRORS = (
     SolverError,
@@ -286,11 +283,28 @@ def _cmd_estimate_mu(cfg: dict, args) -> None:
 
 # ------------------------------------------------------------------- eval
 
+# The mu_effect preset's threshold: the median of beta_default's Beta(3, 5)
+# prior, prior_quantile(prior, 0.5). Computing it would load scipy.stats,
+# over a second of import, for this one number.
+_BETA_DEFAULT_MEDIAN = 0.3641160864480825
+
+
 def _eval_cells(cfg: dict) -> list[dict]:
-    from .simulate import ERROR_SWEEP_CELLS, prior_quantile, scenario_preset
+    from .simulate import ERROR_SWEEP_CELLS, scenario_preset
 
     if "cells" in cfg:
-        return list(cfg["cells"])
+        cells = cfg["cells"]
+        if not isinstance(cells, list):
+            raise ConfigError(f"eval 'cells' must be a JSON list, got {json.dumps(cells)}")
+        for i, cell in enumerate(cells):
+            if not isinstance(cell, dict):
+                raise ConfigError(
+                    f"eval cell {i} must be a JSON object, got {json.dumps(cell)}"
+                )
+            for key in ("cell", "family", "scenario", "mu_variant"):
+                if key not in cell:
+                    raise ConfigError(f"eval cell {i} is missing required key {key!r}")
+        return cells
     preset = cfg.get("preset")
     if preset == "table3_grid":
         cells = []
@@ -310,10 +324,9 @@ def _eval_cells(cfg: dict) -> list[dict]:
     if preset == "mu_effect":
         cells = []
         base = scenario_preset("beta_default")
-        median = prior_quantile(base.prior, 0.5)
         rules = (
             ("ranking", {"type": "top_fraction", "fraction": 0.5}),
-            ("threshold", {"type": "threshold", "value": median}),
+            ("threshold", {"type": "threshold", "value": _BETA_DEFAULT_MEDIAN}),
         )
         for mu, variant, (rule_name, rule) in product(
             (0.6, 0.7, 0.8, 0.9), ("known", "beta_prior"), rules
@@ -336,117 +349,99 @@ def _eval_cells(cfg: dict) -> list[dict]:
 _BETA_PRIOR_ON_MU = {"type": "log_prior_on_mu", "a": 8.0, "b": 2.0}
 
 
-def _eval_datasets(
-    cells: list[dict], scenarios: list, seeds: list[int], strict: bool
-) -> list[dict]:
-    """Group the (cell, seed) runs by the dataset they draw, then by fit.
+def _eval_datasets(cells: list[dict], scenarios: list, seeds: list[int]) -> dict:
+    """Map each dataset eval draws to its seeded scenario and member cell indices.
 
     A dataset is a cell's decoded scenario with the eval seed set in it,
     keyed by its encoding: cells that spell one scenario differently share
-    it, and -0.0 stays apart from 0.0. Its fits are the distinct (family,
-    mu_variant) pairs of its cells; cells that differ only in rule or
-    quantile share one fit, and each keeps its own scoring.
+    it, and -0.0 stays apart from 0.0. Keys and members keep first-seen order.
     """
-    datasets: dict[str, dict] = {}
-    for i, (cell, scenario) in enumerate(zip(cells, scenarios)):
-        spec = {key: cell[key] for key in ("family", "mu_variant")}
+    datasets: dict[str, tuple] = {}
+    for i, scenario in enumerate(scenarios):
         for seed in seeds:
             seeded = dataclasses.replace(scenario, seed=seed)
-            dataset = datasets.setdefault(
-                json.dumps(fio.encode_scenario(seeded)),
-                {"scenario": seeded, "strict": strict, "fits": {}},
-            )
-            fit = dataset["fits"].setdefault(
-                json.dumps(spec, sort_keys=True), {**spec, "members": []}
-            )
-            fit["members"].append(
-                {
-                    "cell_index": i,
-                    "rule": cell.get("rule"),
-                    "quantile": cell.get("quantile", 0.5),
-                }
-            )
-    return list(datasets.values())
+            key = json.dumps(fio.encode_scenario(seeded))
+            datasets.setdefault(key, (seeded, []))[1].append(i)
+    return datasets
 
 
-def _failed(members: list[dict], seed: int, exc: Exception) -> list[dict]:
-    error = f"{type(exc).__name__}: {exc}"
-    return [{"cell_index": m["cell_index"], "seed": seed, "error": error} for m in members]
+def _failure(exc: Exception) -> dict:
+    return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _run_eval_dataset(dataset: dict) -> list[dict]:
-    """Draw one dataset, then run and score each of its fits on it.
+def _fit_eval_cell(cell: dict, scenario, histories, strict: bool):
+    """Fit a cell's family and mu_variant to a drawn dataset: (fitted, scores)."""
+    variant = cell["mu_variant"]
+    if variant == "known":
+        mu_keys = {"mu": scenario.mu}
+    elif variant == "beta_prior":
+        mu_keys = {"mu_mode": "free", "regularizer": _BETA_PRIOR_ON_MU}
+    else:
+        raise ConfigError(f"unknown mu_variant {variant!r}")
+    em_config = _em_config({"family": cell["family"], **mu_keys})
+    report = em_fit(histories, em_config, strict=strict)
+    fitted = report.final_params
+    scores: dict = {}
+    # A fitted prior is always in FAMILIES, so a truth outside them has no delta.
+    if family_of(scenario.prior) == family_of(fitted.prior):
+        scores["delta"] = _delta(fitted, scenario)
+    scores.update(converged=report.converged, iterations=report.iterations)
+    return fitted, scores
 
-    Returns one plain-data result per member cell so it can cross
-    processes. A failed draw fails every member of the dataset. eval reads
-    only each user's (sum_z, n) and true eta, so no record columns or item
-    ids are built.
+
+def _run_eval_dataset(
+    scenario, members: list[int], cells: list[dict], strict: bool
+) -> dict[int, dict]:
+    """Draw one dataset, then run and score each of its fits: {cell index: result}.
+
+    The fits are the distinct (family, mu_variant) pairs of the member
+    cells, each run once; cells that differ only in rule or quantile share
+    one fit, and each keeps its own scoring. A failed draw fails every
+    member, a failed fit (an unknown mu_variant too) every member that
+    shares it, and a failed rule only its own cell. eval reads only each
+    user's (sum_z, n) and true eta, so no record columns or item ids are
+    built.
     """
+    from .filtering import recovery_accuracy, select_users, summarize_histories
     from .simulate import _draw_users
 
-    scenario = dataset["scenario"]
     try:
         user_ids, etas, labels = _draw_users(scenario)
     except Exception as exc:  # recorded per cell; the sweep keeps going
-        members = [m for fit in dataset["fits"].values() for m in fit["members"]]
-        return _failed(members, scenario.seed, exc)
+        return dict.fromkeys(members, _failure(exc))
     histories = [
         UserHistory(user_id, int(np.count_nonzero(z)), len(z))
         for user_id, z in zip(user_ids, labels)
     ]
     true_etas = dict(zip(user_ids, etas.tolist()))
-    return [
-        result
-        for fit in dataset["fits"].values()
-        for result in _run_eval_fit(fit, scenario, histories, true_etas, dataset["strict"])
-    ]
+    fits: dict[str, list[int]] = {}
+    for i in members:
+        spec = [cells[i]["family"], cells[i]["mu_variant"]]
+        fits.setdefault(json.dumps(spec, sort_keys=True), []).append(i)
 
-
-def _run_eval_fit(fit: dict, scenario, histories, true_etas, strict: bool) -> list[dict]:
-    """One distinct fit of a dataset, scored for each member cell.
-
-    A failure before scoring, an unknown mu_variant too, fails every member;
-    a scoring failure fails only its own cell.
-    """
-    from .filtering import recovery_accuracy, select_users, summarize_histories
-
-    seed = scenario.seed
-    try:
-        variant = fit["mu_variant"]
-        if variant == "known":
-            mu_keys = {"mu": scenario.mu}
-        elif variant == "beta_prior":
-            mu_keys = {"mu_mode": "free", "regularizer": _BETA_PRIOR_ON_MU}
-        else:
-            raise ConfigError(f"unknown mu_variant {variant!r}")
-        em_config = _em_config({"family": fit["family"], **mu_keys})
-        report = em_fit(histories, em_config, strict=strict)
-        fitted = report.final_params
-        scores: dict = {}
-        # A fitted prior is always in FAMILIES, so a truth outside them has no delta.
-        if family_of(scenario.prior) == family_of(fitted.prior):
-            scores["delta"] = _delta(fitted, scenario)
-        scores.update(converged=report.converged, iterations=report.iterations)
-    except Exception as exc:  # recorded per cell; the sweep keeps going
-        return _failed(fit["members"], seed, exc)
-
-    summaries = None  # the same for every rule: eval asks for no eta_stars
-    results = []
-    for member in fit["members"]:
-        result = {"cell_index": member["cell_index"], "seed": seed}
+    results: dict[int, dict] = {}
+    for sharing in fits.values():
         try:
-            if member["rule"] is not None:
-                rule = fio.decode_rule(member["rule"])
-                if summaries is None:
-                    summaries = summarize_histories(histories, fitted)
-                decisions = select_users(summaries, rule)
-                result["accuracy"] = recovery_accuracy(
-                    decisions, true_etas, quantile=member["quantile"]
-                )
-            result.update(scores)
-        except Exception as exc:  # this cell only
-            result["error"] = f"{type(exc).__name__}: {exc}"
-        results.append(result)
+            fitted, scores = _fit_eval_cell(cells[sharing[0]], scenario, histories, strict)
+        except Exception as exc:  # recorded per cell; the sweep keeps going
+            results.update(dict.fromkeys(sharing, _failure(exc)))
+            continue
+        summaries = None  # the same for every rule: eval asks for no eta_stars
+        for i in sharing:
+            cell = cells[i]
+            result = dict(scores)
+            try:
+                if cell.get("rule") is not None:
+                    rule = fio.decode_rule(cell["rule"])
+                    if summaries is None:
+                        summaries = summarize_histories(histories, fitted)
+                    decisions = select_users(summaries, rule)
+                    result["accuracy"] = recovery_accuracy(
+                        decisions, true_etas, quantile=cell.get("quantile", 0.5)
+                    )
+            except Exception as exc:  # this cell only
+                result = _failure(exc)
+            results[i] = result
     return results
 
 
@@ -470,33 +465,20 @@ def _cmd_eval(cfg: dict, args) -> None:
             raise ConfigError(f"eval seeds must be non-negative, got {seed}")
         if seed in seeds[:k]:
             raise ConfigError(f"eval seeds repeat {seed}")
+    # Every cell is checked, then its scenario decoded, before any draw.
     cells = _eval_cells(cfg)
-    # Every cell's keys are checked, then its scenario decoded, before any work.
-    for cell in cells:
-        for key in ("family", "scenario", "mu_variant"):
-            _require(cell, key)
     scenarios = [fio.decode_scenario(cell["scenario"]) for cell in cells]
-    datasets = _eval_datasets(cells, scenarios, seeds, args.strict)
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1:
-        # Imported here: it adds about 20 ms to every command's start.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            dataset_results = list(pool.map(_run_eval_dataset, datasets))
-    else:
-        # One dataset's histories are alive at a time.
-        dataset_results = [_run_eval_dataset(d) for d in datasets]
-
-    by_cell: dict[int, list[dict]] = {}
-    for results in dataset_results:
-        for res in results:
-            by_cell.setdefault(res["cell_index"], []).append(res)
+    by_seed: list[dict[int, dict]] = [{} for _ in cells]
+    # One dataset's histories are alive at a time.
+    for seeded, members in _eval_datasets(cells, scenarios, seeds).values():
+        for i, result in _run_eval_dataset(seeded, members, cells, args.strict).items():
+            by_seed[i][seeded.seed] = result
 
     rows = []
     total_failures = 0
-    for i, (cell, scenario) in enumerate(zip(cells, scenarios)):
-        cell_results = sorted(by_cell.get(i, []), key=lambda r: r["seed"])
+    for cell, scenario, results in zip(cells, scenarios, by_seed):
+        # In ascending seed order: the means and deviations' bits depend on it.
+        cell_results = [results[seed] for seed in sorted(seeds)]
         failures = [r for r in cell_results if "error" in r]
         ok = [r for r in cell_results if "error" not in r]
         total_failures += len(failures)
@@ -598,9 +580,8 @@ def run() -> NoReturn:
     # infer process took 29 ms to exit without the freeze and 8 ms with it
     # (medians of 15, 2-vCPU Xeon).
     # No output waits on that collection: main closes every file it writes
-    # (atomic_write_text's `with`) and shuts eval's pool down (its `with`)
-    # before it returns, and the exit still flushes stdout and stderr and
-    # runs atexit handlers.
+    # (atomic_write_text's `with`) before it returns, and the exit still
+    # flushes stdout and stderr and runs atexit handlers.
     gc.freeze()
     sys.exit(code)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from prefqc import cli, simulate
+from prefqc import cli, filtering, simulate
 from prefqc import io as fio
 from prefqc.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from prefqc.cli import _eval_cells
@@ -777,6 +777,43 @@ class TestEval:
         assert calls == [] and draws == []
         assert not (out / "sweep.csv").exists()
 
+    def rejected_before_any_draw(self, tmp_path, capsys, monkeypatch, cells, message):
+        calls = self.count_fits(monkeypatch)
+        draws = self.count_draws(monkeypatch)
+        config, out = self.eval_config(tmp_path, [1, 2], cells=cells)
+        assert main(["eval", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, message)
+        assert calls == [] and draws == []
+        assert not (out / "sweep.csv").exists()
+
+    # In each, the good cell comes first; no draw or fit of it runs either.
+    @pytest.mark.parametrize("key", ["cell", "family", "scenario", "mu_variant"])
+    def test_cell_missing_a_key_exits_2_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        bad = self.tiny_cell(cell="bad")
+        del bad[key]
+        message = f"eval cell 1 is missing required key {key!r}"
+        cells = [self.tiny_cell(), bad]
+        self.rejected_before_any_draw(tmp_path, capsys, monkeypatch, cells, message)
+
+    @pytest.mark.parametrize(
+        "bad", [1, None, "smoke", ["smoke"]], ids=["int", "null", "string", "list"]
+    )
+    def test_cell_that_is_not_an_object_exits_2_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, bad
+    ):
+        message = f"eval cell 1 must be a JSON object, got {json.dumps(bad)}"
+        cells = [self.tiny_cell(), bad]
+        self.rejected_before_any_draw(tmp_path, capsys, monkeypatch, cells, message)
+
+    @pytest.mark.parametrize("cells", [{"smoke": 1}, "smoke"], ids=["object", "string"])
+    def test_cells_that_are_not_a_list_exit_2_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, cells
+    ):
+        message = f"eval 'cells' must be a JSON list, got {json.dumps(cells)}"
+        self.rejected_before_any_draw(tmp_path, capsys, monkeypatch, cells, message)
+
     def test_cell_prior_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         cell = self.tiny_cell(scenario={**tiny_scenario(m=30), "prior": "two_point"})
         config, out = self.eval_config(tmp_path, [0], cells=[cell])
@@ -795,10 +832,10 @@ class TestEval:
         config, _ = self.eval_config(tmp_path, [0], preset="unknown_sweep")
         assert main(["eval", "--config", config]) == EXIT_VALIDATION
 
-    def test_parallel_workers_match_serial(self, tmp_path, monkeypatch):
-        # Two fits (mu 0.8 and 0.9) per seed, each shared by two rule cells.
+    def mixed_cells(self):
+        """Two datasets (mu 0.8 and 0.9) per seed; mu 0.8 has a second fit."""
         threshold = {"type": "threshold", "value": 0.7}
-        cells = [
+        return [
             self.tiny_cell(),
             self.tiny_cell(cell="second"),
             self.tiny_cell(cell="threshold", rule=threshold),
@@ -812,12 +849,49 @@ class TestEval:
             self.tiny_cell(cell="free", mu_variant="beta_prior"),
             self.tiny_cell(cell="free_threshold", mu_variant="beta_prior", rule=threshold),
         ]
-        config, out = self.eval_config(tmp_path, [0, 1], cells=cells)
-        assert main(["eval", "--config", config]) == EXIT_OK
-        serial = sha256(out / "sweep.csv")
-        monkeypatch.setenv("PREFQC_WORKERS", "2")
-        assert main(["eval", "--config", config]) == EXIT_OK
-        assert sha256(out / "sweep.csv") == serial
+
+    # Two values' mean and deviation have the same bits in either order;
+    # three values' can differ.
+    @pytest.mark.parametrize("seeds", [[1, 0], [2, 0, 1]], ids=["two", "three"])
+    def test_seed_order_does_not_change_the_sweep(self, tmp_path, seeds):
+        digests = []
+        for order in (seeds, sorted(seeds)):
+            config, out = self.eval_config(tmp_path, order, cells=self.mixed_cells())
+            assert main(["eval", "--config", config]) == EXIT_OK
+            digests.append(sha256(out / "sweep.csv"))
+        assert digests[0] == digests[1]
+
+    def test_each_dataset_is_fitted_before_the_next_is_drawn(self, tmp_path, monkeypatch):
+        # One dataset's histories are alive at a time.
+        events = []
+        real_draw, real_em_fit = simulate._draw_users, cli.em_fit
+        real_summarize = filtering.summarize_histories
+
+        def draw(scenario):
+            events.append(("draw", scenario.mu, scenario.seed))
+            return real_draw(scenario)
+
+        def em_fit(histories, config, *, strict=False):
+            events.append(("fit", config.mu_mode))
+            return real_em_fit(histories, config, strict=strict)
+
+        def summarize(histories, params, **kwargs):
+            events.append(("summarize",))
+            return real_summarize(histories, params, **kwargs)
+
+        monkeypatch.setattr(simulate, "_draw_users", draw)
+        monkeypatch.setattr(cli, "em_fit", em_fit)
+        monkeypatch.setattr(filtering, "summarize_histories", summarize)
+        self.run_sweep(tmp_path, "order", self.mixed_cells(), [1, 0])
+        # Each fit is summarized once, before its first rule is scored.
+        mu_08 = [("fit", "fixed"), ("summarize",), ("fit", "free"), ("summarize",)]
+        mu_09 = [("fit", "fixed"), ("summarize",)]
+        assert events == [
+            ("draw", 0.8, 1), *mu_08,
+            ("draw", 0.8, 0), *mu_08,
+            ("draw", 0.9, 1), *mu_09,
+            ("draw", 0.9, 0), *mu_09,
+        ]
 
     def test_cells_sharing_a_fit_fit_once(self, tmp_path, monkeypatch):
         cells = [
@@ -939,6 +1013,33 @@ class TestEval:
         mus = {fio.decode_scenario(c["scenario"]).mu for c in mu_effect}
         assert mus == {0.6, 0.7, 0.8, 0.9}
 
+    def test_mu_effect_threshold_is_the_beta_default_median(self):
+        median = simulate.prior_quantile(simulate.scenario_preset("beta_default").prior, 0.5)
+        assert cli._BETA_DEFAULT_MEDIAN == median
+        thresholds = {
+            c["rule"]["value"]
+            for c in _eval_cells({"preset": "mu_effect"})
+            if c["rule"]["type"] == "threshold"
+        }
+        assert thresholds == {median}
+
+    def test_mu_effect_cells_load_no_scipy(self):
+        # A fresh interpreter: this test process has imported scipy already.
+        script = (
+            "import sys\n"
+            "from prefqc.cli import _eval_cells\n"
+            "assert len(_eval_cells({'preset': 'mu_effect'})) == 16\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestParser:
     def test_unknown_command_exits_via_argparse(self):
@@ -974,8 +1075,8 @@ def child_env():
     return env
 
 
-# eval imports the process pool only when it runs workers, simulate and eval
-# load numpy.random on their first draw, and two rare warnings load logging.
+# No command imports a process pool, simulate and eval load numpy.random on
+# their first draw, and two rare warnings load logging.
 @pytest.mark.parametrize("module", ["concurrent.futures.process", "numpy.random", "logging"])
 def test_import_leaves_out(module):
     script = f"import sys\nimport prefqc.cli\nassert {module!r} not in sys.modules\n"
