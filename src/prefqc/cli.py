@@ -414,6 +414,8 @@ def _run_eval_dataset(
         for user_id, z in zip(user_ids, labels)
     ]
     true_etas = dict(zip(user_ids, etas.tolist()))
+    # Keyed by JSON: a config's family or mu_variant may be unhashable, and
+    # then fails only its own fit.
     fits: dict[str, list[int]] = {}
     for i in members:
         spec = [cells[i]["family"], cells[i]["mu_variant"]]
