@@ -304,6 +304,12 @@ def _eval_cells(cfg: dict) -> list[dict]:
             for key in ("cell", "family", "scenario", "mu_variant"):
                 if key not in cell:
                     raise ConfigError(f"eval cell {i} is missing required key {key!r}")
+            for key in ("cell", "family", "mu_variant"):
+                if type(cell[key]) is not str:  # str() would write ['beta'] to sweep.csv
+                    raise ConfigError(
+                        f"eval cell {i} {key!r} must be a JSON string, "
+                        f"got {json.dumps(cell[key])}"
+                    )
         return cells
     preset = cfg.get("preset")
     if preset == "table3_grid":
@@ -414,12 +420,9 @@ def _run_eval_dataset(
         for user_id, z in zip(user_ids, labels)
     ]
     true_etas = dict(zip(user_ids, etas.tolist()))
-    # Keyed by JSON: a config's family or mu_variant may be unhashable, and
-    # then fails only its own fit.
-    fits: dict[str, list[int]] = {}
+    fits: dict[tuple[str, str], list[int]] = {}
     for i in members:
-        spec = [cells[i]["family"], cells[i]["mu_variant"]]
-        fits.setdefault(json.dumps(spec, sort_keys=True), []).append(i)
+        fits.setdefault((cells[i]["family"], cells[i]["mu_variant"]), []).append(i)
 
     results: dict[int, dict] = {}
     for sharing in fits.values():

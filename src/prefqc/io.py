@@ -152,38 +152,36 @@ def _annotation_fields(path, line_no: int, line: str) -> tuple[str, str, int]:
 
 
 # The reader takes the file in chunks of about this many bytes, each cut
-# after a line break, so its memory does not grow with the file.
-_CHUNK_BYTES = 1 << 20
-# A chunk with an id longer than this many bytes takes the per-line path:
-# a chunk's keys for a column are one row this wide per line.
+# after a line break, so its memory does not grow with the file; a chunk's
+# byte masks then stay in a core's cache.
+_CHUNK_BYTES = 1 << 19
+# A chunk with an id longer than this many bytes takes the per-line path.
 _MAX_KEY_BYTES = 128
 
 # A line write_annotation_columns writes: _HEAD, the user id, _MID, the
-# item id, _TAIL, the label digit and "}".
+# item id, _TAIL, the label digit, "}" and the line break.
 _HEAD = b'{"user_id": "'
 _MID = b'", "item_id": "'
 _TAIL = b'", "label": '
 
 
-def _template(text: bytes) -> list[tuple[int, np.uint64]]:
-    """(offset, little-endian 8-byte word) reads that together cover `text`."""
-    return [
-        (at, np.uint64(int.from_bytes(text[at:at + 8], "little")))
-        for at in sorted({*range(0, len(text) - 7, 8), len(text) - 8})
-    ]
+def _pattern(text: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, value) of 16 bytes as two little-endian words: the bytes of
+    `text`, any byte after them, and "0" standing for "0" or "1"."""
+    mask = bytes(0xFE if c == 0x30 else 0xFF for c in text).ljust(16, b"\0")
+    return np.frombuffer(mask, "<u8"), np.frombuffer(text.ljust(16, b"\0"), "<u8")
 
 
-_HEAD_WORDS, _MID_WORDS, _TAIL_WORDS = map(_template, (_HEAD, _MID, _TAIL))
+_HEAD_16, _MID_16, _TAIL_16 = map(_pattern, (_HEAD, _MID, _TAIL + b"0}\n"))
 # _KEEP[k] keeps the first k bytes of a little-endian word.
 _KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def _matches(words: np.ndarray, at: np.ndarray, template) -> np.ndarray:
-    """Whether the bytes from each of `at` begin with the template's."""
-    ok = np.ones(len(at), dtype=bool)
-    for offset, word in template:
-        ok &= words[at + offset] == word
-    return ok
+def _matches(a16: np.ndarray, at: np.ndarray, pattern) -> bool:
+    """Whether the 16 bytes `a16[i]` from each of `at` match the pattern."""
+    (mask_lo, mask_hi), (value_lo, value_hi) = pattern
+    got = a16[at].view("<u8")
+    return not (((got[::2] ^ value_lo) & mask_lo) | ((got[1::2] ^ value_hi) & mask_hi)).any()
 
 
 def _line_chunks(fh) -> Iterator[bytes]:
@@ -225,81 +223,219 @@ def _unicode_escapes(a: np.ndarray, at: np.ndarray) -> bool:
     return bool(ok.all())
 
 
-def _certified_lines(a: np.ndarray, words: np.ndarray, size: int, escapes: bool):
+def _certified_lines(a: np.ndarray, size: int, escapes: bool):
     """A chunk's id spans and labels, if every line is laid out as
     write_annotation_columns writes it; else None.
 
-    `a` is the chunk's `size` bytes plus zero padding, `words[i]` the 8
-    bytes from `a[i]`, and `escapes` whether the chunk holds a backslash (a
-    byte search, far cheaper than a numpy pass). A certified line is _HEAD,
-    the user id, _MID, the item id, _TAIL, "0" or "1" and "}", where no id
-    holds a control byte or a quote, every backslash starts a \\uXXXX
-    escape (the only escape write_annotation_columns writes), and no id is
-    longer than _MAX_KEY_BYTES. json.loads reads such a line's ids as their
-    bytes decoded from UTF-8 with the escapes decoded, and its label as the
+    `a` is the chunk's `size` bytes plus zero padding, and `escapes`
+    whether the chunk holds a backslash (a byte search, far cheaper than a
+    numpy pass). A certified line is _HEAD, the user id, _MID, the item id,
+    _TAIL, "0" or "1" and "}", where no id holds a control byte or a
+    quote, every backslash starts a \\uXXXX escape (the only escape
+    write_annotation_columns writes), and no id is longer than
+    _MAX_KEY_BYTES. json.loads reads such a line's ids as their bytes
+    decoded from UTF-8 with the escapes decoded, and its label as the
     digit. Returns the (start, length) of each line's user id and item id,
     and its labels.
     """
-    # Control bytes (every "\n" among them), quotes and backslashes.
     b = a[:size]
-    special = np.flatnonzero((b < 0x20) | (b == 0x22) | (b == 0x5C))
-    if escapes:
-        slash = a[special] == 0x5C
-        if not _unicode_escapes(a, special[slash]):
-            return None
-        special = special[~slash]
-    breaks = np.flatnonzero(a[special] == 0x0A)  # index in `special` of each "\n"
-    # Ten quotes and the "\n" per line: the head's three quotes come first,
-    # and the 4th and the 8th end the two ids.
-    if np.any(np.diff(breaks, prepend=-1) != 11):
+    lines = np.count_nonzero(b == 0x0A)
+    if np.count_nonzero(b < 0x20) != lines:  # a control byte in an id
         return None
-    end = special[breaks]
+    if escapes and not _unicode_escapes(a, np.flatnonzero(b == 0x5C)):
+        return None
+    # Ten quotes a line: _HEAD's three, the one that ends the user id and
+    # starts _MID, _MID's other three, the one that ends the item id and
+    # starts _TAIL, and _TAIL's other two. The matches below pin them, line
+    # after line, and the line break that ends each line.
+    quotes = np.flatnonzero(b == 0x22)
+    if len(quotes) != 10 * lines:
+        return None
+    quotes = quotes.reshape(-1, 10)
+    user_end, item_end = quotes[:, 3], quotes[:, 7]
+    end = item_end + len(_TAIL) + 2
     start = np.concatenate(([0], end[:-1] + 1))
-    user_end, item_end = special[breaks - 7], special[breaks - 3]
-    ok = _matches(words, start, _HEAD_WORDS) & _matches(words, user_end, _MID_WORDS)
-    ok &= _matches(words, item_end, _TAIL_WORDS)
-    ok &= (end == item_end + len(_TAIL) + 2) & (a[end - 1] == 0x7D)
-    ok &= (a[end - 2] | 1) == 0x31  # the label digit is 0 or 1
     user_start, item_start = start + len(_HEAD), user_end + len(_MID)
     user_len, item_len = user_end - user_start, item_end - item_start
-    ok &= (user_len <= _MAX_KEY_BYTES) & (item_len <= _MAX_KEY_BYTES)
-    if not ok.all():
+    if max(user_len.max(), item_len.max()) > _MAX_KEY_BYTES:
+        return None
+    a16 = np.ndarray((len(a) - 15,), dtype="V16", buffer=a, strides=(1,))
+    if not (
+        _matches(a16, start, _HEAD_16)
+        and _matches(a16, user_end, _MID_16)
+        and _matches(a16, item_end, _TAIL_16)
+    ):
         return None
     labels = (a[end - 2] - 0x30).astype(np.int8)
     return (user_start, user_len), (item_start, item_len), labels
 
 
-def _first_seen_codes(
-    a: np.ndarray, words: np.ndarray, start, length, code: dict, decode
-):
-    """The codes of the ids at `a[start:start+length]`, new ids joining
-    `code` in order of first appearance.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
-    Ids are keyed by their bytes, zero-padded to a fixed width: one word
-    when all fit in 8 bytes, else rows as wide as the longest. No id holds
-    a zero byte, so equal keys mean equal bytes. `decode` turns each
-    distinct key into its id, and codes go by the id, so two spellings of
-    one id (an escaped and a plain one) share its code.
+
+def _hashed(words: np.ndarray) -> np.ndarray:
+    """One key per row of little-endian words: a 55-bit hash shifted up to
+    bit 9, with bit 8 set, so its low byte is 0 and the key is not 0.
+
+    Each word is folded in and mixed with splitmix64's finalizer. A zero
+    word, past an id's end, leaves the hash as it is, so an id's key does
+    not depend on how wide the rows are.
     """
-    width = int(length.max(initial=0))
-    if width <= 8:
-        keys = words[start] & _KEEP[length]
-    else:
-        rows = np.lib.stride_tricks.sliding_window_view(a, width)[start]
-        rows[np.arange(width) >= length[:, None]] = 0
-        keys = rows.view(f"S{width}").ravel()
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    by_first = first_seen(inverse)
-    raw = uniq[by_first].view("S8") if width <= 8 else uniq[by_first]
-    codes = np.empty(len(uniq), dtype=np.intp)
-    codes[by_first] = [code.setdefault(decode(b), len(code)) for b in raw.tolist()]
-    return codes[inverse]
+    h = np.full(len(words), _MIX)
+    for column in words.T:
+        x = h ^ column
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        h = np.where(column != 0, x ^ (x >> np.uint64(31)), h)
+    return (h << np.uint64(9)) | np.uint64(256)
 
 
-def _unescaped(raw: bytes) -> str:
-    """The id that a certified line's id bytes spell, \\uXXXX escapes decoded."""
-    text = raw.decode("utf-8")
-    return json.loads(f'"{text}"') if "\\" in text else text
+# The key of an empty slot: no id has it, since its low byte is 0 but bit
+# 8 is not set (see _SeenIds).
+_NO_KEY = np.uint64(1 << 9)
+
+
+class _SeenIds:
+    """One id column's ids by code, and the id spellings a read has seen
+    on the numpy path, in a hash table from each spelling's key to its
+    entry: its code and its bytes, in the order seen.
+
+    An id of at most 8 bytes is keyed by its bytes as one zero-padded
+    word: no id holds a zero byte, so equal keys mean equal bytes, and only
+    the empty id has a zero low byte. A longer id is keyed by _hashed of
+    its bytes, and the bytes kept let a chunk in which two spellings share
+    a key be sent down the per-line path. The table is open-addressed with
+    linear probing and at most a quarter full, so a lookup takes about one
+    probe however many ids the read has seen, and it doubles as it fills.
+
+    While every spelling seen is an id's UTF-8 bytes, with no escape, each
+    id has one spelling, a new key is a new id, and `ids` is the whole
+    map. A chunk with a backslash, or one read line by line, needs `code`,
+    the dict from id to code, built on first use; `ids` is then left as
+    it was.
+    """
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self._code: dict[str, int] | None = None
+        self.entries = 0
+        self.codes = np.zeros(1 << 9, dtype=np.intp)
+        self.raw = np.zeros(1 << 9, dtype="S8")
+        self.slot_keys = np.empty(0, dtype=np.uint64)
+        self.slot_entry = np.empty(0, dtype=np.int32)
+        self._rehash(1 << 11)
+
+    @property
+    def code(self) -> dict[str, int]:
+        """Each id's code."""
+        if self._code is None:
+            self._code = dict(zip(self.ids, range(len(self.ids))))
+        return self._code
+
+    def id_list(self) -> list[str]:
+        """The ids, in the order of their codes."""
+        return self.ids if self._code is None else list(self._code)
+
+    def _rehash(self, size: int) -> None:
+        """Move the table's keys to a new one of `size` slots."""
+        held = np.flatnonzero(self.slot_keys != _NO_KEY)
+        keys, entry = self.slot_keys[held], self.slot_entry[held]
+        self.shift = np.uint64(65 - size.bit_length())
+        self.slot_keys = np.full(size, _NO_KEY)
+        self.slot_entry = np.zeros(size, dtype=np.int32)
+        self._put(keys, entry, self._home(keys))
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        h = keys * _MIX
+        return (((h ^ (h >> np.uint64(31))) * _MIX) >> self.shift).astype(np.intp)
+
+    def _probe(self, keys: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """Each key's slot, probed from `slot` on: the one that holds it,
+        else the first empty one."""
+        todo = np.arange(len(keys))
+        while len(todo):
+            held = self.slot_keys[slot[todo]]
+            todo = todo[(held != keys[todo]) & (held != _NO_KEY)]
+            slot[todo] = (slot[todo] + 1) & (len(self.slot_keys) - 1)
+        return slot
+
+    def _put(self, keys, entry, slot) -> None:
+        """Put distinct keys that the table does not hold in it, probing
+        from `slot` on."""
+        while len(keys):
+            slot = self._probe(keys, slot)
+            self.slot_keys[slot] = keys  # of keys that reach one slot, one is put
+            put = self.slot_keys[slot] == keys
+            self.slot_entry[slot[put]] = entry[put]
+            keys, entry, slot = keys[~put], entry[~put], slot[~put]
+
+    def _add(self, keys, codes, raw, slot) -> None:
+        """Add new spellings, each key's probe having reached `slot`."""
+        n, m = self.entries, self.entries + len(keys)
+        if m > len(self.codes):
+            self.codes, self.raw = (
+                np.concatenate((x[:n], np.zeros(m, x.dtype))) for x in (self.codes, self.raw)
+            )
+        if raw.itemsize > self.raw.itemsize:
+            self.raw = self.raw.astype(raw.dtype)
+        self.codes[n:m], self.raw[n:m] = codes, raw
+        self.entries = m
+        if 4 * m > len(self.slot_keys):
+            self._rehash(1 << (4 * m).bit_length())
+            slot = self._home(keys)
+        self._put(keys, np.arange(n, m), slot)
+
+    def codes_of(self, a: np.ndarray, words: np.ndarray, start, length, escapes: bool):
+        """The codes of the ids at `a[start:start+length]`, or None on a
+        hash collision. Only spellings not seen before are decoded, and
+        new ids take codes in order of first appearance. `escapes` is
+        whether the chunk holds a backslash."""
+        keys = words[start] & _KEEP[np.minimum(length, 8)]
+        raw = keys.view("S8")  # each id's bytes, while none is longer
+        wide = np.flatnonzero(length > 8)
+        if len(wide):
+            width = -(-int(length.max()) // 8)
+            rows = np.lib.stride_tricks.sliding_window_view(a, 8 * width)[start]
+            rows = rows.view("<u8")  # each id's bytes, zero past its end
+            rows &= _KEEP[(length[:, None] - 8 * np.arange(width)).clip(0, 8)]
+            raw = rows.view(f"S{8 * width}").ravel()
+            keys[wide] = _hashed(rows[wide])
+        slot = self._probe(keys, self._home(keys))
+        entry = self.slot_entry[slot]
+        seen = self.slot_keys[slot] == keys
+        # Each spelling must have the bytes of the first one with its key,
+        # before this chunk or in it.
+        if len(wide) and (self.raw[entry[seen]] != raw[seen]).any():
+            return None
+        codes = self.codes[entry]
+        new = np.flatnonzero(~seen)
+        if not len(new):
+            return codes
+        uniq, inverse = np.unique(keys[new], return_inverse=True)
+        one = np.empty(len(uniq), dtype=np.intp)
+        one[inverse] = new  # a line with each new key
+        if len(wide) and (raw[one][inverse] != raw[new]).any():
+            return None
+        order = first_seen(inverse)
+        spelled = _unescaped(raw[one[order]].tolist())
+        new_codes = np.empty(len(uniq), dtype=np.intp)
+        if self._code is None and not escapes:
+            new_codes[order] = np.arange(len(self.ids), len(self.ids) + len(uniq))
+            self.ids += spelled
+        else:
+            code = self.code
+            new_codes[order] = [code.setdefault(t, len(code)) for t in spelled]
+        codes[new] = new_codes[inverse]
+        self._add(uniq, new_codes, raw[one], slot[one])
+        return codes
+
+
+def _unescaped(raw: list[bytes]) -> list[str]:
+    """The ids that certified lines' id bytes spell, \\uXXXX escapes decoded."""
+    text = b"\n".join(raw).decode("utf-8")  # no id holds a line break
+    if "\\" in text:
+        return json.loads('["' + text.replace("\n", '", "') + '"]')
+    return text.split("\n")
 
 
 def read_annotation_columns(path) -> AnnotationColumns:
@@ -320,48 +456,45 @@ def read_annotation_columns(path) -> AnnotationColumns:
     whole line. A line that fails a check there goes back through
     _annotation_fields, which raises the error for it.
     """
-    user_code: dict[str, int] = {}
-    item_code: dict[str, int] = {}
+    users, items = _SeenIds(), _SeenIds()
     parts = []
     lines_before = 0
     with open(path, "rb") as fh:
         for piece in _line_chunks(fh):
-            n_lines, columns = _chunk_columns(
-                path, piece, lines_before, user_code, item_code
-            )
+            n_lines, columns = _chunk_columns(path, piece, lines_before, users, items)
             parts.append(columns)
             lines_before += n_lines
-    users, items, labels = (
+    columns = (
         np.concatenate([np.empty(0, dtype)] + [part[j] for part in parts])
         for j, dtype in enumerate((np.intp, np.intp, np.int8))
     )
-    return AnnotationColumns(list(user_code), list(item_code), users, items, labels)
+    return AnnotationColumns(users.id_list(), items.id_list(), *columns)
 
 
-def _chunk_columns(path, piece: bytes, lines_before: int, user_code, item_code):
+def _chunk_columns(path, piece: bytes, lines_before: int, users, items):
     """One chunk's line count, and (user codes, item codes, labels) of its
     records in line order.
 
     Only a chunk whose first line starts as a written line tries the numpy
     path: a file in another layout pays nothing for it. New ids join
-    `user_code` and `item_code` in the order they first appear.
+    `users` and `items` (_SeenIds) in the order they first appear.
     """
     if piece.startswith(_HEAD):
         a = np.frombuffer(piece + bytes(_MAX_KEY_BYTES), dtype=np.uint8)
         words = np.ndarray((len(a) - 7,), dtype="<u8", buffer=a, strides=(1,))
         escapes = b"\\" in piece
-        certified = _certified_lines(a, words, len(piece), escapes)
+        certified = _certified_lines(a, len(piece), escapes)
         if certified is not None:
             user_span, item_span, labels = certified
-            # Only a chunk with a backslash pays for a per-id escape check.
-            decode = _unescaped if escapes else bytes.decode
-            return len(labels), (
-                _first_seen_codes(a, words, *user_span, user_code, decode),
-                _first_seen_codes(a, words, *item_span, item_code, decode),
-                labels,
-            )
+            # On a collision the chunk goes line by line, which gives the
+            # users coded here the same codes: codes go by id.
+            user_codes = users.codes_of(a, words, *user_span, escapes)
+            item_codes = None if user_codes is None else items.codes_of(a, words, *item_span, escapes)
+            if item_codes is not None:
+                return len(labels), (user_codes, item_codes, labels)
     text = piece.decode("utf-8").split("\n")
-    users, items, labels = [], [], []
+    user_codes, item_codes, labels = [], [], []
+    user_code, item_code = users.code, items.code
     scan = make_scanner(json.JSONDecoder())
     for k, line in enumerate(text[:-1]):
         line = line.strip()
@@ -383,12 +516,12 @@ def _chunk_columns(path, piece: bytes, lines_before: int, user_code, item_code):
             user_id, item_id, label = _annotation_fields(
                 path, lines_before + k + 1, line
             )
-        users.append(user_code.setdefault(user_id, len(user_code)))
-        items.append(item_code.setdefault(item_id, len(item_code)))
+        user_codes.append(user_code.setdefault(user_id, len(user_code)))
+        item_codes.append(item_code.setdefault(item_id, len(item_code)))
         labels.append(label)
     return len(text) - 1, (
-        np.array(users, dtype=np.intp),
-        np.array(items, dtype=np.intp),
+        np.array(user_codes, dtype=np.intp),
+        np.array(item_codes, dtype=np.intp),
         np.array(labels, dtype=np.int8),
     )
 

@@ -797,6 +797,16 @@ class TestEval:
         cells = [self.tiny_cell(), bad]
         self.rejected_before_any_draw(tmp_path, capsys, monkeypatch, cells, message)
 
+    @pytest.mark.parametrize("key", ["cell", "family", "mu_variant"])
+    @pytest.mark.parametrize("value", [["beta"], 5, None], ids=["list", "number", "null"])
+    def test_cell_key_that_is_not_a_string_exits_2_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        bad = self.tiny_cell(**{key: value})
+        message = f"eval cell 1 {key!r} must be a JSON string, got {json.dumps(value)}"
+        cells = [self.tiny_cell(), bad]
+        self.rejected_before_any_draw(tmp_path, capsys, monkeypatch, cells, message)
+
     @pytest.mark.parametrize(
         "bad", [1, None, "smoke", ["smoke"]], ids=["int", "null", "string", "list"]
     )

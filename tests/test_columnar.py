@@ -438,6 +438,151 @@ class TestChunkSeams:
                 fio.read_annotation_columns(path)
 
 
+def _line(user_raw: str, item_raw: str, label: int) -> str:
+    """A writer-layout line with the ids' JSON spellings as given."""
+    return f'{{"user_id": "{user_raw}", "item_id": "{item_raw}", "label": {label}}}\n'
+
+
+class TestSeenIds:
+    """The numpy path decodes each id spelling once per read, keyed by its
+    bytes when short and by a hash of them when long."""
+
+    # Plain, escaped and long spellings, users and items disjoint.
+    USERS = ["u0", "u1", "\\u00e9", "\\u00e9\\u00e9", "a-user-id-longer-than-8", "usr\\u96ea9"]
+    ITEMS = ["i0", "item-with-a-long-name-%d", "\\ud83d\\ude00", "i\\u0041"]
+
+    def _file(self, tmp_path) -> tuple:
+        rng = random.Random(5)
+        items = [raw % k if "%d" in raw else raw for raw in self.ITEMS for k in range(3)]
+        lines = [
+            _line(rng.choice(self.USERS), rng.choice(items), rng.randrange(2))
+            for _ in range(400)
+        ]
+        path = tmp_path / "a.jsonl"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        return path, {*self.USERS, *items}
+
+    @pytest.mark.parametrize("chunk_bytes", [64, 4096, None])
+    def test_each_raw_spelling_is_decoded_once(self, tmp_path, chunk_bytes):
+        path, spellings = self._file(tmp_path)
+        chunk_bytes = chunk_bytes or fio._CHUNK_BYTES
+        with mock.patch.object(fio, "_unescaped", wraps=fio._unescaped) as decode, \
+                mock.patch.object(fio, "make_scanner", wraps=fio.make_scanner) as scanner:
+            _same_as_reference(path, chunk_bytes)
+        assert not scanner.called
+        decoded = [raw.decode("utf-8") for call in decode.call_args_list for raw in call.args[0]]
+        assert sorted(decoded) == sorted(spellings)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 64])
+    def test_spellings_across_chunks_get_the_reference_codes(self, tmp_path, chunk_bytes):
+        # "A" first plain then escaped, "é" first escaped then as UTF-8
+        # bytes, and an id longer than 8 bytes, plain and escaped.
+        rows = [
+            ("A", "\\u00e9", 1),
+            ("long-user-id", "x", 0),
+            ("\\u0041", "é", 1),
+            ("b", "long-user-\\u0069d", 0),
+            ("long-user-\\u0069d", "long-user-id", 1),
+            ("é", "\\u0041", 0),
+            ("A", "é", 1),
+        ]
+        path = tmp_path / "a.jsonl"
+        path.write_bytes("".join(_line(*row) for row in rows).encode("utf-8"))
+        with mock.patch.object(fio, "make_scanner", wraps=fio.make_scanner) as scanner:
+            got = _same_as_reference(path, chunk_bytes)
+        assert not scanner.called
+        assert got[1].user_ids == ["A", "long-user-id", "b", "é"]
+        assert got[1].item_ids == ["é", "x", "long-user-id", "A"]
+
+    @pytest.mark.parametrize("chunk_bytes", [64, 4096, 1 << 19])
+    def test_a_forced_hash_collision_gives_the_same_columns(self, tmp_path, chunk_bytes):
+        path, _ = self._file(tmp_path)
+        with mock.patch.object(fio, "_CHUNK_BYTES", chunk_bytes):
+            plain = fio.read_annotation_columns(path)
+            # Every id longer than 8 bytes gets one key.
+            with mock.patch.object(
+                fio, "_hashed", lambda words: np.full(len(words), 256, dtype=np.uint64)
+            ), mock.patch.object(fio, "make_scanner", wraps=fio.make_scanner) as scanner:
+                collided = fio.read_annotation_columns(path)
+        assert scanner.called  # the chunks with a collision went line by line
+        assert (collided.user_ids, collided.item_ids) == (plain.user_ids, plain.item_ids)
+        for name in ("users", "items", "labels"):
+            got, want = getattr(collided, name), getattr(plain, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        _same_as_reference(path, chunk_bytes)
+
+    def test_simulated_item_ids_get_distinct_hashes(self):
+        # simulate's item ids: a user id "u" + 5 digits, "-" and 4 digits,
+        # 11 bytes, so keyed by _hashed. Each word must be mixed into the
+        # hash of the words before it: xoring one hash per word together
+        # gives some of these a common key.
+        user, item = np.divmod(np.arange(1_000_000), 50)
+        ids = np.zeros((len(user), 16), dtype=np.uint8)
+        ids[:, 0], ids[:, 6] = ord("u"), ord("-")
+        for k in range(5):
+            ids[:, 5 - k] = 0x30 + user // 10**k % 10
+        for k in range(4):
+            ids[:, 10 - k] = 0x30 + item // 10**k % 10
+        assert ids[123_456].tobytes().rstrip(b"\0") == b"u02469-0006"
+        keys = fio._hashed(ids.view("<u8"))
+        assert len(np.unique(keys)) == len(keys)
+
+    @pytest.mark.parametrize("chunk_bytes", [4096, None])
+    def test_thousands_of_new_ids_in_a_chunk(self, tmp_path, chunk_bytes):
+        # More new spellings in one chunk than the first table has slots,
+        # short and long ones, each item id once, as simulate writes them.
+        lines = [
+            _line(f"u{k // 50}", f"u{k // 50}-{k % 50:04d}" if k % 3 else f"i{k}", k % 2)
+            for k in range(6000)
+        ]
+        path = tmp_path / "a.jsonl"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        with mock.patch.object(fio, "make_scanner", wraps=fio.make_scanner) as scanner:
+            got = _same_as_reference(path, chunk_bytes or fio._CHUNK_BYTES)
+        assert not scanner.called
+        assert len(got[1].item_ids) == 6000
+
+    @pytest.mark.parametrize("chunk_bytes", [64, 4096])
+    def test_ids_coded_before_and_after_a_chunk_read_line_by_line(self, tmp_path, chunk_bytes):
+        # The middle lines' keys come in another order, so their chunks go
+        # line by line and need the id-to-code dict, built from the ids the
+        # numpy path had coded; the last chunks mix those ids with new ones.
+        rows = [(f"u{k % 9}", f"item-number-{k % 13}", k % 2) for k in range(60)]
+        lines = [_line(*row) for row in rows]
+        for k in range(20, 30):
+            user, item, label = rows[k]
+            lines[k] = f'{{"item_id": "{item}", "user_id": "{user}", "label": {label}}}\n'
+        lines += [_line(f"u{k}", f"i\\u00e9{k}", 1) for k in range(9, 12)]
+        path = tmp_path / "a.jsonl"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        with mock.patch.object(fio, "make_scanner", wraps=fio.make_scanner) as scanner:
+            _same_as_reference(path, chunk_bytes)
+        assert scanner.called
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            _line("a\x01b", "i0", 1),  # a control byte inside an id
+            _line("a\tb", "i0", 1),
+            _line("a", "i0", 1)[:-1] + '"\n',  # an 11th quote ends the line
+            _line('a"b', "i0", 1),  # or sits inside an id
+        ],
+        ids=["control", "tab", "trailing-quote", "quote-in-id"],
+    )
+    @pytest.mark.parametrize("chunk_bytes", [64, 1 << 19])
+    def test_a_stray_control_byte_or_quote_goes_line_by_line(
+        self, tmp_path, bad, chunk_bytes
+    ):
+        lines = [_line(f"u{k % 5}", f"i{k % 7}", k % 2) for k in range(40)]
+        lines[23] = bad
+        path = tmp_path / "a.jsonl"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        with mock.patch.object(fio, "make_scanner", wraps=fio.make_scanner) as scanner:
+            got = _same_as_reference(path, chunk_bytes)
+        assert scanner.called
+        assert got[0] == "ParseError" and got[2] == 24
+
+
 class TestDuplicates:
     # Line 5 is the first record that repeats an earlier pair, though the
     # pair on lines 1 and 6 was seen first and repeats more often.
