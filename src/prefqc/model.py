@@ -404,6 +404,7 @@ class ScaledKernel:
         self.p = None
         self.rowmax = np.empty(self.sum_z.size)
         self.mu = self.support = None
+        self.sums = None
 
     def _build(self, mu: float, support: np.ndarray) -> None:
         if self.p is None:
@@ -423,9 +424,7 @@ class ScaledKernel:
         is sum over rows r of weights[j, r] times row r's posterior masses on
         the support, and fallbacks the number of rows that took `log_joint`.
         """
-        w, top = self._scaled_masses(params)
-        s = self.p @ w
-        low = s < self.fallback_below
+        w, top, s, low = self._row_sums(params)
         with np.errstate(divide="ignore"):
             per_row = self.rowmax + top + np.log(s)
         # Fallback rows get zero weight here: 1 / inf.
@@ -437,16 +436,25 @@ class ScaledKernel:
             totals += weights[:, low] @ masses
         return per_row, totals, fallbacks
 
-    def _scaled_masses(self, params: ModelParams):
-        """The prior's masses w scaled to a largest of 1, and log of that scale.
+    def _row_sums(self, params: ModelParams):
+        """(w, top, s, low) at `params`: the prior's masses w scaled to a
+        largest of 1, the log `top` of that scale, s = P @ w, and the rows
+        whose s falls below the fallback limit.
 
-        Rebuilds P first if `params` moved mu or the support.
+        Rebuilds P first if `params` moved mu or the support. Only this
+        method rebuilds P, so the last call's values stay those of P, and
+        are reused while `params` is the same (frozen) object: a Newton
+        try's `posterior_means` follows `e_step` at the same params.
         """
-        support, log_mass = prior_log_masses(params.prior, self.grid)
-        if params.mu != self.mu or not np.array_equal(support, self.support):
-            self._build(params.mu, support)
-        top = float(log_mass.max())
-        return np.exp(log_mass - top), top
+        if self.sums is None or self.sums[0] is not params:
+            support, log_mass = prior_log_masses(params.prior, self.grid)
+            if params.mu != self.mu or not np.array_equal(support, self.support):
+                self._build(params.mu, support)
+            top = float(log_mass.max())
+            w = np.exp(log_mass - top)
+            s = self.p @ w
+            self.sums = (params, w, top, s, s < self.fallback_below)
+        return self.sums[1:]
 
     def _fallback(self, params: ModelParams, low):
         """Posterior masses and log marginals of the rows `low`, by `log_joint`."""
@@ -457,11 +465,10 @@ class ScaledKernel:
         """Each row's posterior expectation at `params` of `columns` (support x C).
 
         One rows x C product over the kernel, normalised by each row's
-        s = P @ w as `e_step` forms it; rows that underflow take `log_joint`.
+        s = P @ w, which `e_step` at the same `params` has already formed;
+        rows that underflow take `log_joint`.
         """
-        w, _ = self._scaled_masses(params)
-        s = self.p @ w
-        low = s < self.fallback_below
+        w, _, s, low = self._row_sums(params)
         means = self.p @ (w[:, None] * columns)
         means /= np.where(low, np.inf, s)[:, None]
         if low.any():

@@ -1160,14 +1160,32 @@ gen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gen)
 
 
+# eval's fits at a known and a free mu, each with a rule, on a small Beta draw.
+EVAL_CELLS = [
+    {
+        "cell": f"c_{variant}",
+        "family": "beta",
+        "scenario": {
+            **tiny_scenario(m=60),
+            "prior": {"type": "beta", "alpha": 3.0, "beta": 5.0},
+        },
+        "mu_variant": variant,
+        "rule": {"type": "top_fraction", "fraction": 0.5},
+    }
+    for variant in ("known", "beta_prior")
+]
+
+
 @pytest.mark.parametrize(
     "fit_keys", [{}, {"mu_mode": "free", "max_iters": 2}], ids=["converged", "capped"]
 )
 def test_process_writes_what_main_writes(tmp_path, monkeypatch, capsys, fit_keys):
     """`python -m prefqc.cli` exits, prints and writes as main does in-process.
 
-    The process freezes the collector before it exits; main must not, and
-    no output may wait on the collection the freeze skips.
+    The process sets malloc's thresholds before the command and freezes the
+    collector before it exits; main must do neither, and no output may wait
+    on the collection the freeze skips. The commands are those the
+    benchmark runs.
     """
     spec = gen.BulkSpec("beta", (3.0, 5.0), 0.8, users=100, n_range=(10, 30), item_pool=200)
     for side in ("main", "process"):
@@ -1180,7 +1198,8 @@ def test_process_writes_what_main_writes(tmp_path, monkeypatch, capsys, fit_keys
         write_config(work / "infer.json", annotations="annotations.jsonl",
                      fit="out/fit.json", out_dir="out", eta_stars=[0.3, 0.5, 0.7],
                      rule={"type": "tail_probability", "eta_star": 0.5, "level": 0.5})
-    commands = [[command, "--config", f"{command}.json"] for command in ("fit", "infer")]
+        write_config(work / "eval.json", cells=EVAL_CELLS, seeds=[0, 1], out_dir="out")
+    commands = [[command, "--config", f"{command}.json"] for command in ("fit", "infer", "eval")]
 
     monkeypatch.chdir(tmp_path / "main")
     frozen = gc.get_freeze_count()
@@ -1203,8 +1222,9 @@ def test_process_writes_what_main_writes(tmp_path, monkeypatch, capsys, fit_keys
         as_process.append((proc.returncode, proc.stdout, proc.stderr))
     assert as_process == in_process
 
-    assert [code for code, _, _ in in_process] == [EXIT_OK, EXIT_OK]
-    fit_err, infer_err = (err for _, _, err in in_process)
+    assert [code for code, _, _ in in_process] == [EXIT_OK] * 3
+    fit_err, infer_err, eval_err = (err for _, _, err in in_process)
+    assert eval_err == ""
     if fit_keys:
         assert fit_err == "warning: EM stopped at the 2-iteration cap without converging\n"
         assert infer_err.startswith("warning: out/fit.json holds a fit that did not converge")
@@ -1212,8 +1232,119 @@ def test_process_writes_what_main_writes(tmp_path, monkeypatch, capsys, fit_keys
         assert fit_err == infer_err == ""
     written = sorted(p.name for p in (tmp_path / "main" / "out").iterdir())
     assert written == sorted(p.name for p in (tmp_path / "process" / "out").iterdir())
-    assert len(written) == 6
+    assert len(written) == 7
     for name in written:
         assert sha256(tmp_path / "main" / "out" / name) == sha256(
             tmp_path / "process" / "out" / name
         ), name
+
+
+class FakeLibc:
+    """A C library whose `mallopt` records each call in `events` and returns
+    `result`; `mallopt` is missing when `result` is None."""
+
+    def __init__(self, events, result=1):
+        if result is not None:
+
+            def mallopt(param, value):
+                events.append(("mallopt", param, value))
+                return result
+
+            self.mallopt = mallopt
+
+
+def no_libc(name):
+    raise OSError("no C library")
+
+
+class TestRun:
+    """`run()`, the process entry point, around `main`."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(cli.sys, "platform", "linux")
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        return events
+
+    def run(self, monkeypatch, events, code=EXIT_OK):
+        def fake_main():
+            events.append("main")
+            return code
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        return exit_info.value.code
+
+    def test_run_sets_the_thresholds_once_before_main(self, monkeypatch, events):
+        loads = []
+
+        def cdll(name):
+            loads.append(name)
+            return FakeLibc(events)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert self.run(monkeypatch, events) == EXIT_OK
+        assert loads == [None]
+        assert events == [
+            ("mallopt", -3, 32 << 20),  # M_MMAP_THRESHOLD
+            ("mallopt", -1, 64 << 20),  # M_TRIM_THRESHOLD
+            "main",
+            "freeze",
+        ]
+
+    def test_main_leaves_the_allocator_alone(self, monkeypatch, events, tmp_path):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: FakeLibc(events))
+        config = write_config(
+            tmp_path / "sim.json", scenario=tiny_scenario(), out_dir=str(tmp_path / "sim")
+        )
+        assert main(["simulate", "--config", config]) == EXIT_OK
+        assert events == []
+
+    @pytest.mark.parametrize(
+        "cdll",
+        [
+            no_libc,
+            lambda name: FakeLibc([], result=None),
+            lambda name: FakeLibc([], result=0),
+        ],
+        ids=["no-libc", "no-mallopt", "refused"],
+    )
+    @pytest.mark.parametrize("code", [EXIT_OK, EXIT_NUMERIC])
+    def test_run_exits_with_mains_code_whatever_the_c_library(
+        self, monkeypatch, events, cdll, code
+    ):
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert self.run(monkeypatch, events, code) == code
+        assert events == ["main", "freeze"]
+
+    def test_other_platforms_load_no_c_library(self, monkeypatch, events):
+        monkeypatch.setattr(cli.sys, "platform", "darwin")
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+        assert self.run(monkeypatch, events) == EXIT_OK
+        assert events == ["main", "freeze"]
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the thresholds are glibc's")
+def test_glibc_accepts_both_thresholds():
+    # mallopt returns 0 for a value it refuses, and run() goes on without
+    # it: a threshold above glibc's ceiling would drop the setting silently.
+    script = (
+        "import ctypes\n"
+        "from prefqc import cli\n"
+        "libc = ctypes.CDLL(None)\n"
+        "print([libc.mallopt(param, value) for param, value in cli._MALLOPTS])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=child_env(), capture_output=True,
+        text=True, check=True,
+    )
+    assert proc.stdout == "[1, 1]\n"

@@ -891,6 +891,62 @@ class TestNewtonStep:
         assert em._newton_step(on_floor, -np.abs(grad), hess, terms, 1.0) is None
 
     @pytest.mark.parametrize("mu_mode", ["fixed", "free"])
+    def test_a_newton_try_makes_three_passes_over_the_kernel(self, monkeypatch, mu_mode):
+        # Each product with the rows x nodes matrix P is a pass over it. An
+        # E-step makes two (s = P @ w and the totals), and a try's Hessian
+        # one more: its posterior means reuse the s of the E-step at the
+        # same params instead of forming it again.
+        passes = {"e_step": 0, "posterior_means": 0}
+        calls = dict.fromkeys(passes, 0)
+        counting = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                if ufunc is np.matmul:
+                    passes[counting[-1]] += 1
+                plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+                if out is not None:
+                    kwargs["out"] = tuple(
+                        x.view(np.ndarray) if isinstance(x, Counted) else x for x in out
+                    )
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        build = ScaledKernel._build
+
+        def counted_build(kernel, mu, support):
+            build(kernel, mu, support)
+            kernel.p = kernel.p.view(Counted)
+
+        def counted(name):
+            method = getattr(ScaledKernel, name)
+
+            def wrapper(kernel, *args):
+                calls[name] += 1
+                counting.append(name)
+                try:
+                    return method(kernel, *args)
+                finally:
+                    counting.pop()
+
+            return wrapper
+
+        monkeypatch.setattr(ScaledKernel, "_build", counted_build)
+        for name in passes:
+            monkeypatch.setattr(ScaledKernel, name, counted(name))
+        hists, _ = sim_histories(BetaPrior(3.0, 5.0), 0.8, 250, (50, 100), seed=1)
+        mu = 0.8 if mu_mode == "fixed" else None
+        report = em_fit(hists, EmConfig(family="beta", mu=mu, mu_mode=mu_mode))
+        assert report.converged and report.newton_steps > 0
+        assert calls["posterior_means"] >= report.newton_steps
+        assert passes == {
+            "e_step": 2 * calls["e_step"],
+            "posterior_means": calls["posterior_means"],
+        }
+        # The view changed no arithmetic: the counts are those of the real fit.
+        monkeypatch.undo()
+        assert em_fit(hists, EmConfig(family="beta", mu=mu, mu_mode=mu_mode)) == report
+
+    @pytest.mark.parametrize("mu_mode", ["fixed", "free"])
     def test_two_point_fits_take_no_newton_steps(self, mu_mode):
         hists, _ = sim_histories(TwoPointPrior(0.6, 0.4, 0.98), 0.8, 80, (20, 40), 5)
         mu = 0.8 if mu_mode == "fixed" else None
