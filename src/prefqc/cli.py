@@ -32,7 +32,7 @@ from .em import (
     em_fit,
     family_of,
 )
-from .model import ModelParams, UserHistory, histories_from_columns
+from .model import ModelParams, UserHistory, _finite, histories_from_columns
 from .numerics import SolverError
 
 # filtering and simulate are imported by the commands that run them: fit
@@ -112,63 +112,29 @@ def _em_config(cfg: dict) -> EmConfig:
     )
 
 
-# fit's numeric keys and the types they take; a JSON bool is not a number here.
-_NUMBER = ((int, float), "a number")
-_NUMERIC_KEYS = {
-    "mu": ((int, float, type(None)), "a number"),
-    "max_iters": (int, "an integer"),
-    "tol_param": _NUMBER,
-    "tol_loglik": _NUMBER,
-}
-# The numeric fields of init's prior and of a regularizer, by their "type".
-_NUMERIC_FIELDS = {
-    tag: [f.name for f in dataclasses.fields(kind)]
-    for tag, kind in [
-        *FAMILIES.items(),
-        *((tag, fio._class(name)) for tag, name in fio._REGULARIZERS.items()),
-    ]
-}
-
-
-def _check_types(obj: dict, keys: dict, where: str) -> None:
-    for key, (types, kind) in keys.items():
-        value = obj.get(key)
-        if key in obj and (isinstance(value, bool) or not isinstance(value, types)):
-            raise ConfigError(f"config key {where + key!r} must be {kind}, got {value!r}")
-
-
-def _check_fit_config(cfg: dict) -> None:
-    """Name the key, nested ones as "init.prior.alpha", of a setting of the wrong type."""
-    _check_types(cfg, _NUMERIC_KEYS, "")
-    init = cfg["init"] if isinstance(cfg.get("init"), dict) else {}
-    _check_types(init, {"mu": _NUMBER}, "init.")
-    nested = {"init.prior.": init.get("prior"), "regularizer.": cfg.get("regularizer")}
-    for where, obj in nested.items():
-        if isinstance(obj, dict):
-            fields = _NUMERIC_FIELDS.get(obj.get("type"), ())
-            _check_types(obj, dict.fromkeys(fields, _NUMBER), where)
-
-
 def _fit_once(cfg: dict, strict: bool):
-    """fit's core: load annotations, run EM, return (report, labels_flipped)."""
-    _check_fit_config(cfg)
+    """fit's core: load annotations, run EM, return (report, labels_flipped).
+
+    EM's settings are checked before the annotations are read.
+    """
     mu = cfg.get("mu")
     labels_flipped = False
     if mu is not None:
-        if mu == 0.5:
+        if _finite("mu", mu) == 0.5:
             raise ConfigError("mu = 1/2 makes every eta indistinguishable")
         if not 0.0 < mu < 1.0:
             raise ConfigError("mu must lie strictly inside (0, 1)")
         if mu < 0.5:
             labels_flipped = True
             mu = 1.0 - mu
+    em_config = _em_config({**cfg, "mu": mu})
     columns = fio.read_annotation_columns(_require(cfg, "annotations"))
     if labels_flipped:
         columns = columns.flipped()
     histories = histories_from_columns(columns)
     if not histories:
         raise ConfigError("annotations file holds no records")
-    report = em_fit(histories, _em_config({**cfg, "mu": mu}), strict=strict)
+    report = em_fit(histories, em_config, strict=strict)
     return report, labels_flipped
 
 
@@ -182,15 +148,15 @@ def _delta(fitted: ModelParams, scenario) -> float:
 
 def _cmd_fit(cfg: dict, args) -> None:
     out = _out_dir(cfg)
-    report, labels_flipped = _fit_once(cfg, args.strict)
-    delta = None
+    scenario = None
     if cfg.get("truth_scenario"):
         scenario = fio.decode_scenario(fio.read_json(cfg["truth_scenario"]))
         if family_of(scenario.prior) is None:
             raise ConfigError(
                 "truth_scenario prior is outside the fitted families; no delta defined"
             )
-        delta = _delta(report.final_params, scenario)
+    report, labels_flipped = _fit_once(cfg, args.strict)
+    delta = None if scenario is None else _delta(report.final_params, scenario)
     fio.write_fit(
         out / "fit.json", report, labels_flipped=labels_flipped, delta=delta
     )

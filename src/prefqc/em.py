@@ -40,6 +40,9 @@ from .model import (
     ScaledKernel,
     TwoPointPrior,
     UserHistory,
+    _finite,
+    _integer,
+    _real,
     log_joint_matrix,
     loglik_from_counts,
     suff_stats,
@@ -77,7 +80,7 @@ class LogPriorOnMu:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
+        if not (_finite("a", self.a) > 0.0 and _finite("b", self.b) > 0.0):
             raise ValueError("LogPriorOnMu requires a > 0 and b > 0")
 
 
@@ -89,7 +92,7 @@ class BoxOnMu:
     hi: float
 
     def __post_init__(self):
-        if not 0.5 <= self.lo < self.hi <= 1.0:
+        if not 0.5 <= _finite("lo", self.lo) < _finite("hi", self.hi) <= 1.0:
             raise ValueError("BoxOnMu requires 1/2 <= lo < hi <= 1")
 
 
@@ -191,10 +194,18 @@ class EmConfig:
     regularizer: RegularizerSpec = None
 
     def __post_init__(self):
+        if self.mu is not None:
+            _finite("mu", self.mu)
+        if not _integer(self.max_iters):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.tol_param > 0.0 and self.tol_loglik > 0.0):
-            raise ValueError("tolerances must be positive")
+        for name in ("tol_param", "tol_loglik"):
+            tol = getattr(self, name)
+            # A NaN or an infinite tolerance fails here, in the words callers match.
+            if _real(tol) and not 0.0 < tol < math.inf:
+                raise ValueError("tolerances must be positive")
+            _finite(name, tol)
         init = self.init
         if init is None:
             # A list, not the dict: a family from JSON may be unhashable.
@@ -749,15 +760,15 @@ def em_fit(
     return report
 
 
-def fit_logistic_normal_mixture(
-    eta_hats,
-    k: int,
-    *,
-    restarts: int = 5,
-    variance_floor: float = 1e-6,
-    max_iters: int = 500,
-    tol: float = 1e-10,
-) -> LogisticNormalMixturePrior:
+# fit_logistic_normal_mixture's seeded restarts, variance floor, EM
+# iteration budget and log-likelihood tolerance.
+_MIXTURE_RESTARTS = 5
+_MIXTURE_VARIANCE_FLOOR = 1e-6
+_MIXTURE_MAX_ITERS = 500
+_MIXTURE_TOL = 1e-10
+
+
+def fit_logistic_normal_mixture(eta_hats, k: int) -> LogisticNormalMixturePrior:
     """Fit a K-component Gaussian mixture to logit-transformed estimates.
 
     Plain 1-D EM with seeded restarts (best final likelihood wins) and a
@@ -786,13 +797,13 @@ def fit_logistic_normal_mixture(
 
     best_ll = -math.inf
     best = None
-    for seed in range(restarts):
+    for seed in range(_MIXTURE_RESTARTS):
         rng = np.random.default_rng(seed)
         means = rng.choice(x, size=k, replace=False)
-        var = np.full(k, max(float(np.var(x)), variance_floor))
+        var = np.full(k, max(float(np.var(x)), _MIXTURE_VARIANCE_FLOOR))
         weights = np.full(k, 1.0 / k)
         ll = -math.inf
-        for _ in range(max_iters):
+        for _ in range(_MIXTURE_MAX_ITERS):
             log_comp = (
                 np.log(weights)
                 - 0.5 * np.log(2.0 * np.pi * var)
@@ -806,9 +817,9 @@ def fit_logistic_normal_mixture(
             means = (resp.T @ x) / bulk
             var = np.maximum(
                 np.einsum("ik,ik->k", resp, (x[:, None] - means) ** 2) / bulk,
-                variance_floor,
+                _MIXTURE_VARIANCE_FLOOR,
             )
-            if new_ll - ll < tol:
+            if new_ll - ll < _MIXTURE_TOL:
                 ll = new_ll
                 break
             ll = new_ll

@@ -11,7 +11,6 @@ can be reproduced byte for byte.
 """
 
 import math
-import numbers
 from dataclasses import astuple, dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence, Union
@@ -24,6 +23,7 @@ from .model import (
     AnnotationRecord,
     ModelParams,
     UserHistory,
+    _finite,
     first_seen,
     suff_stats,
 )
@@ -56,17 +56,6 @@ class TopFraction:
     def __post_init__(self):
         if not 0.0 < _finite("fraction", self.fraction) <= 1.0:
             raise ValueError("fraction must lie in (0, 1]")
-
-
-def _finite(name: str, value) -> float:
-    """`value` as a float; a bool, a non-number or a non-finite one is rejected."""
-    if (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    ):
-        return float(value)
-    raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -262,7 +251,7 @@ def recovery_accuracy(
     if missing:
         raise MissingDecisionError(missing)
     if threshold is None:
-        if not 0.0 <= quantile <= 1.0:
+        if not 0.0 <= _finite("quantile", quantile) <= 1.0:
             raise ValueError("quantile must lie in [0, 1]")
         threshold = _quantile([eta_map[d.user_id] for d in decisions], quantile)
     truly_above = {d.user_id for d in decisions if eta_map[d.user_id] > threshold}

@@ -820,7 +820,15 @@ def write_fit(path, report: FitReport, **kwargs) -> None:
 
 
 def read_fit(path) -> dict[str, Any]:
+    """A fit.json's fields, with params decoded; its flags must be JSON bools.
+
+    infer flips labels on labels_flipped, so a string "false" would flip them.
+    """
     obj = read_json(path)
+    for key in ("labels_flipped", "converged"):
+        if key in obj and not isinstance(obj[key], bool):
+            got = json.dumps(obj[key])
+            raise ParseError(path, None, f"{key} must be a JSON bool, got {got}")
     obj["params"] = decode_params(obj["params"])
     obj["clamp_events"] = [
         ClampEvent(e["iteration"], e["parameter"], e["value"])

@@ -13,6 +13,8 @@ raw products would underflow. The E-step of both prior families
 (`ScaledKernel`) leaves it only after scaling each row by its largest term.
 """
 
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Literal, Union, get_args
 
@@ -25,6 +27,40 @@ from .numerics import QuadratureGrid, log_beta, log_sum_exp
 # admissible families (alpha, beta > 1) the true density vanishes there and
 # the distortion is far below quadrature resolution.
 ETA_DENSITY_CLIP = 1e-12
+
+
+def _real(value) -> bool:
+    """Whether `value` is a real number; bools are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    """Whether `value` is an integer; numpy integers are, bools are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _finite(name: str, value) -> float:
+    """`value` as a float; a bool, a non-number or a non-finite one is rejected.
+
+    Every dataclass that a JSON config, scenario or fit.json can build checks
+    its numbers here, so JSON's true, NaN and Infinity, and numbers written
+    as strings, stop at the field that holds them.
+    """
+    # Exact for integers too, so one beyond float range is rejected, not cast.
+    if _real(value) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _finite_entries(obj) -> None:
+    """`_finite` on each number in the tuple fields of dataclass `obj`.
+
+    An entry may itself be a pair of numbers, such as an (alpha, beta) one.
+    """
+    for name, values in vars(obj).items():
+        for value in values:
+            for x in value if isinstance(value, (tuple, list)) else (value,):
+                _finite(f"{name} entry", x)
 
 
 @dataclass(frozen=True)
@@ -184,9 +220,10 @@ class TwoPointPrior:
     eta_hi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.q1 <= 1.0:
+        if not 0.0 <= _finite("q1", self.q1) <= 1.0:
             raise ValueError("q1 must lie in [0, 1]")
-        if not 0.0 <= self.eta_lo <= self.eta_hi <= 1.0:
+        eta_lo, eta_hi = _finite("eta_lo", self.eta_lo), _finite("eta_hi", self.eta_hi)
+        if not 0.0 <= eta_lo <= eta_hi <= 1.0:
             raise ValueError("need 0 <= eta_lo <= eta_hi <= 1")
 
     @property
@@ -202,7 +239,7 @@ class BetaPrior:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 1.0 and self.beta > 1.0):
+        if not (_finite("alpha", self.alpha) > 1.0 and _finite("beta", self.beta) > 1.0):
             raise ValueError("Beta prior requires alpha > 1 and beta > 1")
 
     def log_density(self, eta) -> np.ndarray:
@@ -226,6 +263,7 @@ class LogisticNormalMixturePrior:
         k = len(self.weights)
         if k == 0 or len(self.means) != k or len(self.sigmas) != k:
             raise ValueError("weights/means/sigmas must share a positive length")
+        _finite_entries(self)
         if k > 1 and any(not 0.0 < w < 1.0 for w in self.weights):
             raise ValueError("component weights must lie in (0, 1)")
         if abs(sum(self.weights) - 1.0) > 1e-12:
@@ -273,7 +311,7 @@ class ModelParams:
                 "ModelParams takes a two-point, Beta or logistic-normal mixture "
                 f"prior, not {type(self.prior).__name__}"
             )
-        if not 0.5 < self.mu < 1.0:
+        if not 0.5 < _finite("mu", self.mu) < 1.0:
             raise ValueError("mu must lie strictly inside (1/2, 1)")
         if self.mu_mode not in ("fixed", "free"):
             raise ValueError("mu_mode must be 'fixed' or 'free'")

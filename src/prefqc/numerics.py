@@ -37,6 +37,11 @@ _LOG_SHAPE_MAX = math.log(1e8)
 _WARM_ITERS = 10
 _WARM_GAIN = 0.5
 
+# Newton solves the Beta system once both residuals are at most _BETA_TOL;
+# from the fixed-point start it fails after _BETA_MAX_ITERS steps.
+_BETA_TOL = 1e-9
+_BETA_MAX_ITERS = 200
+
 
 def _series_tail(u):
     """Bernoulli-number tail of digamma's asymptotic series at u = 1 / x^2.
@@ -238,7 +243,7 @@ def _solve_coordinate(fixed: float, rhs: float, start: float) -> float:
     return b
 
 
-def _newton(a, b, rhs1, rhs2, tol, max_iters, gain=1.0):
+def _newton(a, b, rhs1, rhs2, max_iters, gain=1.0):
     """Damped Newton in (log a, log b) from (a, b); SolverError if it fails.
 
     A trial point is accepted only inside the shape box, where digamma and
@@ -249,7 +254,7 @@ def _newton(a, b, rhs1, rhs2, tol, max_iters, gain=1.0):
     r1, r2 = _residuals(a, b, rhs1, rhs2)
     norm = max(abs(r1), abs(r2))
     it = 0
-    while norm > tol:
+    while norm > _BETA_TOL:
         if it >= max_iters:
             raise SolverError("beta system did not converge", a, b, (r1, r2))
         it += 1
@@ -287,8 +292,6 @@ def solve_beta_system(
     rhs_log_eta: float,
     rhs_log_1meta: float,
     *,
-    tol: float = 1e-9,
-    max_iters: int = 200,
     start: tuple[float, float] | None = None,
 ) -> BetaSolution:
     """Solve psi(a) - psi(a+b) = rhs1, psi(b) - psi(a+b) = rhs2 for (a, b).
@@ -310,8 +313,7 @@ def solve_beta_system(
     if start is not None and min(start) > 0.0 and _in_shape_box(*map(math.log, start)):
         a, b = float(start[0]), float(start[1])
         try:
-            warm_iters = min(max_iters, _WARM_ITERS)
-            solved = _newton(a, b, rhs_log_eta, rhs_log_1meta, tol, warm_iters, _WARM_GAIN)
+            solved = _newton(a, b, rhs_log_eta, rhs_log_1meta, _WARM_ITERS, _WARM_GAIN)
         except SolverError:
             pass  # too far from the root: restart from the fixed point
     if solved is None:
@@ -321,7 +323,7 @@ def solve_beta_system(
             psi_ab = _psi(a + b)
             a = _inv_digamma(psi_ab + rhs_log_eta)
             b = _inv_digamma(psi_ab + rhs_log_1meta)
-        solved = _newton(a, b, rhs_log_eta, rhs_log_1meta, tol, max_iters)
+        solved = _newton(a, b, rhs_log_eta, rhs_log_1meta, _BETA_MAX_ITERS)
     a, b = solved
 
     clamped = False

@@ -13,13 +13,20 @@ generated in any order, or in parallel, without changing a single bit.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .model import AnnotationColumns, AnnotationRecord, BetaPrior, TwoPointPrior
+from .model import (
+    AnnotationColumns,
+    AnnotationRecord,
+    BetaPrior,
+    TwoPointPrior,
+    _finite,
+    _finite_entries,
+    _integer,
+)
 
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -34,6 +41,7 @@ class BetaMixture:
     def __post_init__(self):
         if len(self.weights) != len(self.components) or not self.weights:
             raise ValueError("weights and components must align and be non-empty")
+        _finite_entries(self)
         if abs(sum(self.weights) - 1.0) > 1e-12 or min(self.weights) < 0.0:
             raise ValueError("weights must be non-negative and sum to 1")
         if any(a <= 0.0 or b <= 0.0 for a, b in self.components):
@@ -48,7 +56,8 @@ class LogisticNormal:
     s: float
 
     def __post_init__(self):
-        if not self.s > 0.0:
+        _finite("m", self.m)
+        if not _finite("s", self.s) > 0.0:
             raise ValueError("s must be positive")
 
 
@@ -61,6 +70,7 @@ class DiscreteMasses:
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("need at least one atom")
+        _finite_entries(self)
         if abs(sum(w for w, _ in self.atoms) - 1.0) > 1e-12:
             raise ValueError("atom weights must sum to 1")
         if any(w < 0.0 or not 0.0 <= e <= 1.0 for w, e in self.atoms):
@@ -80,17 +90,12 @@ class BetaPerItemP:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
+        if _finite("alpha", self.alpha) <= 0.0 or _finite("beta", self.beta) <= 0.0:
             raise ValueError("shapes must be positive")
 
     @property
     def mean(self) -> float:
         return self.alpha / (self.alpha + self.beta)
-
-
-def _integer(value) -> bool:
-    """Whether `value` is an integer; numpy integers are, bools are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ class SimulationScenario:
     per_item_p_model: BetaPerItemP | None = None
 
     def __post_init__(self):
-        if not 0.5 < self.mu < 1.0:
+        if not 0.5 < _finite("mu", self.mu) < 1.0:
             raise ValueError("mu must lie strictly between 1/2 and 1")
         for name in ("num_users", "seed"):
             if not _integer(getattr(self, name)):

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven through main(argv) and, where the
 process exit matters, through `python -m prefqc.cli` as a child process."""
 
+import functools
 import gc
 import hashlib
 import importlib.util
@@ -259,6 +260,8 @@ class TestFit:
         assert main(["fit", "--config", config]) == EXIT_VALIDATION
         assert "annotations" in capsys.readouterr().err
 
+    # The check that rejects a value names its field, in the words of the
+    # dataclass it builds.
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -275,8 +278,8 @@ class TestFit:
         sim = simulate_into(tmp_path)
         config, _ = fit_config(tmp_path, sim, **{key: value})
         assert main(["fit", "--config", config]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert f"config key {key!r} must be" in err and err.count("\n") == 1
+        kind = "an integer" if key == "max_iters" else "a finite real number"
+        assert capsys.readouterr().err == f"error: {key} must be {kind}, got {value!r}\n"
 
     @pytest.mark.parametrize(
         "key, extra",
@@ -313,8 +316,12 @@ class TestFit:
         sim = simulate_into(tmp_path)
         config, _ = fit_config(tmp_path, sim, **{"family": "beta", **extra})
         assert main(["fit", "--config", config]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert f"config key {key!r} must be a number" in err and err.count("\n") == 1
+        *path, field = key.split(".")
+        value = functools.reduce(dict.get, path, extra)[field]
+        if isinstance(value, list):  # a dataclass holds a JSON list as a tuple
+            value = tuple(value)
+        expected = f"error: {field} must be a finite real number, got {value!r}\n"
+        assert capsys.readouterr().err == expected
 
     def test_regularizer_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         sim = simulate_into(tmp_path)
@@ -602,6 +609,24 @@ class TestInferAndFilter:
         capsys.readouterr()
         assert main(["infer", "--config", config]) == EXIT_VALIDATION
         one_line_error(capsys, "ModelParams takes a two-point, Beta")
+        assert not (out / "decisions.csv").exists()
+
+    # infer flips every label when labels_flipped holds, so a string "false"
+    # would flip them; a flag must be a JSON bool.
+    @pytest.mark.parametrize("value", ["false", 0, None], ids=["string", "number", "null"])
+    @pytest.mark.parametrize("key", ["labels_flipped", "converged"])
+    def test_fit_flag_that_is_not_a_json_bool_exits_2(self, tmp_path, capsys, key, value):
+        sim, fit_out = self.fitted(tmp_path)
+        fit_json = fit_out / "fit.json"
+        fit_json.write_text(json.dumps({**json.loads(fit_json.read_text()), key: value}))
+        config, out = infer_config(
+            tmp_path, sim, fit_out, {"type": "top_fraction", "fraction": 0.5}
+        )
+        capsys.readouterr()
+        assert main(["infer", "--config", config]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {fit_json}: {key} must be a JSON bool, got {json.dumps(value)}\n"
+        )
         assert not (out / "decisions.csv").exists()
 
     def test_filter_with_missing_decision_fails(self, tmp_path):
@@ -1049,6 +1074,146 @@ class TestEval:
             check=False,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+# ------------------------------------------------------- numbers from outside
+
+BAD = "<bad number>"
+# Numbers that JSON can hold but no field takes, by their JSON spelling.
+BAD_NUMBERS = {"true": True, "NaN": math.nan, "Infinity": math.inf, "string": "1"}
+# Where a command reads a number from outside, with BAD in one numeric field:
+# (command, config keys, {file the config names: its JSON}, field, output).
+NUMBER_ENTRY_POINTS = {
+    "simulate_prior": (
+        "simulate",
+        {"scenario": {**tiny_scenario(), "prior": {"type": "two_point", "q1": BAD,
+                                                   "eta_lo": 0.4, "eta_hi": 0.98}}},
+        {}, "q1", "annotations.jsonl",
+    ),
+    "simulate_per_item_p": (
+        "simulate",
+        {"scenario": {**tiny_scenario(), "per_item_p_model": {"alpha": 8.0, "beta": BAD}}},
+        {}, "beta", "annotations.jsonl",
+    ),
+    "eval_cell": (
+        "eval",
+        {"cells": [{"cell": "c", "family": "beta", "mu_variant": "known",
+                    "scenario": {**tiny_scenario(), "prior": {"type": "logistic_normal",
+                                                              "m": BAD, "s": 1.0}}}]},
+        {}, "m", "sweep.csv",
+    ),
+    "fit": ("fit", {"mu": BAD}, {}, "mu", "fit.json"),
+    "fit_init": (
+        "fit",
+        {"family": "beta",
+         "init": {"prior": {"type": "beta", "alpha": BAD, "beta": 2.0}, "mu": 0.8}},
+        {}, "alpha", "fit.json",
+    ),
+    "fit_regularizer": (
+        "fit",
+        {"family": "beta", "mu": None, "mu_mode": "free",
+         "regularizer": {"type": "box_on_mu", "lo": 0.6, "hi": BAD}},
+        {}, "hi", "fit.json",
+    ),
+    "truth_scenario": (
+        "fit",
+        {"truth_scenario": "truth.json"},
+        {"truth.json": {**tiny_scenario(), "prior": {"type": "two_point", "q1": 0.6,
+                                                     "eta_lo": BAD, "eta_hi": 0.98}}},
+        "eta_lo", "fit.json",
+    ),
+    "infer_fit_params": (
+        "infer",
+        {"fit": "fit.json", "rule": {"type": "top_fraction", "fraction": 0.5}},
+        {"fit.json": {"params": {"prior": {"type": "beta", "alpha": 2.0, "beta": BAD},
+                                 "mu": 0.8}}},
+        "beta", "decisions.csv",
+    ),
+}
+# The inputs that ran to exit 0 before each dataclass checked its own
+# numbers; a scenario one is given both to simulate and as an eval cell's.
+MOTIVATING_INPUTS = {
+    "two_point_q1_true": (
+        "scenario",
+        {"prior": {"type": "two_point", "q1": True, "eta_lo": 0.4, "eta_hi": 0.98}},
+        "q1 must be a finite real number, got True",
+    ),
+    "logistic_normal_m_nan": (
+        "scenario",
+        {"prior": {"type": "logistic_normal", "m": math.nan, "s": 1.0}},
+        "m must be a finite real number, got nan",
+    ),
+    "beta_alpha_inf": (
+        "scenario",
+        {"prior": {"type": "beta", "alpha": math.inf, "beta": 5.0}},
+        "alpha must be a finite real number, got inf",
+    ),
+    "per_item_p_inf": (
+        "scenario",
+        {"per_item_p_model": {"alpha": math.inf, "beta": math.inf}},
+        "alpha must be a finite real number, got inf",
+    ),
+    "tol_param_inf": ("fit", {"tol_param": math.inf}, "tolerances must be positive"),
+    "log_prior_on_mu_a_inf": (
+        "fit",
+        {"family": "beta", "mu": None, "mu_mode": "free",
+         "regularizer": {"type": "log_prior_on_mu", "a": math.inf, "b": 2.0}},
+        "a must be a finite real number, got inf",
+    ),
+}
+OUTPUTS = {"simulate": "annotations.jsonl", "eval": "sweep.csv", "fit": "fit.json"}
+
+
+def with_bad(obj, bad):
+    """JSON `obj` with BAD, wherever it stands, replaced by `bad`."""
+    if isinstance(obj, dict):
+        return {key: with_bad(value, bad) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [with_bad(value, bad) for value in obj]
+    return bad if obj == BAD else obj
+
+
+def bad_number_cases():
+    """(command, config keys, files, message, output) per entry point and input."""
+    for entry, (command, keys, files, field, output) in NUMBER_ENTRY_POINTS.items():
+        for spelling, bad in BAD_NUMBERS.items():
+            message = f"{field} must be a finite real number, got {bad!r}"
+            yield pytest.param(
+                command, with_bad(keys, bad), with_bad(files, bad), message, output,
+                id=f"{entry}-{spelling}",
+            )
+    for name, (kind, fields, message) in MOTIVATING_INPUTS.items():
+        if kind == "fit":
+            yield pytest.param("fit", fields, {}, message, "fit.json", id=f"fit-{name}")
+            continue
+        scenario = {**tiny_scenario(), **fields}
+        cell = {"cell": "c", "family": "beta", "mu_variant": "known", "scenario": scenario}
+        for command, keys in (("simulate", {"scenario": scenario}), ("eval", {"cells": [cell]})):
+            yield pytest.param(
+                command, keys, {}, message, OUTPUTS[command], id=f"{command}-{name}"
+            )
+
+
+@pytest.mark.parametrize("command, keys, files, message, output", bad_number_cases())
+def test_bad_number_exits_2_naming_its_field(
+    tmp_path, monkeypatch, capsys, command, keys, files, message, output
+):
+    """Every command checks a number from outside before it writes a file."""
+    monkeypatch.chdir(tmp_path)
+    simulate_into(tmp_path)
+    for name, obj in files.items():
+        Path(name).write_text(json.dumps(obj))
+    base = {
+        "simulate": {},
+        "eval": {"seeds": [1]},
+        "fit": {"annotations": "sim/annotations.jsonl", "family": "two_point", "mu": 0.8},
+        "infer": {"annotations": "sim/annotations.jsonl"},
+    }[command]
+    config = write_config(tmp_path / "config.json", **{**base, **keys, "out_dir": "out"})
+    capsys.readouterr()
+    assert main([command, "--config", config]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / output).exists()
 
 
 class TestParser:

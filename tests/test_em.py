@@ -656,6 +656,32 @@ class TestEmFit:
         # The default mode cannot be told apart from an explicit "fixed": init wins.
         assert EmConfig(init=free, mu=0.6, mu_mode="fixed").init.mu_mode == "free"
 
+    # Numbers that JSON can hold but no field takes: true, NaN, Infinity, a string.
+    @pytest.mark.parametrize("bad", [True, math.nan, math.inf, "1"], ids=repr)
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("mu", lambda x: EmConfig(family="beta", mu=x)),
+            ("max_iters", lambda x: EmConfig(family="beta", mu=0.8, max_iters=x)),
+            ("tol_param", lambda x: EmConfig(family="beta", mu=0.8, tol_param=x)),
+            ("tol_loglik", lambda x: EmConfig(family="beta", mu=0.8, tol_loglik=x)),
+            ("a", lambda x: LogPriorOnMu(x, 2.0)),
+            ("b", lambda x: LogPriorOnMu(8.0, x)),
+            ("lo", lambda x: BoxOnMu(x, 0.9)),
+            ("hi", lambda x: BoxOnMu(0.6, x)),
+        ],
+    )
+    def test_a_number_that_is_not_finite_is_named(self, name, build, bad):
+        if name == "max_iters":
+            expected = f"max_iters must be an integer, got {bad!r}"
+        elif name.startswith("tol_") and isinstance(bad, float):
+            expected = "tolerances must be positive"  # as for a negative one
+        else:
+            expected = f"{name} must be a finite real number, got {bad!r}"
+        with pytest.raises(ValueError) as info:
+            build(bad)
+        assert str(info.value) == expected
+
     def test_family_of_names_each_start_and_nothing_else(self):
         for name, start in em.FAMILIES.items():
             assert em.family_of(start) == name

@@ -36,6 +36,9 @@ OBSERVED_MIX = -5.387568514470521
 
 labels_strategy = st.lists(st.integers(min_value=0, max_value=1), max_size=60)
 
+# Numbers that JSON can hold but no field takes: true, NaN, Infinity, a string.
+BAD_NUMBERS = [True, math.nan, math.inf, "1"]
+
 
 class TestResponseProb:
     def test_worked_values(self):
@@ -279,6 +282,26 @@ class TestPriors:
         assert grid.integrate(np.exp(prior.log_density(grid.nodes))) == pytest.approx(
             1.0, abs=1e-3
         )
+
+    @pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("q1", lambda x: TwoPointPrior(x, 0.2, 0.8)),
+            ("eta_lo", lambda x: TwoPointPrior(0.5, x, 0.8)),
+            ("eta_hi", lambda x: TwoPointPrior(0.5, 0.2, x)),
+            ("alpha", lambda x: BetaPrior(x, 2.0)),
+            ("beta", lambda x: BetaPrior(2.0, x)),
+            ("weights entry", lambda x: LogisticNormalMixturePrior((0.4, x), (0, 1), (1, 1))),
+            ("means entry", lambda x: LogisticNormalMixturePrior((0.4, 0.6), (0, x), (1, 1))),
+            ("sigmas entry", lambda x: LogisticNormalMixturePrior((0.4, 0.6), (0, 1), (x, 1))),
+            ("mu", lambda x: ModelParams(BetaPrior(2.0, 2.0), x)),
+        ],
+    )
+    def test_a_number_that_is_not_finite_is_named(self, name, build, bad):
+        with pytest.raises(ValueError) as info:
+            build(bad)
+        assert str(info.value) == f"{name} must be a finite real number, got {bad!r}"
 
     def test_params_mu_domain(self):
         prior = BetaPrior(2.0, 2.0)

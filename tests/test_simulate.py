@@ -75,6 +75,28 @@ class TestTruePriorSpecs:
             BetaPerItemP(0.0, 2.0)
 
 
+    # Numbers that JSON can hold but no field takes: true, NaN, Infinity, a string.
+    @pytest.mark.parametrize("bad", [True, math.nan, math.inf, "1"], ids=repr)
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("weights entry", lambda x: BetaMixture((0.5, x), ((2, 2), (3, 3)))),
+            ("components entry", lambda x: BetaMixture((0.5, 0.5), ((2, 2), (3, x)))),
+            ("m", lambda x: LogisticNormal(x, 1.0)),
+            ("s", lambda x: LogisticNormal(0.0, x)),
+            ("atoms entry", lambda x: DiscreteMasses(((0.5, 0.2), (x, 0.9)))),
+            ("atoms entry", lambda x: DiscreteMasses(((0.5, 0.2), (0.5, x)))),
+            ("alpha", lambda x: BetaPerItemP(x, 2.0)),
+            ("beta", lambda x: BetaPerItemP(8.0, x)),
+            ("mu", lambda x: SimulationScenario(BetaPrior(3, 5), x, 5, (3, 3))),
+        ],
+    )
+    def test_a_number_that_is_not_finite_is_named(self, name, build, bad):
+        with pytest.raises(ValueError) as info:
+            build(bad)
+        assert str(info.value) == f"{name} must be a finite real number, got {bad!r}"
+
+
 class TestScenarioValidation:
     def prior(self):
         return BetaPrior(3.0, 5.0)

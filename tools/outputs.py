@@ -1,0 +1,140 @@
+"""Run a fixed prefqc command set on one source tree and keep every output.
+
+Usage:
+    python tools/outputs.py SRC OUT
+
+Each command runs as a child process, `python -m prefqc.cli COMMAND --config
+CONFIG`, with PYTHONPATH=SRC and its case directory under OUT as the working
+directory. Configs name files relative to that directory, so no output holds
+OUT's own path. The set:
+
+- `fit`, `infer` and `filter` on the `bench/gen.py` inputs of the `beta_bulk`
+  and `twopoint_long` workloads at seeds 1-3, with the specs, rules and
+  eta_stars of `bench/run.py`'s WORKLOADS (case `<workload>_<seed>`; filter
+  replays infer's decisions into `filter/`);
+- `eval` over the `eval_mu_effect` cells, one run per seed 1-3 (case
+  `eval_<seed>`);
+- `simulate` on every preset that SRC lists (case `simulate_<preset>`).
+
+Beside a command's output files its case directory holds COMMAND_config.json,
+COMMAND.exit (the exit code), COMMAND.stdout and COMMAND.stderr. To check that
+two trees write the same bytes, run this on each and then
+`python tools/outdiff.py OUT_A OUT_B`.
+
+Exits 0 when every command exited 0, 1 when one did not, and 2 on bad
+arguments.
+"""
+
+import functools
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+
+
+@dataclass(frozen=True)
+class Command:
+    case: str  # the directory under OUT it runs in
+    name: str  # the prefqc subcommand
+    config: dict  # paths relative to the case directory
+    make_input: Callable[[Path], object] | None = None  # writes annotations.jsonl
+
+
+def _bench_run():
+    """bench/run.py as a module; it puts bench/ on sys.path for bench/gen.py."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _python(src: Path, cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def presets(src: Path) -> list[str]:
+    """The simulate presets that the prefqc of `src` lists."""
+    code = "import prefqc; print('\\n'.join(prefqc.list_presets()))"
+    done = _python(src, ROOT, "-c", code)
+    if done.returncode != 0:
+        raise RuntimeError(f"listing presets failed: {done.stderr.strip()}")
+    return done.stdout.split()
+
+
+def command_set(src: Path) -> list[Command]:
+    bench = _bench_run()
+    commands = []
+    for name in ("beta_bulk", "twopoint_long"):
+        wl = bench.WORKLOADS[name]
+        for seed in SEEDS:
+            case = f"{name}_{seed}"
+            infer = {"annotations": "annotations.jsonl", "fit": "fit.json",
+                     "out_dir": ".", "rule": wl.rule}
+            if wl.eta_stars:
+                infer["eta_stars"] = wl.eta_stars
+            commands += [
+                Command(case, "fit", {"annotations": "annotations.jsonl", "out_dir": ".",
+                                      "family": wl.family, "mu": wl.spec.mu,
+                                      "mu_mode": "fixed"},
+                        functools.partial(bench.generate, wl.spec, seed)),
+                Command(case, "infer", infer),
+                Command(case, "filter", {"annotations": "annotations.jsonl",
+                                         "decisions": "decisions.csv",
+                                         "out_dir": "filter"}),
+            ]
+    cells = bench.WORKLOADS["eval_mu_effect"].cells
+    commands += [
+        Command(f"eval_{seed}", "eval", {"cells": cells, "seeds": [seed], "out_dir": "."})
+        for seed in SEEDS
+    ]
+    commands += [
+        Command(f"simulate_{preset}", "simulate", {"preset": preset, "out_dir": "."})
+        for preset in presets(src)
+    ]
+    return commands
+
+
+def run(src: Path, out: Path, commands: list[Command]) -> int:
+    """Run `commands` in order; the number that exited nonzero."""
+    failed = 0
+    for cmd in commands:
+        cwd = out / cmd.case
+        cwd.mkdir(parents=True, exist_ok=True)
+        if cmd.make_input is not None:
+            cmd.make_input(cwd / "annotations.jsonl")
+        config = cwd / f"{cmd.name}_config.json"
+        config.write_text(json.dumps(cmd.config, indent=2) + "\n", encoding="utf-8")
+        done = _python(src, cwd, "-m", "prefqc.cli", cmd.name, "--config", config.name)
+        (cwd / f"{cmd.name}.exit").write_text(f"{done.returncode}\n")
+        (cwd / f"{cmd.name}.stdout").write_text(done.stdout)
+        (cwd / f"{cmd.name}.stderr").write_text(done.stderr)
+        failed += done.returncode != 0
+        print(f"{cmd.case} {cmd.name}: exit {done.returncode}", flush=True)
+    return failed
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    src, out = (Path(a).resolve() for a in argv)
+    if not (src / "prefqc").is_dir():
+        print(f"error: {src} holds no prefqc package", file=sys.stderr)
+        return 2
+    failed = run(src, out, command_set(src))
+    print(f"{failed} commands exited nonzero" if failed else "every command exited 0")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
