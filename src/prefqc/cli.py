@@ -32,7 +32,7 @@ from .em import (
     em_fit,
     family_of,
 )
-from .model import ModelParams, UserHistory, _finite, histories_from_columns
+from .model import ModelParams, UserHistory, _finite, histories_from_columns, user_counts
 from .numerics import SolverError
 
 # filtering and simulate are imported by the commands that run them: fit
@@ -75,7 +75,7 @@ def _resolve_scenario(cfg: dict, seed_override: int | None):
     if "preset" in cfg:
         scenario = scenario_preset(cfg["preset"])
     else:
-        scenario = fio.decode_scenario(cfg["scenario"])
+        scenario = fio.decode_scenario(cfg["scenario"], "scenario")
     if seed_override is not None:
         scenario = dataclasses.replace(scenario, seed=seed_override)
     return scenario
@@ -107,8 +107,8 @@ def _em_config(cfg: dict) -> EmConfig:
     init = cfg.get("init")
     return EmConfig(
         **{key: cfg[key] for key in _EM_KEYS if key in cfg},
-        init=None if init is None else fio.decode_params(init),
-        regularizer=fio.decode_regularizer(cfg.get("regularizer")),
+        init=None if init is None else fio.decode_params(init, "init"),
+        regularizer=fio.decode_regularizer(cfg.get("regularizer"), "regularizer"),
     )
 
 
@@ -186,7 +186,7 @@ def _default_eta_stars(cfg: dict, rule) -> list[float]:
 
 
 def _cmd_infer(cfg: dict, args) -> None:
-    from .filtering import filter_mask, select_users, summarize_histories
+    from .filtering import user_rows
 
     out = _out_dir(cfg)
     fit = fio.read_fit(_require(cfg, "fit"))
@@ -198,21 +198,22 @@ def _cmd_infer(cfg: dict, args) -> None:
             file=sys.stderr,
         )
     columns = fio.read_annotation_columns(_require(cfg, "annotations"))
-    histories = histories_from_columns(
-        columns.flipped() if fit.get("labels_flipped") else columns
-    )
-    rule = fio.decode_rule(_require(cfg, "rule"))
-    summaries = summarize_histories(
-        histories, params, eta_stars=_default_eta_stars(cfg, rule)
-    )
-    decisions = select_users(summaries, rule)
-    kept = columns.take(filter_mask(columns, decisions))
-    fio.write_posteriors(out / "posteriors.csv", summaries)
-    fio.write_decisions(out / "decisions.csv", decisions)
+    codes, sum_z, n = user_counts(columns.flipped() if fit.get("labels_flipped") else columns)
+    rule = fio.decode_rule(_require(cfg, "rule"), "rule")
+    # Summaries, selection and both reports are made once per (sum_z, n) row.
+    user_ids = [columns.user_ids[c] for c in codes.tolist()]
+    stars = _default_eta_stars(cfg, rule)
+    rows = user_rows(user_ids, sum_z, n, params, eta_stars=stars)
+    keep, scores = rows.select(rule)
+    attentive = np.zeros(len(columns.user_ids), dtype=bool)
+    attentive[codes] = keep
+    kept = columns.take(attentive[columns.users])
+    rows.write_posteriors(out / "posteriors.csv")
+    rows.write_decisions(out / "decisions.csv", rule, keep, scores)
     fio.write_annotation_columns(out / "filtered.jsonl", kept)
     fio.write_pair_columns(out / "pairs.jsonl", kept)
     print(
-        f"infer: kept {np.count_nonzero(np.bincount(kept.users))}/{len(histories)} users, "
+        f"infer: kept {np.count_nonzero(np.bincount(kept.users))}/{len(codes)} users, "
         f"{len(kept)}/{len(columns)} records -> {out}"
     )
 
@@ -257,6 +258,7 @@ _BETA_DEFAULT_MEDIAN = 0.3641160864480825
 
 
 def _eval_cells(cfg: dict) -> list[dict]:
+    from .filtering import check_quantile
     from .simulate import ERROR_SWEEP_CELLS, scenario_preset
 
     if "cells" in cfg:
@@ -277,6 +279,9 @@ def _eval_cells(cfg: dict) -> list[dict]:
                         f"eval cell {i} {key!r} must be a JSON string, "
                         f"got {json.dumps(cell[key])}"
                     )
+            if cell.get("rule") is not None:
+                fio.decode_rule(cell["rule"], f"cells[{i}].rule")
+            fio.located(f"cells[{i}]", check_quantile, quantile=cell.get("quantile", 0.5))
         return cells
     preset = cfg.get("preset")
     if preset == "table3_grid":
@@ -371,7 +376,8 @@ def _run_eval_dataset(
     cells, each run once; cells that differ only in rule or quantile share
     one fit, and each keeps its own scoring. A failed draw fails every
     member, a failed fit (an unknown mu_variant too) every member that
-    shares it, and a failed rule only its own cell. eval reads only each
+    shares it, and a failed scoring (no true eta above the cut) only its own
+    cell; `_eval_cells` has checked each rule and quantile. eval reads only each
     user's (sum_z, n) and true eta, so no record columns or item ids are
     built.
     """
@@ -439,7 +445,10 @@ def _cmd_eval(cfg: dict, args) -> None:
             raise ConfigError(f"eval seeds repeat {seed}")
     # Every cell is checked, then its scenario decoded, before any draw.
     cells = _eval_cells(cfg)
-    scenarios = [fio.decode_scenario(cell["scenario"]) for cell in cells]
+    scenarios = [
+        fio.decode_scenario(cell["scenario"], f"cells[{i}].scenario")
+        for i, cell in enumerate(cells)
+    ]
     by_seed: list[dict[int, dict]] = [{} for _ in cells]
     # One dataset's histories are alive at a time.
     for seeded, members in _eval_datasets(cells, scenarios, seeds).values():

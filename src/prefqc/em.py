@@ -250,36 +250,39 @@ class PosteriorRows:
         # One dot per row: a matrix-vector product sums in another order.
         return np.array([np.dot(row, s) for row in m])
 
-    def tail(self, eta_star: float) -> np.ndarray:
-        """P(eta >= eta_star) per row.
+    def tail(self, eta_stars: Sequence[float]) -> np.ndarray:
+        """P(eta >= eta_star) per row (axis 0) and entry of `eta_stars` (axis 1).
 
         A step function over two atoms. For grid rows, the integral from
-        eta_star up of the density's piecewise-linear interpolant: its
-        trapezoid segments, the one that eta_star cuts starting at eta_star,
-        summed from the top node down. A non-finite eta_star is rejected.
+        eta_star up of the density's piecewise-linear interpolant: the
+        trapezoid segments above eta_star summed from the top node down, then
+        the one that eta_star cuts, from eta_star up. One top-down cumulative
+        sum, from the lowest star's segment, serves every star.
         """
-        if not math.isfinite(eta_star):
-            raise ValueError(f"eta_star must be finite, got {eta_star!r}")
         x, f = self.support, self.density
         if f is None:
-            return np.where(eta_star <= x, self.masses, 0.0).sum(axis=1)
-        if eta_star >= 1.0:
-            return np.zeros(len(f))
-        i = max(int(np.searchsorted(x, eta_star, side="right")) - 1, 0)
-        tails = np.empty(len(f))
+            over = [np.where(s <= x, self.masses, 0.0).sum(axis=1) for s in eta_stars]
+            return np.reshape(over, (len(eta_stars), len(self.masses))).T
+        tails = np.zeros((len(f), len(eta_stars)))
+        # (column, star, the segment it cuts) of each star below the top node.
+        cuts = [(k, s, max(int(np.searchsorted(x, s, "right")) - 1, 0))
+                for k, s in enumerate(eta_stars) if s < 1.0]
+        lo = min((i for *_, i in cuts), default=len(x) - 1)
         # Blocks of 64 rows keep the segment matrix near half a megabyte; a
-        # whole-table one per star stays in the heap and raises peak RSS.
-        for r in range(0, len(f), 64):
-            b = f[r : r + 64]
-            seg = b[:, i:-1] + b[:, i + 1 :]
-            seg *= 0.5 * np.diff(x[i:])
-            if eta_star > 0.0:
-                t = (eta_star - x[i]) / (x[i + 1] - x[i])
-                f_star = b[:, i] + t * (b[:, i + 1] - b[:, i])
-                seg[:, 0] = 0.5 * (x[i + 1] - eta_star) * (f_star + b[:, i + 1])
-            top_down = seg[:, ::-1]
-            np.cumsum(top_down, axis=1, out=top_down)
-            tails[r : r + 64] = seg[:, 0]
+        # whole-table one stays in the heap and raises peak RSS. cum[:, j - lo]
+        # sums the segments from node j up, top down; its last column is 0.
+        block = np.zeros((min(len(f), 64), len(x) - lo))
+        for r in range(0, len(f) if cuts else 0, 64):
+            b, cum = f[r : r + 64], block[: len(f) - r]
+            np.add(b[:, lo:-1], b[:, lo + 1 :], out=cum[:, :-1])
+            cum[:, :-1] *= 0.5 * np.diff(x[lo:])
+            np.cumsum(cum[:, ::-1], axis=1, out=cum[:, ::-1])
+            for k, s, i in cuts:
+                tails[r : r + 64, k] = cum[:, 0]
+                if s > 0.0:
+                    f_star = b[:, i] + (s - x[i]) / (x[i + 1] - x[i]) * (b[:, i + 1] - b[:, i])
+                    partial = 0.5 * (x[i + 1] - s) * (f_star + b[:, i + 1])
+                    tails[r : r + 64, k] = cum[:, i + 1 - lo] + partial
         return tails
 
 

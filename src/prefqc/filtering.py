@@ -2,21 +2,30 @@
 
 Given a fitted model, the users' posteriors over eta form one row table
 (`em.PosteriorRows`) with a row per distinct sufficient statistic
-(sum_z, n). Its MAP, mean and tails are evaluated once per row, as arrays,
-and spread to the users that share the row; a selection rule turns them
-into keep/drop decisions; filtering a dataset keeps the records of
+(sum_z, n). Its MAP, mean and tails are evaluated once per row, as arrays
+(`UserRows`); a selection rule turns each row's scores into keep/drop
+decisions, and `posteriors.csv` and `decisions.csv` are formatted once per
+row, each user's line joined from its id and its row's text. `infer` runs
+on the rows alone. The per-user objects (`PosteriorSummary`,
+`FilterDecision`) and their functions are adapters over the same code, with
+each object a row of its own. Filtering a dataset keeps the records of
 attentive users in their original order. Everything here is a pure
 transformation, deterministic down to tie-breaking, so a filtered dataset
 can be reproduced byte for byte.
 """
 
+import csv
+import io as stdio
+import json
 import math
+import re
 from dataclasses import astuple, dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import io as fio
 from .em import PosteriorRows, family_of, posterior_rows
 from .model import (
     AnnotationColumns,
@@ -25,7 +34,7 @@ from .model import (
     UserHistory,
     _finite,
     first_seen,
-    suff_stats,
+    unique_rows,
 )
 from .numerics import QuadratureGrid
 
@@ -116,6 +125,121 @@ class MissingDecisionError(ValueError):
         super().__init__(f"no decision for user(s): {preview}{more}")
 
 
+@dataclass(frozen=True, eq=False)
+class UserRows:
+    """Posterior digests of users that share (sum_z, n) rows, one per row.
+
+    User k is `user_ids[k]` and has row `inverse[k]`. A row holds its label
+    count `n_labels`, its `map_eta` and `mean_eta`, and in `tails` one
+    column per entry of `eta_stars`; `table` holds the rows' posteriors, or
+    is None for rows read off summaries.
+    """
+
+    user_ids: Sequence[str]
+    inverse: np.ndarray
+    n_labels: Sequence[int]
+    map_eta: np.ndarray
+    mean_eta: np.ndarray
+    eta_stars: tuple[float, ...]
+    tails: np.ndarray
+    table: PosteriorRows | None = None
+
+    @classmethod
+    def of_summaries(cls, summaries: Sequence[PosteriorSummary]) -> "UserRows":
+        """Each summary as a row of its own; all must hold the same eta_stars."""
+        if not summaries:
+            raise ValueError("no summaries to write")
+        stars = [s for s, _ in summaries[0].tail_probs]
+        for summary in summaries:
+            if [s for s, _ in summary.tail_probs] != stars:
+                raise ValueError("summaries disagree on evaluated tail points")
+        tails = [[p for _, p in s.tail_probs] for s in summaries]
+        return cls(
+            [s.user_id for s in summaries],
+            np.arange(len(summaries)),
+            [s.n_labels for s in summaries],
+            np.array([s.map_eta for s in summaries], dtype=float),
+            np.array([s.mean_eta for s in summaries], dtype=float),
+            tuple(map(float, stars)),
+            np.array(tails, dtype=float).reshape(len(summaries), len(stars)),
+        )
+
+    def scores(self, rule: SelectionRule) -> np.ndarray:
+        """Each row's score under `rule`: its tail at a tail rule's eta_star,
+        read from `tails` when evaluated there, else its MAP."""
+        if not isinstance(rule, TailProbability):
+            return self.map_eta
+        if rule.eta_star in self.eta_stars:
+            return self.tails[:, self.eta_stars.index(rule.eta_star)]
+        return self.table.tail([rule.eta_star])[:, 0]
+
+    def select(self, rule: SelectionRule) -> tuple[np.ndarray, np.ndarray]:
+        """(keep, scores): each user's decision and each row's score."""
+        scores = self.scores(rule)
+        keep = keep_users(
+            rule, self.map_eta, self.mean_eta, scores, self.inverse, self.user_ids
+        )
+        return keep, scores
+
+    def write_decisions(self, path, rule: SelectionRule, keep, scores) -> None:
+        """decisions.csv of `select`'s result."""
+        write_decision_rows(
+            path, self.user_ids, keep.tolist(), repeat(rule), scores.tolist(), self.inverse
+        )
+
+    def write_posteriors(self, path) -> None:
+        """posteriors.csv: each user's id, then its row's label count, MAP,
+        mean and tails."""
+        header = ["user_id", "n_labels", "map_eta", "mean_eta"]
+        header += [f"tail_{s!r}" for s in self.eta_stars]
+        texts = [
+            f",{n},{m!r},{e!r}" + "".join([f",{p!r}" for p in t]) + "\n"
+            for n, m, e, t in zip(
+                self.n_labels,
+                self.map_eta.tolist(),
+                self.mean_eta.tolist(),
+                self.tails.tolist(),
+            )
+        ]
+        ids = _csv_fields(self.user_ids)
+        _write_lines(path, header, ids, _spread(texts, self.inverse))
+
+
+def user_rows(
+    user_ids: Sequence[str],
+    sum_z: np.ndarray,
+    n: np.ndarray,
+    params: ModelParams,
+    grid: QuadratureGrid | None = None,
+    eta_stars: Iterable[float] = (),
+) -> UserRows:
+    """The users' posterior digests, one per distinct (sum_z, n) row.
+
+    `sum_z` and `n` are integer arrays, one entry per user. Two-point priors
+    get the exact two-mass posterior; continuous priors a grid posterior
+    (default 1025-node trapezoid grid). The MAP, mean and every tail are
+    evaluated once over the table of `posterior_rows`. Every `eta_stars`
+    entry must be a finite real number, and no two equal.
+    """
+    grid = grid if grid is not None else QuadratureGrid.uniform()
+    stars = [_finite("eta_stars entry", s) for s in eta_stars]
+    for k, s in enumerate(stars):
+        if s in stars[:k]:
+            raise ValueError(f"eta_stars repeats {s!r}")
+    sum_z_u, n_u, _, inverse = unique_rows(sum_z, n)
+    table = posterior_rows(sum_z_u, n_u, params, grid)
+    return UserRows(
+        user_ids,
+        inverse,
+        n_u.astype(np.int64).tolist(),
+        table.map_eta(),
+        table.mean_eta(),
+        tuple(stars),
+        table.tail(stars),
+        table,
+    )
+
+
 def summarize_histories(
     histories: Sequence[UserHistory],
     params: ModelParams,
@@ -124,28 +248,22 @@ def summarize_histories(
 ) -> list[PosteriorSummary]:
     """Posterior digests of many users under fitted parameters, input order.
 
-    Two-point priors get the exact two-mass posterior; continuous priors a
-    grid posterior (default 1025-node trapezoid grid). `posterior_rows`
-    gives one table of the distinct (sum_z, n) rows; its MAP, mean and each
-    tail are evaluated once over the table and spread to the users of each
-    row. Every summary holds that table and its user's row in it. Every
-    `eta_stars` entry must be a finite real number, and no two equal.
+    The digests of `user_rows`, spread to one summary per history: every
+    summary holds the one row table and its user's row in it.
     """
-    grid = grid if grid is not None else QuadratureGrid.uniform()
-    stars = [_finite("eta_stars entry", s) for s in eta_stars]
-    for k, s in enumerate(stars):
-        if s in stars[:k]:
-            raise ValueError(f"eta_stars repeats {s!r}")
-    sum_z_u, n_u, _, inverse = suff_stats(histories)
-    table = posterior_rows(sum_z_u, n_u, params, grid)
-    maps, means = table.map_eta().tolist(), table.mean_eta().tolist()
-    # One tuple of (eta_star, tail) pairs per row.
-    tails = zip(*[[(s, p) for p in table.tail(s).tolist()] for s in stars])
-    tails = tails if stars else [()] * len(maps)
-    rows = list(zip(maps, means, tails))
+    rows = user_rows(
+        [h.user_id for h in histories],
+        np.array([h.sum_z for h in histories], dtype=np.int64),
+        np.array([h.n for h in histories], dtype=np.int64),
+        params,
+        grid,
+        eta_stars,
+    )
+    tails = [tuple(zip(rows.eta_stars, t)) for t in rows.tails.tolist()]
+    digests = list(zip(rows.map_eta.tolist(), rows.mean_eta.tolist(), tails))
     return [
-        PosteriorSummary(h.user_id, h.n, *rows[r], table, r)
-        for h, r in zip(histories, inverse.tolist())
+        PosteriorSummary(h.user_id, h.n, *digests[r], rows.table, r)
+        for h, r in zip(histories, rows.inverse.tolist())
     ]
 
 
@@ -159,44 +277,156 @@ def summarize_posterior(
     return summarize_histories([history], params, grid, eta_stars)[0]
 
 
+def keep_users(
+    rule: SelectionRule,
+    map_eta: np.ndarray,
+    mean_eta: np.ndarray,
+    scores: np.ndarray,
+    inverse: np.ndarray,
+    user_ids: Sequence[str],
+) -> np.ndarray:
+    """Each user's decision under `rule`, from the MAP, mean and score of its row.
+
+    User k has row `inverse[k]`. A threshold or tail rule compares each
+    row's score with its cut. `TopFraction` keeps the first ceil(fraction *
+    users) users ranked by (-MAP, -mean, user_id); only the users of the
+    rows whose (MAP, mean) straddles the cut are sorted by id.
+    """
+    if not len(inverse):  # infer's message for an empty input too
+        raise ValueError("select_users needs at least one summary")
+    if isinstance(rule, Threshold):
+        return (scores >= rule.value)[inverse]
+    if isinstance(rule, TailProbability):
+        return (scores >= rule.level)[inverse]
+    if not isinstance(rule, TopFraction):
+        raise TypeError(f"unknown selection rule {rule!r}")
+    keep_count = math.ceil(rule.fraction * len(inverse))
+    order = np.lexsort((-mean_eta, -map_eta))  # best row first; stable
+    maps, means = map_eta[order], mean_eta[order]
+    # Tied rows (equal MAP and mean) form one group, ranked by user id.
+    new = (maps[1:] != maps[:-1]) | (means[1:] != means[:-1])
+    starts = np.flatnonzero(np.r_[True, new])
+    users = np.bincount(inverse, minlength=len(order))[order]
+    ends = np.cumsum(np.add.reduceat(users, starts))
+    cut = int(np.searchsorted(ends, keep_count, side="right"))  # the group at the cut
+    bounds = np.r_[starts, len(order)]
+    keep_row = np.zeros(len(order), dtype=bool)
+    keep_row[order[: bounds[cut]]] = True
+    keep = keep_row[inverse]
+    before = int(ends[cut - 1]) if cut else 0
+    if keep_count > before:
+        tied = np.flatnonzero(np.isin(inverse, order[bounds[cut] : bounds[cut + 1]]))
+        ranked = sorted(tied.tolist(), key=user_ids.__getitem__)
+        keep[ranked[: keep_count - before]] = True
+    return keep
+
+
 def select_users(
     summaries: Sequence[PosteriorSummary], rule: SelectionRule
 ) -> list[FilterDecision]:
     """Apply a selection rule; one decision per summary, input order kept.
 
-    A tail rule reads its tail from each summary's `tail_probs` when it
-    holds the rule's eta_star; otherwise it evaluates the tail once per
-    distinct row table (one for a `summarize_histories` result) and reads
-    each summary's row.
+    Each summary is a row of its own in `keep_users`. A tail rule reads its
+    tail from each summary's `tail_probs` when it holds the rule's eta_star;
+    otherwise it evaluates the tail once per distinct row table (one for a
+    `summarize_histories` result) and reads each summary's row.
     """
     if not summaries:
         raise ValueError("select_users needs at least one summary")
     scores = [s.map_eta for s in summaries]
-    if isinstance(rule, TopFraction):
-        keep_count = math.ceil(rule.fraction * len(summaries))
-        ranked = sorted(
-            summaries, key=lambda s: (-s.map_eta, -s.mean_eta, s.user_id)
-        )
-        kept = {s.user_id for s in ranked[:keep_count]}
-        keep = [s.user_id in kept for s in summaries]
-    elif isinstance(rule, Threshold):
-        keep = [score >= rule.value for score in scores]
-    elif isinstance(rule, TailProbability):
+    if isinstance(rule, TailProbability):
         # A tail that summarize_histories evaluated is read, not recomputed.
         scores = [dict(s.tail_probs).get(rule.eta_star) for s in summaries]
         tables = {id(s.table): s.table for s, p in zip(summaries, scores) if p is None}
-        tails = {key: t.tail(rule.eta_star).tolist() for key, t in tables.items()}
+        tails = {key: t.tail([rule.eta_star])[:, 0].tolist() for key, t in tables.items()}
         scores = [
             tails[id(s.table)][s.row] if p is None else p
             for s, p in zip(summaries, scores)
         ]
-        keep = [score >= rule.level for score in scores]
-    else:
-        raise TypeError(f"unknown selection rule {rule!r}")
+    user_ids = [s.user_id for s in summaries]
+    keep = keep_users(
+        rule,
+        np.array([s.map_eta for s in summaries], dtype=float),
+        np.array([s.mean_eta for s in summaries], dtype=float),
+        np.array(scores, dtype=float),
+        np.arange(len(summaries)),
+        user_ids,
+    ).tolist()
+    if isinstance(rule, TopFraction):
+        # A user id that repeats is kept when one of its summaries ranks in.
+        kept = set(compress(user_ids, keep))
+        keep = [uid in kept for uid in user_ids]
     return [
         FilterDecision(s.user_id, k, rule, score)
         for s, k, score in zip(summaries, keep, scores)
     ]
+
+
+def write_decision_rows(
+    path,
+    user_ids: Sequence[str],
+    attentive: Sequence[bool],
+    rules: Iterable[SelectionRule],
+    scores: Iterable[float],
+    inverse: np.ndarray | None = None,
+) -> None:
+    """decisions.csv: user k's id and decision, then the rule and score of
+    row `inverse[k]` (row k when `inverse` is None)."""
+    # Each rule object is encoded once. The key is its identity, not its
+    # value: Threshold(0.0) == Threshold(-0.0), but they spell differently.
+    encoded: dict[int, str] = {}
+
+    def rule_field(rule: SelectionRule) -> str:
+        text = encoded.get(id(rule))
+        if text is None:
+            rule_json = json.dumps(fio.encode_rule(rule), sort_keys=True)
+            text = encoded[id(rule)] = _csv_fields([rule_json])[0]
+        return text
+
+    texts = [f",{rule_field(r)},{float(p)!r}\n" for r, p in zip(rules, scores)]
+    _write_lines(
+        path,
+        fio._DECISION_HEADER,
+        _csv_fields(user_ids),
+        [",true" if a else ",false" for a in attentive],
+        texts if inverse is None else _spread(texts, inverse),
+    )
+
+
+# Characters that may make csv.writer quote a field.
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_line(fields: Sequence) -> str:
+    buf = stdio.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
+    """Each text as csv.writer writes it in a row of several fields.
+
+    A text that is empty or holds a comma, a quote or a line break goes
+    through csv.writer itself; the others need no quoting.
+    """
+    if all(texts) and not _CSV_SPECIAL.search("".join(texts)):
+        return texts
+    return [
+        _csv_line((t, "x"))[:-3] if not t or _CSV_SPECIAL.search(t) else t
+        for t in texts
+    ]
+
+
+def _spread(texts: list[str], inverse: np.ndarray) -> list[str]:
+    """Each user's row text."""
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _write_lines(path, header: Sequence[str], *columns: Sequence[str]) -> None:
+    """A CSV file: its header's line, then line k joined from each column's
+    k-th text (the last ending in a newline)."""
+    lines = "".join(chain.from_iterable(zip(*columns)))
+    fio.atomic_write_text(path, _csv_line(header) + lines)
 
 
 def filter_mask(
@@ -251,14 +481,21 @@ def recovery_accuracy(
     if missing:
         raise MissingDecisionError(missing)
     if threshold is None:
-        if not 0.0 <= _finite("quantile", quantile) <= 1.0:
-            raise ValueError("quantile must lie in [0, 1]")
-        threshold = _quantile([eta_map[d.user_id] for d in decisions], quantile)
+        threshold = _quantile(
+            [eta_map[d.user_id] for d in decisions], check_quantile(quantile)
+        )
     truly_above = {d.user_id for d in decisions if eta_map[d.user_id] > threshold}
     if not truly_above:
         raise ValueError("no user's true eta lies above the threshold")
     kept = {d.user_id for d in decisions if d.attentive}
     return len(kept & truly_above) / len(truly_above)
+
+
+def check_quantile(quantile: float) -> float:
+    """`quantile` itself, when it is a finite real number in [0, 1]."""
+    if not 0.0 <= _finite("quantile", quantile) <= 1.0:
+        raise ValueError("quantile must lie in [0, 1]")
+    return quantile
 
 
 def _quantile(values: Sequence[float], q: float) -> float:

@@ -666,8 +666,28 @@ def _require_object(kind: str, obj) -> None:
         raise ValueError(f"a {kind} must be a JSON object, got {obj!r}")
 
 
-def _decode(kind: str, table: dict[str, str], obj):
-    """The dataclass instance an _encode dict describes.
+def located(path: str, build, **fields):
+    """build(**fields); a ValueError it raises names `path`, a JSON path.
+
+    A message that starts with one of the fields' names is raised again as
+    `path.<message>`, so that it names the field's own path, and any other
+    as `path: <message>`. An empty path leaves the message as it is.
+    """
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        if not path:
+            raise
+        dot = "." if str(exc).split(" ", 1)[0] in fields else ": "
+        raise ValueError(f"{path}{dot}{exc}") from None
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _decode(kind: str, table: dict[str, str], obj, path: str):
+    """The dataclass instance an _encode dict at JSON path `path` describes.
 
     A field with a default may be left out; a missing required field raises
     KeyError naming it, and keys that name no field are ignored.
@@ -678,7 +698,7 @@ def _decode(kind: str, table: dict[str, str], obj):
     if name is None:
         raise ValueError(f"unknown {kind} type {tag!r}")
     cls = _class(name)
-    return cls(**{
+    return located(path, cls, **{
         f.name: _tuples(obj[f.name])
         for f in dataclasses.fields(cls)
         if f.name in obj or f.default is dataclasses.MISSING
@@ -708,8 +728,8 @@ def encode_prior(prior) -> dict[str, Any]:
     return _encode("prior", _PRIORS, prior)
 
 
-def decode_prior(obj: dict[str, Any]):
-    return _decode("prior", _PRIORS, obj)
+def decode_prior(obj: dict[str, Any], path: str = ""):
+    return _decode("prior", _PRIORS, obj, path)
 
 
 def encode_params(params: ModelParams) -> dict[str, Any]:
@@ -720,9 +740,11 @@ def encode_params(params: ModelParams) -> dict[str, Any]:
     }
 
 
-def decode_params(obj: dict[str, Any]) -> ModelParams:
-    return ModelParams(
-        prior=decode_prior(obj["prior"]),
+def decode_params(obj: dict[str, Any], path: str = "") -> ModelParams:
+    return located(
+        path,
+        ModelParams,
+        prior=decode_prior(obj["prior"], _join(path, "prior")),
         mu=obj["mu"],
         mu_mode=obj.get("mu_mode", "fixed"),
     )
@@ -732,16 +754,16 @@ def encode_rule(rule: "SelectionRule") -> dict[str, Any]:
     return _encode("rule", _RULES, rule)
 
 
-def decode_rule(obj: dict[str, Any]) -> "SelectionRule":
-    return _decode("rule", _RULES, obj)
+def decode_rule(obj: dict[str, Any], path: str = "") -> "SelectionRule":
+    return _decode("rule", _RULES, obj, path)
 
 
 def encode_regularizer(reg: RegularizerSpec) -> dict[str, Any] | None:
     return None if reg is None else _encode("regularizer", _REGULARIZERS, reg)
 
 
-def decode_regularizer(obj: dict[str, Any] | None) -> RegularizerSpec:
-    return None if obj is None else _decode("regularizer", _REGULARIZERS, obj)
+def decode_regularizer(obj: dict[str, Any] | None, path: str = "") -> RegularizerSpec:
+    return None if obj is None else _decode("regularizer", _REGULARIZERS, obj, path)
 
 
 def encode_scenario(scenario: "SimulationScenario") -> dict[str, Any]:
@@ -758,19 +780,25 @@ def encode_scenario(scenario: "SimulationScenario") -> dict[str, Any]:
     }
 
 
-def decode_scenario(obj: dict[str, Any]) -> "SimulationScenario":
+def decode_scenario(obj: dict[str, Any], path: str = "") -> "SimulationScenario":
+    """The scenario a JSON object at JSON path `path` describes."""
     from .simulate import BetaPerItemP, SimulationScenario
 
     _require_object("scenario", obj)
     p_model = obj.get("per_item_p_model")
-    return SimulationScenario(
-        prior=decode_prior(obj["prior"]),
+    return located(
+        path,
+        SimulationScenario,
+        prior=decode_prior(obj["prior"], _join(path, "prior")),
         mu=obj["mu"],
         num_users=obj["num_users"],
         n_range=_tuples(obj["n_range"]),
         seed=obj.get("seed", 0),
         per_item_p_model=(
-            None if p_model is None else BetaPerItemP(p_model["alpha"], p_model["beta"])
+            None
+            if p_model is None
+            else located(_join(path, "per_item_p_model"), BetaPerItemP,
+                         alpha=p_model["alpha"], beta=p_model["beta"])
         ),
     )
 
@@ -829,7 +857,7 @@ def read_fit(path) -> dict[str, Any]:
         if key in obj and not isinstance(obj[key], bool):
             got = json.dumps(obj[key])
             raise ParseError(path, None, f"{key} must be a JSON bool, got {got}")
-    obj["params"] = decode_params(obj["params"])
+    obj["params"] = decode_params(obj["params"], "params")
     obj["clamp_events"] = [
         ClampEvent(e["iteration"], e["parameter"], e["value"])
         for e in obj.get("clamp_events", [])
@@ -863,26 +891,11 @@ def read_trajectory(path) -> list[dict[str, float]]:
 
 # ------------------------------------------------- posteriors & decisions
 
-def _tail_columns(summaries: Sequence["PosteriorSummary"]) -> list[float]:
-    stars = [s for s, _ in summaries[0].tail_probs]
-    for summary in summaries:
-        if [s for s, _ in summary.tail_probs] != stars:
-            raise ValueError("summaries disagree on evaluated tail points")
-    return stars
-
-
 def write_posteriors(path, summaries: Sequence["PosteriorSummary"]) -> None:
-    if not summaries:
-        raise ValueError("no summaries to write")
-    stars = _tail_columns(summaries)
-    header = ["user_id", "n_labels", "map_eta", "mean_eta"]
-    header += [f"tail_{_fmt(s)}" for s in stars]
-    rows = (
-        [s.user_id, s.n_labels, _fmt(s.map_eta), _fmt(s.mean_eta)]
-        + [_fmt(p) for _, p in s.tail_probs]
-        for s in summaries
-    )
-    _write_csv(path, header, rows)
+    """posteriors.csv of summaries; see `filtering.UserRows.write_posteriors`."""
+    from .filtering import UserRows
+
+    UserRows.of_summaries(summaries).write_posteriors(path)
 
 
 def _posterior_row(row: dict[str, str]) -> dict[str, Any]:
@@ -908,21 +921,16 @@ _ATTENTIVE = {"true": True, "false": False}
 
 
 def write_decisions(path, decisions: Sequence["FilterDecision"]) -> None:
-    # Each rule object is encoded once. The key is its identity, not its
-    # value: Threshold(0.0) == Threshold(-0.0), but they spell differently.
-    encoded: dict[int, str] = {}
+    """decisions.csv, one line per decision; see `filtering.write_decision_rows`."""
+    from .filtering import write_decision_rows
 
-    def rule_json(rule: "SelectionRule") -> str:
-        text = encoded.get(id(rule))
-        if text is None:
-            text = encoded[id(rule)] = json.dumps(encode_rule(rule), sort_keys=True)
-        return text
-
-    rows = (
-        [d.user_id, "true" if d.attentive else "false", rule_json(d.rule), _fmt(d.score)]
-        for d in decisions
+    write_decision_rows(
+        path,
+        [d.user_id for d in decisions],
+        [d.attentive for d in decisions],
+        [d.rule for d in decisions],
+        [d.score for d in decisions],
     )
-    _write_csv(path, _DECISION_HEADER, rows)
 
 
 def read_decisions(path) -> list["FilterDecision"]:

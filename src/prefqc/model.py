@@ -177,8 +177,8 @@ def first_seen(codes: np.ndarray) -> np.ndarray:
     return seen[np.argsort(first[seen])]
 
 
-def histories_from_columns(columns: AnnotationColumns) -> list["UserHistory"]:
-    """Count each user's labels, first-seen user order.
+def user_counts(columns: AnnotationColumns):
+    """(codes, sum_z, n): each user's code, labels of 1 and labels, first-seen order.
 
     Rejects duplicate (user_id, item_id) pairs, naming the first record that
     repeats an earlier pair.
@@ -194,12 +194,17 @@ def histories_from_columns(columns: AnnotationColumns) -> list["UserHistory"]:
         first = int(repeats.min())
         key = (columns.user_ids[users[first]], columns.item_ids[columns.items[first]])
         raise ValueError(f"duplicate (user_id, item_id): {key!r}")
-    n = np.bincount(users)
-    sum_z = np.bincount(users, weights=columns.labels).astype(np.intp)
     order = first_seen(users)
+    sum_z = np.bincount(users, weights=columns.labels).astype(np.intp)
+    return order, sum_z[order], np.bincount(users)[order]
+
+
+def histories_from_columns(columns: AnnotationColumns) -> list["UserHistory"]:
+    """Count each user's labels, first-seen user order; see `user_counts`."""
+    codes, sum_z, n = user_counts(columns)
     return [
         UserHistory(columns.user_ids[code], s, k)
-        for code, s, k in zip(order.tolist(), sum_z[order].tolist(), n[order].tolist())
+        for code, s, k in zip(codes.tolist(), sum_z.tolist(), n.tolist())
     ]
 
 
@@ -375,12 +380,19 @@ def suff_stats(histories):
     """Dedup histories by (sum_z, n): unique stat rows plus multiplicities.
 
     Returns (sum_z_u, n_u, count_u, inverse) with `inverse` mapping each
-    history to its row. Likelihoods and posteriors depend on a history only
-    through this pair, so EM-scale work is O(unique rows), not O(users).
-    Rows come in (sum_z, n) lexicographic order.
+    history to its row; see `unique_rows`.
     """
     sum_z = np.array([h.sum_z for h in histories], dtype=np.int64)
-    n = np.array([h.n for h in histories], dtype=np.int64)
+    return unique_rows(sum_z, np.array([h.n for h in histories], dtype=np.int64))
+
+
+def unique_rows(sum_z, n):
+    """`suff_stats` of users given as integer arrays of sum_z and n.
+
+    Likelihoods and posteriors depend on a user only through this pair, so
+    EM-scale work is O(unique rows), not O(users). Rows come in (sum_z, n)
+    lexicographic order.
+    """
     # One integer key per row, ordered as the (sum_z, n) pairs: n <= max n.
     base = int(n.max()) + 1 if n.size else 1
     keys, inverse, counts = np.unique(

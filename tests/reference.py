@@ -37,6 +37,7 @@ which every change that moves output bits is judged by:
   the selection cut.
 """
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -50,10 +51,14 @@ from prefqc import (
     LogPriorOnMu,
     BetaPrior,
     FilteredDataset,
+    FilterDecision,
     MissingDecisionError,
     ParseError,
     PosteriorSummary,
     QuadratureGrid,
+    TailProbability,
+    Threshold,
+    TopFraction,
     TwoPointPrior,
     UserHistory,
     log_beta,
@@ -62,6 +67,7 @@ from prefqc import (
     prior_log_masses,
 )
 from prefqc.em import MU_SEARCH_HI, MU_SEARCH_LO, PosteriorRows
+from prefqc.io import encode_rule
 from prefqc.model import ETA_DENSITY_CLIP
 from prefqc.simulate import _id_width, sample_eta
 
@@ -153,6 +159,61 @@ def write_pairs(path, records) -> None:
         path,
         ({"item_id": r.item_id, "chosen": "A" if r.label == 1 else "B"} for r in records),
     )
+
+
+def infer(annotations, params, rule, eta_stars, out_dir) -> None:
+    """`prefqc infer`'s four files, one user at a time.
+
+    Each user's own posterior gives its summary and score; `TopFraction`
+    sorts every user by (-MAP, -mean, user_id). The two CSV reports go
+    through csv.writer, a line per user.
+    """
+    out = Path(out_dir)
+    records = read_annotations(annotations)
+    histories = histories_from_records(records)
+    summaries = [summarize_posterior(h, params, None, eta_stars) for h in histories]
+    if isinstance(rule, TailProbability):
+        scores = [tail_prob(posterior(h, params), rule.eta_star) for h in histories]
+        keep = [p >= rule.level for p in scores]
+    else:
+        scores = [s.map_eta for s in summaries]
+        keep = [p >= rule.value for p in scores] if isinstance(rule, Threshold) else None
+    if isinstance(rule, TopFraction):
+        ranked = sorted(summaries, key=lambda s: (-s.map_eta, -s.mean_eta, s.user_id))
+        kept = {s.user_id for s in ranked[: math.ceil(rule.fraction * len(ranked))]}
+        keep = [s.user_id in kept for s in summaries]
+    header = ["user_id", "n_labels", "map_eta", "mean_eta"]
+    _write_csv(
+        out / "posteriors.csv",
+        header + [f"tail_{float(s)!r}" for s in eta_stars],
+        [
+            [s.user_id, s.n_labels, repr(s.map_eta), repr(s.mean_eta)]
+            + [repr(p) for _, p in s.tail_probs]
+            for s in summaries
+        ],
+    )
+    rule_json = json.dumps(encode_rule(rule), sort_keys=True)
+    _write_csv(
+        out / "decisions.csv",
+        ["user_id", "attentive", "rule", "score"],
+        [
+            [s.user_id, "true" if k else "false", rule_json, repr(float(p))]
+            for s, k, p in zip(summaries, keep, scores)
+        ],
+    )
+    decisions = [
+        FilterDecision(s.user_id, k, rule, p) for s, k, p in zip(summaries, keep, scores)
+    ]
+    filtered = filter_dataset(records, decisions)
+    write_annotations(out / "filtered.jsonl", filtered.records)
+    write_pairs(out / "pairs.jsonl", filtered.records)
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)

@@ -320,7 +320,7 @@ class TestFit:
         value = functools.reduce(dict.get, path, extra)[field]
         if isinstance(value, list):  # a dataclass holds a JSON list as a tuple
             value = tuple(value)
-        expected = f"error: {field} must be a finite real number, got {value!r}\n"
+        expected = f"error: {key} must be a finite real number, got {value!r}\n"
         assert capsys.readouterr().err == expected
 
     def test_regularizer_that_is_not_an_object_exits_2(self, tmp_path, capsys):
@@ -524,12 +524,12 @@ class TestInferAndFilter:
             (
                 {"type": "tail_probability", "eta_star": math.nan},
                 {},
-                "eta_star must be a finite real number, got nan",
+                "rule.eta_star must be a finite real number, got nan",
             ),
             (
                 {"type": "threshold", "value": math.nan},
                 {},
-                "threshold value must be a finite real number, got nan",
+                "rule: threshold value must be a finite real number, got nan",
             ),
             (
                 {"type": "tail_probability", "eta_star": 0.5},
@@ -544,22 +544,22 @@ class TestInferAndFilter:
             (
                 {"type": "top_fraction", "fraction": True},
                 {},
-                "fraction must be a finite real number, got True",
+                "rule.fraction must be a finite real number, got True",
             ),
             (
                 {"type": "threshold", "value": False},
                 {},
-                "threshold value must be a finite real number, got False",
+                "rule: threshold value must be a finite real number, got False",
             ),
             (
                 {"type": "tail_probability", "eta_star": True, "level": 0.5},
                 {},
-                "eta_star must be a finite real number, got True",
+                "rule.eta_star must be a finite real number, got True",
             ),
             (
                 {"type": "tail_probability", "eta_star": 0.5, "level": True},
                 {},
-                "level must be a finite real number, got True",
+                "rule.level must be a finite real number, got True",
             ),
             (
                 {"type": "top_fraction", "fraction": 0.5},
@@ -1028,14 +1028,49 @@ class TestEval:
             assert row["note"].startswith("LikelihoodDecreaseError")
 
     def test_rule_failure_fails_only_its_cell(self, tmp_path):
+        # At quantile 1 no user's true eta lies above the threshold, so the
+        # rule's scoring fails; a bad rule or quantile exits 2 before any draw.
         cells = [
             self.tiny_cell(cell="good"),
-            self.tiny_cell(cell="bad", rule={"type": "nonsense"}),
+            self.tiny_cell(cell="bad", quantile=1.0),
         ]
         rows = self.run_sweep(tmp_path, "rules", cells, [0, 1])
         assert rows["good"]["seeds_ok"] == "2" and rows["good"]["note"] == ""
         assert rows["bad"]["seeds_ok"] == "0" and rows["bad"]["seeds_failed"] == "2"
-        assert "nonsense" in rows["bad"]["note"]
+        assert rows["bad"]["note"] == "ValueError: no user's true eta lies above the threshold"
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"quantile": math.nan}, "cells[1].quantile must be a finite real number, got nan"),
+            ({"quantile": 1.5}, "cells[1].quantile must lie in [0, 1]"),
+            ({"quantile": "0.5"}, "cells[1].quantile must be a finite real number, got '0.5'"),
+            (
+                {"rule": {"type": "top_fraction", "fraction": math.inf}},
+                "cells[1].rule.fraction must be a finite real number, got inf",
+            ),
+            (
+                {"rule": {"type": "threshold", "value": math.nan}},
+                "cells[1].rule: threshold value must be a finite real number, got nan",
+            ),
+            ({"rule": {"type": "nonsense"}}, "unknown rule type 'nonsense'"),
+        ],
+        ids=["quantile_nan", "quantile_range", "quantile_string", "fraction_inf",
+             "threshold_nan", "rule_type"],
+    )
+    def test_bad_rule_or_quantile_exits_2_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, overrides, message
+    ):
+        # These used to exit 0 with the error only in sweep.csv's note.
+        draws = []
+        monkeypatch.setattr(simulate, "_draw_users", lambda s: draws.append(s))
+        cells = [self.tiny_cell(cell="good"), self.tiny_cell(cell="bad", **overrides)]
+        config, out = self.eval_config(tmp_path, [0], cells=cells)
+        capsys.readouterr()
+        assert main(["eval", "--config", config]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert draws == []
+        assert not (out / "sweep.csv").exists()
 
     def test_builtin_grids_have_expected_shapes(self):
         table3 = _eval_cells({"preset": "table3_grid"})
@@ -1088,46 +1123,46 @@ NUMBER_ENTRY_POINTS = {
         "simulate",
         {"scenario": {**tiny_scenario(), "prior": {"type": "two_point", "q1": BAD,
                                                    "eta_lo": 0.4, "eta_hi": 0.98}}},
-        {}, "q1", "annotations.jsonl",
+        {}, "scenario.prior.q1", "annotations.jsonl",
     ),
     "simulate_per_item_p": (
         "simulate",
         {"scenario": {**tiny_scenario(), "per_item_p_model": {"alpha": 8.0, "beta": BAD}}},
-        {}, "beta", "annotations.jsonl",
+        {}, "scenario.per_item_p_model.beta", "annotations.jsonl",
     ),
     "eval_cell": (
         "eval",
         {"cells": [{"cell": "c", "family": "beta", "mu_variant": "known",
                     "scenario": {**tiny_scenario(), "prior": {"type": "logistic_normal",
                                                               "m": BAD, "s": 1.0}}}]},
-        {}, "m", "sweep.csv",
+        {}, "cells[0].scenario.prior.m", "sweep.csv",
     ),
     "fit": ("fit", {"mu": BAD}, {}, "mu", "fit.json"),
     "fit_init": (
         "fit",
         {"family": "beta",
          "init": {"prior": {"type": "beta", "alpha": BAD, "beta": 2.0}, "mu": 0.8}},
-        {}, "alpha", "fit.json",
+        {}, "init.prior.alpha", "fit.json",
     ),
     "fit_regularizer": (
         "fit",
         {"family": "beta", "mu": None, "mu_mode": "free",
          "regularizer": {"type": "box_on_mu", "lo": 0.6, "hi": BAD}},
-        {}, "hi", "fit.json",
+        {}, "regularizer.hi", "fit.json",
     ),
     "truth_scenario": (
         "fit",
         {"truth_scenario": "truth.json"},
         {"truth.json": {**tiny_scenario(), "prior": {"type": "two_point", "q1": 0.6,
                                                      "eta_lo": BAD, "eta_hi": 0.98}}},
-        "eta_lo", "fit.json",
+        "prior.eta_lo", "fit.json",
     ),
     "infer_fit_params": (
         "infer",
         {"fit": "fit.json", "rule": {"type": "top_fraction", "fraction": 0.5}},
         {"fit.json": {"params": {"prior": {"type": "beta", "alpha": 2.0, "beta": BAD},
                                  "mu": 0.8}}},
-        "beta", "decisions.csv",
+        "params.prior.beta", "decisions.csv",
     ),
 }
 # The inputs that ran to exit 0 before each dataclass checked its own
@@ -1136,29 +1171,29 @@ MOTIVATING_INPUTS = {
     "two_point_q1_true": (
         "scenario",
         {"prior": {"type": "two_point", "q1": True, "eta_lo": 0.4, "eta_hi": 0.98}},
-        "q1 must be a finite real number, got True",
+        "prior.q1 must be a finite real number, got True",
     ),
     "logistic_normal_m_nan": (
         "scenario",
         {"prior": {"type": "logistic_normal", "m": math.nan, "s": 1.0}},
-        "m must be a finite real number, got nan",
+        "prior.m must be a finite real number, got nan",
     ),
     "beta_alpha_inf": (
         "scenario",
         {"prior": {"type": "beta", "alpha": math.inf, "beta": 5.0}},
-        "alpha must be a finite real number, got inf",
+        "prior.alpha must be a finite real number, got inf",
     ),
     "per_item_p_inf": (
         "scenario",
         {"per_item_p_model": {"alpha": math.inf, "beta": math.inf}},
-        "alpha must be a finite real number, got inf",
+        "per_item_p_model.alpha must be a finite real number, got inf",
     ),
     "tol_param_inf": ("fit", {"tol_param": math.inf}, "tolerances must be positive"),
     "log_prior_on_mu_a_inf": (
         "fit",
         {"family": "beta", "mu": None, "mu_mode": "free",
          "regularizer": {"type": "log_prior_on_mu", "a": math.inf, "b": 2.0}},
-        "a must be a finite real number, got inf",
+        "regularizer.a must be a finite real number, got inf",
     ),
 }
 OUTPUTS = {"simulate": "annotations.jsonl", "eval": "sweep.csv", "fit": "fit.json"}
@@ -1186,11 +1221,17 @@ def bad_number_cases():
         if kind == "fit":
             yield pytest.param("fit", fields, {}, message, "fit.json", id=f"fit-{name}")
             continue
+        # The message names the field's path inside the scenario; the
+        # scenario sits at "scenario" in simulate's config and in cell 0 in eval's.
         scenario = {**tiny_scenario(), **fields}
         cell = {"cell": "c", "family": "beta", "mu_variant": "known", "scenario": scenario}
-        for command, keys in (("simulate", {"scenario": scenario}), ("eval", {"cells": [cell]})):
+        for command, keys, at in (
+            ("simulate", {"scenario": scenario}, "scenario"),
+            ("eval", {"cells": [cell]}, "cells[0].scenario"),
+        ):
             yield pytest.param(
-                command, keys, {}, message, OUTPUTS[command], id=f"{command}-{name}"
+                command, keys, {}, f"{at}.{message}", OUTPUTS[command],
+                id=f"{command}-{name}",
             )
 
 

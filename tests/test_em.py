@@ -157,23 +157,23 @@ class TestPosteriorGrid:
     def test_tail_prob_behavior(self, grid):
         params = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
         post = one_row(hist_counts("u", 8, 10), params, grid)
-        assert post.tail(0.0)[0] == pytest.approx(1.0, abs=1e-9)
-        assert post.tail(1.0)[0] == 0.0
+        assert post.tail([0.0])[0, 0] == pytest.approx(1.0, abs=1e-9)
+        assert post.tail([1.0])[0, 0] == 0.0
         # non-increasing in the threshold, even between nodes
         points = np.linspace(0.0, 1.0, 517)
-        tails = np.array([post.tail(float(s))[0] for s in points])
+        tails = np.array([post.tail([float(s)])[0, 0] for s in points])
         assert np.all(np.diff(tails) <= 1e-12)
         # interpolated value is bracketed by the neighboring node tails
         mid = 0.5 * (grid.nodes[500] + grid.nodes[501])
-        assert post.tail(float(grid.nodes[501]))[0] <= post.tail(mid)[0]
-        assert post.tail(mid)[0] <= post.tail(float(grid.nodes[500]))[0]
+        assert post.tail([float(grid.nodes[501])])[0, 0] <= post.tail([mid])[0, 0]
+        assert post.tail([mid])[0, 0] <= post.tail([float(grid.nodes[500])])[0, 0]
 
     def test_long_history_concentrates(self, grid):
         params = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
         post = one_row(hist_counts("u", 7700, 10000), params, grid)
         # frequency 0.77 inverts to eta = (0.77 - 0.5) / 0.3 = 0.9
         assert post.map_eta()[0] == pytest.approx(0.9, abs=0.01)
-        assert post.tail(0.85)[0] > 0.99
+        assert post.tail([0.85])[0, 0] > 0.99
 
 
 def em_totals(masses, hists):

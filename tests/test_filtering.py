@@ -61,7 +61,7 @@ def fake_summary(user_id, map_eta, mean_eta=None, tail=None):
 
 def tail_prob(summary, eta_star):
     """P(eta >= eta_star) of the summary's posterior."""
-    return float(summary.table.tail(eta_star)[summary.row])
+    return float(summary.table.tail([eta_star])[summary.row, 0])
 
 
 class TestSummarizePosterior:
@@ -130,9 +130,12 @@ class TestTailDecision:
     @pytest.mark.parametrize("params", [TWO_POINT_PARAMS, BETA_PARAMS], ids=["two_point", "beta"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_eta_star_is_rejected(self, params, bad):
-        summary = summarize_posterior(hist_counts("u", 8, 10), params)
-        with pytest.raises(ValueError, match="eta_star must be finite"):
-            summary.table.tail(bad)
+        # PosteriorRows.tail takes only stars that its callers have checked.
+        message = f"eta_stars entry must be a finite real number, got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            summarize_histories([hist_counts("u", 8, 10)], params, eta_stars=[bad])
+        with pytest.raises(ValueError, match=f"eta_star must be a finite real number, got {bad!r}"):
+            TailProbability(eta_star=bad)
 
 
 class TestSelectUsers:

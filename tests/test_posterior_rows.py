@@ -235,34 +235,35 @@ def test_tails_are_evaluated_once_per_row_table(grid, rng, monkeypatch):
     calls = []
     tail = PosteriorRows.tail
 
-    def counted(table, eta_star):
-        calls.append((table, eta_star))
-        return tail(table, eta_star)
+    def counted(table, eta_stars):
+        calls.append((table, tuple(eta_stars)))
+        return tail(table, eta_stars)
 
     monkeypatch.setattr(PosteriorRows, "tail", counted)
     params = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
     histories = random_histories(rng, 500, 30)
     rows = len(suff_stats(histories)[0])
     assert rows < len(histories)
-    # As `infer` runs: three stars over the row table, then a tail rule.
+    # As `infer` runs: three stars over the row table in one call, then a
+    # tail rule.
     stars = (0.3, 0.5, 0.7)
     summaries = summarize_histories(histories, params, grid, stars)
     table = calls[0][0]
     assert table.masses.shape[0] == rows
-    assert calls == [(table, s) for s in stars]
+    assert calls == [(table, stars)]
     calls.clear()
     # A tail rule at one of those stars reads the tails already evaluated,
     # which are bit for bit those of each summary's row.
     decisions = select_users(summaries, TailProbability(0.5, level=0.5))
     assert calls == []
     assert [d.score for d in decisions] == [
-        tail(s.table, 0.5)[s.row] for s in summaries
+        tail(s.table, [0.5])[s.row, 0] for s in summaries
     ]
     # At another star: one evaluation over the whole table.
     decisions = select_users(summaries, TailProbability(0.6, level=0.5))
-    assert calls == [(table, 0.6)]
+    assert calls == [(table, (0.6,))]
     assert [d.score for d in decisions] == [
-        tail(s.table, 0.6)[s.row] for s in summaries
+        tail(s.table, [0.6])[s.row, 0] for s in summaries
     ]
     # Per-user summaries: one evaluation per table, also when two summaries
     # hold the same one.
@@ -275,7 +276,7 @@ def test_tails_are_evaluated_once_per_row_table(grid, rng, monkeypatch):
     other = summarize_histories(histories[:50], params, grid)
     calls.clear()
     select_users(summaries + other, TailProbability(0.6, level=0.5))
-    assert calls == [(table, 0.6), (other[0].table, 0.6)]
+    assert calls == [(table, (0.6,)), (other[0].table, (0.6,))]
 
 
 @pytest.mark.parametrize("prior", [BetaPrior(3.0, 5.0), TwoPointPrior(0.5, 0.2, 0.9)])

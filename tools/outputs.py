@@ -12,6 +12,15 @@ OUT's own path. The set:
   and `twopoint_long` workloads at seeds 1-3, with the specs, rules and
   eta_stars of `bench/run.py`'s WORKLOADS (case `<workload>_<seed>`; filter
   replays infer's decisions into `filter/`);
+- `infer` and `filter` on a small input that this tool writes, with a
+  fit.json it writes (fixed Beta and two-point parameters), for each rule of
+  RULES (case `ids_<family>_<rule>`). Its users share (sum_z, n) rows, its
+  ids hold commas, quotes, newlines, non-ASCII text and the empty string,
+  and its rules cut through users of tied (MAP, mean), sit on -0.0 or ask
+  for a tail at a star that `eta_stars` leaves out. A second input adds an
+  id holding a bare carriage return, which `decisions.csv` leaves unquoted
+  and `filter` cannot read back, so it gets `infer` alone (case
+  `bare_cr_<family>`);
 - `eval` over the `eval_mu_effect` cells, one run per seed 1-3 (case
   `eval_<seed>`);
 - `simulate` on every preset that SRC lists (case `simulate_<preset>`).
@@ -38,13 +47,52 @@ from typing import Callable
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 
+# The small input's parameters, rules and tail points.
+PARAMS = {
+    "beta": {"prior": {"type": "beta", "alpha": 3.0, "beta": 5.0}, "mu": 0.8},
+    # Rows of 200 labels with few losses put all mass on eta_hi, so distinct
+    # rows share their MAP and mean.
+    "two_point": {"prior": {"type": "two_point", "q1": 0.6, "eta_lo": 0.4,
+                            "eta_hi": 0.98}, "mu": 0.8},
+}
+RULES = {
+    "top_fraction": {"type": "top_fraction", "fraction": 0.45},
+    "top_fraction_tied_rows": {"type": "top_fraction", "fraction": 0.1},
+    "threshold_minus_zero": {"type": "threshold", "value": -0.0},
+    "tail_star_not_evaluated": {"type": "tail_probability", "eta_star": 0.55,
+                                "level": 0.5},
+}
+ETA_STARS = [0.3, 0.7]
+ODD_IDS = ["a,b", 'say "hi"', "two\nlines", "", "naïve—日本", "\r\n,\""]
+BARE_CR_ID = "cr\ronly"
+
 
 @dataclass(frozen=True)
 class Command:
     case: str  # the directory under OUT it runs in
     name: str  # the prefqc subcommand
     config: dict  # paths relative to the case directory
-    make_input: Callable[[Path], object] | None = None  # writes annotations.jsonl
+    # Writes annotations.jsonl; for the small input, fit.json beside it too.
+    make_input: Callable[[Path], object] | None = None
+
+
+def small_input(params: dict, ids: list[str], path: Path) -> None:
+    """Write annotations.jsonl of users on a few shared (sum_z, n) rows, and
+    fit.json holding `params`, beside it."""
+    rows = [(9, 10), (7, 10), (7, 10), (5, 10), (200, 200), (190, 200), (20, 40), (1, 3)]
+    users = [f"u{k:02d}" for k in range(28)] + ids
+    labels = [[1] * s + [0] * (n - s) for s, n in (rows[k % len(rows)] for k in range(len(users)))]
+    # Users interleave: the j-th label of every user that has one, j = 0, 1, ...
+    lines = [
+        json.dumps({"user_id": u, "item_id": f"i{j}", "label": z[j]}, ensure_ascii=False)
+        + "\n"
+        for j in range(max(map(len, labels)))
+        for u, z in zip(users, labels)
+        if j < len(z)
+    ]
+    path.write_text("".join(lines), encoding="utf-8")
+    fit = {"params": {**params, "mu_mode": "fixed"}, "converged": True}
+    (path.parent / "fit.json").write_text(json.dumps(fit) + "\n", encoding="utf-8")
 
 
 def _bench_run():
@@ -92,6 +140,24 @@ def command_set(src: Path) -> list[Command]:
                                          "decisions": "decisions.csv",
                                          "out_dir": "filter"}),
             ]
+    for family, params in PARAMS.items():
+        for name, rule in RULES.items():
+            case = f"ids_{family}_{name}"
+            make = functools.partial(small_input, params, ODD_IDS)
+            commands += [
+                Command(case, "infer", {"annotations": "annotations.jsonl",
+                                        "fit": "fit.json", "out_dir": ".", "rule": rule,
+                                        "eta_stars": ETA_STARS}, make),
+                Command(case, "filter", {"annotations": "annotations.jsonl",
+                                         "decisions": "decisions.csv",
+                                         "out_dir": "filter"}),
+            ]
+        commands.append(
+            Command(f"bare_cr_{family}", "infer",
+                    {"annotations": "annotations.jsonl", "fit": "fit.json", "out_dir": ".",
+                     "rule": RULES["top_fraction"], "eta_stars": ETA_STARS},
+                    functools.partial(small_input, params, ODD_IDS + [BARE_CR_ID]))
+        )
     cells = bench.WORKLOADS["eval_mu_effect"].cells
     commands += [
         Command(f"eval_{seed}", "eval", {"cells": cells, "seeds": [seed], "out_dir": "."})
