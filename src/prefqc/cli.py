@@ -29,10 +29,10 @@ from .em import (
     DegenerateComponentError,
     EmConfig,
     LikelihoodDecreaseError,
-    em_fit,
     family_of,
+    fit_rows,
 )
-from .model import ModelParams, UserHistory, _finite, histories_from_columns, user_counts
+from .model import ModelParams, _finite, unique_rows, user_counts
 from .numerics import SolverError
 
 # filtering and simulate are imported by the commands that run them: fit
@@ -112,6 +112,17 @@ def _em_config(cfg: dict) -> EmConfig:
     )
 
 
+def _user_counts(cfg: dict, labels_flipped: bool):
+    """(columns, codes, sum_z, n): the annotations file's records, and each
+    user's code and label counts (see `user_counts`), labels flipped when
+    `labels_flipped` is true."""
+    columns = fio.read_annotation_columns(_require(cfg, "annotations"))
+    codes, sum_z, n = user_counts(columns)
+    if not len(codes):
+        raise ConfigError("annotations file holds no records")
+    return columns, codes, (n - sum_z if labels_flipped else sum_z), n
+
+
 def _fit_once(cfg: dict, strict: bool):
     """fit's core: load annotations, run EM, return (report, labels_flipped).
 
@@ -128,13 +139,8 @@ def _fit_once(cfg: dict, strict: bool):
             labels_flipped = True
             mu = 1.0 - mu
     em_config = _em_config({**cfg, "mu": mu})
-    columns = fio.read_annotation_columns(_require(cfg, "annotations"))
-    if labels_flipped:
-        columns = columns.flipped()
-    histories = histories_from_columns(columns)
-    if not histories:
-        raise ConfigError("annotations file holds no records")
-    report = em_fit(histories, em_config, strict=strict)
+    _, _, sum_z, n = _user_counts(cfg, labels_flipped)
+    report = fit_rows(unique_rows(sum_z, n), em_config, strict=strict)
     return report, labels_flipped
 
 
@@ -179,7 +185,7 @@ def _default_eta_stars(cfg: dict, rule) -> list[float]:
 
     stars = cfg.get("eta_stars")
     if stars:
-        return list(stars)  # summarize_histories checks each
+        return list(stars)  # user_rows checks each
     if isinstance(rule, TailProbability):
         return [rule.eta_star]
     return [0.5]
@@ -197,8 +203,7 @@ def _cmd_infer(cfg: dict, args) -> None:
             f"(stop_reason {fit.get('stop_reason')})",
             file=sys.stderr,
         )
-    columns = fio.read_annotation_columns(_require(cfg, "annotations"))
-    codes, sum_z, n = user_counts(columns.flipped() if fit.get("labels_flipped") else columns)
+    columns, codes, sum_z, n = _user_counts(cfg, bool(fit.get("labels_flipped")))
     rule = fio.decode_rule(_require(cfg, "rule"), "rule")
     # Summaries, selection and both reports are made once per (sum_z, n) row.
     user_ids = [columns.user_ids[c] for c in codes.tolist()]
@@ -347,8 +352,9 @@ def _failure(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _fit_eval_cell(cell: dict, scenario, histories, strict: bool):
-    """Fit a cell's family and mu_variant to a drawn dataset: (fitted, scores)."""
+def _fit_eval_cell(cell: dict, scenario, rows, strict: bool):
+    """Fit a cell's family and mu_variant to a drawn dataset's (sum_z, n)
+    rows: (fitted, scores)."""
     variant = cell["mu_variant"]
     if variant == "known":
         mu_keys = {"mu": scenario.mu}
@@ -357,7 +363,7 @@ def _fit_eval_cell(cell: dict, scenario, histories, strict: bool):
     else:
         raise ConfigError(f"unknown mu_variant {variant!r}")
     em_config = _em_config({"family": cell["family"], **mu_keys})
-    report = em_fit(histories, em_config, strict=strict)
+    report = fit_rows(rows, em_config, strict=strict)
     fitted = report.final_params
     scores: dict = {}
     # A fitted prior is always in FAMILIES, so a truth outside them has no delta.
@@ -379,20 +385,19 @@ def _run_eval_dataset(
     shares it, and a failed scoring (no true eta above the cut) only its own
     cell; `_eval_cells` has checked each rule and quantile. eval reads only each
     user's (sum_z, n) and true eta, so no record columns or item ids are
-    built.
+    built: the fits share one grouping into (sum_z, n) rows, and each fit's
+    posteriors are digested once per row, shared by its rules.
     """
-    from .filtering import recovery_accuracy, select_users, summarize_histories
+    from .filtering import recovery_of, user_rows
     from .simulate import _draw_users
 
     try:
         user_ids, etas, labels = _draw_users(scenario)
     except Exception as exc:  # recorded per cell; the sweep keeps going
         return dict.fromkeys(members, _failure(exc))
-    histories = [
-        UserHistory(user_id, int(np.count_nonzero(z)), len(z))
-        for user_id, z in zip(user_ids, labels)
-    ]
-    true_etas = dict(zip(user_ids, etas.tolist()))
+    sum_z = np.array([np.count_nonzero(z) for z in labels])
+    n = np.array([len(z) for z in labels])
+    rows = unique_rows(sum_z, n)
     fits: dict[tuple[str, str], list[int]] = {}
     for i in members:
         fits.setdefault((cells[i]["family"], cells[i]["mu_variant"]), []).append(i)
@@ -400,22 +405,22 @@ def _run_eval_dataset(
     results: dict[int, dict] = {}
     for sharing in fits.values():
         try:
-            fitted, scores = _fit_eval_cell(cells[sharing[0]], scenario, histories, strict)
+            fitted, scores = _fit_eval_cell(cells[sharing[0]], scenario, rows, strict)
         except Exception as exc:  # recorded per cell; the sweep keeps going
             results.update(dict.fromkeys(sharing, _failure(exc)))
             continue
-        summaries = None  # the same for every rule: eval asks for no eta_stars
+        digests = None  # the same for every rule: eval asks for no eta_stars
         for i in sharing:
             cell = cells[i]
             result = dict(scores)
             try:
                 if cell.get("rule") is not None:
                     rule = fio.decode_rule(cell["rule"])
-                    if summaries is None:
-                        summaries = summarize_histories(histories, fitted)
-                    decisions = select_users(summaries, rule)
-                    result["accuracy"] = recovery_accuracy(
-                        decisions, true_etas, quantile=cell.get("quantile", 0.5)
+                    if digests is None:
+                        digests = user_rows(user_ids, sum_z, n, fitted)
+                    keep, _ = digests.select(rule)
+                    result["accuracy"] = recovery_of(
+                        etas, keep, quantile=cell.get("quantile", 0.5)
                     )
             except Exception as exc:  # this cell only
                 result = _failure(exc)
@@ -450,7 +455,7 @@ def _cmd_eval(cfg: dict, args) -> None:
         for i, cell in enumerate(cells)
     ]
     by_seed: list[dict[int, dict]] = [{} for _ in cells]
-    # One dataset's histories are alive at a time.
+    # One dataset's draws and rows are alive at a time.
     for seeded, members in _eval_datasets(cells, scenarios, seeds).values():
         for i, result in _run_eval_dataset(seeded, members, cells, args.strict).items():
             by_seed[i][seeded.seed] = result

@@ -427,19 +427,20 @@ def _maximize_mu(support, win_counts, loss_counts, regularizer, start=None):
     return x, False, f
 
 
-def default_init(
-    family: str,
-    histories: Sequence[UserHistory],
-    mu: float | None,
-    mu_mode: MuMode,
-) -> ModelParams:
-    """Stock starting point when the caller does not supply one."""
+def default_init(family: str, rows, mu: float | None, mu_mode: MuMode) -> ModelParams:
+    """Stock starting point when the caller does not supply one.
+
+    `rows` is what `unique_rows` returns; a free mu starts at the users'
+    label frequency, clipped. Its two sums are exact integers, so the start
+    does not depend on how the users were grouped into rows.
+    """
     if mu_mode == "fixed" and mu is None:
         raise ValueError("fixed-mu fits require mu")
     mu0 = mu
     if mu is None:
-        total_n = sum(h.n for h in histories)
-        freq = sum(h.sum_z for h in histories) / total_n if total_n else 0.75
+        sum_z_u, n_u, cnt, _ = rows
+        total_n = float(cnt @ n_u)
+        freq = float(cnt @ sum_z_u) / total_n if total_n else 0.75
         mu0 = min(max(freq, 0.55), 0.95)
     if family not in list(FAMILIES):
         raise ValueError(f"unsupported family {family!r}")
@@ -622,13 +623,12 @@ def _newton_step(params, grad, hess, mu_terms, reach):
     return ModelParams(BetaPrior(a, b), mu, params.mu_mode)
 
 
-def em_fit(
-    histories: Sequence[UserHistory],
-    config: EmConfig,
-    *,
-    strict: bool = False,
-) -> FitReport:
-    """Run EM to convergence and return the full trajectory.
+def fit_rows(rows, config: EmConfig, *, strict: bool = False) -> FitReport:
+    """Run EM on users grouped into (sum_z, n) rows; return the full trajectory.
+
+    `rows` is what `unique_rows` returns. The fit sees the users only
+    through these rows, so it costs O(unique rows) per iteration, not
+    O(users).
 
     A Beta fit takes a Newton step instead of the EM step whenever that
     raises the objective (see `_newton_step`); the report counts them in
@@ -643,13 +643,12 @@ def em_fit(
     a regularized mu update may trade raw likelihood for prior mass, so
     only the penalized sum is guaranteed non-decreasing. Trajectories
     always record the raw data log-likelihood.
-    Users are deduplicated by (sum_z, n) internally, which changes nothing
-    statistically and keeps per-iteration cost bounded by the grid size.
     """
-    if not histories:
+    sz_u, n_u, cnt, _ = rows
+    if not len(cnt):
         raise ValueError("em_fit needs at least one user history")
     params = config.init if config.init is not None else default_init(
-        config.family, histories, config.mu, config.mu_mode
+        config.family, rows, config.mu, config.mu_mode
     )
     family = family_of(params.prior)
     if family is None:
@@ -660,7 +659,6 @@ def em_fit(
     two_point = family == "two_point"
     mu_free = params.mu_mode == "free"
 
-    sz_u, n_u, cnt, _ = suff_stats(histories)
     m = float(cnt.sum())
 
     # With a log-prior on free mu the M-step maximizes the penalized
@@ -761,6 +759,16 @@ def em_fit(
     if strict and stop_reason == "likelihood_decrease":
         raise LikelihoodDecreaseError(report, objective_drop)
     return report
+
+
+def em_fit(
+    histories: Sequence[UserHistory],
+    config: EmConfig,
+    *,
+    strict: bool = False,
+) -> FitReport:
+    """`fit_rows` on the (sum_z, n) rows of `histories`."""
+    return fit_rows(suff_stats(histories), config, strict=strict)
 
 
 # fit_logistic_normal_mixture's seeded restarts, variance floor, EM

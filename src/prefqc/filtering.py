@@ -5,8 +5,8 @@ Given a fitted model, the users' posteriors over eta form one row table
 (sum_z, n). Its MAP, mean and tails are evaluated once per row, as arrays
 (`UserRows`); a selection rule turns each row's scores into keep/drop
 decisions, and `posteriors.csv` and `decisions.csv` are formatted once per
-row, each user's line joined from its id and its row's text. `infer` runs
-on the rows alone. The per-user objects (`PosteriorSummary`,
+row, each user's line joined from its id and its row's text. `infer` and
+`eval` run on the rows alone. The per-user objects (`PosteriorSummary`,
 `FilterDecision`) and their functions are adapters over the same code, with
 each object a row of its own. Filtering a dataset keeps the records of
 attentive users in their original order. Everything here is a pure
@@ -290,10 +290,9 @@ def keep_users(
     User k has row `inverse[k]`. A threshold or tail rule compares each
     row's score with its cut. `TopFraction` keeps the first ceil(fraction *
     users) users ranked by (-MAP, -mean, user_id); only the users of the
-    rows whose (MAP, mean) straddles the cut are sorted by id.
+    rows whose (MAP, mean) straddles the cut are sorted by id. Needs at
+    least one user.
     """
-    if not len(inverse):  # infer's message for an empty input too
-        raise ValueError("select_users needs at least one summary")
     if isinstance(rule, Threshold):
         return (scores >= rule.value)[inverse]
     if isinstance(rule, TailProbability):
@@ -397,9 +396,9 @@ def write_decision_rows(
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
-def _csv_line(fields: Sequence) -> str:
+def _csv_line(fields: Sequence, end: str = "\n") -> str:
     buf = stdio.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
+    csv.writer(buf, lineterminator=end).writerow(fields)
     return buf.getvalue()
 
 
@@ -407,12 +406,14 @@ def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
     """Each text as csv.writer writes it in a row of several fields.
 
     A text that is empty or holds a comma, a quote or a line break goes
-    through csv.writer itself; the others need no quoting.
+    through csv.writer itself; the others need no quoting. The writer ends
+    its lines with "\r\n", so that it quotes a bare carriage return too: a
+    csv reader splits an unquoted one as a line end.
     """
     if all(texts) and not _CSV_SPECIAL.search("".join(texts)):
         return texts
     return [
-        _csv_line((t, "x"))[:-3] if not t or _CSV_SPECIAL.search(t) else t
+        _csv_line((t, "x"), "\r\n")[:-4] if not t or _CSV_SPECIAL.search(t) else t
         for t in texts
     ]
 
@@ -475,6 +476,9 @@ def recovery_accuracy(
     "Truly high" means true eta strictly above the threshold: either the
     empirical `quantile` of the true etas (default, median) or an explicit
     `threshold` such as an exact quantile of the generating distribution.
+    A user id that repeats counts once, as kept when one of its decisions
+    keeps it; the empirical quantile is taken over every decision's eta.
+    See `recovery_of`.
     """
     eta_map = dict(true_etas.items() if isinstance(true_etas, Mapping) else true_etas)
     missing = [d.user_id for d in decisions if d.user_id not in eta_map]
@@ -484,11 +488,24 @@ def recovery_accuracy(
         threshold = _quantile(
             [eta_map[d.user_id] for d in decisions], check_quantile(quantile)
         )
-    truly_above = {d.user_id for d in decisions if eta_map[d.user_id] > threshold}
+    keep: dict[str, bool] = {}
+    for d in decisions:
+        keep[d.user_id] = keep.get(d.user_id, False) or bool(d.attentive)
+    etas = np.array([eta_map[u] for u in keep])
+    return recovery_of(etas, np.array(list(keep.values()), dtype=bool), threshold=threshold)
+
+
+def recovery_of(true_etas: np.ndarray, keep: np.ndarray, quantile: float = 0.5, *,
+                threshold: float | None = None) -> float:
+    """`recovery_accuracy` of users given as arrays: one true eta and one
+    decision per user."""
+    if threshold is None:
+        threshold = _quantile(true_etas, check_quantile(quantile))
+    above = true_etas > threshold
+    truly_above = np.count_nonzero(above)
     if not truly_above:
         raise ValueError("no user's true eta lies above the threshold")
-    kept = {d.user_id for d in decisions if d.attentive}
-    return len(kept & truly_above) / len(truly_above)
+    return np.count_nonzero(keep & above) / truly_above
 
 
 def check_quantile(quantile: float) -> float:

@@ -686,23 +686,30 @@ def _join(path: str, name: str) -> str:
     return f"{path}.{name}" if path else name
 
 
-def _decode(kind: str, table: dict[str, str], obj, path: str):
-    """The dataclass instance an _encode dict at JSON path `path` describes.
-
-    A field with a default may be left out; a missing required field raises
-    KeyError naming it, and keys that name no field are ignored.
-    """
+def _tagged_class(kind: str, table: dict[str, str], obj) -> type:
+    """The class that the "type" tag of object `obj` names in `table`."""
     _require_object(kind, obj)
     tag = obj.get("type")
     name = table.get(tag) if isinstance(tag, str) else None
     if name is None:
         raise ValueError(f"unknown {kind} type {tag!r}")
-    cls = _class(name)
-    return located(path, cls, **{
-        f.name: _tuples(obj[f.name])
-        for f in dataclasses.fields(cls)
-        if f.name in obj or f.default is dataclasses.MISSING
-    })
+    return _class(name)
+
+
+def _decode(kind: str, table: dict[str, str], obj, path: str):
+    """The dataclass instance an _encode dict at JSON path `path` describes.
+
+    A field with a default may be left out, and keys that name no field are
+    ignored. Each error names `path` as `located` does; a missing required
+    field is `path.<field> is missing`, or with no path a KeyError naming it.
+    """
+    cls = located(path, lambda: _tagged_class(kind, table, obj))
+    fields = [f.name for f in dataclasses.fields(cls)
+              if f.name in obj or f.default is dataclasses.MISSING]
+    missing = next((name for name in fields if name not in obj), None)
+    if missing is not None and path:
+        raise ValueError(f"{path}.{missing} is missing")
+    return located(path, cls, **{name: _tuples(obj[name]) for name in fields})
 
 
 # One table per kind, so that decode_prior rejects a rule's tag. Each tag

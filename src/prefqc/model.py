@@ -154,12 +154,6 @@ class AnnotationColumns:
             self.labels[mask],
         )
 
-    def flipped(self) -> "AnnotationColumns":
-        """The same records with every label replaced by 1 - label."""
-        return AnnotationColumns(
-            self.user_ids, self.item_ids, self.users, self.items, 1 - self.labels
-        )
-
     def user_order(self) -> list:
         """Ids of the users that have records, in order of first appearance."""
         return [self.user_ids[c] for c in first_seen(self.users)]
@@ -199,21 +193,14 @@ def user_counts(columns: AnnotationColumns):
     return order, sum_z[order], np.bincount(users)[order]
 
 
-def histories_from_columns(columns: AnnotationColumns) -> list["UserHistory"]:
+def histories_from_records(records) -> list["UserHistory"]:
     """Count each user's labels, first-seen user order; see `user_counts`."""
+    columns = AnnotationColumns.from_records(records)
     codes, sum_z, n = user_counts(columns)
     return [
         UserHistory(columns.user_ids[code], s, k)
         for code, s, k in zip(codes.tolist(), sum_z.tolist(), n.tolist())
     ]
-
-
-def histories_from_records(records) -> list["UserHistory"]:
-    """Count each user's labels, first-seen user order.
-
-    Rejects duplicate (user_id, item_id) pairs.
-    """
-    return histories_from_columns(AnnotationColumns.from_records(records))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ which every change that moves output bits is judged by:
 """
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -210,10 +211,15 @@ def infer(annotations, params, rule, eta_stars, out_dir) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """csv.writer's lines, each ended by a newline. A field that holds a bare
+    carriage return is quoted, as by a writer that ends its lines with
+    "\r\n", so that a csv reader reads it back."""
+    lines = []
+    for row in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    Path(path).write_text("".join(lines), encoding="utf-8", newline="")
 
 
 @dataclass(frozen=True)

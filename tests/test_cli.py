@@ -369,7 +369,7 @@ class TestFit:
         def blow_up(*args, **kwargs):
             raise SolverError("solver diverged", 2.0, 3.0, (0.1, 0.2))
 
-        monkeypatch.setattr("prefqc.cli.em_fit", blow_up)
+        monkeypatch.setattr("prefqc.cli.fit_rows", blow_up)
         assert main(["fit", "--config", config]) == EXIT_NUMERIC
 
 
@@ -516,7 +516,7 @@ class TestInferAndFilter:
             config, _ = infer_config(tmp_path, empty, fit_out, rule, name=f"i_{family}")
             assert main(["infer", "--config", config]) == EXIT_VALIDATION
             err = capsys.readouterr().err
-            assert err == "error: select_users needs at least one summary\n"
+            assert err == "error: annotations file holds no records\n"
 
     @pytest.mark.parametrize(
         "rule,extra,message",
@@ -703,16 +703,16 @@ class TestEval:
 
     def count_fits(self, monkeypatch, fail_when_strict=False):
         calls = []
-        real_em_fit = cli.em_fit
+        real_fit_rows = cli.fit_rows
 
-        def counting_em_fit(histories, config, *, strict=False):
+        def counting_fit_rows(rows, config, *, strict=False):
             calls.append(strict)
-            report = real_em_fit(histories, config, strict=False)
+            report = real_fit_rows(rows, config, strict=False)
             if strict and fail_when_strict:
                 raise LikelihoodDecreaseError(report, 1.0)
             return report
 
-        monkeypatch.setattr(cli, "em_fit", counting_em_fit)
+        monkeypatch.setattr(cli, "fit_rows", counting_fit_rows)
         return calls
 
     def count_draws(self, monkeypatch):
@@ -863,6 +863,36 @@ class TestEval:
         one_line_error(capsys, "a scenario must be a JSON object, got 'beta'")
         assert not (out / "sweep.csv").exists()
 
+    def test_fit_and_eval_build_no_per_user_objects(self, tmp_path, monkeypatch, capsys):
+        from prefqc import FilterDecision, PosteriorSummary, UserHistory
+
+        def refuse(obj, *args, **kwargs):
+            raise AssertionError(f"built a {type(obj).__name__}")
+
+        for cls in (UserHistory, PosteriorSummary, FilterDecision):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        sim = simulate_into(tmp_path)
+        fits = {
+            "free": {"family": "beta", "mu_mode": "free",
+                     "regularizer": {"type": "log_prior_on_mu", "a": 8.0, "b": 2.0}},
+            "flipped": {"family": "two_point", "mu": 0.2},
+        }
+        for name, extra in fits.items():
+            config, out = fit_config(tmp_path, sim, name=name, **{"mu": None, **extra})
+            assert main(["fit", "--config", config]) == EXIT_OK
+            assert (out / "trajectory.csv").is_file()
+        tail = {"type": "tail_probability", "eta_star": 0.5, "level": 0.6}
+        cells = [
+            self.tiny_cell(),
+            self.tiny_cell(cell="threshold", rule={"type": "threshold", "value": 0.7}),
+            self.tiny_cell(cell="tail", rule=tail, quantile=0.3),
+            self.tiny_cell(cell="free", family="beta", mu_variant="beta_prior", rule=tail),
+        ]
+        capsys.readouterr()
+        rows = self.run_sweep(tmp_path, "sweep", cells, [0, 1])
+        assert "0 failed runs" in capsys.readouterr().out
+        assert all(row["note"] == "" and row["accuracy_mean"] != "" for row in rows.values())
+
     def test_needs_cells_or_known_preset(self, tmp_path):
         config, _ = self.eval_config(tmp_path, [0], preset="unknown_sweep")
         assert main(["eval", "--config", config]) == EXIT_VALIDATION
@@ -897,26 +927,26 @@ class TestEval:
         assert digests[0] == digests[1]
 
     def test_each_dataset_is_fitted_before_the_next_is_drawn(self, tmp_path, monkeypatch):
-        # One dataset's histories are alive at a time.
+        # One dataset's draws and rows are alive at a time.
         events = []
-        real_draw, real_em_fit = simulate._draw_users, cli.em_fit
-        real_summarize = filtering.summarize_histories
+        real_draw, real_fit_rows = simulate._draw_users, cli.fit_rows
+        real_user_rows = filtering.user_rows
 
         def draw(scenario):
             events.append(("draw", scenario.mu, scenario.seed))
             return real_draw(scenario)
 
-        def em_fit(histories, config, *, strict=False):
+        def fit_rows(rows, config, *, strict=False):
             events.append(("fit", config.mu_mode))
-            return real_em_fit(histories, config, strict=strict)
+            return real_fit_rows(rows, config, strict=strict)
 
-        def summarize(histories, params, **kwargs):
+        def summarize(*args, **kwargs):
             events.append(("summarize",))
-            return real_summarize(histories, params, **kwargs)
+            return real_user_rows(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "_draw_users", draw)
-        monkeypatch.setattr(cli, "em_fit", em_fit)
-        monkeypatch.setattr(filtering, "summarize_histories", summarize)
+        monkeypatch.setattr(cli, "fit_rows", fit_rows)
+        monkeypatch.setattr(filtering, "user_rows", summarize)
         self.run_sweep(tmp_path, "order", self.mixed_cells(), [1, 0])
         # Each fit is summarized once, before its first rule is scored.
         mu_08 = [("fit", "fixed"), ("summarize",), ("fit", "free"), ("summarize",)]
@@ -1053,10 +1083,12 @@ class TestEval:
                 {"rule": {"type": "threshold", "value": math.nan}},
                 "cells[1].rule: threshold value must be a finite real number, got nan",
             ),
-            ({"rule": {"type": "nonsense"}}, "unknown rule type 'nonsense'"),
+            ({"rule": {"type": "nonsense"}}, "cells[1].rule: unknown rule type 'nonsense'"),
+            ({"rule": {"type": "top_fraction"}}, "cells[1].rule.fraction is missing"),
+            ({"rule": "top"}, "cells[1].rule: a rule must be a JSON object, got 'top'"),
         ],
         ids=["quantile_nan", "quantile_range", "quantile_string", "fraction_inf",
-             "threshold_nan", "rule_type"],
+             "threshold_nan", "rule_type", "rule_field_missing", "rule_not_an_object"],
     )
     def test_bad_rule_or_quantile_exits_2_before_any_draw(
         self, tmp_path, capsys, monkeypatch, overrides, message

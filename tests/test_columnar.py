@@ -34,7 +34,7 @@ from prefqc import (
 from prefqc import io as fio
 from prefqc.cli import EXIT_OK, EXIT_VALIDATION, main
 from prefqc.filtering import filter_mask
-from prefqc.model import AnnotationColumns, histories_from_columns
+from prefqc.model import AnnotationColumns, UserHistory, user_counts
 
 USER_IDS = ["u0", "u1", "é", 'a"b', "x\\y/z", "雪", "\u2028", "😀", "\x85", ""]
 ITEM_IDS = ["i0", "i1", "i2", "ü", "\t", "q/\u0001", "𝔸"]
@@ -145,7 +145,13 @@ def _outcome(func, *args):
 
 
 def _column_histories(path):
-    return histories_from_columns(fio.read_annotation_columns(path))
+    """Each user's (sum_z, n), as `user_counts` gives it from the file's columns."""
+    columns = fio.read_annotation_columns(path)
+    codes, sum_z, n = user_counts(columns)
+    return [
+        UserHistory(columns.user_ids[c], s, k)
+        for c, s, k in zip(codes.tolist(), sum_z.tolist(), n.tolist())
+    ]
 
 
 @pytest.fixture(scope="module")

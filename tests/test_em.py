@@ -689,6 +689,20 @@ class TestEmFit:
         mix = LogisticNormalMixturePrior((1.0,), (0.0,), (1.0,))
         assert em.family_of(mix) is None
 
+    # Each user's frequency lies in [0.55, 0.95], so the start is not clipped.
+    @given(counts=st.lists(
+        st.integers(20, 3000).flatmap(
+            lambda n: st.tuples(st.integers(math.ceil(0.55 * n), int(0.95 * n)), st.just(n))
+        ),
+        min_size=1, max_size=60,
+    ))
+    def test_free_mu_start_is_the_label_frequency_of_python_sums(self, counts):
+        rows = suff_stats([UserHistory(f"u{k}", s, n) for k, (s, n) in enumerate(counts)])
+        total_n = sum(n for _, n in counts)
+        freq = sum(s for s, _ in counts) / total_n if total_n else 0.75
+        start = em.default_init("beta", rows, None, "free")
+        assert start.mu == min(max(freq, 0.55), 0.95)
+
     @pytest.mark.parametrize("mu_mode", ["fixed", "free"])
     @pytest.mark.parametrize(
         "truth",

@@ -310,6 +310,53 @@ class TestRecoveryAccuracy:
         assert acc == 1.0
 
 
+def _recovery_by_id_sets(decisions, true_etas, quantile, threshold):
+    """recovery_accuracy's rules over sets of ids: the quantile of every
+    decision's eta, and a user kept when one of its decisions keeps it.
+    None when no user's eta lies above the threshold."""
+    if threshold is None:
+        threshold = float(np.quantile([true_etas[d.user_id] for d in decisions], quantile))
+    above = {d.user_id for d in decisions if true_etas[d.user_id] > threshold}
+    kept = {d.user_id for d in decisions if d.attentive}
+    return len(kept & above) / len(above) if above else None
+
+
+@given(
+    picks=st.lists(st.tuples(st.integers(0, 7), st.booleans()), min_size=1, max_size=30),
+    etas=st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+        min_size=8, max_size=8,
+    ),
+    # An explicit threshold: none, any number, or one of the etas (a tie).
+    threshold=st.one_of(st.none(), st.floats(-0.5, 1.5), st.integers(0, 7)),
+    quantile=st.floats(0.0, 1.0),
+)
+def test_recovery_accuracy_equals_its_array_core(picks, etas, threshold, quantile):
+    decisions = [decision(f"u{k}", keep) for k, keep in picks]  # ids repeat
+    true_etas = {f"u{k}": eta for k, eta in enumerate(etas)}
+    if isinstance(threshold, int):
+        threshold = etas[threshold]
+    want = _recovery_by_id_sets(decisions, true_etas, quantile, threshold)
+    users = list(dict.fromkeys(d.user_id for d in decisions))
+    user_etas = np.array([true_etas[u] for u in users])
+    keep = np.array([any(d.attentive for d in decisions if d.user_id == u) for u in users])
+    cut = threshold
+    if cut is None:
+        cut = filtering._quantile([true_etas[d.user_id] for d in decisions], quantile)
+    calls = [
+        lambda: recovery_accuracy(decisions, true_etas, quantile, threshold=threshold),
+        lambda: filtering.recovery_of(user_etas, keep, threshold=cut),
+    ]
+    if threshold is None and len(users) == len(decisions):
+        calls.append(lambda: filtering.recovery_of(user_etas, keep, quantile))
+    for call in calls:
+        if want is None:
+            with pytest.raises(ValueError, match="no user's true eta lies above"):
+                call()
+        else:
+            assert call() == want
+
+
 # recovery_accuracy's empirical quantile must equal np.quantile's bits:
 # values with ties, a single value, the ends and the middle, and any q.
 _quantile_values = st.one_of(

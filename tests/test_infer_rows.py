@@ -4,7 +4,7 @@
 once per distinct (sum_z, n) row and spreads the rows to their users.
 `reference.infer` does the same one user at a time, with csv.writer; the four
 files must match. The inputs hold users that share rows and user ids that
-CSV has to quote (or, for a bare carriage return, must not quote). The
+CSV has to quote, a bare carriage return among them. The
 shared tail sweep of `PosteriorRows.tail` is held to one star at a time.
 """
 
@@ -33,7 +33,8 @@ import reference as ref
 FILES = ("posteriors.csv", "decisions.csv", "filtered.jsonl", "pairs.jsonl")
 
 # Ids that csv.writer quotes (comma, quote, newline, the empty string), one
-# it leaves alone (a bare carriage return), and non-ASCII text.
+# that it quotes only when "\r" is in its line terminator (a bare carriage
+# return), and non-ASCII text.
 ODD_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\ronly", "", "naïve—日本", "\r\n,\""]
 
 
@@ -119,15 +120,27 @@ def test_infer_files_equal_per_user_reference(tmp_path, rng, family, rule):
         assert len(set(tied.values())) == spans
 
 
-def test_bare_carriage_return_stays_unquoted(tmp_path, rng):
+def test_bare_carriage_return_is_quoted(tmp_path, rng):
     annotations = tmp_path / "annotations.jsonl"
     write_annotations(annotations, rng)
     out = run_infer(tmp_path, annotations, PARAMS["beta"], Threshold(0.5))
-    with open(out / "decisions.csv", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    assert "\ncr\ronly," in text
+    texts = {}
+    for name in ("posteriors.csv", "decisions.csv"):
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            texts[name] = fh.read()
+        assert '\n"cr\ronly",' in texts[name]
+    text = texts["decisions.csv"]
     assert '\n"two\nlines",' in text and '\n"a,b",' in text and '\n"say ""hi""",' in text
     assert "\n,true," in text or "\n,false," in text  # the empty id
+    # filter reads infer's decisions back: every id, the bare carriage return's too.
+    config = tmp_path / "filter.json"
+    config.write_text(json.dumps({
+        "annotations": str(annotations), "decisions": str(out / "decisions.csv"),
+        "out_dir": str(tmp_path / "filter"),
+    }), encoding="utf-8")
+    assert main(["filter", "--config", str(config)]) == EXIT_OK
+    for name in ("filtered.jsonl", "pairs.jsonl"):
+        assert (tmp_path / "filter" / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_infer_builds_no_per_user_objects(tmp_path, rng, monkeypatch):

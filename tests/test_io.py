@@ -394,6 +394,32 @@ class TestTypedCodecs:
         with pytest.raises(KeyError, match="eta_star"):
             decode_rule({"type": "tail_probability", "level": 0.9})
 
+    # Each structural error names the JSON path of the object it is about.
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ("top", "cells[0].rule: a rule must be a JSON object, got 'top'"),
+            ({"type": "nonsense"}, "cells[0].rule: unknown rule type 'nonsense'"),
+            ({"fraction": 0.5}, "cells[0].rule: unknown rule type None"),
+            ({"type": "top_fraction"}, "cells[0].rule.fraction is missing"),
+        ],
+        ids=["not_an_object", "unknown_type", "no_type", "missing_field"],
+    )
+    def test_structural_errors_name_their_path(self, obj, message):
+        with pytest.raises(ValueError) as info:
+            decode_rule(obj, "cells[0].rule")
+        assert str(info.value) == message
+
+    def test_nested_structural_errors_name_their_path(self):
+        with pytest.raises(ValueError, match=r"^init\.prior\.eta_hi is missing$"):
+            decode_params({"prior": {"type": "two_point", "q1": 0.5, "eta_lo": 0.2},
+                           "mu": 0.8}, "init")
+        with pytest.raises(ValueError, match=r"^scenario\.prior: unknown prior type 'x'$"):
+            decode_scenario({"prior": {"type": "x"}, "mu": 0.8, "num_users": 3,
+                             "n_range": [1, 2]}, "scenario")
+        with pytest.raises(ValueError, match=r"^regularizer: a regularizer must be"):
+            decode_regularizer([8.0, 2.0], "regularizer")
+
     @pytest.mark.parametrize("obj", ["beta", ["beta"], 3.0, True])
     def test_a_value_that_is_not_an_object_is_rejected(self, obj):
         for kind, decode in (

@@ -55,6 +55,16 @@ def test_reports_each_kind_of_change(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
+def test_a_row_split_by_a_bare_carriage_return_is_reported(tmp_path):
+    a, b = _outputs(tmp_path / "a"), _outputs(tmp_path / "b")
+    for root, user in ((a, "cr\ronly"), (b, '"cr\ronly"')):
+        with open(root / "decisions.csv", "a", newline="") as fh:
+            fh.write(f"{user},true,r,0.75\n")
+    report = outdiff.compare(a, b)["changed"]["decisions.csv"]
+    assert report["rows"] == [4, 3]
+    assert report["columns"]["score"] == {"cells_differ": 1}
+
+
 def test_json_changes_name_added_and_removed_keys():
     x = {"a": 1, "b": {"c": [1, 2], "d": None}}
     y = {"a": 1, "b": {"c": [1, 3], "e": 0}}

@@ -20,11 +20,19 @@ def test_command_set_covers_every_command_and_preset():
         for seed in outputs.SEEDS:
             case = f"{workload}_{seed}"
             assert [n for c, n in names if c == case] == ["fit", "infer", "filter"]
+    for case in ("beta_bulk_free_mu", "beta_bulk_flipped"):
+        assert [n for c, n in names if c == case] == ["fit", "infer"]
     for family in outputs.PARAMS:
         for rule in outputs.RULES:
             assert [n for c, n in names if c == f"ids_{family}_{rule}"] == ["infer", "filter"]
-        assert [n for c, n in names if c == f"bare_cr_{family}"] == ["infer"]
-    assert [c for c, n in names if n == "eval"] == ["eval_1", "eval_2", "eval_3"]
+        assert [n for c, n in names if c == f"bare_cr_{family}"] == ["infer", "filter"]
+    evals = [c for c, n in names if n == "eval"]
+    assert evals == ["eval_1", "eval_2", "eval_3", "eval_two_point"]
+    (two_point,) = [c for c in commands if c.case == "eval_two_point"]
+    cells = two_point.config["cells"]
+    assert {c["family"] for c in cells} == {"two_point"}
+    assert {c["rule"]["type"] for c in cells} >= {"tail_probability"}
+    assert all(c["quantile"] != 0.5 for c in cells)
     simulated = [c.config["preset"] for c in commands if c.name == "simulate"]
     assert simulated == outputs.presets(ROOT / "src") and simulated
 
@@ -48,16 +56,17 @@ def test_small_input_cases_exit_0_and_repeat_their_bytes(tmp_path):
         c for c in outputs.command_set(ROOT / "src")
         if c.case in ("ids_two_point_top_fraction_tied_rows", "bare_cr_beta")
     ]
-    assert [c.name for c in commands] == ["infer", "infer", "filter"]
+    assert [c.name for c in commands] == ["infer", "filter", "infer", "filter"]
     for side in ("a", "b"):
         assert outputs.run(ROOT / "src", tmp_path / side, commands) == 0
     case = tmp_path / "a" / "bare_cr_beta"
     assert (case / "infer.stderr").read_text() == ""
     with open(case / "decisions.csv", encoding="utf-8", newline="") as fh:
         text = fh.read()
-    assert "\ncr\ronly," in text and '\n"two\nlines",' in text
-    filtered = tmp_path / "a" / "ids_two_point_top_fraction_tied_rows" / "filter"
-    assert (filtered / "filtered.jsonl").stat().st_size > 0
+    assert '\n"cr\ronly",' in text and '\n"two\nlines",' in text
+    for case in ("ids_two_point_top_fraction_tied_rows", "bare_cr_beta"):
+        filtered = tmp_path / "a" / case / "filter"
+        assert (filtered / "filtered.jsonl").stat().st_size > 0
     assert outdiff.compare(tmp_path / "a", tmp_path / "b") == {}
 
 

@@ -24,6 +24,7 @@ from prefqc import (
     ScoredPair,
     SimulationScenario,
     TwoPointPrior,
+    UserHistory,
     estimate_mu,
     list_presets,
     misspecification_suite,
@@ -35,7 +36,7 @@ from prefqc import (
 )
 from prefqc import io as fio
 from prefqc.cli import EXIT_OK, main
-from prefqc.model import histories_from_columns
+from prefqc.model import user_counts
 from prefqc.simulate import simulate_columns
 
 import reference as ref
@@ -439,7 +440,9 @@ class TestSimulateColumns:
         assert truth == want_truth
         assert columns.to_records() == want_records
         assert simulate_dataset(scenario) == (want_records, want_truth)
-        assert histories_from_columns(columns) == ref.histories_from_records(
+        codes, sum_z, n = user_counts(columns)
+        counts = zip([columns.user_ids[c] for c in codes], sum_z.tolist(), n.tolist())
+        assert [UserHistory(*c) for c in counts] == ref.histories_from_records(
             want_records
         )
 

@@ -42,10 +42,11 @@ def _rows(path: Path) -> tuple[list[str], list[dict[str, str]]]:
         return list(reader.fieldnames or []), list(reader)
 
 
-def _float(text: str) -> float | None:
+def _float(text: str | None) -> float | None:
+    """`text` as a number; None for other text, or for a short row's missing cell."""
     try:
         return float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         return None
 
 

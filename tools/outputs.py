@@ -12,17 +12,22 @@ OUT's own path. The set:
   and `twopoint_long` workloads at seeds 1-3, with the specs, rules and
   eta_stars of `bench/run.py`'s WORKLOADS (case `<workload>_<seed>`; filter
   replays infer's decisions into `filter/`);
+- `fit` and `infer` on the `beta_bulk` input at seed 1, twice more: a free
+  `mu` under a Beta(8, 2) log-prior (case `beta_bulk_free_mu`), and `mu` 0.2
+  on the input with every label flipped, so that the fit flips them back
+  (case `beta_bulk_flipped`);
 - `infer` and `filter` on a small input that this tool writes, with a
   fit.json it writes (fixed Beta and two-point parameters), for each rule of
   RULES (case `ids_<family>_<rule>`). Its users share (sum_z, n) rows, its
   ids hold commas, quotes, newlines, non-ASCII text and the empty string,
   and its rules cut through users of tied (MAP, mean), sit on -0.0 or ask
   for a tail at a star that `eta_stars` leaves out. A second input adds an
-  id holding a bare carriage return, which `decisions.csv` leaves unquoted
-  and `filter` cannot read back, so it gets `infer` alone (case
+  id holding a bare carriage return, which the CSV reports quote (case
   `bare_cr_<family>`);
 - `eval` over the `eval_mu_effect` cells, one run per seed 1-3 (case
-  `eval_<seed>`);
+  `eval_<seed>`), and over two-point cells with tail and ranking rules and
+  quantiles other than the median, seeds 1-3 in one run (case
+  `eval_two_point`);
 - `simulate` on every preset that SRC lists (case `simulate_<preset>`).
 
 Beside a command's output files its case directory holds COMMAND_config.json,
@@ -65,6 +70,22 @@ RULES = {
 ETA_STARS = [0.3, 0.7]
 ODD_IDS = ["a,b", 'say "hi"', "two\nlines", "", "naïve—日本", "\r\n,\""]
 BARE_CR_ID = "cr\ronly"
+# eval_two_point's cells: a two-point population scored with a tail rule and
+# a ranking, each at a quantile other than the median, known and free mu.
+TWO_POINT_SCENARIO = {
+    "prior": {"type": "two_point", "q1": 0.6, "eta_lo": 0.4, "eta_hi": 0.98},
+    "mu": 0.8, "num_users": 300, "n_range": [20, 60], "seed": 0,
+    "per_item_p_model": None,
+}
+TWO_POINT_CELLS = [
+    {"cell": f"{variant}_{name}", "family": "two_point", "scenario": TWO_POINT_SCENARIO,
+     "mu_variant": variant, "rule": rule, "quantile": quantile}
+    for variant in ("known", "beta_prior")
+    for name, rule, quantile in (
+        ("tail", {"type": "tail_probability", "eta_star": 0.7, "level": 0.5}, 0.3),
+        ("ranking", {"type": "top_fraction", "fraction": 0.5}, 0.2),
+    )
+]
 
 
 @dataclass(frozen=True)
@@ -93,6 +114,16 @@ def small_input(params: dict, ids: list[str], path: Path) -> None:
     path.write_text("".join(lines), encoding="utf-8")
     fit = {"params": {**params, "mu_mode": "fixed"}, "converged": True}
     (path.parent / "fit.json").write_text(json.dumps(fit) + "\n", encoding="utf-8")
+
+
+def flipped_input(generate, path: Path) -> None:
+    """Write `generate`'s annotations.jsonl, then flip every label in it."""
+    generate(path)
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    path.write_text(
+        "".join(json.dumps({**r, "label": 1 - r["label"]}) + "\n" for r in records),
+        encoding="utf-8",
+    )
 
 
 def _bench_run():
@@ -140,6 +171,22 @@ def command_set(src: Path) -> list[Command]:
                                          "decisions": "decisions.csv",
                                          "out_dir": "filter"}),
             ]
+    wl = bench.WORKLOADS["beta_bulk"]
+    generate = functools.partial(bench.generate, wl.spec, SEEDS[0])
+    infer = {"annotations": "annotations.jsonl", "fit": "fit.json", "out_dir": ".",
+             "rule": wl.rule, "eta_stars": wl.eta_stars}
+    free_mu = {"mu_mode": "free", "regularizer": {"type": "log_prior_on_mu", "a": 8.0,
+                                                  "b": 2.0}}
+    for case, make, mu_keys in (
+        ("beta_bulk_free_mu", generate, free_mu),
+        ("beta_bulk_flipped", functools.partial(flipped_input, generate),
+         {"mu": 0.2}),
+    ):
+        fit = {"annotations": "annotations.jsonl", "out_dir": ".", "family": wl.family}
+        commands += [
+            Command(case, "fit", {**fit, **mu_keys}, make),
+            Command(case, "infer", infer),
+        ]
     for family, params in PARAMS.items():
         for name, rule in RULES.items():
             case = f"ids_{family}_{name}"
@@ -152,17 +199,22 @@ def command_set(src: Path) -> list[Command]:
                                          "decisions": "decisions.csv",
                                          "out_dir": "filter"}),
             ]
-        commands.append(
+        commands += [
             Command(f"bare_cr_{family}", "infer",
                     {"annotations": "annotations.jsonl", "fit": "fit.json", "out_dir": ".",
                      "rule": RULES["top_fraction"], "eta_stars": ETA_STARS},
-                    functools.partial(small_input, params, ODD_IDS + [BARE_CR_ID]))
-        )
+                    functools.partial(small_input, params, ODD_IDS + [BARE_CR_ID])),
+            Command(f"bare_cr_{family}", "filter", {"annotations": "annotations.jsonl",
+                                                    "decisions": "decisions.csv",
+                                                    "out_dir": "filter"}),
+        ]
     cells = bench.WORKLOADS["eval_mu_effect"].cells
     commands += [
         Command(f"eval_{seed}", "eval", {"cells": cells, "seeds": [seed], "out_dir": "."})
         for seed in SEEDS
     ]
+    commands.append(Command("eval_two_point", "eval", {"cells": TWO_POINT_CELLS,
+                                                       "seeds": list(SEEDS), "out_dir": "."}))
     commands += [
         Command(f"simulate_{preset}", "simulate", {"preset": preset, "out_dir": "."})
         for preset in presets(src)
