@@ -17,7 +17,7 @@ import dataclasses
 import gc
 import json
 import sys
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 from typing import NoReturn
 
@@ -208,13 +208,15 @@ def _cmd_infer(cfg: dict, args) -> None:
     # Summaries, selection and both reports are made once per (sum_z, n) row.
     user_ids = [columns.user_ids[c] for c in codes.tolist()]
     stars = _default_eta_stars(cfg, rule)
-    rows = user_rows(user_ids, sum_z, n, params, eta_stars=stars)
+    rows = user_rows(user_ids, unique_rows(sum_z, n), params, eta_stars=stars)
     keep, scores = rows.select(rule)
     attentive = np.zeros(len(columns.user_ids), dtype=bool)
     attentive[codes] = keep
     kept = columns.take(attentive[columns.users])
-    rows.write_posteriors(out / "posteriors.csv")
-    rows.write_decisions(out / "decisions.csv", rule, keep, scores)
+    fio.write_posterior_rows(out / "posteriors.csv", user_ids, rows.inverse, rows.n_labels,
+                             rows.map_eta, rows.mean_eta, rows.eta_stars, rows.tails)
+    fio.write_decision_rows(out / "decisions.csv", user_ids, keep.tolist(), repeat(rule),
+                            scores.tolist(), rows.inverse)
     fio.write_annotation_columns(out / "filtered.jsonl", kept)
     fio.write_pair_columns(out / "pairs.jsonl", kept)
     print(
@@ -417,7 +419,7 @@ def _run_eval_dataset(
                 if cell.get("rule") is not None:
                     rule = fio.decode_rule(cell["rule"])
                     if digests is None:
-                        digests = user_rows(user_ids, sum_z, n, fitted)
+                        digests = user_rows(user_ids, rows, fitted)
                     keep, _ = digests.select(rule)
                     result["accuracy"] = recovery_of(
                         etas, keep, quantile=cell.get("quantile", 0.5)

@@ -3,29 +3,23 @@
 Given a fitted model, the users' posteriors over eta form one row table
 (`em.PosteriorRows`) with a row per distinct sufficient statistic
 (sum_z, n). Its MAP, mean and tails are evaluated once per row, as arrays
-(`UserRows`); a selection rule turns each row's scores into keep/drop
-decisions, and `posteriors.csv` and `decisions.csv` are formatted once per
-row, each user's line joined from its id and its row's text. `infer` and
-`eval` run on the rows alone. The per-user objects (`PosteriorSummary`,
-`FilterDecision`) and their functions are adapters over the same code, with
-each object a row of its own. Filtering a dataset keeps the records of
-attentive users in their original order. Everything here is a pure
-transformation, deterministic down to tie-breaking, so a filtered dataset
-can be reproduced byte for byte.
+(`UserRows`), and a selection rule turns each row's scores into keep/drop
+decisions. `infer` and `eval` run on the rows alone; `io` writes their
+reports. The per-user objects (`PosteriorSummary`, `FilterDecision`) and
+their functions are adapters over the same code, with each object a row of
+its own. Filtering a dataset keeps the records of attentive users in their
+original order. Everything here is a pure transformation, deterministic
+down to tie-breaking, so a filtered dataset can be reproduced byte for
+byte.
 """
 
-import csv
-import io as stdio
-import json
 import math
-import re
 from dataclasses import astuple, dataclass
-from itertools import chain, compress, repeat
+from itertools import compress
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from . import io as fio
 from .em import PosteriorRows, family_of, posterior_rows
 from .model import (
     AnnotationColumns,
@@ -34,7 +28,7 @@ from .model import (
     UserHistory,
     _finite,
     first_seen,
-    unique_rows,
+    suff_stats,
 )
 from .numerics import QuadratureGrid
 
@@ -131,8 +125,7 @@ class UserRows:
 
     User k is `user_ids[k]` and has row `inverse[k]`. A row holds its label
     count `n_labels`, its `map_eta` and `mean_eta`, and in `tails` one
-    column per entry of `eta_stars`; `table` holds the rows' posteriors, or
-    is None for rows read off summaries.
+    column per entry of `eta_stars`; `table` holds the rows' posteriors.
     """
 
     user_ids: Sequence[str]
@@ -142,27 +135,7 @@ class UserRows:
     mean_eta: np.ndarray
     eta_stars: tuple[float, ...]
     tails: np.ndarray
-    table: PosteriorRows | None = None
-
-    @classmethod
-    def of_summaries(cls, summaries: Sequence[PosteriorSummary]) -> "UserRows":
-        """Each summary as a row of its own; all must hold the same eta_stars."""
-        if not summaries:
-            raise ValueError("no summaries to write")
-        stars = [s for s, _ in summaries[0].tail_probs]
-        for summary in summaries:
-            if [s for s, _ in summary.tail_probs] != stars:
-                raise ValueError("summaries disagree on evaluated tail points")
-        tails = [[p for _, p in s.tail_probs] for s in summaries]
-        return cls(
-            [s.user_id for s in summaries],
-            np.arange(len(summaries)),
-            [s.n_labels for s in summaries],
-            np.array([s.map_eta for s in summaries], dtype=float),
-            np.array([s.mean_eta for s in summaries], dtype=float),
-            tuple(map(float, stars)),
-            np.array(tails, dtype=float).reshape(len(summaries), len(stars)),
-        )
+    table: PosteriorRows
 
     def scores(self, rule: SelectionRule) -> np.ndarray:
         """Each row's score under `rule`: its tail at a tail rule's eta_star,
@@ -181,52 +154,28 @@ class UserRows:
         )
         return keep, scores
 
-    def write_decisions(self, path, rule: SelectionRule, keep, scores) -> None:
-        """decisions.csv of `select`'s result."""
-        write_decision_rows(
-            path, self.user_ids, keep.tolist(), repeat(rule), scores.tolist(), self.inverse
-        )
-
-    def write_posteriors(self, path) -> None:
-        """posteriors.csv: each user's id, then its row's label count, MAP,
-        mean and tails."""
-        header = ["user_id", "n_labels", "map_eta", "mean_eta"]
-        header += [f"tail_{s!r}" for s in self.eta_stars]
-        texts = [
-            f",{n},{m!r},{e!r}" + "".join([f",{p!r}" for p in t]) + "\n"
-            for n, m, e, t in zip(
-                self.n_labels,
-                self.map_eta.tolist(),
-                self.mean_eta.tolist(),
-                self.tails.tolist(),
-            )
-        ]
-        ids = _csv_fields(self.user_ids)
-        _write_lines(path, header, ids, _spread(texts, self.inverse))
-
 
 def user_rows(
     user_ids: Sequence[str],
-    sum_z: np.ndarray,
-    n: np.ndarray,
+    rows,
     params: ModelParams,
     grid: QuadratureGrid | None = None,
     eta_stars: Iterable[float] = (),
 ) -> UserRows:
     """The users' posterior digests, one per distinct (sum_z, n) row.
 
-    `sum_z` and `n` are integer arrays, one entry per user. Two-point priors
-    get the exact two-mass posterior; continuous priors a grid posterior
-    (default 1025-node trapezoid grid). The MAP, mean and every tail are
-    evaluated once over the table of `posterior_rows`. Every `eta_stars`
-    entry must be a finite real number, and no two equal.
+    `rows` is what `unique_rows` returns for the users' sum_z and n. Two-point
+    priors get the exact two-mass posterior; continuous priors a grid
+    posterior (default 1025-node trapezoid grid). The MAP, mean and every
+    tail are evaluated once over the table of `posterior_rows`. Every
+    `eta_stars` entry must be a finite real number, and no two equal.
     """
     grid = grid if grid is not None else QuadratureGrid.uniform()
     stars = [_finite("eta_stars entry", s) for s in eta_stars]
     for k, s in enumerate(stars):
         if s in stars[:k]:
             raise ValueError(f"eta_stars repeats {s!r}")
-    sum_z_u, n_u, _, inverse = unique_rows(sum_z, n)
+    sum_z_u, n_u, _, inverse = rows
     table = posterior_rows(sum_z_u, n_u, params, grid)
     return UserRows(
         user_ids,
@@ -252,12 +201,7 @@ def summarize_histories(
     summary holds the one row table and its user's row in it.
     """
     rows = user_rows(
-        [h.user_id for h in histories],
-        np.array([h.sum_z for h in histories], dtype=np.int64),
-        np.array([h.n for h in histories], dtype=np.int64),
-        params,
-        grid,
-        eta_stars,
+        [h.user_id for h in histories], suff_stats(histories), params, grid, eta_stars
     )
     tails = [tuple(zip(rows.eta_stars, t)) for t in rows.tails.tolist()]
     digests = list(zip(rows.map_eta.tolist(), rows.mean_eta.tolist(), tails))
@@ -359,75 +303,6 @@ def select_users(
         FilterDecision(s.user_id, k, rule, score)
         for s, k, score in zip(summaries, keep, scores)
     ]
-
-
-def write_decision_rows(
-    path,
-    user_ids: Sequence[str],
-    attentive: Sequence[bool],
-    rules: Iterable[SelectionRule],
-    scores: Iterable[float],
-    inverse: np.ndarray | None = None,
-) -> None:
-    """decisions.csv: user k's id and decision, then the rule and score of
-    row `inverse[k]` (row k when `inverse` is None)."""
-    # Each rule object is encoded once. The key is its identity, not its
-    # value: Threshold(0.0) == Threshold(-0.0), but they spell differently.
-    encoded: dict[int, str] = {}
-
-    def rule_field(rule: SelectionRule) -> str:
-        text = encoded.get(id(rule))
-        if text is None:
-            rule_json = json.dumps(fio.encode_rule(rule), sort_keys=True)
-            text = encoded[id(rule)] = _csv_fields([rule_json])[0]
-        return text
-
-    texts = [f",{rule_field(r)},{float(p)!r}\n" for r, p in zip(rules, scores)]
-    _write_lines(
-        path,
-        fio._DECISION_HEADER,
-        _csv_fields(user_ids),
-        [",true" if a else ",false" for a in attentive],
-        texts if inverse is None else _spread(texts, inverse),
-    )
-
-
-# Characters that may make csv.writer quote a field.
-_CSV_SPECIAL = re.compile('[,"\r\n]')
-
-
-def _csv_line(fields: Sequence, end: str = "\n") -> str:
-    buf = stdio.StringIO()
-    csv.writer(buf, lineterminator=end).writerow(fields)
-    return buf.getvalue()
-
-
-def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
-    """Each text as csv.writer writes it in a row of several fields.
-
-    A text that is empty or holds a comma, a quote or a line break goes
-    through csv.writer itself; the others need no quoting. The writer ends
-    its lines with "\r\n", so that it quotes a bare carriage return too: a
-    csv reader splits an unquoted one as a line end.
-    """
-    if all(texts) and not _CSV_SPECIAL.search("".join(texts)):
-        return texts
-    return [
-        _csv_line((t, "x"), "\r\n")[:-4] if not t or _CSV_SPECIAL.search(t) else t
-        for t in texts
-    ]
-
-
-def _spread(texts: list[str], inverse: np.ndarray) -> list[str]:
-    """Each user's row text."""
-    return list(map(texts.__getitem__, inverse.tolist()))
-
-
-def _write_lines(path, header: Sequence[str], *columns: Sequence[str]) -> None:
-    """A CSV file: its header's line, then line k joined from each column's
-    k-th text (the last ending in a newline)."""
-    lines = "".join(chain.from_iterable(zip(*columns)))
-    fio.atomic_write_text(path, _csv_line(header) + lines)
 
 
 def filter_mask(

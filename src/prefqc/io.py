@@ -3,8 +3,10 @@
 Every format round-trips exactly: floats are serialized with repr (shortest
 string that parses back to the same double), readers rebuild the library's
 own types, and parse failures carry the file path and 1-based line number.
-Writers go through a temp file plus os.replace, so a crash mid-write never
-leaves a truncated output behind.
+Every CSV file has one dialect, csv.writer's minimal quoting with "\\n" line
+ends, except that a field holding a bare "\\r" is quoted too, so that a csv
+reader does not split a line there. Writers go through a temp file plus
+os.replace, so a crash mid-write never leaves a truncated output behind.
 """
 
 import csv
@@ -13,8 +15,10 @@ import io as _stdio
 import json
 import math
 import os
+import re
 import sys
 import tempfile
+from itertools import chain
 from json.scanner import make_scanner
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
@@ -76,12 +80,45 @@ def _fmt(x: float) -> str:
 
 # ------------------------------------------------------ the two file formats
 
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+# Characters that make csv.writer quote a field.
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_quoted(text: str) -> str:
+    """`text` as csv.writer writes it in a row of several fields.
+
+    The writer ends its lines with "\\r\\n", so that it quotes a bare carriage
+    return too: a csv reader splits an unquoted one as a line end.
+    """
     buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    csv.writer(buf, lineterminator="\r\n").writerow((text, "x"))
+    return buf.getvalue()[:-4]
+
+
+def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
+    """Each text as a CSV field: one that holds a comma, a quote or a line
+    break is quoted by `_csv_quoted`, the others need no quoting."""
+    if not _CSV_SPECIAL.search("".join(texts)):
+        return texts
+    return [_csv_quoted(t) if _CSV_SPECIAL.search(t) else t for t in texts]
+
+
+def _spread(texts: list[str], inverse: np.ndarray) -> list[str]:
+    """Each user's row text."""
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _write_lines(path, header: Sequence[str], *columns: Sequence[str]) -> None:
+    """A CSV file: its header's line, then line k joined from each column's
+    k-th text (the last ending in a newline)."""
+    lines = "".join(chain.from_iterable(zip(*columns)))
+    atomic_write_text(path, ",".join(_csv_fields(header)) + "\n" + lines)
+
+
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """A CSV file of a header and rows of fields, each field spelled by str()."""
+    lines = [",".join(_csv_fields([str(f) for f in row])) + "\n" for row in rows]
+    _write_lines(path, header, lines)
 
 
 def _read_csv(path, convert, header: list[str] | None = None) -> list:
@@ -898,11 +935,46 @@ def read_trajectory(path) -> list[dict[str, float]]:
 
 # ------------------------------------------------- posteriors & decisions
 
-def write_posteriors(path, summaries: Sequence["PosteriorSummary"]) -> None:
-    """posteriors.csv of summaries; see `filtering.UserRows.write_posteriors`."""
-    from .filtering import UserRows
+def write_posterior_rows(
+    path,
+    user_ids: Sequence[str],
+    inverse: np.ndarray,
+    n_labels: Sequence[int],
+    map_eta: np.ndarray,
+    mean_eta: np.ndarray,
+    eta_stars: Sequence[float],
+    tails: np.ndarray,
+) -> None:
+    """posteriors.csv: user k's id, then the label count, MAP, mean and tails
+    (a column per entry of `eta_stars`) of row `inverse[k]`."""
+    header = ["user_id", "n_labels", "map_eta", "mean_eta"]
+    header += [f"tail_{s!r}" for s in eta_stars]
+    texts = [
+        f",{n},{m!r},{e!r}" + "".join([f",{p!r}" for p in t]) + "\n"
+        for n, m, e, t in zip(n_labels, map_eta.tolist(), mean_eta.tolist(), tails.tolist())
+    ]
+    _write_lines(path, header, _csv_fields(user_ids), _spread(texts, inverse))
 
-    UserRows.of_summaries(summaries).write_posteriors(path)
+
+def write_posteriors(path, summaries: Sequence["PosteriorSummary"]) -> None:
+    """posteriors.csv, each summary a row of its own; all must hold the same
+    eta_stars."""
+    if not summaries:
+        raise ValueError("no summaries to write")
+    stars = [s for s, _ in summaries[0].tail_probs]
+    for summary in summaries:
+        if [s for s, _ in summary.tail_probs] != stars:
+            raise ValueError("summaries disagree on evaluated tail points")
+    write_posterior_rows(
+        path,
+        [s.user_id for s in summaries],
+        np.arange(len(summaries)),
+        [s.n_labels for s in summaries],
+        np.array([s.map_eta for s in summaries], dtype=float),
+        np.array([s.mean_eta for s in summaries], dtype=float),
+        [float(s) for s in stars],
+        np.array([[p for _, p in s.tail_probs] for s in summaries], dtype=float),
+    )
 
 
 def _posterior_row(row: dict[str, str]) -> dict[str, Any]:
@@ -927,10 +999,39 @@ _DECISION_HEADER = ["user_id", "attentive", "rule", "score"]
 _ATTENTIVE = {"true": True, "false": False}
 
 
-def write_decisions(path, decisions: Sequence["FilterDecision"]) -> None:
-    """decisions.csv, one line per decision; see `filtering.write_decision_rows`."""
-    from .filtering import write_decision_rows
+def write_decision_rows(
+    path,
+    user_ids: Sequence[str],
+    attentive: Sequence[bool],
+    rules: Iterable["SelectionRule"],
+    scores: Iterable[float],
+    inverse: np.ndarray | None = None,
+) -> None:
+    """decisions.csv: user k's id and decision, then the rule and score of
+    row `inverse[k]` (row k when `inverse` is None)."""
+    # Each rule object is encoded once. The key is its identity, not its
+    # value: Threshold(0.0) == Threshold(-0.0), but they spell differently.
+    encoded: dict[int, str] = {}
 
+    def rule_field(rule: "SelectionRule") -> str:
+        text = encoded.get(id(rule))
+        if text is None:
+            rule_json = json.dumps(encode_rule(rule), sort_keys=True)
+            text = encoded[id(rule)] = _csv_fields([rule_json])[0]
+        return text
+
+    texts = [f",{rule_field(r)},{float(p)!r}\n" for r, p in zip(rules, scores)]
+    _write_lines(
+        path,
+        _DECISION_HEADER,
+        _csv_fields(user_ids),
+        [",true" if a else ",false" for a in attentive],
+        texts if inverse is None else _spread(texts, inverse),
+    )
+
+
+def write_decisions(path, decisions: Sequence["FilterDecision"]) -> None:
+    """decisions.csv, one line per decision."""
     write_decision_rows(
         path,
         [d.user_id for d in decisions],

@@ -958,6 +958,31 @@ class TestEval:
             ("draw", 0.9, 0), *mu_09,
         ]
 
+    def test_each_dataset_is_grouped_into_rows_once(self, tmp_path, monkeypatch):
+        # The fits and every rule cell's digests share one (sum_z, n) table.
+        events = []
+        real_draw, real_unique_rows = simulate._draw_users, cli.unique_rows
+
+        def draw(scenario):
+            events.append(("draw", scenario.mu, scenario.seed))
+            return real_draw(scenario)
+
+        def unique_rows(sum_z, n):
+            events.append(("group",))
+            return real_unique_rows(sum_z, n)
+
+        monkeypatch.setattr(simulate, "_draw_users", draw)
+        monkeypatch.setattr(cli, "unique_rows", unique_rows)
+        # filtering's own binding of the name too, where it has one.
+        monkeypatch.setattr(filtering, "unique_rows", unique_rows, raising=False)
+        self.run_sweep(tmp_path, "grouped", self.mixed_cells(), [1, 0])
+        assert events == [
+            ("draw", 0.8, 1), ("group",),
+            ("draw", 0.8, 0), ("group",),
+            ("draw", 0.9, 1), ("group",),
+            ("draw", 0.9, 0), ("group",),
+        ]
+
     def test_cells_sharing_a_fit_fit_once(self, tmp_path, monkeypatch):
         cells = [
             self.tiny_cell(cell="ranking"),
@@ -1328,6 +1353,19 @@ def child_env():
 @pytest.mark.parametrize("module", ["concurrent.futures.process", "numpy.random", "logging"])
 def test_import_leaves_out(module):
     script = f"import sys\nimport prefqc.cli\nassert {module!r} not in sys.modules\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_filtering_loads_no_file_format():
+    # Selection and posteriors only: io formats their reports.
+    script = "import sys\nimport prefqc.filtering\nassert 'prefqc.io' not in sys.modules\n"
     proc = subprocess.run(
         [sys.executable, "-c", script],
         env=child_env(),

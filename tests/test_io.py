@@ -641,6 +641,65 @@ class TestSweepCsv:
         assert loaded[0]["note"] == ""
 
 
+# Texts that CSV must quote, or that a reader could lose: every writer
+# quotes them alike and its reader returns them unchanged.
+ODD_TEXTS = {
+    "comma": "a,b",
+    "quote": 'say "hi"',
+    "newline": "two\nlines",
+    "bare_cr": "cr\ronly",
+    "crlf": "cr\r\nlf",
+    "empty": "",
+    "non_ascii": "naïve—日本",
+}
+
+
+@pytest.mark.parametrize("text", ODD_TEXTS.values(), ids=ODD_TEXTS.keys())
+class TestTextFieldsRoundTrip:
+    """A text field, then a plain row: both come back, and no more rows."""
+
+    def test_truth(self, tmp_path, text):
+        truth = [(text, 0.5), ("b", 0.25)]
+        write_truth(tmp_path / "truth.csv", truth)
+        assert read_truth(tmp_path / "truth.csv") == truth
+
+    def test_scored_pairs(self, tmp_path, text):
+        pairs = [ScoredPair(text, 1.25, -0.5), ScoredPair("i1", 0.0, 3.0)]
+        write_scored_pairs(tmp_path / "scores.csv", pairs)
+        assert read_scored_pairs(tmp_path / "scores.csv") == pairs
+
+    def test_sweep(self, tmp_path, text):
+        rows = [{"cell": text, "m": 10, "note": text}, {"cell": "c", "mu": 0.8}]
+        write_sweep(tmp_path / "sweep.csv", rows)
+        loaded = read_sweep(tmp_path / "sweep.csv")
+        assert [(r["cell"], r["m"], r["mu"], r["note"]) for r in loaded] == [
+            (text, "10", "", text),
+            ("c", "", "0.8", ""),
+        ]
+
+    def test_posteriors(self, tmp_path, text):
+        from prefqc import PosteriorSummary
+
+        summaries = [
+            PosteriorSummary(text, 4, 0.75, 0.7, ((0.5, 0.875),), None, 0),
+            PosteriorSummary("u1", 2, 0.5, 0.5, ((0.5, 0.5),), None, 1),
+        ]
+        write_posteriors(tmp_path / "posteriors.csv", summaries)
+        rows = read_posteriors(tmp_path / "posteriors.csv")
+        assert [(r["user_id"], r["n_labels"], r["tail_probs"]) for r in rows] == [
+            (text, 4, ((0.5, 0.875),)),
+            ("u1", 2, ((0.5, 0.5),)),
+        ]
+
+    def test_decisions(self, tmp_path, text):
+        decisions = [
+            FilterDecision(text, True, TopFraction(0.5), 0.91),
+            FilterDecision("u1", False, TopFraction(0.5), 0.12),
+        ]
+        write_decisions(tmp_path / "decisions.csv", decisions)
+        assert read_decisions(tmp_path / "decisions.csv") == decisions
+
+
 def test_fit_report_json_is_plain_data(tmp_path):
     # Everything in the dump must be JSON-native so other tools can read it.
     report = small_fit()

@@ -27,12 +27,15 @@ def test_command_set_covers_every_command_and_preset():
             assert [n for c, n in names if c == f"ids_{family}_{rule}"] == ["infer", "filter"]
         assert [n for c, n in names if c == f"bare_cr_{family}"] == ["infer", "filter"]
     evals = [c for c, n in names if n == "eval"]
-    assert evals == ["eval_1", "eval_2", "eval_3", "eval_two_point"]
+    assert evals == ["eval_1", "eval_2", "eval_3", "eval_two_point", "eval_odd_names"]
     (two_point,) = [c for c in commands if c.case == "eval_two_point"]
     cells = two_point.config["cells"]
     assert {c["family"] for c in cells} == {"two_point"}
     assert {c["rule"]["type"] for c in cells} >= {"tail_probability"}
     assert all(c["quantile"] != 0.5 for c in cells)
+    (odd,) = [c for c in commands if c.case == "eval_odd_names"]
+    names = "".join(c["cell"] for c in odd.config["cells"])
+    assert all(ch in names for ch in ',"\n') and "\r" in names.replace("\r\n", "")
     simulated = [c.config["preset"] for c in commands if c.name == "simulate"]
     assert simulated == outputs.presets(ROOT / "src") and simulated
 

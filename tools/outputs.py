@@ -27,7 +27,9 @@ OUT's own path. The set:
 - `eval` over the `eval_mu_effect` cells, one run per seed 1-3 (case
   `eval_<seed>`), and over two-point cells with tail and ranking rules and
   quantiles other than the median, seeds 1-3 in one run (case
-  `eval_two_point`);
+  `eval_two_point`), and over two of those cells renamed to names that
+  `sweep.csv` must quote, one holding a bare carriage return, seed 1 (case
+  `eval_odd_names`);
 - `simulate` on every preset that SRC lists (case `simulate_<preset>`).
 
 Beside a command's output files its case directory holds COMMAND_config.json,
@@ -86,6 +88,9 @@ TWO_POINT_CELLS = [
         ("ranking", {"type": "top_fraction", "fraction": 0.5}, 0.2),
     )
 ]
+# eval_odd_names' cell names: a comma, a quote and a newline, then a bare
+# carriage return.
+ODD_CELL_NAMES = ['a,b "c"\nd', BARE_CR_ID]
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,9 @@ def command_set(src: Path) -> list[Command]:
     ]
     commands.append(Command("eval_two_point", "eval", {"cells": TWO_POINT_CELLS,
                                                        "seeds": list(SEEDS), "out_dir": "."}))
+    odd_cells = [{**c, "cell": name} for c, name in zip(TWO_POINT_CELLS, ODD_CELL_NAMES)]
+    commands.append(Command("eval_odd_names", "eval", {"cells": odd_cells,
+                                                       "seeds": [SEEDS[0]], "out_dir": "."}))
     commands += [
         Command(f"simulate_{preset}", "simulate", {"preset": preset, "out_dir": "."})
         for preset in presets(src)
