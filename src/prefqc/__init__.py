@@ -27,7 +27,6 @@ _PUBLIC = {
         "LogPriorOnMu",
         "TrajectoryPoint",
         "em_fit",
-        "fit_logistic_normal_mixture",
         "m_step",
         "posterior_rows",
     ),
@@ -50,7 +49,6 @@ _PUBLIC = {
     "model": (
         "AnnotationRecord",
         "BetaPrior",
-        "LogisticNormalMixturePrior",
         "ModelParams",
         "TwoPointPrior",
         "UserHistory",

@@ -34,7 +34,6 @@ from .model import (
     ETA_DENSITY_CLIP,
     AttentivenessPrior,
     BetaPrior,
-    LogisticNormalMixturePrior,
     ModelParams,
     MuMode,
     ScaledKernel,
@@ -52,7 +51,6 @@ from .numerics import (
     QuadratureGrid,
     beta_moment_jacobian,
     digamma,
-    log_sum_exp,
     solve_beta_system,
 )
 
@@ -168,7 +166,7 @@ class LikelihoodDecreaseError(RuntimeError):
 
 
 class DegenerateComponentError(RuntimeError):
-    """A mixture component collapsed (no posterior mass / vanishing weight)."""
+    """A two-point atom has no posterior mass, so the M-step cannot place it."""
 
 
 @dataclass(frozen=True)
@@ -213,7 +211,7 @@ class EmConfig:
                 raise ValueError("supply init params or family in {'two_point','beta'}")
             return
         fam = family_of(init.prior)
-        if self.family is not None and fam is not None and fam != self.family:
+        if self.family is not None and fam != self.family:
             raise ValueError(f"init prior is {fam!r} but family={self.family!r}")
         if self.mu is not None and self.mu != init.mu:
             raise ValueError(f"mu={self.mu!r} conflicts with init mu={init.mu!r}")
@@ -650,13 +648,7 @@ def fit_rows(rows, config: EmConfig, *, strict: bool = False) -> FitReport:
     params = config.init if config.init is not None else default_init(
         config.family, rows, config.mu, config.mu_mode
     )
-    family = family_of(params.prior)
-    if family is None:
-        raise ValueError(
-            "EM fits the two-point and Beta families; mixture densities are "
-            "fitted post hoc from MAP estimates (fit_logistic_normal_mixture)"
-        )
-    two_point = family == "two_point"
+    two_point = family_of(params.prior) == "two_point"
     mu_free = params.mu_mode == "free"
 
     m = float(cnt.sum())
@@ -769,83 +761,3 @@ def em_fit(
 ) -> FitReport:
     """`fit_rows` on the (sum_z, n) rows of `histories`."""
     return fit_rows(suff_stats(histories), config, strict=strict)
-
-
-# fit_logistic_normal_mixture's seeded restarts, variance floor, EM
-# iteration budget and log-likelihood tolerance.
-_MIXTURE_RESTARTS = 5
-_MIXTURE_VARIANCE_FLOOR = 1e-6
-_MIXTURE_MAX_ITERS = 500
-_MIXTURE_TOL = 1e-10
-
-
-def fit_logistic_normal_mixture(eta_hats, k: int) -> LogisticNormalMixturePrior:
-    """Fit a K-component Gaussian mixture to logit-transformed estimates.
-
-    Plain 1-D EM with seeded restarts (best final likelihood wins) and a
-    variance floor. Inputs outside (1e-6, 1-1e-6) are clipped first; a
-    component whose fitted weight drops below 1/(10m) is reported as
-    degenerate rather than returned.
-    """
-    x = np.asarray(eta_hats, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("eta_hats must be a non-empty 1-D collection")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > x.size:
-        raise ValueError("more components than samples")
-    lo, hi = 1e-6, 1.0 - 1e-6
-    if np.any(x < lo) or np.any(x > hi):
-        # Imported here: logging adds 4-6 ms to every command's start (2-vCPU Xeon).
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "eta_hats clipped to [%g, %g] before logit", lo, hi
-        )
-        x = np.clip(x, lo, hi)
-    x = np.log(x) - np.log1p(-x)
-    m = x.size
-
-    best_ll = -math.inf
-    best = None
-    for seed in range(_MIXTURE_RESTARTS):
-        rng = np.random.default_rng(seed)
-        means = rng.choice(x, size=k, replace=False)
-        var = np.full(k, max(float(np.var(x)), _MIXTURE_VARIANCE_FLOOR))
-        weights = np.full(k, 1.0 / k)
-        ll = -math.inf
-        for _ in range(_MIXTURE_MAX_ITERS):
-            log_comp = (
-                np.log(weights)
-                - 0.5 * np.log(2.0 * np.pi * var)
-                - 0.5 * (x[:, None] - means) ** 2 / var
-            )
-            norm = log_sum_exp(log_comp, axis=1)
-            new_ll = float(norm.sum())
-            resp = np.exp(log_comp - norm[:, None])
-            bulk = np.maximum(resp.sum(axis=0), 1e-300)
-            weights = bulk / m
-            means = (resp.T @ x) / bulk
-            var = np.maximum(
-                np.einsum("ik,ik->k", resp, (x[:, None] - means) ** 2) / bulk,
-                _MIXTURE_VARIANCE_FLOOR,
-            )
-            if new_ll - ll < _MIXTURE_TOL:
-                ll = new_ll
-                break
-            ll = new_ll
-        if ll > best_ll:
-            best_ll = ll
-            best = (weights.copy(), means.copy(), var.copy())
-
-    weights, means, var = best
-    if np.any(weights < 1.0 / (10.0 * m)):
-        raise DegenerateComponentError(
-            f"fitted component weight below 1/(10m): {weights.min():.3e}"
-        )
-    order = np.argsort(means)
-    return LogisticNormalMixturePrior(
-        weights=tuple(float(w) for w in weights[order]),
-        means=tuple(float(c) for c in means[order]),
-        sigmas=tuple(float(math.sqrt(v)) for v in var[order]),
-    )

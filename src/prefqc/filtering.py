@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .em import PosteriorRows, family_of, posterior_rows
+from .em import PosteriorRows, posterior_rows
 from .model import (
     AnnotationColumns,
     AnnotationRecord,
@@ -355,6 +355,8 @@ def recovery_accuracy(
     keeps it; the empirical quantile is taken over every decision's eta.
     See `recovery_of`.
     """
+    if not decisions:
+        raise ValueError("no users to score")
     eta_map = dict(true_etas.items() if isinstance(true_etas, Mapping) else true_etas)
     missing = [d.user_id for d in decisions if d.user_id not in eta_map]
     if missing:
@@ -374,6 +376,8 @@ def recovery_of(true_etas: np.ndarray, keep: np.ndarray, quantile: float = 0.5, 
                 threshold: float | None = None) -> float:
     """`recovery_accuracy` of users given as arrays: one true eta and one
     decision per user."""
+    if not len(true_etas):
+        raise ValueError("no users to score")
     if threshold is None:
         threshold = _quantile(true_etas, check_quantile(quantile))
     above = true_etas > threshold
@@ -421,8 +425,6 @@ def relative_error(theta_hat: ModelParams, theta_star: ModelParams) -> float:
         raise ValueError("priors must come from the same family")
     if theta_hat.mu_mode != theta_star.mu_mode:
         raise ValueError("mu_mode must match")
-    if family_of(star) is None:
-        raise ValueError("relative_error supports two-point and Beta parameterizations")
     pairs = list(zip(astuple(hat), astuple(star)))
     if theta_star.mu_mode == "free":
         pairs.append((theta_hat.mu, theta_star.mu))

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .em import ClampEvent, FitReport, RegularizerSpec, family_of
+from .em import ClampEvent, FitReport, RegularizerSpec
 from .model import AnnotationColumns, AnnotationRecord, ModelParams, first_seen
 
 if TYPE_CHECKING:
@@ -755,7 +755,6 @@ def _decode(kind: str, table: dict[str, str], obj, path: str):
 _PRIORS = {
     "two_point": "TwoPointPrior",
     "beta": "BetaPrior",
-    "logistic_normal_mixture": "LogisticNormalMixturePrior",
     "beta_mixture": "BetaMixture",
     "logistic_normal": "LogisticNormal",
     "discrete_masses": "DiscreteMasses",
@@ -911,8 +910,6 @@ def read_fit(path) -> dict[str, Any]:
 
 def _param_columns(params: ModelParams) -> list[tuple[str, float]]:
     prior = params.prior
-    if family_of(prior) is None:
-        raise TypeError("trajectories exist only for two-point and Beta fits")
     fields = dataclasses.fields(prior)
     return [(f.name, getattr(prior, f.name)) for f in fields] + [("mu", params.mu)]
 

@@ -243,42 +243,7 @@ class BetaPrior:
         )
 
 
-@dataclass(frozen=True)
-class LogisticNormalMixturePrior:
-    """Density of sigmoid(X) where X is a Gaussian mixture on the logit line."""
-
-    weights: tuple[float, ...]
-    means: tuple[float, ...]
-    sigmas: tuple[float, ...]
-
-    def __post_init__(self):
-        k = len(self.weights)
-        if k == 0 or len(self.means) != k or len(self.sigmas) != k:
-            raise ValueError("weights/means/sigmas must share a positive length")
-        _finite_entries(self)
-        if k > 1 and any(not 0.0 < w < 1.0 for w in self.weights):
-            raise ValueError("component weights must lie in (0, 1)")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        if any(s <= 0.0 for s in self.sigmas):
-            raise ValueError("sigmas must be positive")
-
-    def log_density(self, eta) -> np.ndarray:
-        e = np.clip(np.asarray(eta, dtype=float), ETA_DENSITY_CLIP, 1.0 - ETA_DENSITY_CLIP)
-        x = np.log(e) - np.log1p(-e)
-        w = np.log(np.asarray(self.weights))
-        m = np.asarray(self.means)
-        s = np.asarray(self.sigmas)
-        comp = (
-            w
-            - 0.5 * np.log(2.0 * np.pi)
-            - np.log(s)
-            - 0.5 * ((x[..., None] - m) / s) ** 2
-        )
-        return log_sum_exp(comp, axis=-1) - np.log(e) - np.log1p(-e)
-
-
-AttentivenessPrior = Union[TwoPointPrior, BetaPrior, LogisticNormalMixturePrior]
+AttentivenessPrior = Union[TwoPointPrior, BetaPrior]
 
 MuMode = Literal["fixed", "free"]
 
@@ -300,8 +265,8 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.prior, get_args(AttentivenessPrior)):
             raise ValueError(
-                "ModelParams takes a two-point, Beta or logistic-normal mixture "
-                f"prior, not {type(self.prior).__name__}"
+                "ModelParams takes a two-point or Beta prior, "
+                f"not {type(self.prior).__name__}"
             )
         if not 0.5 < _finite("mu", self.mu) < 1.0:
             raise ValueError("mu must lie strictly inside (1/2, 1)")
@@ -350,8 +315,8 @@ def prior_log_masses(prior: AttentivenessPrior, grid: QuadratureGrid):
     """Discrete log-mass representation of a prior for marginalization.
 
     Returns (support, log_mass): atoms and log-probabilities for the
-    two-point family, or grid nodes and log(weight * density) for continuous
-    families. Marginal likelihoods are then log-sum-exp reductions either way.
+    two-point family, or grid nodes and log(weight * density) for the Beta
+    family. Marginal likelihoods are then log-sum-exp reductions either way.
     """
     if isinstance(prior, TwoPointPrior):
         support = np.array([prior.eta_lo, prior.eta_hi])

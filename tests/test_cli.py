@@ -58,6 +58,10 @@ SIMULATION_ONLY_PRIORS = [
     {"type": "discrete_masses", "atoms": [[1.0, 0.5]]},
 ]
 
+# The logistic-normal mixture prior is no longer a prior type: its tag is unknown.
+MIXTURE_PRIOR = {"type": "logistic_normal_mixture", "weights": [1.0], "means": [0.0],
+                 "sigmas": [1.0]}
+
 
 def one_line_error(capsys, *parts):
     err = capsys.readouterr().err
@@ -131,6 +135,17 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", config]) == EXIT_VALIDATION
         one_line_error(capsys, "a prior must be a JSON object")
+
+    def test_mixture_scenario_prior_is_an_unknown_type(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path / "c.json",
+            scenario={**tiny_scenario(), "prior": MIXTURE_PRIOR},
+            out_dir=str(out),
+        )
+        assert main(["simulate", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "unknown prior type 'logistic_normal_mixture'")
+        assert not out.exists() or list(out.glob("*")) == []
 
     def test_scenario_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         config = write_config(
@@ -337,8 +352,15 @@ class TestFit:
         sim = simulate_into(tmp_path)
         config, out = fit_config(tmp_path, sim, init={"prior": prior, "mu": 0.8})
         assert main(["fit", "--config", config]) == EXIT_VALIDATION
-        one_line_error(capsys, "ModelParams takes a two-point, Beta")
+        one_line_error(capsys, "ModelParams takes a two-point or Beta prior")
         assert not (out / "fit.json").exists()
+
+    def test_mixture_init_prior_is_an_unknown_type(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path)
+        config, out = fit_config(tmp_path, sim, init={"prior": MIXTURE_PRIOR, "mu": 0.8})
+        assert main(["fit", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "unknown prior type 'logistic_normal_mixture'")
+        assert list(out.glob("*")) == []
 
     def test_mu_conflicting_with_init_rejected(self, tmp_path, capsys):
         sim = simulate_into(tmp_path)
@@ -608,8 +630,21 @@ class TestInferAndFilter:
         )
         capsys.readouterr()
         assert main(["infer", "--config", config]) == EXIT_VALIDATION
-        one_line_error(capsys, "ModelParams takes a two-point, Beta")
+        one_line_error(capsys, "ModelParams takes a two-point or Beta prior")
         assert not (out / "decisions.csv").exists()
+
+    def test_mixture_fit_prior_is_an_unknown_type(self, tmp_path, capsys):
+        sim, fit_out = self.fitted(tmp_path)
+        fit = json.loads((fit_out / "fit.json").read_text())
+        fit["params"]["prior"] = MIXTURE_PRIOR
+        (fit_out / "fit.json").write_text(json.dumps(fit))
+        config, out = infer_config(
+            tmp_path, sim, fit_out, {"type": "top_fraction", "fraction": 0.5}
+        )
+        capsys.readouterr()
+        assert main(["infer", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "unknown prior type 'logistic_normal_mixture'")
+        assert list(out.glob("*")) == []
 
     # infer flips every label when labels_flipped holds, so a string "false"
     # would flip them; a flag must be a JSON bool.
@@ -854,6 +889,13 @@ class TestEval:
         config, out = self.eval_config(tmp_path, [0], cells=[cell])
         assert main(["eval", "--config", config]) == EXIT_VALIDATION
         one_line_error(capsys, "a prior must be a JSON object")
+        assert not (out / "sweep.csv").exists()
+
+    def test_mixture_cell_prior_is_an_unknown_type(self, tmp_path, capsys):
+        cell = self.tiny_cell(scenario={**tiny_scenario(m=30), "prior": MIXTURE_PRIOR})
+        config, out = self.eval_config(tmp_path, [0], cells=[cell])
+        assert main(["eval", "--config", config]) == EXIT_VALIDATION
+        one_line_error(capsys, "unknown prior type 'logistic_normal_mixture'")
         assert not (out / "sweep.csv").exists()
 
     def test_cell_scenario_that_is_not_an_object_exits_2(self, tmp_path, capsys):

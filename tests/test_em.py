@@ -1,6 +1,5 @@
-"""EM engine: E-steps, M-steps, the full fit loop, and the mixture fit."""
+"""EM engine: E-steps, M-steps and the full fit loop."""
 
-import logging
 import math
 
 import numpy as np
@@ -12,25 +11,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prefqc import (
+    BetaMixture,
     BetaPrior,
     BoxOnMu,
     DegenerateComponentError,
+    DiscreteMasses,
     EmConfig,
     LogPriorOnMu,
-    LogisticNormalMixturePrior,
+    LogisticNormal,
     ModelParams,
-    QuadratureGrid,
     SimulationScenario,
     TwoPointPrior,
     UserHistory,
     em_fit,
-    fit_logistic_normal_mixture,
     histories_from_records,
     m_step,
     observed_loglik,
     posterior_rows,
     simulate_dataset,
-    summarize_histories,
 )
 from prefqc import em
 from prefqc.em import _maximize_mu
@@ -636,9 +634,6 @@ class TestEmFit:
                 family="beta",
                 init=ModelParams(prior=TwoPointPrior(0.5, 0.2, 0.9), mu=0.8),
             )
-        mix = LogisticNormalMixturePrior((1.0,), (0.0,), (1.0,))
-        with pytest.raises(ValueError):
-            em_fit(hists, EmConfig(init=ModelParams(prior=mix, mu=0.8)))
         with pytest.raises(ValueError, match="tolerances"):
             EmConfig(family="beta", mu=0.8, tol_param=math.nan)
         # An init fixes mu and its mode; a conflicting mu or a free mode for a
@@ -686,8 +681,21 @@ class TestEmFit:
         for name, start in em.FAMILIES.items():
             assert em.family_of(start) == name
             assert em.default_init(name, [], 0.8, "fixed").prior == start
-        mix = LogisticNormalMixturePrior((1.0,), (0.0,), (1.0,))
-        assert em.family_of(mix) is None
+        truth = BetaMixture(weights=(0.5, 0.5), components=((2.0, 5.0), (5.0, 2.0)))
+        assert em.family_of(truth) is None
+
+    # The CLI screens a simulation-only truth by its family: there is none.
+    @pytest.mark.parametrize(
+        "truth",
+        [
+            BetaMixture(weights=(1.0,), components=((2.0, 3.0),)),
+            LogisticNormal(m=0.0, s=1.0),
+            DiscreteMasses(atoms=((1.0, 0.5),)),
+        ],
+        ids=lambda p: type(p).__name__,
+    )
+    def test_a_simulation_only_truth_has_no_family(self, truth):
+        assert em.family_of(truth) is None
 
     # Each user's frequency lies in [0.55, 0.95], so the start is not clipped.
     @given(counts=st.lists(
@@ -993,61 +1001,3 @@ class TestNewtonStep:
         cfg = EmConfig(family="two_point", mu=mu, mu_mode=mu_mode, max_iters=60)
         report = em_fit(hists, cfg)
         assert report.newton_steps == 0 and report.score_norm is None
-
-
-class TestMixtureFit:
-    def test_constant_input_collapses_to_floor(self):
-        fitted = fit_logistic_normal_mixture([0.5] * 40, 1)
-        assert fitted.weights == (1.0,)
-        assert fitted.means[0] == pytest.approx(0.0, abs=1e-12)
-        assert fitted.sigmas[0] == pytest.approx(1e-3, abs=1e-12)
-
-    def test_recovers_logistic_normal_parameters(self, rng):
-        draws = scipy.special.expit(-0.6 + 0.8 * rng.standard_normal(100_000))
-        fitted = fit_logistic_normal_mixture(draws, 1)
-        assert fitted.means[0] == pytest.approx(-0.6, abs=0.05)
-        assert fitted.sigmas[0] == pytest.approx(0.8, abs=0.05)
-
-    def test_three_mass_pipeline_recovers_modes(self):
-        # Full route: three-point ground truth, Beta fit, per-user grid MAP
-        # estimates, then a 3-component mixture on the logit line. The
-        # fitted means must sit near the logits of 0.2, 0.6 and 0.9.
-        from prefqc import misspecification_suite
-
-        scenario = misspecification_suite("three_mass_d2")
-        records, _ = simulate_dataset(scenario)
-        hists = histories_from_records(records)
-        del records
-        report = em_fit(hists, EmConfig(family="beta", mu=0.8))
-        params = report.final_params
-        grid = QuadratureGrid.uniform()
-        maps = [s.map_eta for s in summarize_histories(hists, params, grid)]
-        fitted = fit_logistic_normal_mixture(np.asarray(maps), 3)
-        targets = [math.log(0.2 / 0.8), math.log(0.6 / 0.4), math.log(0.9 / 0.1)]
-        for mean, target in zip(fitted.means, targets):
-            assert mean == pytest.approx(target, abs=0.3)
-        assert sum(fitted.weights) == pytest.approx(1.0, abs=1e-9)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            fit_logistic_normal_mixture([], 1)
-        with pytest.raises(ValueError):
-            fit_logistic_normal_mixture([0.5, 0.6], 3)
-        with pytest.raises(ValueError):
-            fit_logistic_normal_mixture([0.5, 0.6], 0)
-
-    def test_out_of_range_inputs_clipped_with_warning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="prefqc.em"):
-            fitted = fit_logistic_normal_mixture([0.0, 0.5, 1.0, 0.5], 1)
-        assert any("clip" in rec.message for rec in caplog.records)
-        assert math.isfinite(fitted.means[0])
-
-    def test_components_sorted_by_mean(self, rng):
-        draws = np.concatenate(
-            [
-                scipy.special.expit(-2.0 + 0.3 * rng.standard_normal(500)),
-                scipy.special.expit(2.0 + 0.3 * rng.standard_normal(500)),
-            ]
-        )
-        fitted = fit_logistic_normal_mixture(draws, 2)
-        assert fitted.means[0] < fitted.means[1]

@@ -11,7 +11,6 @@ from prefqc import (
     AnnotationRecord,
     BetaPrior,
     FilterDecision,
-    LogisticNormalMixturePrior,
     MissingDecisionError,
     ModelParams,
     TailProbability,
@@ -87,13 +86,6 @@ class TestSummarizePosterior:
         )
         assert tail_prob(summary, BETA_3_5_MEDIAN) == pytest.approx(0.5, abs=1e-3)
         assert summary.mean_eta == pytest.approx(3.0 / 8.0, abs=1e-6)
-
-    def test_mixture_prior_uses_grid(self):
-        prior = LogisticNormalMixturePrior((1.0,), (0.0,), (0.8,))
-        params = ModelParams(prior=prior, mu=0.8)
-        summary = summarize_posterior(hist_counts("u", 15, 20), params)
-        assert 0.0 <= summary.map_eta <= 1.0
-        assert 0.0 < summary.mean_eta < 1.0
 
     def test_requested_tail_points_are_recorded_in_order(self):
         summary = summarize_posterior(
@@ -299,6 +291,19 @@ class TestRecoveryAccuracy:
         with pytest.raises(ValueError, match="above"):
             recovery_accuracy(decisions, {"a": 0.5, "b": 0.5}, threshold=0.9)
 
+    def test_no_decisions_raises(self):
+        with pytest.raises(ValueError, match="^no users to score$"):
+            recovery_accuracy([], {})
+        with pytest.raises(ValueError, match="^no users to score$"):
+            recovery_accuracy([], {"a": 0.5}, threshold=0.4)
+
+    def test_no_users_in_arrays_raises(self):
+        etas, keep = np.array([]), np.array([], dtype=bool)
+        with pytest.raises(ValueError, match="^no users to score$"):
+            filtering.recovery_of(etas, keep)
+        with pytest.raises(ValueError, match="^no users to score$"):
+            filtering.recovery_of(etas, keep, threshold=0.4)
+
     def test_missing_truth_raises(self):
         decisions = [decision("a", True), decision("b", True)]
         with pytest.raises(MissingDecisionError, match="b"):
@@ -424,9 +429,3 @@ class TestRelativeError:
         true = ModelParams(prior=BetaPrior(3.0, 5.0), mu=0.8)
         with pytest.raises(ValueError, match="mu_mode"):
             relative_error(est, true)
-
-    def test_mixture_prior_unsupported(self):
-        mix = LogisticNormalMixturePrior((1.0,), (0.0,), (1.0,))
-        est = ModelParams(prior=mix, mu=0.8)
-        with pytest.raises(ValueError, match="parameterizations"):
-            relative_error(est, est)

@@ -20,7 +20,6 @@ from prefqc import (
     FilterDecision,
     LogPriorOnMu,
     LogisticNormal,
-    LogisticNormalMixturePrior,
     ModelParams,
     ParseError,
     ScoredPair,
@@ -268,7 +267,6 @@ class TestScoredPairs:
 PRIORS = [
     TwoPointPrior(0.6, 0.4, 0.98),
     BetaPrior(3.0, 5.0),
-    LogisticNormalMixturePrior((0.4, 0.6), (-1.0, 1.5), (0.5, 0.9)),
     BetaMixture(weights=(0.6, 0.4), components=((4.0, 16.0), (16.0, 4.0))),
     LogisticNormal(m=-0.6, s=0.8),
     DiscreteMasses(atoms=((0.2, 0.2), (0.6, 0.6), (0.2, 0.9))),
@@ -282,13 +280,10 @@ WIRE_FORMAT = [
      {"type": "two_point", "q1": 0.6, "eta_lo": 0.4, "eta_hi": 0.98}),
     (PRIORS[1], encode_prior, {"type": "beta", "alpha": 3.0, "beta": 5.0}),
     (PRIORS[2], encode_prior,
-     {"type": "logistic_normal_mixture", "weights": [0.4, 0.6],
-      "means": [-1.0, 1.5], "sigmas": [0.5, 0.9]}),
-    (PRIORS[3], encode_prior,
      {"type": "beta_mixture", "weights": [0.6, 0.4],
       "components": [[4.0, 16.0], [16.0, 4.0]]}),
-    (PRIORS[4], encode_prior, {"type": "logistic_normal", "m": -0.6, "s": 0.8}),
-    (PRIORS[5], encode_prior,
+    (PRIORS[3], encode_prior, {"type": "logistic_normal", "m": -0.6, "s": 0.8}),
+    (PRIORS[4], encode_prior,
      {"type": "discrete_masses", "atoms": [[0.2, 0.2], [0.6, 0.6], [0.2, 0.9]]}),
     (TopFraction(0.5), encode_rule, {"type": "top_fraction", "fraction": 0.5}),
     (Threshold(0.62), encode_rule, {"type": "threshold", "value": 0.62}),
@@ -310,6 +305,11 @@ class TestTypedCodecs:
     def test_unknown_prior_type_rejected(self):
         with pytest.raises(ValueError, match="unknown prior"):
             decode_prior({"type": "cauchy"})
+        # The logistic-normal mixture prior was removed; its tag is unknown too.
+        mixture = {"type": "logistic_normal_mixture", "weights": [1.0],
+                   "means": [0.0], "sigmas": [1.0]}
+        with pytest.raises(ValueError, match="^unknown prior type 'logistic_normal_mixture'$"):
+            decode_prior(mixture)
         with pytest.raises(TypeError):
             encode_prior(object())
 
@@ -373,7 +373,7 @@ class TestTypedCodecs:
     def test_wire_format_is_pinned(self, value, encode, expected):
         assert encode(value) == expected  # a tuple is not equal to its list
 
-    @pytest.mark.parametrize("prior", PRIORS[2:4] + PRIORS[5:], ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("prior", PRIORS[2:3] + PRIORS[4:], ids=lambda p: type(p).__name__)
     def test_decoded_sequence_fields_are_tuples(self, prior):
         decoded = decode_prior(json.loads(json.dumps(encode_prior(prior))))
         for name in decoded.__dataclass_fields__:

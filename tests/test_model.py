@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from prefqc import (
     AnnotationRecord,
+    BetaMixture,
     BetaPerItemP,
     BetaPrior,
-    LogisticNormalMixturePrior,
+    DiscreteMasses,
+    LogisticNormal,
     ModelParams,
     QuadratureGrid,
     SimulationScenario,
@@ -259,30 +261,6 @@ class TestPriors:
         vals = BetaPrior(2.5, 4.0).log_density(np.array([0.0, 1.0]))
         assert np.all(np.isfinite(vals))
 
-    def test_mixture_validation(self):
-        with pytest.raises(ValueError):
-            LogisticNormalMixturePrior((0.5, 0.6), (0.0, 1.0), (1.0, 1.0))
-        with pytest.raises(ValueError):
-            LogisticNormalMixturePrior((1.0,), (0.0,), (0.0,))
-        with pytest.raises(ValueError):
-            LogisticNormalMixturePrior((), (), ())
-
-    def test_mixture_density_change_of_variables(self):
-        prior = LogisticNormalMixturePrior((0.3, 0.7), (-1.0, 1.2), (0.6, 0.9))
-        x = np.linspace(0.05, 0.95, 19)
-        logit = np.log(x) - np.log1p(-x)
-        direct = np.log(
-            0.3 * scipy.stats.norm.pdf(logit, -1.0, 0.6)
-            + 0.7 * scipy.stats.norm.pdf(logit, 1.2, 0.9)
-        ) - np.log(x * (1.0 - x))
-        np.testing.assert_allclose(prior.log_density(x), direct, atol=1e-10)
-
-    def test_mixture_density_integrates_to_one(self, grid):
-        prior = LogisticNormalMixturePrior((0.4, 0.6), (-0.5, 2.0), (0.7, 0.5))
-        assert grid.integrate(np.exp(prior.log_density(grid.nodes))) == pytest.approx(
-            1.0, abs=1e-3
-        )
-
     @pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
     @pytest.mark.parametrize(
         "name, build",
@@ -292,9 +270,6 @@ class TestPriors:
             ("eta_hi", lambda x: TwoPointPrior(0.5, 0.2, x)),
             ("alpha", lambda x: BetaPrior(x, 2.0)),
             ("beta", lambda x: BetaPrior(2.0, x)),
-            ("weights entry", lambda x: LogisticNormalMixturePrior((0.4, x), (0, 1), (1, 1))),
-            ("means entry", lambda x: LogisticNormalMixturePrior((0.4, 0.6), (0, x), (1, 1))),
-            ("sigmas entry", lambda x: LogisticNormalMixturePrior((0.4, 0.6), (0, 1), (x, 1))),
             ("mu", lambda x: ModelParams(BetaPrior(2.0, 2.0), x)),
         ],
     )
@@ -302,6 +277,25 @@ class TestPriors:
         with pytest.raises(ValueError) as info:
             build(bad)
         assert str(info.value) == f"{name} must be a finite real number, got {bad!r}"
+
+    # EM fits two families; a simulation-only truth, or no prior at all, is
+    # named in the refusal.
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            BetaMixture(weights=(0.5, 0.5), components=((2.0, 5.0), (5.0, 2.0))),
+            LogisticNormal(m=-0.6, s=0.8),
+            DiscreteMasses(atoms=((0.4, 0.2), (0.6, 0.9))),
+            None,
+        ],
+        ids=lambda p: type(p).__name__,
+    )
+    def test_params_take_only_a_fitted_family(self, prior):
+        with pytest.raises(ValueError) as info:
+            ModelParams(prior, 0.8)
+        assert str(info.value) == (
+            f"ModelParams takes a two-point or Beta prior, not {type(prior).__name__}"
+        )
 
     def test_params_mu_domain(self):
         prior = BetaPrior(2.0, 2.0)
@@ -365,19 +359,25 @@ class TestObservedLoglik:
 
     def test_two_point_matches_concentrated_mixture(self, grid):
         # Cross-path check: the exact atom sum and the quadrature path fed a
-        # sharply concentrated two-mode density must nearly agree. Modes sit
-        # at logit(0.4) and logit(0.7); sigma 0.03 keeps each bump wide
+        # sharply concentrated density must nearly agree. Both atoms sit at
+        # 0.4, and Beta(4000, 6000) puts its mass there with sd 0.005, wide
         # enough for the default grid to resolve.
         hist = UserHistory.from_labels("u", [1] * 8 + [0] * 2)
-        atoms = ModelParams(prior=TwoPointPrior(0.6, 0.4, 0.7), mu=0.8)
-        smooth = ModelParams(
-            prior=LogisticNormalMixturePrior(
-                weights=(0.6, 0.4),
-                means=(math.log(0.4 / 0.6), math.log(0.7 / 0.3)),
-                sigmas=(0.03, 0.03),
-            ),
-            mu=0.8,
-        )
+        atoms = ModelParams(prior=TwoPointPrior(0.5, 0.4, 0.4), mu=0.8)
+        smooth = ModelParams(prior=BetaPrior(4000.0, 6000.0), mu=0.8)
+        exact = observed_loglik([hist], atoms, grid)
+        quad = observed_loglik([hist], smooth, grid)
+        assert quad == pytest.approx(exact, abs=5e-3)
+
+    # The same cross-path check at other points and histories: a point mass at
+    # eta against Beta(10000 eta, 10000 (1 - eta)), whose sd is at most 0.005.
+    @pytest.mark.parametrize(
+        "eta, ones, zeros", [(0.1, 3, 5), (0.7, 14, 6), (0.9, 40, 2)]
+    )
+    def test_point_mass_matches_concentrated_beta(self, grid, eta, ones, zeros):
+        hist = UserHistory.from_labels("u", [1] * ones + [0] * zeros)
+        atoms = ModelParams(prior=TwoPointPrior(0.5, eta, eta), mu=0.8)
+        smooth = ModelParams(prior=BetaPrior(1e4 * eta, 1e4 * (1.0 - eta)), mu=0.8)
         exact = observed_loglik([hist], atoms, grid)
         quad = observed_loglik([hist], smooth, grid)
         assert quad == pytest.approx(exact, abs=5e-3)

@@ -58,6 +58,18 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(prefqc, "_draw_users")
 
 
+# The logistic-normal mixture prior and its post hoc fitter were removed: EM
+# fits only the two-point and Beta families.
+@pytest.mark.parametrize(
+    "module, name",
+    [("model", "LogisticNormalMixturePrior"), ("em", "fit_logistic_normal_mixture")],
+)
+def test_removed_name_is_gone(module, name):
+    assert name not in prefqc.__all__
+    assert not hasattr(prefqc, name)
+    assert not hasattr(importlib.import_module(f"prefqc.{module}"), name)
+
+
 def test_import_loads_no_submodule():
     script = "import sys, prefqc\nprint([m for m in sys.modules if 'prefqc.' in m])"
     src = str(Path(prefqc.__file__).resolve().parents[1])
